@@ -8,14 +8,19 @@ matrix A.  The characteristic polynomial
 
     (-1)^N det(A - T id)  =  T^N + C_2 T^(N-2) + C_4 T^(N-4) + ...
 
-is monic and even in T because A is antisymmetric, and each coefficient
-C_2l is an invariant of the whole algebra.  casimir_set() extracts the
-C_2l with a fraction-free (Bareiss) determinant, checks the invariance,
-and symmetrizes each one back into the enveloping algebra.
+has C_2l equal to the sum of the principal 2l x 2l minors of A, and each
+such minor of an antisymmetric matrix is the square of its Pfaffian:
+
+    C_2l  =  sum over 2l-subsets S of the rows of  Pf(A_S)^2.
+
+So no determinant is taken: the polynomial is monic and even in T by
+construction, and each C_2l is an invariant of the whole algebra.
+casimir_set() sums the squared principal Pfaffians, checks the
+invariance, and symmetrizes each C_2l back into the enveloping algebra.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations
 
 from .enveloping import PBWElement, symmetrize, u_commutator
 from .errors import (
@@ -81,37 +86,13 @@ def build_so_matrix(algebra, spec, N=None, assume_verified=False):
     return matrix
 
 
-def _with_t(poly):
-    return CommPoly(poly.nvars + 1,
-                    {exps + (0,): c for exps, c in poly.terms.items()})
-
-
-def _bareiss_det(rows):
-    """Fraction-free determinant of a square CommPoly matrix.
-
-    Every pivot along the way is a leading principal minor of the input;
-    for a matrix of the form A - T id those are nonzero (their top
-    T-coefficient is +-1), so a vanishing pivot means the input was not
-    of the promised shape."""
-    n = len(rows)
-    work = [row[:] for row in rows]
-    prev = CommPoly.constant(work[0][0].nvars, 1)
-    for k in range(n - 1):
-        pivot = work[k][k]
-        if pivot.is_zero():
-            raise InternalConsistencyError(
-                "zero pivot at step %d of the fraction-free elimination" % k)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = work[i][j] * pivot - work[i][k] * work[k][j]
-                work[i][j] = num.exact_div(prev)
-        prev = pivot
-    return work[n - 1][n - 1]
-
-
 def char_poly_coefficients(matrix):
     """{l: C_2l} from the monic characteristic polynomial of an
-    antisymmetric polynomial matrix, C_2l sitting at T^(N-2l)."""
+    antisymmetric polynomial matrix, C_2l sitting at T^(N-2l).
+
+    C_2l is the sum of Pf(A_S)^2 over the 2l-subsets S of the rows; each
+    principal Pfaffian is expanded along its first row and memoized on
+    its index tuple."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise MalformedInputError("matrix is not square")
@@ -122,27 +103,32 @@ def char_poly_coefficients(matrix):
                 raise MalformedInputError("matrix entries disagree on nvars")
             if not (matrix[i][j] + matrix[j][i]).is_zero():
                 raise MalformedInputError("matrix is not antisymmetric")
-    t_var = CommPoly.variable(nvars + 1, nvars)
-    shifted = [[_with_t(matrix[i][j]) - (t_var if i == j else
-                                         CommPoly.zero(nvars + 1))
-                for j in range(n)] for i in range(n)]
-    char = _bareiss_det(shifted).scale(Fraction(-1) ** n)
+    zero = CommPoly.zero(nvars)
+    pfaffians = {(): CommPoly.constant(nvars, 1)}
 
-    by_power = {}
-    for exps, c in char.terms.items():
-        m = exps[-1]
-        by_power.setdefault(m, {})[exps[:-1]] = c
-    top = by_power.pop(n, None)
-    if top != {(0,) * nvars: Fraction(1)}:
-        raise InternalConsistencyError("characteristic polynomial not monic")
-    for m in by_power:
-        if (n - m) % 2:
-            raise InternalConsistencyError(
-                "odd coefficient at T^%d survived; the matrix cannot have "
-                "been antisymmetric" % m)
+    def pfaffian(rows):
+        # Pf(A_S) = sum_k (-1)^k a_{s0,sk} Pf(A_{S - {s0, sk}})
+        if rows not in pfaffians:
+            first, rest = rows[0], rows[1:]
+            total = zero
+            for k, row in enumerate(rest):
+                entry = matrix[first][row]
+                if entry:
+                    minor = pfaffian(rest[:k] + rest[k + 1:])
+                    if minor:
+                        piece = entry * minor
+                        total = total + (-piece if k % 2 else piece)
+            pfaffians[rows] = total
+        return pfaffians[rows]
+
     out = {}
     for l in range(1, n // 2 + 1):
-        out[l] = CommPoly(nvars, by_power.get(n - 2 * l, {}))
+        total = zero
+        for rows in combinations(range(n), 2 * l):
+            pf = pfaffian(rows)
+            if pf:
+                total = total + pf * pf
+        out[l] = total
     return out
 
 
@@ -155,7 +141,9 @@ def char_poly_cofactor(matrix):
     nvars = matrix[0][0].nvars
     t_var = CommPoly.variable(nvars + 1, nvars)
     rows = [[(t_var if i == j else CommPoly.zero(nvars + 1))
-             - _with_t(matrix[i][j]) for j in range(n)] for i in range(n)]
+             - CommPoly(nvars + 1, {exps + (0,): c
+                                    for exps, c in matrix[i][j].terms.items()})
+             for j in range(n)] for i in range(n)]
 
     def det(sub):
         if len(sub) == 1:
@@ -175,24 +163,27 @@ class CasimirSet:
     N: int
     coefficients: dict     # l -> CommPoly over the algebra's variables
     symmetrized: dict      # l -> PBWElement
+    checked: dict          # l -> whether the U(g) centrality check ran
 
     def degrees(self):
         return {l: poly.degree() for l, poly in self.coefficients.items()}
 
 
-# symmetrized elements beyond this degree are returned unchecked: the
-# commutation test multiplies out products whose size grows factorially
+# symmetrized elements beyond this degree are returned unchecked (and
+# marked so in CasimirSet.checked): the commutation test multiplies out
+# products whose size grows factorially
 UCHECK_DEGREE_CAP = 6
 
 
 def casimir_set(algebra, spec):
     """Every C_2l of the dressed rotation matrix, invariance-checked and
-    symmetrized into the enveloping algebra."""
+    symmetrized into the enveloping algebra; the symmetrized element is
+    checked central in U(g) up to UCHECK_DEGREE_CAP."""
     if not verify(algebra, spec).passed:
         raise PreconditionError("spec does not verify")
     matrix = build_so_matrix(algebra, spec, assume_verified=True)
     coefficients = char_poly_coefficients(matrix)
-    symmetrized = {}
+    symmetrized, checked = {}, {}
     for l, poly in sorted(coefficients.items()):
         flag, violations = is_invariant(algebra, poly)
         if not flag:
@@ -200,7 +191,8 @@ def casimir_set(algebra, spec):
             raise InternalConsistencyError(
                 "C_%d fails invariance against %s" % (2 * l, algebra.names[worst[0]]))
         sym = symmetrize(algebra, poly)
-        if poly.degree() <= UCHECK_DEGREE_CAP:
+        checked[l] = poly.degree() <= UCHECK_DEGREE_CAP
+        if checked[l]:
             for t in range(algebra.dim):
                 if u_commutator(PBWElement.generator(algebra, t), sym):
                     raise InternalConsistencyError(
@@ -208,4 +200,4 @@ def casimir_set(algebra, spec):
                         % (2 * l, algebra.names[t]))
         symmetrized[l] = sym
     return CasimirSet(N=len(matrix), coefficients=coefficients,
-                      symmetrized=symmetrized)
+                      symmetrized=symmetrized, checked=checked)

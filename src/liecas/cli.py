@@ -18,9 +18,11 @@ on load, so every subcommand rejects a non-Lie bracket table up front.
 
 Exit status: 0 on success; 1 when the requested verification fails
 (validate finds violations, verify-copy does not pass, a dressing fails
-its check before casimirs or contract run); 2 on malformed input,
-including bracket tables that violate Jacobi and contractions whose
-limit does not exist.  All documents, error documents included, go to
+its check before casimirs or contract run, a derived result fails an
+internal check); 2 on input the command cannot take, including bracket
+tables that violate Jacobi, contractions whose limit does not exist and
+algebras the operation does not apply to.  _ERRORS maps every error to
+its kind and status.  All documents, error documents included, go to
 stdout; with --format json they are machine-readable, errors as
 {"error": <kind>, ...}.
 
@@ -35,12 +37,14 @@ import os
 import sys
 from fractions import Fraction
 
-from .casimir_gen import casimir_set
+from .casimir_gen import UCHECK_DEGREE_CAP, casimir_set
 from .catalog import FAMILY_NAMES, FamilyId, build
 from .contraction import ContractionWeights, contract_algebra, contract_copy
 from .enveloping import emit_pbw
-from .errors import (DegreeOverflowError, LimitDoesNotExistError,
-                     MalformedInputError, PreconditionError)
+from .errors import (DegreeOverflowError, InternalConsistencyError,
+                     LiecasError, LimitDoesNotExistError, MalformedInputError,
+                     NotApplicableError, PreconditionError,
+                     UndefinedLeadingPartError)
 from .exterior import mc_differential
 from .invariants import invariant_count
 from .lie_core import algebra_from_json, algebra_to_json
@@ -312,10 +316,14 @@ def _cmd_casimirs(args, fmt):
         poly = cs.coefficients[l]
         rows.append({"l": l, "degree": poly.degree(),
                      "coefficient": _poly_json(poly),
-                     "symmetrized": emit_pbw(cs.symmetrized[l])})
+                     "symmetrized": emit_pbw(cs.symmetrized[l]),
+                     "checked": cs.checked[l]})
         text_lines.append("C_%d = %s" % (2 * l, poly.render(names)))
         text_lines.append("sym C_%d = %s" % (2 * l,
                                              cs.symmetrized[l].render()))
+        if not cs.checked[l]:
+            text_lines.append("(unchecked in U(g): degree %d > %d)"
+                              % (poly.degree(), UCHECK_DEGREE_CAP))
         latex_lines.append("C_{%d} = %s" % (2 * l,
                                             poly.render(names, latex=True)))
         latex_lines.append("\\operatorname{Sym} C_{%d} = %s"
@@ -511,6 +519,19 @@ def _build_parser():
     return parser
 
 
+# every LiecasError subclass -> (JSON "error" tag, exit status); an error
+# takes the row of the nearest class in its MRO
+_ERRORS = {
+    MalformedInputError: ("malformed-input", 2),
+    LimitDoesNotExistError: ("limit-does-not-exist", 2),
+    DegreeOverflowError: ("degree-overflow", 2),
+    NotApplicableError: ("not-applicable", 2),
+    UndefinedLeadingPartError: ("undefined-leading-part", 2),
+    PreconditionError: ("precondition", 1),
+    InternalConsistencyError: ("internal-consistency", 1),
+}
+
+
 def _resolve_format(args):
     fmt = args.format
     if fmt is None:
@@ -543,25 +564,17 @@ def main(argv=None):
         return 2
     try:
         code, doc, text, latex = _HANDLERS[args.subcommand](args, fmt)
-    except LimitDoesNotExistError as err:
-        doc = {"error": "limit-does-not-exist",
-               "triple": list(err.triple), "weight": err.weight}
+    except LiecasError as err:
+        tag, code = next(_ERRORS[cls] for cls in type(err).__mro__
+                         if cls in _ERRORS)
+        if isinstance(err, LimitDoesNotExistError):
+            doc = {"error": tag, "triple": list(err.triple),
+                   "weight": err.weight}
+        else:
+            doc = {"error": tag, "detail": str(err)}
         doc.update(getattr(err, "payload", {}))
         _emit(fmt, doc, "error: %s" % err, None)
-        return 2
-    except DegreeOverflowError as err:
-        _emit(fmt, {"error": "degree-overflow", "detail": str(err)},
-              "error: %s" % err, None)
-        return 2
-    except MalformedInputError as err:
-        doc = {"error": "malformed-input", "detail": str(err)}
-        doc.update(getattr(err, "payload", {}))
-        _emit(fmt, doc, "error: %s" % err, None)
-        return 2
-    except PreconditionError as err:
-        _emit(fmt, {"error": "precondition", "detail": str(err)},
-              "error: %s" % err, None)
-        return 1
+        return code
     _emit(fmt, doc, text, latex)
     return code
 

@@ -25,7 +25,7 @@ all d w_k gives the invariant count as dim - 2*j0.
 import random
 from fractions import Fraction
 
-from .errors import MalformedInputError
+from .errors import InternalConsistencyError, MalformedInputError
 from .linalg import rank
 from .naming import latex_name
 
@@ -239,7 +239,8 @@ def wedge_rank(omega):
     """Half the rank of the 2-form's alternating matrix: the largest j
     with omega^j != 0."""
     r = rank(alternating_matrix(omega))
-    assert r % 2 == 0, "alternating matrix with odd rank"
+    if r % 2:
+        raise InternalConsistencyError("alternating matrix with odd rank %d" % r)
     return r // 2
 
 
@@ -255,7 +256,9 @@ def wedge_rank_slow(omega):
         if power.is_zero():
             return j
         j += 1
-        assert 2 * j <= omega.n, "nonzero wedge power beyond the dimension"
+        if 2 * j > omega.n:
+            raise InternalConsistencyError(
+                "nonzero wedge power beyond the dimension")
 
 
 _LOW, _HIGH = -10 ** 4, 10 ** 4

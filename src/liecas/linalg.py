@@ -6,6 +6,8 @@ strategy is needed beyond "first nonzero" since there is no rounding.
 
 from fractions import Fraction
 
+from .errors import MalformedInputError
+
 
 def rank(rows):
     """Rank of a matrix given as a list of rows of rationals."""
@@ -13,8 +15,8 @@ def rank(rows):
     if not m:
         return 0
     nrows, ncols = len(m), len(m[0])
-    for row in m:
-        assert len(row) == ncols, "ragged matrix"
+    if any(len(row) != ncols for row in m):
+        raise MalformedInputError("ragged matrix")
     r = 0
     for col in range(ncols):
         pivot = None

@@ -230,40 +230,6 @@ class CommPoly:
         e = max(self.terms, key=_grlex)
         return e, self.terms[e]
 
-    # ---- exact division --------------------------------------------------
-
-    def exact_div(self, d):
-        """Quotient self/d when the division is exact.
-
-        Long division on graded-lex leading terms; every step cancels the
-        current leading monomial, so termination is immediate.  Raises
-        MalformedInputError when d does not divide self (the fraction-free
-        determinant only ever asks for exact quotients).
-        """
-        self._check_universe(d)
-        if d.is_zero():
-            raise MalformedInputError("division by the zero polynomial")
-        if self.is_zero():
-            return CommPoly(self.nvars)
-        d_exps, d_c = d.leading()
-        rem = dict(self.terms)
-        quot = {}
-        while rem:
-            lt = max(rem, key=_grlex)
-            q_exps = tuple(a - b for a, b in zip(lt, d_exps))
-            if any(e < 0 for e in q_exps):
-                raise MalformedInputError("inexact polynomial division")
-            qc = rem[lt] / d_c
-            quot[q_exps] = quot.get(q_exps, _ZERO) + qc
-            for de, dc in d.terms.items():
-                e = tuple(a + b for a, b in zip(q_exps, de))
-                s = rem.get(e, _ZERO) - qc * dc
-                if s:
-                    rem[e] = s
-                else:
-                    rem.pop(e, None)
-        return CommPoly(self.nvars, quot)
-
     # ---- rendering --------------------------------------------------------
 
     def monomials(self):

@@ -113,11 +113,12 @@ def test_char_poly_rejects_nonantisymmetric():
         char_poly_coefficients([[one.scale(0)], [one.scale(0)]])
 
 
-# ---- Bareiss against independent references ------------------------------------
+# ---- Pfaffian expansion against independent references --------------------------
 
 
-@pytest.mark.parametrize("name,N", [("Ha", 3), ("Ha", 4), ("IHa", 3)])
-def test_bareiss_matches_cofactor_expansion(name, N):
+@pytest.mark.parametrize("name,N", [("Ha", 3), ("Ha", 4), ("IHa", 3),
+                                    ("QHa", 3)])
+def test_pfaffian_matches_cofactor_expansion(name, N):
     algebra, spec = b(name, N)
     M = build_so_matrix(algebra, spec)
     coeffs = char_poly_coefficients(M)
@@ -129,7 +130,8 @@ def test_bareiss_matches_cofactor_expansion(name, N):
         assert CommPoly(algebra.dim, by_power.get(N - 2 * l, {})) == poly
 
 
-@pytest.mark.parametrize("name,N", [("Ha", 4), ("QHa", 3)])
+@pytest.mark.parametrize("name,N", [("Ha", 4), ("QHa", 3), ("Ha", 5),
+                                    ("IHa", 4), ("QHa", 4)])
 def test_char_poly_at_random_points(name, N):
     algebra, spec = b(name, N)
     M = build_so_matrix(algebra, spec)
@@ -155,6 +157,7 @@ def test_casimir_set_hamilton_3():
     assert isinstance(cs, CasimirSet)
     assert cs.N == 3
     assert cs.degrees() == {1: 4}
+    assert cs.checked == {1: True}
     flag, violations = is_invariant(algebra, cs.coefficients[1])
     assert flag and not violations
     sym = cs.symmetrized[1]
@@ -207,7 +210,7 @@ def test_one_by_one_block_is_trivial():
     M = build_so_matrix(algebra, spec)
     assert len(M) == 1 and M[0][0].is_zero()
     cs = casimir_set(algebra, spec)
-    assert cs.coefficients == {} and cs.symmetrized == {}
+    assert cs.coefficients == {} and cs.symmetrized == {} and cs.checked == {}
 
 
 @pytest.mark.parametrize("name,N", [("Ha", 3), ("Ha", 4), ("IHa", 3), ("IHa", 4)])

@@ -4,8 +4,12 @@ import sys
 
 import pytest
 
+import liecas.casimir_gen
+import liecas.cli
 from liecas.catalog import FAMILY_NAMES, FamilyId, build
 from liecas.cli import main
+from liecas.errors import (DegreeOverflowError, LiecasError,
+                           LimitDoesNotExistError)
 from liecas.lie_core import algebra_to_json
 from liecas.virtual_copy import emit_spec
 
@@ -209,6 +213,19 @@ def test_casimirs_document(capsys):
     assert row["degree"] == 4
     assert row["coefficient"]
     assert row["symmetrized"]
+    assert row["checked"] is True
+
+
+def test_casimirs_report_a_skipped_centrality_check(capsys, monkeypatch):
+    monkeypatch.setattr(liecas.casimir_gen, "UCHECK_DEGREE_CAP", 3)
+    monkeypatch.setattr(liecas.cli, "UCHECK_DEGREE_CAP", 3)
+    code, out = run(capsys, "casimirs", "--family", "Ha", "--N", "3",
+                    "--format", "json")
+    assert code == 0
+    assert json.loads(out)["casimirs"][0]["checked"] is False
+    code, out = run(capsys, "casimirs", "--family", "Ha", "--N", "3")
+    assert code == 0
+    assert "(unchecked in U(g): degree 4 > 3)" in out.splitlines()
 
 
 def test_contract_document(capsys):
@@ -275,3 +292,26 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == '{"count": 3}\n'
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+_ERROR_ARGS = {DegreeOverflowError: (9, 8),
+               LimitDoesNotExistError: ("P_1", "Q_1", "Z", -3)}
+
+
+@pytest.mark.parametrize("cls", sorted(_subclasses(LiecasError),
+                                       key=lambda c: c.__name__))
+def test_every_error_becomes_a_json_document(capsys, monkeypatch, cls):
+    def handler(args, fmt):
+        raise cls(*_ERROR_ARGS.get(cls, ("boom",)))
+
+    monkeypatch.setitem(liecas.cli._HANDLERS, "catalog", handler)
+    code, out = run(capsys, "catalog", "--format", "json")
+    assert code in (1, 2)
+    doc = json.loads(out)
+    assert isinstance(doc["error"], str) and doc["error"]

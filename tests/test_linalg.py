@@ -1,0 +1,30 @@
+import os
+import subprocess
+import sys
+
+import pytest
+
+import liecas
+from liecas.errors import MalformedInputError
+from liecas.linalg import rank
+
+
+def test_ragged_rank_rejected():
+    with pytest.raises(MalformedInputError):
+        rank([[1, 2], [3]])
+
+
+def test_ragged_rank_rejected_under_optimize():
+    # the check must not be an assert, which python -O strips
+    src = os.path.dirname(os.path.dirname(liecas.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("from liecas.errors import MalformedInputError\n"
+            "from liecas.linalg import rank\n"
+            "try:\n"
+            "    rank([[1, 2], [3]])\n"
+            "except MalformedInputError as err:\n"
+            "    print(err)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ragged matrix\n"

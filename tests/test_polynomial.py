@@ -88,18 +88,6 @@ def test_degree_and_homogeneity():
     assert not (x + x * y).is_homogeneous()
 
 
-def test_exact_division():
-    x, y = xvar(0), xvar(1)
-    p = x ** 2 - y ** 2
-    q = p.exact_div(x - y)
-    assert q == x + y
-    assert q * (x - y) == p
-    with pytest.raises(MalformedInputError):
-        (x ** 2 + 1).exact_div(x - y)
-    with pytest.raises(MalformedInputError):
-        x.exact_div(CommPoly.zero(3))
-
-
 def test_universe_mismatch_rejected():
     with pytest.raises(MalformedInputError):
         CommPoly.variable(2, 0) + CommPoly.variable(3, 0)
