@@ -26,11 +26,11 @@ from .enveloping import PBWElement, symmetrize, u_commutator
 from .errors import (
     InternalConsistencyError,
     MalformedInputError,
-    PreconditionError,
+    NotApplicableError,
 )
 from .invariants import is_invariant
 from .polynomial import CommPoly
-from .virtual_copy import build_operators, verify
+from .virtual_copy import build_operators, require_verified
 
 
 def rotation_block_size(algebra):
@@ -46,33 +46,31 @@ def rotation_block_size(algebra):
     for name in names:
         if not (name.startswith("J_") and len(name) == 4
                 and name[2:].isdigit()):
-            raise MalformedInputError(
+            raise NotApplicableError(
                 "Levi generator %r is not of the J_ij form" % name)
         i, j = int(name[2]), int(name[3])
         if not 1 <= i < j:
-            raise MalformedInputError("bad rotation label %r" % name)
+            raise NotApplicableError("bad rotation label %r" % name)
         top = max(top, j)
     want = sorted("J_%d%d" % (i, j)
                   for i in range(1, top + 1) for j in range(i + 1, top + 1))
     if names != want:
-        raise MalformedInputError(
+        raise NotApplicableError(
             "Levi part is not a full rotation block: have %s" % names)
     return top
 
 
-def build_so_matrix(algebra, spec, N=None, assume_verified=False):
+def build_so_matrix(algebra, spec, N=None):
     """Antisymmetric N x N matrix of the dressed generators' commutative
-    images.  The spec must verify (checked here unless the caller already
-    did); N defaults to the size read off the Levi labels."""
+    images.  The spec must verify, which is checked first; N defaults to
+    the size read off the Levi labels."""
+    require_verified(algebra, spec, "the matrix entries would be meaningless")
     size = rotation_block_size(algebra)
     if N is None:
         N = size
     elif N != size:
         raise MalformedInputError(
             "algebra carries a %d x %d rotation block, not %d" % (size, size, N))
-    if not assume_verified and not verify(algebra, spec).passed:
-        raise PreconditionError(
-            "spec does not verify; the matrix entries would be meaningless")
     zero = CommPoly.zero(algebra.dim)
     matrix = [[zero for _ in range(N)] for _ in range(N)]
     if N == 1:
@@ -178,10 +176,9 @@ UCHECK_DEGREE_CAP = 6
 def casimir_set(algebra, spec):
     """Every C_2l of the dressed rotation matrix, invariance-checked and
     symmetrized into the enveloping algebra; the symmetrized element is
-    checked central in U(g) up to UCHECK_DEGREE_CAP."""
-    if not verify(algebra, spec).passed:
-        raise PreconditionError("spec does not verify")
-    matrix = build_so_matrix(algebra, spec, assume_verified=True)
+    checked central in U(g) up to UCHECK_DEGREE_CAP.  The spec is verified
+    once, by build_so_matrix."""
+    matrix = build_so_matrix(algebra, spec)
     coefficients = char_poly_coefficients(matrix)
     symmetrized, checked = {}, {}
     for l, poly in sorted(coefficients.items()):

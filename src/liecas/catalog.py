@@ -36,23 +36,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .enveloping import PBWElement, symmetrize, u_mul
-from .errors import MalformedInputError
+from .errors import InternalConsistencyError, MalformedInputError
 from .lie_core import LieAlgebra
-from .polynomial import CommPoly
+from .polynomial import CommPoly, word_exponents
+from .sparse import accumulate
 from .virtual_copy import make_spec
 
-FAMILY_NAMES = (
-    "so", "su11", "heisenberg", "weyl_quesne",
-    "Ha", "IHa", "QHa",
-    "IHa_L", "IHa_M", "IHa_A", "IHa_AM", "IHa_AL", "IHa_LM",
-    "boson_example", "boson_example_contracted",
-)
 
-_EXTENSIONS = {
-    "IHa_L": "L", "IHa_M": "M", "IHa_A": "A",
-    "IHa_AM": "AM", "IHa_AL": "AL", "IHa_LM": "LM",
-    "QHa": "LAM",
-}
+@dataclass(frozen=True)
+class Family:
+    parameter: str | None     # "N", "n", "alpha", or None for a fixed algebra
+    least: int | None         # bounds of an integer parameter
+    most: int | None
+    dressed: bool             # the family carries a virtual-copy spec
+    about: str
+    builder: object           # parameter value (None when fixed) -> (algebra, spec)
 
 
 @dataclass
@@ -64,35 +62,29 @@ class FamilyId:
 
 def build(fid):
     """(algebra, spec-or-None) for a family id."""
-    name = fid.name
-    if name == "so":
-        return so_algebra(_want_n(fid, 2)), None
-    if name == "su11":
-        return su11_algebra(), None
-    if name == "heisenberg":
-        return heisenberg_algebra(_want_n(fid, 1)), None
-    if name == "weyl_quesne":
-        return weyl_quesne(_want_n(fid, 1))
-    if name == "Ha":
-        return hamilton(_want_n(fid, 3))
-    if name == "IHa" or name in _EXTENSIONS:
-        return hamilton(_want_n(fid, 3), inhomogeneous=True,
-                        extension=_EXTENSIONS.get(name, ""))
-    if name == "boson_example":
-        alpha = Fraction(fid.params.get("alpha", 1))
-        return boson_example(alpha)
-    if name == "boson_example_contracted":
-        return boson_example_contracted()
-    raise MalformedInputError("unknown family %r" % (name,))
-
-
-def _want_n(fid, least):
-    if fid.N is None:
+    family = FAMILIES.get(fid.name)
+    if family is None:
+        raise MalformedInputError("unknown family %r" % (fid.name,))
+    if family.parameter == "alpha":
+        value = Fraction(fid.params.get("alpha", 1))
+    elif family.parameter is None:
+        value = None
+    elif fid.N is None:
         raise MalformedInputError("family %r needs N" % (fid.name,))
-    if not least <= fid.N <= 9:
+    elif not family.least <= fid.N <= family.most:
         raise MalformedInputError(
-            "family %r supports N in %d..9, got %r" % (fid.name, least, fid.N))
-    return fid.N
+            "family %r supports N in %d..%d, got %r"
+            % (fid.name, family.least, family.most, fid.N))
+    else:
+        value = fid.N
+    return family.builder(value)
+
+
+def _check_dim(algebra, dim):
+    if algebra.dim != dim:
+        raise InternalConsistencyError(
+            "built %d generators, the family has %d" % (algebra.dim, dim))
+    return algebra
 
 
 # ---- rotation block ----------------------------------------------------------
@@ -106,14 +98,6 @@ def _j_name(i, j):
     return "J_%d%d" % (i, j)
 
 
-def _add(terms, key, c):
-    s = terms.get(key, Fraction(0)) + c
-    if s:
-        terms[key] = s
-    else:
-        terms.pop(key, None)
-
-
 def _rotation_brackets(pairs, index):
     """[J_ij, J_kl] = d_il J_jk + d_jk J_il - d_jl J_ik - d_ik J_jl,
     with J_vu = -J_uv and J_uu = 0, into an i<j-keyed table."""
@@ -121,16 +105,14 @@ def _rotation_brackets(pairs, index):
     for a_pos, (i, j) in enumerate(pairs):
         for (k, l) in pairs[a_pos + 1:]:
             terms = {}
-            for (u, v), sgn in ((( j, k), 1 if i == l else 0),
-                                ((i, l), 1 if j == k else 0),
-                                ((i, k), -1 if j == l else 0),
-                                ((j, l), -1 if i == k else 0)):
-                if not sgn or u == v:
-                    continue
-                if u < v:
-                    _add(terms, index[_j_name(u, v)], Fraction(sgn))
-                else:
-                    _add(terms, index[_j_name(v, u)], Fraction(-sgn))
+            accumulate(terms, (
+                (index[_j_name(min(u, v), max(u, v))],
+                 Fraction(sgn if u < v else -sgn))
+                for (u, v), sgn in (((j, k), 1 if i == l else 0),
+                                    ((i, l), 1 if j == k else 0),
+                                    ((i, k), -1 if j == l else 0),
+                                    ((j, l), -1 if i == k else 0))
+                if sgn and u != v))
             if terms:
                 out[(index[_j_name(i, j)], index[_j_name(k, l)])] = terms
     return out
@@ -141,16 +123,11 @@ def _vector_action(pairs, index, letter, N):
     out = {}
     for (i, j) in pairs:
         a = index[_j_name(i, j)]
-        for k in range(1, N + 1):
-            terms = {}
-            if i == k:
-                _add(terms, index["%s_%d" % (letter, j)], Fraction(-1))
-            if j == k:
-                _add(terms, index["%s_%d" % (letter, i)], Fraction(1))
-            if terms:
-                b = index["%s_%d" % (letter, k)]
-                out[(a, b) if a < b else (b, a)] = (
-                    terms if a < b else {t: -c for t, c in terms.items()})
+        # only V_i and V_j move: [J_ij, V_i] = -V_j, [J_ij, V_j] = V_i
+        for k, t, c in ((i, j, -1), (j, i, 1)):
+            b = index["%s_%d" % (letter, k)]
+            out[(a, b) if a < b else (b, a)] = {
+                index["%s_%d" % (letter, t)]: Fraction(c if a < b else -c)}
     return out
 
 
@@ -158,10 +135,8 @@ def so_algebra(N):
     pairs = _so_pairs(N)
     names = [_j_name(i, j) for (i, j) in pairs]
     index = {n: t for t, n in enumerate(names)}
-    algebra = LieAlgebra(names, _rotation_brackets(pairs, index),
-                         levi=range(len(names)))
-    assert algebra.dim == N * (N - 1) // 2
-    return algebra
+    return _check_dim(LieAlgebra(names, _rotation_brackets(pairs, index),
+                                 levi=range(len(names))), N * (N - 1) // 2)
 
 
 # ---- Heisenberg and the Quesne boson family -----------------------------------
@@ -171,9 +146,7 @@ def heisenberg_algebra(N):
     names = (["P_%d" % k for k in range(1, N + 1)]
              + ["Q_%d" % k for k in range(1, N + 1)] + ["Z"])
     brackets = {(k, N + k): {2 * N: Fraction(1)} for k in range(N)}
-    algebra = LieAlgebra(names, brackets, levi=[])
-    assert algebra.dim == 2 * N + 1
-    return algebra
+    return _check_dim(LieAlgebra(names, brackets, levi=[]), 2 * N + 1)
 
 
 def weyl_quesne(n):
@@ -187,14 +160,8 @@ def weyl_quesne(n):
     def canon(a, b, terms):
         if a == b or not terms:
             return
-        if a < b:
-            brackets.setdefault((a, b), {})
-            for t, c in terms.items():
-                _add(brackets[(a, b)], t, c)
-        else:
-            brackets.setdefault((b, a), {})
-            for t, c in terms.items():
-                _add(brackets[(b, a)], t, -c)
+        key, sign = ((a, b), 1) if a < b else ((b, a), -1)
+        accumulate(brackets.setdefault(key, {}), terms.items(), sign)
 
     # [E_ij, E_kl] = d_jk E_il - d_li E_kj
     for i in range(1, n + 1):
@@ -207,9 +174,10 @@ def weyl_quesne(n):
                         continue
                     terms = {}
                     if j == k:
-                        _add(terms, index["E_%d%d" % (i, l)], Fraction(1))
+                        terms[index["E_%d%d" % (i, l)]] = Fraction(1)
                     if l == i:
-                        _add(terms, index["E_%d%d" % (k, j)], Fraction(-1))
+                        # E_kj differs from E_il since b != a
+                        terms[index["E_%d%d" % (k, j)]] = Fraction(-1)
                     canon(a, b, terms)
             # [E_ij, bd_k] = d_jk bd_i ;  [E_ij, b_k] = -d_ik b_j
             canon(a, index["bd_%d" % j], {index["bd_%d" % i]: Fraction(1)})
@@ -219,10 +187,9 @@ def weyl_quesne(n):
         canon(index["b_%d" % i], index["bd_%d" % i],
               {index["I"]: Fraction(1)})
 
-    algebra = LieAlgebra(names,
-                         {key: val for key, val in brackets.items() if val},
-                         levi=[index[m] for m in e_names])
-    assert algebra.dim == n * n + 2 * n + 1
+    algebra = _check_dim(
+        LieAlgebra(names, {key: val for key, val in brackets.items() if val},
+                   levi=[index[m] for m in e_names]), n * n + 2 * n + 1)
 
     f = PBWElement.generator(algebra, "I")
     P = {}
@@ -292,71 +259,60 @@ def hamilton(N, inhomogeneous=False, extension=""):
             # [E, T] = -L
             brackets[(index["E"], index["T"])] = {index["L"]: -one}
 
-    algebra = LieAlgebra(names, brackets,
-                         levi=[index[m] for m in names if m.startswith("J_")])
-    if not inhomogeneous:
-        assert algebra.dim == N * (N + 3) // 2 + 1
-    elif not ext:
-        assert algebra.dim == N * (N - 1) // 2 + 4 * N + 3
-    elif len(ext) == 3:
-        assert algebra.dim == (N * N + 7 * N + 12) // 2
+    # rotations, two N-vectors and R; IHa adds two more vectors, E and T
+    algebra = _check_dim(
+        LieAlgebra(names, brackets,
+                   levi=[index[m] for m in names if m.startswith("J_")]),
+        N * (N - 1) // 2 + (4 * N + 3 if inhomogeneous else 2 * N + 1)
+        + len(ext))
 
     return algebra, _hamilton_spec(algebra, N, inhomogeneous, ext)
 
 
+def _antisym(ix, i, j, x, y, lead=(), trail=()):
+    """{lead x_i y_j trail: 1, lead x_j y_i trail: -1} as index words."""
+    def word(a, b):
+        return tuple(ix[m] for m in (*lead, "%s_%d" % (x, a),
+                                     "%s_%d" % (y, b), *trail))
+    return {word(i, j): Fraction(1), word(j, i): Fraction(-1)}
+
+
 def _hamilton_spec(algebra, N, inhomogeneous, ext):
     ix = algebra.name_index
+    pairs = _so_pairs(N)
 
     if not inhomogeneous:
         # f = R, P_{J_ij} = G_i F_j - G_j F_i
         f = PBWElement.generator(algebra, "R")
-        words = {}
-        for (i, j) in _so_pairs(N):
-            w = words.setdefault((i, j), {})
-            _add(w, (ix["G_%d" % i], ix["F_%d" % j]), Fraction(1))
-            _add(w, (ix["G_%d" % j], ix["F_%d" % i]), Fraction(-1))
+        words = {(i, j): _antisym(ix, i, j, "G", "F") for (i, j) in pairs}
         return make_spec(algebra, f, _collect(algebra, words))
 
     f_words = {(ix["T"], ix["T"]): Fraction(1)}
-    words = {}
     if not ext:
         # trailing multipliers: (G_i Q_j - G_j Q_i) T + (F_i P_j - F_j P_i) T
         #                      + (P_i Q_j - P_j Q_i) R
-        for (i, j) in _so_pairs(N):
-            w = words.setdefault((i, j), {})
-            _add(w, (ix["G_%d" % i], ix["Q_%d" % j], ix["T"]), Fraction(1))
-            _add(w, (ix["G_%d" % j], ix["Q_%d" % i], ix["T"]), Fraction(-1))
-            _add(w, (ix["F_%d" % i], ix["P_%d" % j], ix["T"]), Fraction(1))
-            _add(w, (ix["F_%d" % j], ix["P_%d" % i], ix["T"]), Fraction(-1))
-            _add(w, (ix["P_%d" % i], ix["Q_%d" % j], ix["R"]), Fraction(1))
-            _add(w, (ix["P_%d" % j], ix["Q_%d" % i], ix["R"]), Fraction(-1))
+        words = {(i, j): {**_antisym(ix, i, j, "G", "Q", trail=("T",)),
+                          **_antisym(ix, i, j, "F", "P", trail=("T",)),
+                          **_antisym(ix, i, j, "P", "Q", trail=("R",))}
+                 for (i, j) in pairs}
         return make_spec(algebra, PBWElement.from_terms(algebra, f_words),
                          _collect(algebra, words))
 
     # extensions use leading multipliers:
     #   T(G_i Q_j - G_j Q_i) + T(F_i P_j - F_j P_i) + R(P_i Q_j - P_j Q_i)
     # plus one extra block per extension letter, and an f of its own
-    for (i, j) in _so_pairs(N):
-        w = words.setdefault((i, j), {})
-        _add(w, (ix["T"], ix["G_%d" % i], ix["Q_%d" % j]), Fraction(1))
-        _add(w, (ix["T"], ix["G_%d" % j], ix["Q_%d" % i]), Fraction(-1))
-        _add(w, (ix["T"], ix["F_%d" % i], ix["P_%d" % j]), Fraction(1))
-        _add(w, (ix["T"], ix["F_%d" % j], ix["P_%d" % i]), Fraction(-1))
-        _add(w, (ix["R"], ix["P_%d" % i], ix["Q_%d" % j]), Fraction(1))
-        _add(w, (ix["R"], ix["P_%d" % j], ix["Q_%d" % i]), Fraction(-1))
-        if "L" in ext:
-            _add(w, (ix["L"], ix["G_%d" % i], ix["F_%d" % j]), Fraction(1))
-            _add(w, (ix["L"], ix["G_%d" % j], ix["F_%d" % i]), Fraction(-1))
-        if "M" in ext:
-            _add(w, (ix["M"], ix["Q_%d" % i], ix["F_%d" % j]), Fraction(1))
-            _add(w, (ix["M"], ix["Q_%d" % j], ix["F_%d" % i]), Fraction(-1))
-        if "A" in ext:
-            _add(w, (ix["A"], ix["P_%d" % i], ix["G_%d" % j]), Fraction(1))
-            _add(w, (ix["A"], ix["P_%d" % j], ix["G_%d" % i]), Fraction(-1))
+    blocks = [("T", "G", "Q"), ("T", "F", "P"), ("R", "P", "Q")]
+    blocks += [block for block in (("L", "G", "F"), ("M", "Q", "F"),
+                                   ("A", "P", "G")) if block[0] in ext]
+    words = {}
+    for (i, j) in pairs:
+        words[(i, j)] = {}
+        for lead, x, y in blocks:
+            words[(i, j)].update(_antisym(ix, i, j, x, y, lead=(lead,)))
     if "L" in ext:
-        _add(f_words, (ix["R"], ix["L"]), Fraction(1))
+        f_words[(ix["R"], ix["L"])] = Fraction(1)
     if {"A", "M"} <= ext:
-        _add(f_words, (ix["A"], ix["M"]), Fraction(-1))
+        f_words[(ix["A"], ix["M"])] = Fraction(-1)
     return make_spec(algebra, PBWElement.from_terms(algebra, f_words),
                      _collect(algebra, words))
 
@@ -411,9 +367,8 @@ def boson_algebra(alpha):
         brackets[(5, 8)] = {3: alpha}         # [Q_1, E] = alpha G_1
         brackets[(6, 8)] = {4: alpha}         # [P_1, E] = alpha F_1
         brackets[(8, 9)] = {7: -two * alpha}  # [E, T] = -2 alpha R
-    algebra = LieAlgebra(list(_BOSON_NAMES), brackets, levi=[0, 1, 2])
-    assert algebra.dim == 10
-    return algebra
+    return _check_dim(LieAlgebra(list(_BOSON_NAMES), brackets, levi=[0, 1, 2]),
+                      10)
 
 
 def _sym_words(algebra, terms):
@@ -428,10 +383,8 @@ def _sym_words(algebra, terms):
     """
     out = PBWElement(algebra)
     for word, c in terms.items():
-        exps = [0] * algebra.dim
-        for t in word:
-            exps[t] += 1
-        mono = CommPoly.monomial(algebra.dim, exps, c)
+        mono = CommPoly.monomial(algebra.dim,
+                                 word_exponents(word, algebra.dim), c)
         out = out + symmetrize(algebra, mono)
     return out
 
@@ -516,3 +469,57 @@ def levi_quadratic_casimir(algebra):
         return su11_quadratic_casimir(algebra)
     raise MalformedInputError(
         "no hard-coded Casimir for Levi part %s" % (levi_names,))
+
+
+# ---- the family registry -------------------------------------------------------
+
+
+def _iha(extension):
+    return lambda N: hamilton(N, inhomogeneous=True, extension=extension)
+
+
+FAMILIES = {
+    "so": Family("N", 2, 9, False, "the rotation block so(N) alone",
+                 lambda N: (so_algebra(N), None)),
+    "su11": Family(None, None, None, False,
+                   "the three-generator split real rank-one algebra",
+                   lambda _: (su11_algebra(), None)),
+    "heisenberg": Family("N", 1, 9, False,
+                         "N coordinate/momentum pairs over one center",
+                         lambda N: (heisenberg_algebra(N), None)),
+    "weyl_quesne": Family("n", 1, 9, True,
+                          "gl(n) over n boson pairs and a unit",
+                          weyl_quesne),
+    "Ha": Family("N", 3, 9, True,
+                 "so(N) acting on two N-vectors with one central charge",
+                 hamilton),
+    "IHa": Family("N", 3, 9, True,
+                  "Ha extended by a generator mixing the vector pairs and a "
+                  "second central charge", _iha("")),
+    "QHa": Family("N", 3, 9, True,
+                  "IHa closed off by the three central charges L, A, M",
+                  _iha("LAM")),
+    "IHa_L": Family("N", 3, 9, True,
+                    "IHa with the central extension L alone", _iha("L")),
+    "IHa_M": Family("N", 3, 9, True,
+                    "IHa with the central extension M alone", _iha("M")),
+    "IHa_A": Family("N", 3, 9, True,
+                    "IHa with the central extension A alone", _iha("A")),
+    "IHa_AM": Family("N", 3, 9, True,
+                     "IHa with the central extensions A and M", _iha("AM")),
+    "IHa_AL": Family("N", 3, 9, True,
+                     "IHa with the central extensions A and L", _iha("AL")),
+    "IHa_LM": Family("N", 3, 9, True,
+                     "IHa with the central extensions L and M", _iha("LM")),
+    "boson_example": Family("alpha", None, None, True,
+                            "rank-one Levi over two oscillator pairs and "
+                            "three more directions; dressing at alpha = 1",
+                            boson_example),
+    "boson_example_contracted": Family(None, None, None, True,
+                                       "the alpha = 0 limit of "
+                                       "boson_example, with its contracted "
+                                       "dressing",
+                                       lambda _: boson_example_contracted()),
+}
+
+FAMILY_NAMES = tuple(FAMILIES)

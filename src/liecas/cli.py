@@ -38,7 +38,7 @@ import sys
 from fractions import Fraction
 
 from .casimir_gen import UCHECK_DEGREE_CAP, casimir_set
-from .catalog import FAMILY_NAMES, FamilyId, build
+from .catalog import FAMILIES, FamilyId, build
 from .contraction import ContractionWeights, contract_algebra, contract_copy
 from .enveloping import emit_pbw
 from .errors import (DegreeOverflowError, InternalConsistencyError,
@@ -48,44 +48,11 @@ from .errors import (DegreeOverflowError, InternalConsistencyError,
 from .exterior import mc_differential
 from .invariants import invariant_count
 from .lie_core import algebra_from_json, algebra_to_json
-from .naming import latex_name
+from .naming import latex_name, signed_join, signed_term
 from .virtual_copy import emit_spec, parse_spec, verify
 
 FORMATS = ("json", "text", "latex")
 FORMAT_ENV = "LIECAS_FORMAT"
-
-# family -> (parameter, smallest value, carries a dressing, one-line summary)
-_FAMILY_INFO = {
-    "so": ("N", 2, False, "the rotation block so(N) alone"),
-    "su11": (None, None, False,
-             "the three-generator split real rank-one algebra"),
-    "heisenberg": ("N", 1, False,
-                   "N coordinate/momentum pairs over one center"),
-    "weyl_quesne": ("n", 1, True, "gl(n) over n boson pairs and a unit"),
-    "Ha": ("N", 3, True,
-           "so(N) acting on two N-vectors with one central charge"),
-    "IHa": ("N", 3, True,
-            "Ha extended by a generator mixing the vector pairs and a "
-            "second central charge"),
-    "QHa": ("N", 3, True,
-            "IHa closed off by the three central charges L, A, M"),
-    "IHa_L": ("N", 3, True, "IHa with the central extension L alone"),
-    "IHa_M": ("N", 3, True, "IHa with the central extension M alone"),
-    "IHa_A": ("N", 3, True, "IHa with the central extension A alone"),
-    "IHa_AM": ("N", 3, True, "IHa with the central extensions A and M"),
-    "IHa_AL": ("N", 3, True, "IHa with the central extensions A and L"),
-    "IHa_LM": ("N", 3, True, "IHa with the central extensions L and M"),
-    "boson_example": ("alpha", None, True,
-                      "rank-one Levi over two oscillator pairs and three "
-                      "more directions; dressing at alpha = 1"),
-    "boson_example_contracted": (None, None, True,
-                                 "the alpha = 0 limit of boson_example, "
-                                 "with its contracted dressing"),
-}
-
-_FIXED_FAMILIES = {name for name, row in _FAMILY_INFO.items()
-                   if row[0] != "N" and row[0] != "n"}
-
 
 def _fail(message, **payload):
     err = MalformedInputError(message)
@@ -127,6 +94,17 @@ def _validated(algebra):
                          for i, j, k, c in report.radical_ideal])
 
 
+def _read_algebra(path):
+    """(algebra, embedded spec document or None) from an algebra file or a
+    catalog dump {"algebra": ..., "spec": ...-or-null}; not validated."""
+    doc = _load_json(path)
+    embedded = None
+    if isinstance(doc, dict) and "algebra" in doc and "names" not in doc:
+        embedded = doc.get("spec")
+        doc = doc["algebra"]
+    return algebra_from_json(doc), embedded
+
+
 def _select(args, want_spec=False):
     """(algebra, spec-or-None) from --family or --algebra [+ --spec]."""
     family = getattr(args, "family", None)
@@ -139,18 +117,14 @@ def _select(args, want_spec=False):
         alpha = getattr(args, "alpha", None)
         if alpha is not None and family != "boson_example":
             _fail("--alpha only applies to boson_example")
-        if args.N is not None and family in _FIXED_FAMILIES:
+        if (args.N is not None and family in FAMILIES
+                and FAMILIES[family].most is None):
             _fail("family %r takes no --N" % (family,))
         params = {} if alpha is None else {"alpha": alpha}
         algebra, spec = build(FamilyId(name=family, N=args.N, params=params))
     elif path:
-        doc = _load_json(path)
-        embedded = None
-        if isinstance(doc, dict) and "algebra" in doc and "names" not in doc:
-            # a catalog dump: {"algebra": ..., "spec": ...-or-null}
-            embedded = doc.get("spec")
-            doc = doc["algebra"]
-        algebra = _validated(algebra_from_json(doc))
+        algebra, embedded = _read_algebra(path)
+        algebra = _validated(algebra)
         spec = None
         spec_path = getattr(args, "spec", None)
         if spec_path:
@@ -181,38 +155,13 @@ def _parse_weights(raw):
 # ---- shared renderers --------------------------------------------------------
 
 
-def _signed_join(parts):
-    """parts: (negative, body) pairs -> "a - b + c"."""
-    out = []
-    for negative, body in parts:
-        if not out:
-            out.append("-" + body if negative else body)
-        else:
-            out.append("- " + body if negative else "+ " + body)
-    return " ".join(out)
-
-
 def _bracket_lines(algebra, latex=False):
-    names = algebra.names
-    lines = []
-    for (i, j) in sorted(algebra.brackets):
-        parts = []
-        for k, c in sorted(algebra.brackets[(i, j)].items()):
-            mag = abs(c)
-            if latex:
-                v = latex_name(names[k])
-                body = v if mag == 1 else "%s %s" % (mag, v)
-            else:
-                body = names[k] if mag == 1 else "%s*%s" % (mag, names[k])
-            parts.append((c < 0, body))
-        if latex:
-            lines.append("[%s, %s] = %s" % (latex_name(names[i]),
-                                            latex_name(names[j]),
-                                            _signed_join(parts)))
-        else:
-            lines.append("[%s, %s] = %s" % (names[i], names[j],
-                                            _signed_join(parts)))
-    return lines
+    names = ([latex_name(m) for m in algebra.names] if latex
+             else algebra.names)
+    return ["[%s, %s] = %s" % (names[i], names[j], signed_join(
+                signed_term(c, names[k], latex)
+                for k, c in sorted(algebra.brackets[(i, j)].items())))
+            for (i, j) in sorted(algebra.brackets)]
 
 
 def _spec_lines(spec, latex=False):
@@ -233,15 +182,11 @@ def _poly_json(poly):
 
 
 def _cmd_validate(args, fmt):
-    family = getattr(args, "family", None)
-    if family:
+    if args.family or not args.algebra:
         algebra, _spec = _select(args)
-        report = algebra.validate()
     else:
-        if not args.algebra:
-            _fail("need --family or --algebra")
-        algebra = algebra_from_json(_load_json(args.algebra))
-        report = algebra.validate()
+        algebra, _embedded = _read_algebra(args.algebra)
+    report = algebra.validate()
     names = algebra.names
     doc = {
         "ok": report.ok,
@@ -304,9 +249,6 @@ def _cmd_verify_copy(args, fmt):
 
 def _cmd_casimirs(args, fmt):
     algebra, spec = _select(args, want_spec=True)
-    report = verify(algebra, spec)
-    if not report.passed:
-        return 1, report.to_json(), report.describe(algebra.names), None
     cs = casimir_set(algebra, spec)
     names = algebra.names
     rows = []
@@ -352,9 +294,6 @@ def _cmd_contract(args, fmt):
         latex = "\n".join(_bracket_lines(prime, latex=True))
         return 0, doc, text, latex
 
-    report = verify(algebra, spec)
-    if not report.passed:
-        return 1, report.to_json(), report.describe(names), None
     outcome = contract_copy(algebra, spec, weights)
     if outcome.limit_error is not None:
         err = outcome.limit_error
@@ -407,22 +346,21 @@ def _cmd_catalog(args, fmt):
     if not args.family:
         rows = []
         lines = []
-        for name in FAMILY_NAMES:
-            param, least, dressed, about = _FAMILY_INFO[name]
-            rows.append({"name": name, "parameter": param,
-                         "min_parameter": least,
-                         "max_parameter": 9 if param in ("N", "n") else None,
-                         "carries_dressing": dressed, "about": about})
-            if param in ("N", "n"):
-                head = "%s in %d..9" % (param, least)
-            elif param == "alpha":
+        for name, fam in FAMILIES.items():
+            rows.append({"name": name, "parameter": fam.parameter,
+                         "min_parameter": fam.least,
+                         "max_parameter": fam.most,
+                         "carries_dressing": fam.dressed, "about": fam.about})
+            if fam.most is not None:
+                head = "%s in %d..%d" % (fam.parameter, fam.least, fam.most)
+            elif fam.parameter == "alpha":
                 head = "alpha rational, default 1"
             else:
                 head = "fixed"
             lines.append("%s: %s; %s; %s"
                          % (name, head,
-                            "with dressing" if dressed else "no dressing",
-                            about))
+                            "with dressing" if fam.dressed else "no dressing",
+                            fam.about))
         return 0, {"families": rows}, "\n".join(lines), None
 
     algebra, spec = _select(args)
@@ -565,6 +503,11 @@ def main(argv=None):
     try:
         code, doc, text, latex = _HANDLERS[args.subcommand](args, fmt)
     except LiecasError as err:
+        report = getattr(err, "report", None)
+        if report is not None:
+            # a dressing that fails its check prints the whole report
+            _emit(fmt, report.to_json(), report.describe(report.names), None)
+            return 1
         tag, code = next(_ERRORS[cls] for cls in type(err).__mro__
                          if cls in _ERRORS)
         if isinstance(err, LimitDoesNotExistError):

@@ -31,11 +31,10 @@ from .errors import (
     InternalConsistencyError,
     LimitDoesNotExistError,
     MalformedInputError,
-    PreconditionError,
     UndefinedLeadingPartError,
 )
 from .lie_core import LieAlgebra
-from .virtual_copy import VirtualCopySpec, make_spec, verify
+from .virtual_copy import VirtualCopySpec, make_spec, require_verified, verify
 
 
 class ContractionWeights:
@@ -146,14 +145,13 @@ class ContractionOutcome:
 
 
 def contract_copy(algebra, spec, weights):
-    """Contract a verified dressing along a weighting."""
+    """Contract a dressing along a weighting; the dressing is verified
+    here, and a copy-compatible limit dressing is verified in turn."""
     if spec.algebra is not algebra:
         raise MalformedInputError("spec belongs to a different algebra")
     if weights.algebra is not algebra:
         raise MalformedInputError("weights belong to a different algebra")
-    if not verify(algebra, spec).passed:
-        raise PreconditionError("spec does not verify; contract the raw "
-                                "algebra instead")
+    require_verified(algebra, spec, "contract the raw algebra instead")
 
     M0, f0 = weighted_leading_part(spec.f, weights)
     Mi, P0 = {}, {}

@@ -17,11 +17,13 @@ DEGREE_CAP raise DegreeOverflowError rather than silently grinding.
 
 from fractions import Fraction
 
-from .errors import DegreeOverflowError, MalformedInputError
-from .naming import latex_fraction, latex_name
-from .polynomial import CommPoly
+from itertools import groupby
 
-_ZERO = Fraction(0)
+from .errors import DegreeOverflowError, MalformedInputError
+from .naming import latex_name, power_term, signed_join
+from .polynomial import CommPoly, word_exponents
+from .sparse import SparseTerms, accumulate
+
 _ONE = Fraction(1)
 
 DEGREE_CAP = 12
@@ -54,20 +56,18 @@ def _normal_word(algebra, word):
         head, tail = word[:t], word[t + 2:]
         result = dict(_normal_word(algebra, head + (b, a) + tail))
         for k, c in algebra.bracket_basis(a, b).items():
-            for w, cw in _normal_word(algebra, head + (k,) + tail).items():
-                s2 = result.get(w, _ZERO) + c * cw
-                if s2:
-                    result[w] = s2
-                else:
-                    del result[w]
+            accumulate(result, _normal_word(algebra, head + (k,) + tail).items(),
+                       c)
     cache[word] = result
     return result
 
 
-class PBWElement:
+class PBWElement(SparseTerms):
     """A finite sum  sum_w  c_w * X_{w_1} ... X_{w_p}  over normal words w."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
+    _universe = "algebra"
+    _mismatch = "elements live in different algebras"
 
     def __init__(self, algebra, terms=None):
         self.algebra = algebra
@@ -101,17 +101,6 @@ class PBWElement:
 
     # ---- structure ---------------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, PBWElement):
-            return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
-
     def __repr__(self):
         return "PBWElement(%s)" % self.render()
 
@@ -127,40 +116,7 @@ class PBWElement:
             out.update(w)
         return out
 
-    def _check_mate(self, other):
-        if self.algebra is not other.algebra:
-            raise MalformedInputError(
-                "elements live in different algebras")
-
-    # ---- linear arithmetic ---------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, PBWElement):
-            return NotImplemented
-        self._check_mate(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w, _ZERO) + c
-            if s:
-                terms[w] = s
-            else:
-                del terms[w]
-        return PBWElement(self.algebra, terms)
-
-    def __neg__(self):
-        return PBWElement(self.algebra, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, PBWElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return PBWElement(self.algebra)
-        return PBWElement(self.algebra,
-                          {w: c * cw for w, cw in self.terms.items()})
+    # ---- products ------------------------------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, PBWElement):
@@ -186,57 +142,18 @@ class PBWElement:
     def commutative_image(self):
         """Project onto the symmetric algebra: each word becomes the
         monomial with its letter multiplicities as exponents."""
-        poly = CommPoly.zero(self.algebra.dim)
-        for w, c in self.terms.items():
-            exps = [0] * self.algebra.dim
-            for i in w:
-                exps[i] += 1
-            key = tuple(exps)
-            s = poly.terms.get(key, _ZERO) + c
-            if s:
-                poly.terms[key] = s
-            else:
-                poly.terms.pop(key, None)
-        return poly
+        dim = self.algebra.dim
+        terms = {}
+        accumulate(terms, ((word_exponents(w, dim), c)
+                           for w, c in self.terms.items()))
+        return CommPoly.zero(dim)._new(terms)
 
     def render(self, latex=False):
-        if not self.terms:
-            return "0"
         names = self.algebra.names
-        parts = []
-        for w, c in self.ordered_terms():
-            factors = []
-            run_start = 0
-            for pos in range(1, len(w) + 1):
-                if pos == len(w) or w[pos] != w[run_start]:
-                    e = pos - run_start
-                    if latex:
-                        v = latex_name(names[w[run_start]])
-                        factors.append(v if e == 1 else "%s^{%d}" % (v, e))
-                    else:
-                        v = names[w[run_start]]
-                        factors.append(v if e == 1 else "%s^%d" % (v, e))
-                    run_start = pos
-            if not factors:
-                body = latex_fraction(c) if latex else str(c)
-                parts.append((c < 0, body.lstrip("-")))
-                continue
-            mono = (" " if latex else "*").join(factors)
-            mag = abs(c)
-            if mag == 1:
-                body = mono
-            elif latex:
-                body = "%s %s" % (latex_fraction(mag), mono)
-            else:
-                body = "%s*%s" % (mag, mono)
-            parts.append((c < 0, body))
-        out = []
-        for negative, body in parts:
-            if not out:
-                out.append("-" + body if negative else body)
-            else:
-                out.append("- " + body if negative else "+ " + body)
-        return " ".join(out)
+        return signed_join(
+            power_term(c, [(latex_name(names[t]) if latex else names[t],
+                            len(list(run))) for t, run in groupby(w)], latex)
+            for w, c in self.ordered_terms())
 
 
 def pbw_normalize(algebra, word, coeff=1):
@@ -249,12 +166,8 @@ def pbw_normalize(algebra, word, coeff=1):
     coeff = Fraction(coeff)
     if not coeff:
         return PBWElement(algebra)
-    terms = {}
-    for w, c in _normal_word(algebra, word).items():
-        cc = coeff * c
-        if cc:
-            terms[w] = cc
-    return PBWElement(algebra, terms)
+    return PBWElement(algebra, {w: coeff * c for w, c
+                                in _normal_word(algebra, word).items()})
 
 
 def u_mul(a, b):
@@ -265,25 +178,17 @@ def u_mul(a, b):
     algebra = a.algebra
     out = {}
     for w1, c1 in a.terms.items():
+        ordered = []
         for w2, c2 in b.terms.items():
             if len(w1) + len(w2) > DEGREE_CAP:
                 raise DegreeOverflowError(len(w1) + len(w2), DEGREE_CAP)
-            c = c1 * c2
             if not w1 or not w2 or w1[-1] <= w2[0]:
                 # concatenation is already normally ordered
-                w = w1 + w2
-                s = out.get(w, _ZERO) + c
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
+                ordered.append((w1 + w2, c2))
             else:
-                for w, cw in _normal_word(algebra, w1 + w2).items():
-                    s = out.get(w, _ZERO) + c * cw
-                    if s:
-                        out[w] = s
-                    else:
-                        del out[w]
+                accumulate(out, _normal_word(algebra, w1 + w2).items(),
+                           c1 * c2)
+        accumulate(out, ordered, c1)
     return PBWElement(algebra, out)
 
 

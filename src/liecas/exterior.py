@@ -27,7 +27,8 @@ from fractions import Fraction
 
 from .errors import InternalConsistencyError, MalformedInputError
 from .linalg import rank
-from .naming import latex_name
+from .naming import latex_name, signed_join, signed_term
+from .sparse import SparseTerms, accumulate
 
 _ZERO = Fraction(0)
 
@@ -48,9 +49,11 @@ def _merge_sign(idx1, idx2):
     return tuple(sorted(arr)), -1 if inv % 2 else 1
 
 
-class ExteriorElement:
+class ExteriorElement(SparseTerms):
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
+    _universe = "n"
+    _mismatch = "forms over different spaces"
 
     def __init__(self, n, terms=None):
         self.n = n
@@ -76,56 +79,11 @@ class ExteriorElement:
     def basis(cls, n, *indices):
         return cls(n, {tuple(indices): Fraction(1)})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExteriorElement):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
     def __repr__(self):
         return "ExteriorElement(%d, %r)" % (self.n, self.terms)
 
     def grades(self):
         return sorted({len(idx) for idx in self.terms})
-
-    def _check_mate(self, other):
-        if self.n != other.n:
-            raise MalformedInputError("forms over different spaces")
-
-    def __add__(self, other):
-        if not isinstance(other, ExteriorElement):
-            return NotImplemented
-        self._check_mate(other)
-        terms = dict(self.terms)
-        for idx, c in other.terms.items():
-            s = terms.get(idx, _ZERO) + c
-            if s:
-                terms[idx] = s
-            else:
-                del terms[idx]
-        out = ExteriorElement(self.n)
-        out.terms = terms
-        return out
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        if not isinstance(other, ExteriorElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        out = ExteriorElement(self.n)
-        if c:
-            out.terms = {idx: c * cv for idx, cv in self.terms.items()}
-        return out
 
     def ordered_terms(self):
         return [(idx, self.terms[idx])
@@ -135,56 +93,29 @@ class ExteriorElement:
         if len(names) != self.n:
             raise MalformedInputError(
                 "%d names for %d dual directions" % (len(names), self.n))
-        if not self.terms:
-            return "0"
-        parts = []
-        for idx, c in self.ordered_terms():
-            if latex:
-                mono = " \\wedge ".join(
-                    "\\omega_{%s}" % latex_name(names[i]) for i in idx)
-            else:
-                mono = "^".join("w_{%s}" % names[i] for i in idx)
-            if not idx:
-                parts.append((c < 0, str(abs(c))))
-                continue
-            mag = abs(c)
-            body = mono if mag == 1 else "%s %s" % (mag, mono) if latex \
-                else "%s*%s" % (mag, mono)
-            parts.append((c < 0, body))
-        out = []
-        for negative, body in parts:
-            if not out:
-                out.append("-" + body if negative else body)
-            else:
-                out.append("- " + body if negative else "+ " + body)
-        return " ".join(out)
+        if latex:
+            return signed_join(
+                signed_term(c, " \\wedge ".join(
+                    "\\omega_{%s}" % latex_name(names[i]) for i in idx), True)
+                for idx, c in self.ordered_terms())
+        return signed_join(
+            signed_term(c, "^".join("w_{%s}" % names[i] for i in idx))
+            for idx, c in self.ordered_terms())
 
 
 def wedge(a, b):
     if not isinstance(a, ExteriorElement) or not isinstance(b, ExteriorElement):
         raise MalformedInputError("wedge needs two exterior elements")
     a._check_mate(b)
-    out = ExteriorElement(a.n)
     terms = {}
     for idx1, c1 in a.terms.items():
+        row = []
         for idx2, c2 in b.terms.items():
             idx, sign = _merge_sign(idx1, idx2)
-            if idx is None:
-                continue
-            s = terms.get(idx, _ZERO) + sign * c1 * c2
-            if s:
-                terms[idx] = s
-            else:
-                del terms[idx]
-    out.terms = terms
-    return out
-
-
-def wedge_power(omega, k):
-    out = ExteriorElement(omega.n, {(): Fraction(1)})
-    for _ in range(k):
-        out = wedge(out, omega)
-    return out
+            if idx is not None:
+                row.append((idx, sign * c2))
+        accumulate(terms, row, c1)
+    return a._new(terms)
 
 
 def mc_differential(algebra):
@@ -192,11 +123,8 @@ def mc_differential(algebra):
     out = [ExteriorElement(algebra.dim) for _ in range(algebra.dim)]
     for (i, j), terms in algebra.brackets.items():
         for k, c in terms.items():
-            cur = out[k].terms.get((i, j), _ZERO) + c
-            if cur:
-                out[k].terms[(i, j)] = cur
-            else:
-                out[k].terms.pop((i, j), None)
+            # each bracket row holds k once, so no entry is written twice
+            out[k].terms[(i, j)] = c
     return out
 
 
@@ -262,13 +190,6 @@ def wedge_rank_slow(omega):
 
 
 _LOW, _HIGH = -10 ** 4, 10 ** 4
-
-
-def j0_estimate(algebra, trials=5, seed=1729):
-    """Generic half-rank over the span of the structure 2-forms, sampled
-    at random integer coefficient vectors; the max over trials."""
-    j, _witness = j0_estimate_with_witness(algebra, trials=trials, seed=seed)
-    return j
 
 
 def j0_estimate_with_witness(algebra, trials=5, seed=1729):

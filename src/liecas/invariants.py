@@ -23,22 +23,9 @@ from dataclasses import dataclass
 from .errors import MalformedInputError
 from .exterior import j0_estimate_with_witness
 from .linalg import rank
-from .polynomial import CommPoly
+from .sparse import accumulate
 
 _LOW, _HIGH = -10 ** 4, 10 ** 4
-
-
-def structure_matrix(algebra):
-    """The dim x dim antisymmetric matrix of linear forms sum_k C_ij^k x_k."""
-    n = algebra.dim
-    mat = [[CommPoly.zero(n) for _ in range(n)] for _ in range(n)]
-    for (i, j), terms in algebra.brackets.items():
-        entry = CommPoly.zero(n)
-        for k, c in terms.items():
-            entry = entry + c * CommPoly.variable(n, k)
-        mat[i][j] = entry
-        mat[j][i] = -entry
-    return mat
 
 
 def analytic_apply(algebra, i, poly):
@@ -48,18 +35,17 @@ def analytic_apply(algebra, i, poly):
             "polynomial in %d variables against a %d-dim algebra"
             % (poly.nvars, algebra.dim))
     algebra._check_index(i)
-    n = algebra.dim
-    out = CommPoly.zero(n)
-    for j in range(n):
+    out = {}
+    for j in range(algebra.dim):
         row = algebra.bracket_basis(i, j)
         if not row:
             continue
-        dF = poly.partial(j)
-        if dF.is_zero():
-            continue
+        dF = poly.partial(j).terms
         for k, c in row.items():
-            out = out + (c * CommPoly.variable(n, k)) * dF
-    return out
+            # c * x_k * dF/dx_j: x_k raises one exponent of each term
+            accumulate(out, ((e[:k] + (e[k] + 1,) + e[k + 1:], v)
+                             for e, v in dF.items()), c)
+    return poly._new(out)
 
 
 def is_invariant(algebra, poly):
@@ -95,11 +81,15 @@ def invariant_count(algebra, trials=None, seed=1729, method="bb"):
         if trials < 1:
             raise MalformedInputError("need at least one trial")
         rng = random.Random(seed)
-        mat = structure_matrix(algebra)
+        n = algebra.dim
         best, witness = -1, None
         for _ in range(trials):
-            point = tuple(rng.randint(_LOW, _HIGH) for _ in range(algebra.dim))
-            numeric = [[entry.eval(point) for entry in row] for row in mat]
+            point = tuple(rng.randint(_LOW, _HIGH) for _ in range(n))
+            # A(g) at the point, straight from the bracket table
+            numeric = [[0] * n for _ in range(n)]
+            for (i, j), terms in algebra.brackets.items():
+                v = sum(c * point[k] for k, c in terms.items())
+                numeric[i][j], numeric[j][i] = v, -v
             r = rank(numeric)
             if r > best:
                 best, witness = r, point

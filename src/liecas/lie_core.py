@@ -13,8 +13,7 @@ Vectors in the algebra are plain dicts index -> Fraction.
 from fractions import Fraction
 
 from .errors import MalformedInputError
-
-_ZERO = Fraction(0)
+from .sparse import accumulate
 
 
 class ValidationReport:
@@ -124,12 +123,6 @@ class LieAlgebra:
         except KeyError:
             raise MalformedInputError("unknown generator %r" % (name,)) from None
 
-    def generator_vector(self, ref):
-        """Basis vector for an index or a generator name."""
-        i = self.index(ref) if isinstance(ref, str) else ref
-        self._check_index(i)
-        return {i: Fraction(1)}
-
     # ---- bracket ---------------------------------------------------------
 
     def bracket_basis(self, i, j):
@@ -156,13 +149,7 @@ class LieAlgebra:
                 cb = Fraction(cb)
                 if not cb:
                     continue
-                coeff = ca * cb
-                for k, c in self.bracket_basis(i, j).items():
-                    s = out.get(k, _ZERO) + coeff * c
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
+                accumulate(out, self.bracket_basis(i, j).items(), ca * cb)
         return out
 
     # ---- validation --------------------------------------------------------
@@ -179,18 +166,10 @@ class LieAlgebra:
                 for k in range(j + 1, self.dim):
                     ek = {k: Fraction(1)}
                     res = self.bracket(bij, ek)
-                    for t, c in self.bracket(self.bracket_basis(j, k), ei).items():
-                        s = res.get(t, _ZERO) + c
-                        if s:
-                            res[t] = s
-                        else:
-                            del res[t]
-                    for t, c in self.bracket(self.bracket_basis(k, i), ej).items():
-                        s = res.get(t, _ZERO) + c
-                        if s:
-                            res[t] = s
-                        else:
-                            del res[t]
+                    accumulate(res, self.bracket(self.bracket_basis(j, k),
+                                                 ei).items())
+                    accumulate(res, self.bracket(self.bracket_basis(k, i),
+                                                 ej).items())
                     if res:
                         jacobi.append((i, j, k, res))
         levi_bad = []
@@ -290,6 +269,11 @@ def algebra_from_json(doc):
             raise MalformedInputError("unknown generator %r" % (n,))
         return index[n]
 
+    def term(t):
+        if not isinstance(t, dict) or not {"k", "c"} <= set(t):
+            raise MalformedInputError("bad bracket term %r" % (t,))
+        return look(t["k"]), parse_rational(t["c"])
+
     brackets = {}
     if not isinstance(doc["brackets"], list):
         raise MalformedInputError("brackets must be a list")
@@ -302,19 +286,10 @@ def algebra_from_json(doc):
         sign = 1
         if i > j:
             i, j, sign = j, i, -1
-        terms = brackets.setdefault((i, j), {})
         if not isinstance(row["terms"], list):
             raise MalformedInputError("bracket terms must be a list")
-        for term in row["terms"]:
-            if not isinstance(term, dict) or not {"k", "c"} <= set(term):
-                raise MalformedInputError("bad bracket term %r" % (term,))
-            k = look(term["k"])
-            c = sign * parse_rational(term["c"])
-            s = terms.get(k, _ZERO) + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
+        accumulate(brackets.setdefault((i, j), {}), map(term, row["terms"]),
+                   sign)
     brackets = {key: val for key, val in brackets.items() if val}
     levi = [look(n) for n in doc["levi"]]
     radical = [look(n) for n in doc["radical"]]

@@ -1,4 +1,4 @@
-"""Generator-name formatting helpers shared by the renderers."""
+"""Name, coefficient and signed-sum formatting shared by the renderers."""
 
 from fractions import Fraction
 
@@ -28,3 +28,37 @@ def latex_fraction(c):
     if c.numerator < 0:
         return r"-\frac{%d}{%d}" % (-c.numerator, c.denominator)
     return r"\frac{%d}{%d}" % (c.numerator, c.denominator)
+
+
+def signed_term(c, mono, latex=False, number=str):
+    """(negative, body) for the term c * mono, where body carries |c|.
+
+    A unit magnitude is left out, an empty mono is the constant |c|, and
+    number formats the magnitude (latex_fraction for \\frac)."""
+    mag = abs(c)
+    if not mono:
+        return c < 0, number(mag)
+    if mag == 1:
+        return c < 0, mono
+    return c < 0, ("%s %s" if latex else "%s*%s") % (number(mag), mono)
+
+
+def power_term(c, powers, latex=False):
+    """signed_term of c times a product of (base, exponent) powers, like
+    2*x^2*y, or \\frac{1}{2} x^{2} y in LaTeX."""
+    if latex:
+        mono = " ".join(v if e == 1 else "%s^{%d}" % (v, e) for v, e in powers)
+        return signed_term(c, mono, True, latex_fraction)
+    mono = "*".join(v if e == 1 else "%s^%d" % (v, e) for v, e in powers)
+    return signed_term(c, mono)
+
+
+def signed_join(parts):
+    """(negative, body) pairs as "a - b + c"; "0" when there are none."""
+    out = []
+    for negative, body in parts:
+        if not out:
+            out.append("-" + body if negative else body)
+        else:
+            out.append("- " + body if negative else "+ " + body)
+    return " ".join(out) or "0"

@@ -6,8 +6,9 @@ extra char-poly variable).  Terms are stored as a map
 
     exponent tuple (len nvars) -> Fraction coefficient
 
-with zero coefficients never stored, so equality is plain structural equality.
-The monomial order used everywhere (leading terms, rendering) is graded lex:
+with zero coefficients never stored, so equality is plain structural equality
+(the linear operations come from sparse.SparseTerms).  The monomial order
+used for rendering and JSON is graded lex:
 compare total degree first, then the exponent tuple lexicographically.
 Exponent tuples are dense; dimensions stay small here (at most a few dozen
 variables), so a sparse representation would only add bookkeeping.
@@ -16,9 +17,8 @@ variables), so a sparse representation would only add bookkeeping.
 from fractions import Fraction
 
 from .errors import MalformedInputError
-from .naming import latex_fraction, latex_name
-
-_ZERO = Fraction(0)
+from .naming import latex_name, power_term, signed_join
+from .sparse import SparseTerms, accumulate
 
 # Dense exponent tuples are only sensible while they stay short.
 MAX_VARIABLES = 64
@@ -29,9 +29,19 @@ def _grlex(exps):
     return (sum(exps), exps)
 
 
-class CommPoly:
+def word_exponents(word, nvars):
+    """Exponent tuple of the monomial whose letters are the word's indices."""
+    exps = [0] * nvars
+    for t in word:
+        exps[t] += 1
+    return tuple(exps)
 
-    __slots__ = ("nvars", "terms")
+
+class CommPoly(SparseTerms):
+
+    __slots__ = ("nvars",)
+    _universe = "nvars"
+    _mismatch = "polynomials live in different variable universes ({} vs {})"
 
     def __init__(self, nvars, terms=None):
         if nvars < 0 or nvars > MAX_VARIABLES:
@@ -72,60 +82,20 @@ class CommPoly:
     def monomial(cls, nvars, exps, c=1):
         return cls(nvars, {tuple(exps): Fraction(c)})
 
-    # ---- basic structure ----------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, CommPoly) and self.nvars == other.nvars
-                and self.terms == other.terms)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __repr__(self):
         if not self.terms:
             return "CommPoly(0)"
         return "CommPoly(%s)" % self.render(
             ["x%d" % i for i in range(self.nvars)])
 
-    def copy_terms(self):
-        return dict(self.terms)
-
-    def _check_universe(self, other):
-        if self.nvars != other.nvars:
-            raise MalformedInputError(
-                "polynomials live in different variable universes (%d vs %d)"
-                % (self.nvars, other.nvars))
-
     # ---- ring operations ----------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CommPoly.constant(self.nvars, other)
-        self._check_universe(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps, _ZERO) + c
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-        return CommPoly(self.nvars, out)
+        return SparseTerms.__add__(self, other)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return CommPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CommPoly.constant(self.nvars, other)
-        return self.__add__(other.__neg__())
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -133,27 +103,15 @@ class CommPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._check_universe(other)
+        self._check_mate(other)
         out = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, _ZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return CommPoly(self.nvars, out)
+            accumulate(out, ((tuple(a + b for a, b in zip(e1, e2)), c2)
+                             for e2, c2 in other.terms.items()), c1)
+        return self._new(out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return CommPoly(self.nvars)
-        return CommPoly(self.nvars,
-                        {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -173,20 +131,9 @@ class CommPoly:
         """Formal derivative d/dx_i, so d(x_i^k)/dx_i = k x_i^(k-1)."""
         if not 0 <= i < self.nvars:
             raise MalformedInputError("variable index %d out of range" % i)
-        out = {}
-        for exps, c in self.terms.items():
-            k = exps[i]
-            if k == 0:
-                continue
-            e = list(exps)
-            e[i] = k - 1
-            e = tuple(e)
-            s = out.get(e, _ZERO) + c * k
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return CommPoly(self.nvars, out)
+        # lowering one exponent is injective, so no two terms collide
+        return self._new({exps[:i] + (exps[i] - 1,) + exps[i + 1:]: c * exps[i]
+                          for exps, c in self.terms.items() if exps[i]})
 
     def eval(self, point):
         """Exact value at a rational point (a sequence of length nvars)."""
@@ -223,13 +170,6 @@ class CommPoly:
                 "polynomial is not homogeneous (degrees %s)" % sorted(degrees))
         return degrees.pop()
 
-    def leading(self):
-        """(exponent tuple, coefficient) of the graded-lex leading term."""
-        if not self.terms:
-            raise MalformedInputError("zero polynomial has no leading term")
-        e = max(self.terms, key=_grlex)
-        return e, self.terms[e]
-
     # ---- rendering --------------------------------------------------------
 
     def monomials(self):
@@ -243,48 +183,8 @@ class CommPoly:
         if len(names) != self.nvars:
             raise MalformedInputError(
                 "%d names for %d variables" % (len(names), self.nvars))
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, c in self.monomials():
-            factors = []
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                if latex:
-                    v = "x_{%s}" % latex_name(names[i])
-                    factors.append(v if e == 1 else "%s^{%d}" % (v, e))
-                else:
-                    v = "x_{%s}" % names[i]
-                    factors.append(v if e == 1 else "%s^%d" % (v, e))
-            if not factors:
-                body = latex_fraction(c) if latex else str(c)
-                parts.append((c < 0, body.lstrip("-")))
-                continue
-            mono = (" " if latex else "*").join(factors)
-            mag = abs(c)
-            if mag == 1:
-                body = mono
-            elif latex:
-                body = "%s %s" % (latex_fraction(mag), mono)
-            else:
-                body = "%s*%s" % (mag, mono)
-            parts.append((c < 0, body))
-        out = []
-        for negative, body in parts:
-            if not out:
-                out.append("-" + body if negative else body)
-            else:
-                out.append("- " + body if negative else "+ " + body)
-        return " ".join(out)
-
-
-def arith(p, q, op):
-    """Dispatch add/mul/scale on polynomials (scale takes a rational q)."""
-    if op == "add":
-        return p + q
-    if op == "mul":
-        return p * q
-    if op == "scale":
-        return p.scale(q)
-    raise MalformedInputError("unknown polynomial operation %r" % op)
+        return signed_join(
+            power_term(c, [("x_{%s}" % (latex_name(names[i]) if latex
+                                        else names[i]), e)
+                           for i, e in enumerate(exps) if e], latex)
+            for exps, c in self.monomials())

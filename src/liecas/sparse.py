@@ -1,0 +1,87 @@
+"""Sparse exact linear combinations, the shared core of the term classes.
+
+CommPoly (exponent tuples), PBWElement (normal words) and ExteriorElement
+(increasing index tuples) all store a map key -> nonzero Fraction over a
+fixed universe: a variable count, an algebra, a dual dimension.  Zero
+coefficients are never stored, so equality is structural equality of the
+maps.  The linear operations live here once; a subclass names the
+attribute holding its universe and the error text for a mismatch.
+
+Public constructors validate outside input; results of arithmetic are
+built with _new() from terms that are already clean.
+"""
+
+from fractions import Fraction
+
+from .errors import MalformedInputError
+
+
+def accumulate(terms, items, c=1):
+    """terms += c * items, in place, over (key, coefficient) pairs; a key
+    whose coefficient cancels is dropped."""
+    scaled = c != 1
+    for key, v in items:
+        if scaled:
+            v = c * v
+        old = terms.get(key)
+        if old is None:
+            if v:
+                terms[key] = v
+        else:
+            s = old + v
+            if s:
+                terms[key] = s
+            else:
+                del terms[key]
+
+
+class SparseTerms:
+
+    __slots__ = ("terms",)
+    _universe = None       # attribute name: "nvars", "algebra" or "n"
+    _mismatch = None       # error text, formatted with both universes
+
+    def _new(self, terms):
+        """Same universe, terms already free of zero coefficients."""
+        out = object.__new__(type(self))
+        setattr(out, self._universe, getattr(self, self._universe))
+        out.terms = terms
+        return out
+
+    def _check_mate(self, other):
+        mine = getattr(self, self._universe)
+        theirs = getattr(other, self._universe)
+        if mine != theirs:
+            raise MalformedInputError(self._mismatch.format(mine, theirs))
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (getattr(self, self._universe) == getattr(other, self._universe)
+                and self.terms == other.terms)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_mate(other)
+        terms = dict(self.terms)
+        accumulate(terms, other.terms.items())
+        return self._new(terms)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = Fraction(c)
+        if not c:
+            return self._new({})
+        return self._new({k: c * v for k, v in self.terms.items()})

@@ -51,7 +51,7 @@ from .errors import (
     VirtualCopySpecError,
 )
 from .invariants import invariant_count
-from .polynomial import CommPoly
+from .polynomial import CommPoly, word_exponents
 
 
 @dataclass
@@ -168,11 +168,23 @@ class CopyVerificationReport:
     def factor_identity_ok(self):
         return not self.factor_residuals
 
+    def _tables(self):
+        return (self.radical_residuals, self.adjoint_residuals,
+                self.f_radical_residuals, self.f_levi_residuals,
+                self.equivariance_residuals, self.factor_residuals)
+
     @property
     def passed(self):
-        return not (self.radical_residuals or self.adjoint_residuals
-                    or self.f_radical_residuals or self.f_levi_residuals
-                    or self.equivariance_residuals or self.factor_residuals)
+        return not any(self._tables())
+
+    @property
+    def names(self):
+        """Generator names of the algebra the residuals live in ([] when
+        the report passed)."""
+        for table in self._tables():
+            for residual in table.values():
+                return residual.algebra.names
+        return []
 
     def to_json(self):
         def pack(res, key_names):
@@ -185,15 +197,7 @@ class CopyVerificationReport:
         def two(key):
             return [names[key[0]], names[key[1]]]
 
-        sample = (self.radical_residuals or self.adjoint_residuals
-                  or self.equivariance_residuals or self.factor_residuals)
-        if sample:
-            names = next(iter(sample.values())).algebra.names
-        elif self.f_radical_residuals or self.f_levi_residuals:
-            chosen = self.f_radical_residuals or self.f_levi_residuals
-            names = next(iter(chosen.values())).algebra.names
-        else:
-            names = []
+        names = self.names
         return {
             "passed": self.passed,
             "f_is_radical_invariant": self.f_is_radical_invariant,
@@ -284,11 +288,14 @@ def verify(algebra, spec):
     return report
 
 
-def _word_monomial(algebra, word, c):
-    exps = [0] * algebra.dim
-    for t in word:
-        exps[t] += 1
-    return CommPoly.monomial(algebra.dim, exps, c)
+def require_verified(algebra, spec, consequence):
+    """verify() once; a failing report travels as PreconditionError.report,
+    the message ending in what the failure means to the caller."""
+    report = verify(algebra, spec)
+    if not report.passed:
+        err = PreconditionError("spec does not verify; " + consequence)
+        err.report = report
+        raise err
 
 
 def _symmetric_substitute(algebra, ops, word):
@@ -318,8 +325,7 @@ def lift_casimir(algebra, spec, casimir):
     """
     if casimir.algebra is not algebra:
         raise MalformedInputError("element belongs to a different algebra")
-    if not verify(algebra, spec).passed:
-        raise PreconditionError("spec does not verify; nothing can be lifted")
+    require_verified(algebra, spec, "nothing can be lifted")
     outside = casimir.support() - algebra.levi
     if outside:
         raise PreconditionError(
@@ -343,8 +349,8 @@ def lift_casimir(algebra, spec, casimir):
         layer = [(w, c) for w, c in remaining.terms.items() if len(w) == d]
         for w, c in layer:
             out = out + _symmetric_substitute(algebra, ops, w).scale(c)
-            remaining = remaining - symmetrize(
-                algebra, _word_monomial(algebra, w, c))
+            remaining = remaining - symmetrize(algebra, CommPoly.monomial(
+                algebra.dim, word_exponents(w, algebra.dim), c))
     return out
 
 

@@ -6,7 +6,9 @@ import pytest
 
 import liecas.casimir_gen
 import liecas.cli
-from liecas.catalog import FAMILY_NAMES, FamilyId, build
+import liecas.contraction
+import liecas.virtual_copy
+from liecas.catalog import FAMILIES, FAMILY_NAMES, FamilyId, build
 from liecas.cli import main
 from liecas.errors import (DegreeOverflowError, LiecasError,
                            LimitDoesNotExistError)
@@ -315,3 +317,73 @@ def test_every_error_becomes_a_json_document(capsys, monkeypatch, cls):
     assert code in (1, 2)
     doc = json.loads(out)
     assert isinstance(doc["error"], str) and doc["error"]
+
+
+# ---- one verify per request ------------------------------------------------------
+
+
+def _count_verify(monkeypatch):
+    original = liecas.virtual_copy.verify
+    calls = []
+
+    def counted(algebra, spec):
+        calls.append(algebra)
+        return original(algebra, spec)
+
+    for module in (liecas.virtual_copy, liecas.contraction, liecas.cli):
+        if getattr(module, "verify", None) is original:
+            monkeypatch.setattr(module, "verify", counted)
+    return calls
+
+
+def test_one_verify_per_request(capsys, monkeypatch):
+    calls = _count_verify(monkeypatch)
+    code, _out = run(capsys, "casimirs", "--family", "Ha", "--N", "3",
+                     "--format", "json")
+    assert code == 0
+    assert len(calls) == 1
+    del calls[:]
+    # the dressing, then the contracted dressing it carries to the limit
+    code, out = run(capsys, "contract", "--family", "boson_example",
+                    "--weights", '{"Q_1": 1, "P_1": 1, "E": 1, "T": 1}',
+                    "--format", "json")
+    assert code == 0
+    assert json.loads(out)["verify"]["passed"] is True
+    assert len(calls) == 2
+
+
+def test_failing_dressing_prints_its_report(capsys, tmp_path):
+    algebra, spec = build(FamilyId("Ha", 3))
+    apath = write_json(tmp_path / "ha3.json", algebra_to_json(algebra))
+    spath = write_json(tmp_path / "bare.json", dict(emit_spec(spec), P={}))
+    for fmt in ("json", "text"):
+        code, report = run(capsys, "verify-copy", "--algebra", apath,
+                           "--spec", spath, "--format", fmt)
+        assert code == 1
+        for argv in (["casimirs"], ["contract", "--weights", "{}"]):
+            assert run(capsys, *argv, "--algebra", apath, "--spec", spath,
+                       "--format", fmt) == (1, report)
+
+
+def test_casimirs_off_a_rotation_block_is_not_applicable(capsys):
+    code, out = run(capsys, "casimirs", "--family", "boson_example",
+                    "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error"] == "not-applicable"
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_catalog_dump_round_trips_through_validate(capsys, tmp_path, family):
+    least = FAMILIES[family].least
+    select = ["--family", family] + ([] if least is None
+                                     else ["--N", str(least)])
+    code, dump = run(capsys, "catalog", *select, "--format", "json")
+    assert code == 0
+    path = tmp_path / "dump.json"
+    path.write_text(dump, encoding="utf-8")
+    code, from_file = run(capsys, "validate", "--algebra", str(path),
+                          "--format", "json")
+    assert code == 0
+    assert json.loads(from_file)["ok"] is True
+    assert run(capsys, "validate", *select, "--format", "json") == (0,
+                                                                    from_file)

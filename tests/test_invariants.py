@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from liecas.catalog import heisenberg_algebra
 from liecas.errors import MalformedInputError
 from liecas.invariants import (
     analytic_apply,
     functionally_independent,
     invariant_count,
     is_invariant,
-    structure_matrix,
 )
 from liecas.lie_core import LieAlgebra
 from liecas.polynomial import CommPoly
@@ -33,12 +33,12 @@ def xv(n, i):
     return CommPoly.variable(n, i)
 
 
-def test_structure_matrix():
-    mat = structure_matrix(so3())
-    x3 = xv(3, 2)
-    assert mat[0][1] == x3
-    assert mat[1][0] == -x3
-    assert mat[0][0].is_zero()
+def test_bb_matches_bb1_beyond_the_variable_cap():
+    # dim 81 exceeds polynomial.MAX_VARIABLES; bb reads the bracket table
+    g = heisenberg_algebra(40)
+    bb = invariant_count(g, method="bb")
+    assert bb.count == invariant_count(g, method="bb1").count == 1
+    assert bb.generic_rank == 80
 
 
 def test_analytic_apply_so3():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from liecas.errors import MalformedInputError
-from liecas.polynomial import MAX_VARIABLES, CommPoly, arith
+from liecas.polynomial import MAX_VARIABLES, CommPoly
 
 F = Fraction
 
@@ -76,7 +76,7 @@ def test_graded_lex_monomial_order():
     exps = [e for e, _c in p.monomials()]
     # degree first, then lexicographic on exponent tuples
     assert exps == [(3, 0, 0), (0, 1, 1), (1, 0, 0), (0, 0, 1)]
-    assert p.leading()[0] == (3, 0, 0)
+    assert p.monomials()[0][0] == (3, 0, 0)
 
 
 def test_degree_and_homogeneity():
@@ -106,11 +106,3 @@ def test_render():
     assert (x * x - 2 * y).render(names) == "x_{a}^2 - 2*x_{b}"
     assert (F(1, 2) * x).render(names, latex=True) == "\\frac{1}{2} x_{a}"
 
-
-def test_arith_dispatch():
-    x, y = xvar(0), xvar(1)
-    assert arith(x, y, "add") == x + y
-    assert arith(x, y, "mul") == x * y
-    assert arith(x, F(2), "scale") == 2 * x
-    with pytest.raises(MalformedInputError):
-        arith(x, y, "div")
