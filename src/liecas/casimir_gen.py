@@ -22,8 +22,9 @@ invariance, and symmetrizes each C_2l back into the enveloping algebra.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .enveloping import PBWElement, symmetrize, u_commutator
+from .enveloping import DEGREE_CAP, PBWElement, symmetrize, u_commutator
 from .errors import (
+    DegreeOverflowError,
     InternalConsistencyError,
     MalformedInputError,
     NotApplicableError,
@@ -139,8 +140,7 @@ def char_poly_cofactor(matrix):
     nvars = matrix[0][0].nvars
     t_var = CommPoly.variable(nvars + 1, nvars)
     rows = [[(t_var if i == j else CommPoly.zero(nvars + 1))
-             - CommPoly(nvars + 1, {exps + (0,): c
-                                    for exps, c in matrix[i][j].terms.items()})
+             - CommPoly(nvars + 1, matrix[i][j].terms)
              for j in range(n)] for i in range(n)]
 
     def det(sub):
@@ -179,6 +179,11 @@ def casimir_set(algebra, spec):
     checked central in U(g) up to UCHECK_DEGREE_CAP.  The spec is verified
     once, by build_so_matrix."""
     matrix = build_so_matrix(algebra, spec)
+    # the degree-k parts x_{J_ij} f + P_ij of the entries have full generic
+    # rank, so each C_2l has degree exactly 2lk: refuse before any char-poly
+    top = 2 * (len(matrix) // 2) * spec.k
+    if top > DEGREE_CAP:
+        raise DegreeOverflowError(top, DEGREE_CAP)
     coefficients = char_poly_coefficients(matrix)
     symmetrized, checked = {}, {}
     for l, poly in sorted(coefficients.items()):

@@ -38,7 +38,7 @@ from fractions import Fraction
 from .enveloping import PBWElement, symmetrize, u_mul
 from .errors import InternalConsistencyError, MalformedInputError
 from .lie_core import LieAlgebra
-from .polynomial import CommPoly, word_exponents
+from .polynomial import CommPoly
 from .sparse import accumulate
 from .virtual_copy import make_spec
 
@@ -383,9 +383,8 @@ def _sym_words(algebra, terms):
     """
     out = PBWElement(algebra)
     for word, c in terms.items():
-        mono = CommPoly.monomial(algebra.dim,
-                                 word_exponents(word, algebra.dim), c)
-        out = out + symmetrize(algebra, mono)
+        out = out + symmetrize(algebra,
+                               CommPoly.monomial(algebra.dim, word, c))
     return out
 
 

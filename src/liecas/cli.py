@@ -175,7 +175,9 @@ def _spec_lines(spec, latex=False):
 
 
 def _poly_json(poly):
-    return [{"exps": list(e), "coeff": str(c)} for e, c in poly.monomials()]
+    # the one place a word is spelled out as a dense exponent list
+    return [{"exps": [w.count(t) for t in range(poly.nvars)], "coeff": str(c)}
+            for w, c in poly.monomials()]
 
 
 # ---- subcommands -------------------------------------------------------------

@@ -17,11 +17,9 @@ DEGREE_CAP raise DegreeOverflowError rather than silently grinding.
 
 from fractions import Fraction
 
-from itertools import groupby
-
 from .errors import DegreeOverflowError, MalformedInputError
-from .naming import latex_name, power_term, signed_join
-from .polynomial import CommPoly, word_exponents
+from .naming import latex_name, render_words
+from .polynomial import CommPoly
 from .sparse import SparseTerms, accumulate
 
 _ONE = Fraction(1)
@@ -140,20 +138,13 @@ class PBWElement(SparseTerms):
                 for w in sorted(self.terms, key=_wkey, reverse=True)]
 
     def commutative_image(self):
-        """Project onto the symmetric algebra: each word becomes the
-        monomial with its letter multiplicities as exponents."""
-        dim = self.algebra.dim
-        terms = {}
-        accumulate(terms, ((word_exponents(w, dim), c)
-                           for w, c in self.terms.items()))
-        return CommPoly.zero(dim)._new(terms)
+        """Project onto the symmetric algebra: each normal word is
+        already the key of the monomial with its letters."""
+        return CommPoly.zero(self.algebra.dim)._new(dict(self.terms))
 
     def render(self, latex=False):
-        names = self.algebra.names
-        return signed_join(
-            power_term(c, [(latex_name(names[t]) if latex else names[t],
-                            len(list(run))) for t, run in groupby(w)], latex)
-            for w, c in self.ordered_terms())
+        return render_words(self.ordered_terms(), [
+            latex_name(n) if latex else n for n in self.algebra.names], latex)
 
 
 def pbw_normalize(algebra, word, coeff=1):
@@ -276,8 +267,7 @@ def symmetrize(algebra, poly):
             "polynomial in %d variables against a %d-dim algebra"
             % (poly.nvars, algebra.dim))
     out = PBWElement(algebra)
-    for exps, c in poly.terms.items():
-        word = tuple(i for i, e in enumerate(exps) for _ in range(e))
+    for word, c in poly.terms.items():
         if len(word) > DEGREE_CAP:
             raise DegreeOverflowError(len(word), DEGREE_CAP)
         out = out + _sym_word(algebra, word).scale(c)

@@ -42,9 +42,9 @@ def analytic_apply(algebra, i, poly):
             continue
         dF = poly.partial(j).terms
         for k, c in row.items():
-            # c * x_k * dF/dx_j: x_k raises one exponent of each term
-            accumulate(out, ((e[:k] + (e[k] + 1,) + e[k + 1:], v)
-                             for e, v in dF.items()), c)
+            # c * x_k * dF/dx_j: x_k joins the word of each term
+            accumulate(out, ((tuple(sorted(w + (k,))), v)
+                             for w, v in dF.items()), c)
     return poly._new(out)
 
 

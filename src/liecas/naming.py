@@ -1,6 +1,7 @@
 """Name, coefficient and signed-sum formatting shared by the renderers."""
 
 from fractions import Fraction
+from itertools import groupby
 
 
 def latex_name(name):
@@ -62,3 +63,12 @@ def signed_join(parts):
         else:
             out.append("- " + body if negative else "+ " + body)
     return " ".join(out) or "0"
+
+
+def render_words(items, labels, latex=False):
+    """signed_join over (sorted word, coeff) pairs, each word printed as the
+    product of labels[t] raised to the multiplicity of its letter t."""
+    return signed_join(
+        power_term(c, [(labels[t], len(list(run))) for t, run in groupby(w)],
+                   latex)
+        for w, c in items)

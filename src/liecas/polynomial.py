@@ -2,39 +2,29 @@
 
 A CommPoly lives in a fixed set of nvars commuting variables x_0..x_{nvars-1}
 (in practice the coordinates dual to a Lie algebra basis, plus possibly one
-extra char-poly variable).  Terms are stored as a map
+extra char-poly variable).  A monomial is keyed by its sorted index word,
+the key a PBWElement uses for a normal word: x_0^2 x_3 is (0, 0, 3) and
+the constant monomial is ().  Terms are stored as a map
 
-    exponent tuple (len nvars) -> Fraction coefficient
+    sorted index word -> Fraction coefficient
 
 with zero coefficients never stored, so equality is plain structural equality
 (the linear operations come from sparse.SparseTerms).  The monomial order
-used for rendering and JSON is graded lex:
-compare total degree first, then the exponent tuple lexicographically.
-Exponent tuples are dense; dimensions stay small here (at most a few dozen
-variables), so a sparse representation would only add bookkeeping.
+used for rendering and JSON is graded lex: compare total degree first, then
+the exponent vectors lexicographically; among words of one length the larger
+exponent vector is the smaller word.
 """
 
 from fractions import Fraction
 
 from .errors import MalformedInputError
-from .naming import latex_name, power_term, signed_join
+from .naming import latex_name, render_words
 from .sparse import SparseTerms, accumulate
 
-# Dense exponent tuples are only sensible while they stay short.
-MAX_VARIABLES = 64
 
-
-def _grlex(exps):
-    # sort key for graded lexicographic order
-    return (sum(exps), exps)
-
-
-def word_exponents(word, nvars):
-    """Exponent tuple of the monomial whose letters are the word's indices."""
-    exps = [0] * nvars
-    for t in word:
-        exps[t] += 1
-    return tuple(exps)
+def _grlex(word):
+    # sort key for descending graded lexicographic order
+    return (-len(word), word)
 
 
 class CommPoly(SparseTerms):
@@ -44,20 +34,20 @@ class CommPoly(SparseTerms):
     _mismatch = "polynomials live in different variable universes ({} vs {})"
 
     def __init__(self, nvars, terms=None):
-        if nvars < 0 or nvars > MAX_VARIABLES:
-            raise MalformedInputError(
-                "variable count %d outside supported range 0..%d"
-                % (nvars, MAX_VARIABLES))
+        if nvars < 0:
+            raise MalformedInputError("negative variable count %d" % nvars)
         self.nvars = nvars
         clean = {}
         if terms:
-            for exps, c in terms.items():
-                if len(exps) != nvars or any(e < 0 for e in exps):
+            for word, c in terms.items():
+                word = tuple(word)
+                if word and (list(word) != sorted(word)
+                             or word[0] < 0 or word[-1] >= nvars):
                     raise MalformedInputError(
-                        "bad exponent tuple %r for %d variables" % (exps, nvars))
+                        "bad monomial word %r for %d variables" % (word, nvars))
                 c = Fraction(c)
                 if c:
-                    clean[tuple(exps)] = c
+                    clean[word] = c
         self.terms = clean
 
     # ---- constructors -------------------------------------------------
@@ -68,19 +58,16 @@ class CommPoly(SparseTerms):
 
     @classmethod
     def constant(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(): Fraction(c)})
 
     @classmethod
     def variable(cls, nvars, i):
-        if not 0 <= i < nvars:
-            raise MalformedInputError("variable index %d out of range" % i)
-        exps = [0] * nvars
-        exps[i] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls(nvars, {(i,): Fraction(1)})
 
     @classmethod
-    def monomial(cls, nvars, exps, c=1):
-        return cls(nvars, {tuple(exps): Fraction(c)})
+    def monomial(cls, nvars, word, c=1):
+        """c times the product of the word's letters, in any order."""
+        return cls(nvars, {tuple(sorted(word)): Fraction(c)})
 
     def __repr__(self):
         if not self.terms:
@@ -105,9 +92,9 @@ class CommPoly(SparseTerms):
             return self.scale(other)
         self._check_mate(other)
         out = {}
-        for e1, c1 in self.terms.items():
-            accumulate(out, ((tuple(a + b for a, b in zip(e1, e2)), c2)
-                             for e2, c2 in other.terms.items()), c1)
+        for w1, c1 in self.terms.items():
+            accumulate(out, ((tuple(sorted(w1 + w2)), c2)
+                             for w2, c2 in other.terms.items()), c1)
         return self._new(out)
 
     def __rmul__(self, other):
@@ -131,9 +118,13 @@ class CommPoly(SparseTerms):
         """Formal derivative d/dx_i, so d(x_i^k)/dx_i = k x_i^(k-1)."""
         if not 0 <= i < self.nvars:
             raise MalformedInputError("variable index %d out of range" % i)
-        # lowering one exponent is injective, so no two terms collide
-        return self._new({exps[:i] + (exps[i] - 1,) + exps[i + 1:]: c * exps[i]
-                          for exps, c in self.terms.items() if exps[i]})
+        # dropping one letter i is injective, so no two terms collide
+        out = {}
+        for w, c in self.terms.items():
+            if i in w:
+                t = w.index(i)
+                out[w[:t] + w[t + 1:]] = c * w.count(i)
+        return self._new(out)
 
     def eval(self, point):
         """Exact value at a rational point (a sequence of length nvars)."""
@@ -142,40 +133,23 @@ class CommPoly(SparseTerms):
                 "point length %d, expected %d" % (len(point), self.nvars))
         point = [Fraction(v) for v in point]
         total = Fraction(0)
-        for exps, c in self.terms.items():
-            v = c
-            for x, e in zip(point, exps):
-                if e:
-                    v *= x ** e
-            total += v
+        for w, c in self.terms.items():
+            for t in w:
+                c *= point[t]
+            total += c
         return total
-
-    # ---- degree queries -------------------------------------------------
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
-
-    def is_homogeneous(self):
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
-
-    def homogeneous_degree(self):
-        """Degree of a homogeneous polynomial (raises on mixed degrees)."""
-        degrees = {sum(e) for e in self.terms}
-        if len(degrees) != 1:
-            raise MalformedInputError(
-                "polynomial is not homogeneous (degrees %s)" % sorted(degrees))
-        return degrees.pop()
+        return max(map(len, self.terms))
 
     # ---- rendering --------------------------------------------------------
 
     def monomials(self):
-        """Terms in descending graded-lex order, as (exponents, coeff) pairs."""
-        return [(e, self.terms[e])
-                for e in sorted(self.terms, key=_grlex, reverse=True)]
+        """Terms in descending graded-lex order, as (word, coeff) pairs."""
+        return [(w, self.terms[w]) for w in sorted(self.terms, key=_grlex)]
 
     def render(self, names, latex=False):
         """Deterministic text like "2*x_{J_12}^2 + x_{R}", or LaTeX with
@@ -183,8 +157,5 @@ class CommPoly(SparseTerms):
         if len(names) != self.nvars:
             raise MalformedInputError(
                 "%d names for %d variables" % (len(names), self.nvars))
-        return signed_join(
-            power_term(c, [("x_{%s}" % (latex_name(names[i]) if latex
-                                        else names[i]), e)
-                           for i, e in enumerate(exps) if e], latex)
-            for exps, c in self.monomials())
+        return render_words(self.monomials(), [
+            "x_{%s}" % (latex_name(n) if latex else n) for n in names], latex)

@@ -1,6 +1,6 @@
 """Sparse exact linear combinations, the shared core of the term classes.
 
-CommPoly (exponent tuples), PBWElement (normal words) and ExteriorElement
+CommPoly and PBWElement (sorted index words) and ExteriorElement
 (increasing index tuples) all store a map key -> nonzero Fraction over a
 fixed universe: a variable count, an algebra, a dual dimension.  Zero
 coefficients are never stored, so equality is structural equality of the

@@ -51,7 +51,7 @@ from .errors import (
     VirtualCopySpecError,
 )
 from .invariants import invariant_count
-from .polynomial import CommPoly, word_exponents
+from .polynomial import CommPoly
 
 
 @dataclass
@@ -349,8 +349,8 @@ def lift_casimir(algebra, spec, casimir):
         layer = [(w, c) for w, c in remaining.terms.items() if len(w) == d]
         for w, c in layer:
             out = out + _symmetric_substitute(algebra, ops, w).scale(c)
-            remaining = remaining - symmetrize(algebra, CommPoly.monomial(
-                algebra.dim, word_exponents(w, algebra.dim), c))
+            remaining = remaining - symmetrize(
+                algebra, CommPoly.monomial(algebra.dim, w, c))
     return out
 
 

@@ -52,10 +52,8 @@ def random_poly(nvars, rng, max_deg=3, max_terms=4):
     from liecas.polynomial import CommPoly
     p = CommPoly.zero(nvars)
     for _ in range(rng.randint(1, max_terms)):
-        exps = [0] * nvars
-        for _ in range(rng.randint(0, max_deg)):
-            exps[rng.randrange(nvars)] += 1
-        mono = CommPoly(nvars, {tuple(exps): random_fraction(rng)})
+        word = [rng.randrange(nvars) for _ in range(rng.randint(0, max_deg))]
+        mono = CommPoly.monomial(nvars, word, random_fraction(rng))
         p = p + mono
     return p
 

@@ -50,9 +50,7 @@ def _algebra(name, N=None, **params):
 
 
 def _variable(algebra, name):
-    exps = [0] * algebra.dim
-    exps[algebra.name_index[name]] = 1
-    return CommPoly(algebra.dim, {tuple(exps): Fraction(1)})
+    return CommPoly.variable(algebra.dim, algebra.name_index[name])
 
 
 def test_criterion_1():
@@ -170,7 +168,7 @@ def test_criterion_6():
         polys.append(_variable(algebra, name))
     e = algebra.name_index["E"]
     for poly in polys:
-        assert all(exps[e] == 0 for exps in poly.terms)
+        assert all(e not in w for w in poly.terms)
 
 
 def test_criterion_7():

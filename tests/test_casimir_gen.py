@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import liecas.casimir_gen
 from liecas.casimir_gen import (
     CasimirSet,
     build_so_matrix,
@@ -14,6 +15,7 @@ from liecas.casimir_gen import (
 from liecas.catalog import FamilyId, build, so_algebra
 from liecas.enveloping import PBWElement, u_commutator
 from liecas.errors import (
+    DegreeOverflowError,
     InternalConsistencyError,
     MalformedInputError,
     NotApplicableError,
@@ -125,8 +127,10 @@ def test_pfaffian_matches_cofactor_expansion(name, N):
     coeffs = char_poly_coefficients(M)
     reference = char_poly_cofactor(M)
     by_power = {}
-    for exps, c in reference.terms.items():
-        by_power.setdefault(exps[-1], {})[exps[:-1]] = c
+    for w, c in reference.terms.items():
+        # T is the last variable, so its letters close each sorted word
+        power = w.count(algebra.dim)
+        by_power.setdefault(power, {})[w[:len(w) - power]] = c
     for l, poly in coeffs.items():
         assert CommPoly(algebra.dim, by_power.get(N - 2 * l, {})) == poly
 
@@ -137,6 +141,8 @@ def test_char_poly_at_random_points(name, N):
     algebra, spec = b(name, N)
     M = build_so_matrix(algebra, spec)
     coeffs = char_poly_coefficients(M)
+    # the premise of the up-front degree-cap refusal in casimir_set
+    assert all(p.degree() == 2 * l * spec.k for l, p in coeffs.items())
     rng = random.Random(99)
     for _ in range(5):
         point = [Fraction(rng.randint(-20, 20)) for _ in range(algebra.dim)]
@@ -175,8 +181,7 @@ def test_casimir_set_inhomogeneous_3():
     ix = algebra.name_index
     # dressing is built from T and R only; the three extension letters
     # are absent and E never appears in an invariant
-    used = {v for e, _ in cs.coefficients[1].monomials()
-            for v, m in enumerate(e) if m}
+    used = {v for w, _ in cs.coefficients[1].monomials() for v in w}
     assert ix["E"] not in used
     assert not cs.coefficients[1].partial(ix["E"])
 
@@ -189,6 +194,21 @@ def test_casimir_set_checks_the_spec_first():
         casimir_set(algebra, hollow)
     with pytest.raises(PreconditionError):
         build_so_matrix(algebra, hollow)
+
+
+def test_casimir_set_refuses_an_over_cap_rotation_block(monkeypatch):
+    # IHa dresses with k = 3, so C_6 of the 6 x 6 block has degree 18 > 12;
+    # the refusal comes before any char-poly work
+    algebra, spec = b("IHa", 6)
+
+    def no_char_poly(matrix):
+        raise AssertionError("char-poly computed for an over-cap block")
+
+    monkeypatch.setattr(liecas.casimir_gen, "char_poly_coefficients",
+                        no_char_poly)
+    with pytest.raises(DegreeOverflowError) as err:
+        casimir_set(algebra, spec)
+    assert (err.value.length, err.value.cap) == (18, 12)
 
 
 def test_build_so_matrix_shape():

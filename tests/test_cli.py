@@ -117,6 +117,15 @@ def test_missing_limit_exits_2_machine_readable(capsys):
     assert emitted["f_top_weight"] == 6
 
 
+def test_casimirs_over_the_degree_cap_exits_2(capsys):
+    code, out = run(capsys, "casimirs", "--family", "IHa", "--N", "9",
+                    "--format", "json")
+    assert code == 2
+    emitted = json.loads(out)
+    assert emitted["error"] == "degree-overflow"
+    assert emitted["detail"] == "word of length 24 exceeds the degree cap 12"
+
+
 def test_malformed_flags_exit_2(capsys, tmp_path):
     assert main([]) == 2
     assert main(["count"]) == 2                        # no input selected

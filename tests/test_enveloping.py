@@ -14,6 +14,7 @@ from liecas.enveloping import (
     u_mul,
     u_product,
 )
+from liecas.catalog import heisenberg_algebra
 from liecas.errors import DegreeOverflowError, MalformedInputError
 from liecas.lie_core import LieAlgebra
 from liecas.polynomial import CommPoly
@@ -156,8 +157,7 @@ def test_symmetrize_matches_brute_force_average():
         g = rosters[t % len(rosters)]
         p = random_poly(g.dim, rng, max_deg=4, max_terms=2)
         brute = PBWElement(g)
-        for exps, c in p.terms.items():
-            word = tuple(i for i, e in enumerate(exps) for _ in range(e))
+        for word, c in p.terms.items():
             perms = list(itertools.permutations(word))
             acc = PBWElement(g)
             for w in perms:
@@ -174,8 +174,17 @@ def test_symmetrize_leading_part_is_identity():
     x2 = CommPoly.variable(3, 2)
     p = x0 * x1 * x2
     img = symmetrize(g, p).commutative_image()
-    top = CommPoly(3, {e: c for e, c in img.terms.items() if sum(e) == 3})
+    top = CommPoly(3, {w: c for w, c in img.terms.items() if len(w) == 3})
     assert top == p
+
+
+def test_round_trip_beyond_sixty_four_variables():
+    # heisenberg(40) has 81 generators; P_1, P_40 and Z (x_80) commute, so
+    # symmetrizing their monomial adds no lower-order terms
+    g = heisenberg_algebra(40)
+    p = CommPoly.monomial(g.dim, (80, 0, 39, 0), F(3, 2))
+    assert p.terms == {(0, 0, 39, 80): F(3, 2)}
+    assert symmetrize(g, p).commutative_image() == p
 
 
 def test_render_words():

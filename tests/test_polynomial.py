@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from liecas.errors import MalformedInputError
-from liecas.polynomial import MAX_VARIABLES, CommPoly
+from liecas.polynomial import CommPoly
+from property_suites import random_poly
 
 F = Fraction
 
@@ -73,19 +76,17 @@ def test_eval_is_exact():
 def test_graded_lex_monomial_order():
     x, y, z = xvar(0), xvar(1), xvar(2)
     p = x + y * z + x ** 3 + z
-    exps = [e for e, _c in p.monomials()]
-    # degree first, then lexicographic on exponent tuples
-    assert exps == [(3, 0, 0), (0, 1, 1), (1, 0, 0), (0, 0, 1)]
-    assert p.monomials()[0][0] == (3, 0, 0)
+    words = [w for w, _c in p.monomials()]
+    # degree first, then lexicographic on exponent tuples, which within one
+    # degree is ascending order on the sorted words
+    assert words == [(0, 0, 0), (1, 2), (0,), (2,)]
+    assert p.monomials()[0][0] == (0, 0, 0)
 
 
 def test_degree_and_homogeneity():
     x, y = xvar(0), xvar(1)
     assert CommPoly.zero(3).degree() == -1
     assert (x * y + x ** 2).degree() == 2
-    assert (x * y + x ** 2).is_homogeneous()
-    assert (x * y + x ** 2).homogeneous_degree() == 2
-    assert not (x + x * y).is_homogeneous()
 
 
 def test_universe_mismatch_rejected():
@@ -93,10 +94,39 @@ def test_universe_mismatch_rejected():
         CommPoly.variable(2, 0) + CommPoly.variable(3, 0)
 
 
-def test_variable_bound():
-    CommPoly.zero(MAX_VARIABLES)
+def test_words_are_validated():
+    assert CommPoly(3, {(0, 2, 2): 1}) == CommPoly.monomial(3, (2, 0, 2))
+    for word in ((2, 0), (0, 3), (-1,)):
+        with pytest.raises(MalformedInputError):
+            CommPoly(3, {word: 1})
     with pytest.raises(MalformedInputError):
-        CommPoly.zero(MAX_VARIABLES + 1)
+        CommPoly.variable(3, 3)
+
+
+def _dense(p):
+    return {tuple(w.count(t) for t in range(p.nvars)): c
+            for w, c in p.terms.items()}
+
+
+def test_word_keys_match_a_dense_exponent_reference():
+    rng = random.Random(44)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        p, q = random_poly(n, rng), random_poly(n, rng)
+        dp, i = _dense(p), rng.randrange(n)
+        product = {}
+        for e1, c1 in dp.items():
+            for e2, c2 in _dense(q).items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                product[e] = product.get(e, 0) + c1 * c2
+        assert _dense(p * q) == {e: c for e, c in product.items() if c}
+        assert _dense(p.partial(i)) == {e[:i] + (e[i] - 1,) + e[i + 1:]:
+                                        c * e[i] for e, c in dp.items() if e[i]}
+        point = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+        assert p.eval(point) == sum(
+            c * prod(x ** k for x, k in zip(point, e)) for e, c in dp.items())
+        assert ([tuple(w.count(t) for t in range(n)) for w, _ in p.monomials()]
+                == sorted(dp, key=lambda e: (sum(e), e), reverse=True))
 
 
 def test_render():

@@ -21,8 +21,8 @@ def so3():
 
 
 def _poly():
-    return (CommPoly(3, {(1, 0, 2): F(2, 3), (0, 1, 0): -1}),
-            CommPoly(2, {(1, 0): 1}),
+    return (CommPoly(3, {(0, 2, 2): F(2, 3), (1,): -1}),
+            CommPoly(2, {(0,): 1}),
             "polynomials live in different variable universes (3 vs 2)")
 
 
