@@ -82,16 +82,10 @@ def _validated(algebra):
     report = algebra.validate()
     if report.ok:
         return algebra
-    triples = report.jacobi_triples(algebra.names)
+    payload = report.to_json()
+    del payload["ok"]
     _fail("bracket table fails validation: %s"
-          % report.describe(algebra.names).splitlines()[0],
-          jacobi_violations=[list(t) for t in triples],
-          levi_closure=[[algebra.names[i], algebra.names[j],
-                         algebra.names[k], str(c)]
-                        for i, j, k, c in report.levi_closure],
-          radical_ideal=[[algebra.names[i], algebra.names[j],
-                          algebra.names[k], str(c)]
-                         for i, j, k, c in report.radical_ideal])
+          % report.describe().splitlines()[0], **payload)
 
 
 def _read_algebra(path):
@@ -189,16 +183,7 @@ def _cmd_validate(args, fmt):
     else:
         algebra, _embedded = _read_algebra(args.algebra)
     report = algebra.validate()
-    names = algebra.names
-    doc = {
-        "ok": report.ok,
-        "jacobi_violations": [list(t) for t in report.jacobi_triples(names)],
-        "levi_closure": [[names[i], names[j], names[k], str(c)]
-                         for i, j, k, c in report.levi_closure],
-        "radical_ideal": [[names[i], names[j], names[k], str(c)]
-                          for i, j, k, c in report.radical_ideal],
-    }
-    return (0 if report.ok else 1), doc, report.describe(names), None
+    return (0 if report.ok else 1), report.to_json(), report.describe(), None
 
 
 def _cmd_count(args, fmt):
@@ -246,7 +231,7 @@ def _cmd_verify_copy(args, fmt):
     report = verify(algebra, spec)
     if report.passed:
         return 0, {"passed": True}, "passed", None
-    return 1, report.to_json(), report.describe(algebra.names), None
+    return 1, report.to_json(), report.describe(), None
 
 
 def _cmd_casimirs(args, fmt):
@@ -508,7 +493,7 @@ def main(argv=None):
         report = getattr(err, "report", None)
         if report is not None:
             # a dressing that fails its check prints the whole report
-            _emit(fmt, report.to_json(), report.describe(report.names), None)
+            _emit(fmt, report.to_json(), report.describe(), None)
             return 1
         tag, code = next(_ERRORS[cls] for cls in type(err).__mro__
                          if cls in _ERRORS)

@@ -91,7 +91,7 @@ def contract_algebra(algebra, weights):
     if not report.ok:
         raise InternalConsistencyError(
             "contracted bracket table is not a Lie algebra: %s"
-            % report.describe(out.names))
+            % report.describe())
     return out
 
 

@@ -28,32 +28,44 @@ from .sparse import accumulate
 _LOW, _HIGH = -10 ** 4, 10 ** 4
 
 
-def analytic_apply(algebra, i, poly):
-    """Apply Xhat_i to a polynomial in the dual coordinates."""
+def _applier(algebra, poly):
+    """i -> Xhat_i poly; each dF/dx_j is taken once, on first use."""
     if poly.nvars != algebra.dim:
         raise MalformedInputError(
             "polynomial in %d variables against a %d-dim algebra"
             % (poly.nvars, algebra.dim))
-    algebra._check_index(i)
-    out = {}
-    for j in range(algebra.dim):
-        row = algebra.bracket_basis(i, j)
-        if not row:
-            continue
-        dF = poly.partial(j).terms
-        for k, c in row.items():
-            # c * x_k * dF/dx_j: x_k joins the word of each term
-            accumulate(out, ((tuple(sorted(w + (k,))), v)
-                             for w, v in dF.items()), c)
-    return poly._new(out)
+    partials = {}
+
+    def apply(i):
+        algebra._check_index(i)
+        out = {}
+        for j in range(algebra.dim):
+            row = algebra.bracket_basis(i, j)
+            if not row:
+                continue
+            if j not in partials:
+                partials[j] = poly.partial(j).terms
+            dF = partials[j]
+            for k, c in row.items():
+                # c * x_k * dF/dx_j: x_k joins the word of each term
+                accumulate(out, ((tuple(sorted(w + (k,))), v)
+                                 for w, v in dF.items()), c)
+        return poly._new(out)
+    return apply
+
+
+def analytic_apply(algebra, i, poly):
+    """Apply Xhat_i to a polynomial in the dual coordinates."""
+    return _applier(algebra, poly)(i)
 
 
 def is_invariant(algebra, poly):
     """(flag, violations): violations lists (i, Xhat_i poly) for the
     generators that fail to kill the polynomial."""
+    apply = _applier(algebra, poly)
     violations = []
     for i in range(algebra.dim):
-        res = analytic_apply(algebra, i, poly)
+        res = apply(i)
         if not res.is_zero():
             violations.append((i, res))
     return (not violations, violations)

@@ -7,6 +7,10 @@ part and a radical.  The split is taken on trust from the caller or the
 catalog and only checked for closure (Levi a subalgebra, radical an ideal);
 no decomposition algorithm is run.
 
+validate() returns a ValidationReport that carries the generator names:
+ok, to_json() (the validate document, generators by name) and describe()
+(one text line per violation) need nothing else.
+
 Vectors in the algebra are plain dicts index -> Fraction.
 """
 
@@ -19,14 +23,20 @@ from .sparse import accumulate
 class ValidationReport:
     """Everything validate() found wrong, empty lists when the algebra is fine.
 
-    jacobi holds (i, j, k, residual) with the residual of
-    [[X_i,X_j],X_k] + [[X_j,X_k],X_i] + [[X_k,X_i],X_j] as a vector dict.
-    levi_closure holds (i, j, k, c) entries where a bracket of two Levi
-    generators leaks a radical term, radical_ideal likewise for brackets
-    with a radical factor leaking a Levi term.
+    names is the algebra's generator names.  jacobi holds (i, j, k,
+    residual) with the residual of [[X_i,X_j],X_k] + [[X_j,X_k],X_i] +
+    [[X_k,X_i],X_j] as a vector dict.  levi_closure holds (i, j, k, c)
+    entries where a bracket of two Levi generators leaks a radical term,
+    radical_ideal likewise for brackets with a radical factor leaking a
+    Levi term.
+
+    to_json() is the document of the validate command, {"ok",
+    "jacobi_violations", "levi_closure", "radical_ideal"}, with generators
+    by name and coefficients as "p/q" strings; describe() is its text.
     """
 
-    def __init__(self, jacobi, levi_closure, radical_ideal):
+    def __init__(self, names, jacobi, levi_closure, radical_ideal):
+        self.names = names
         self.jacobi = jacobi
         self.levi_closure = levi_closure
         self.radical_ideal = radical_ideal
@@ -35,27 +45,34 @@ class ValidationReport:
     def ok(self):
         return not (self.jacobi or self.levi_closure or self.radical_ideal)
 
-    def jacobi_triples(self, names=None):
-        triples = [(i, j, k) for (i, j, k, _res) in self.jacobi]
-        if names is None:
-            return triples
-        return [(names[i], names[j], names[k]) for (i, j, k) in triples]
+    def _leaks(self):
+        return (("levi_closure", "levi closure", self.levi_closure),
+                ("radical_ideal", "radical ideal", self.radical_ideal))
 
-    def describe(self, names):
+    def to_json(self):
+        names = self.names
+        doc = {"ok": self.ok,
+               "jacobi_violations": [[names[i], names[j], names[k]]
+                                     for i, j, k, _res in self.jacobi]}
+        for key, _label, entries in self._leaks():
+            doc[key] = [[names[i], names[j], names[k], str(c)]
+                        for i, j, k, c in entries]
+        return doc
+
+    def describe(self):
         if self.ok:
             return "valid"
+        names = self.names
         lines = []
         for i, j, k, res in self.jacobi:
             body = " + ".join("%s*%s" % (c, names[t])
                               for t, c in sorted(res.items()))
             lines.append("jacobi (%s, %s, %s): residual %s"
                          % (names[i], names[j], names[k], body))
-        for i, j, k, c in self.levi_closure:
-            lines.append("levi closure: [%s, %s] contains %s*%s"
-                         % (names[i], names[j], c, names[k]))
-        for i, j, k, c in self.radical_ideal:
-            lines.append("radical ideal: [%s, %s] contains %s*%s"
-                         % (names[i], names[j], c, names[k]))
+        for _key, label, entries in self._leaks():
+            lines.extend("%s: [%s, %s] contains %s*%s"
+                         % (label, names[i], names[j], c, names[k])
+                         for i, j, k, c in entries)
         return "\n".join(lines)
 
 
@@ -136,22 +153,6 @@ class LieAlgebra:
             return {}
         return {k: -c for k, c in row.items()}
 
-    def bracket(self, a, b):
-        """Bilinear extension of the structure constants to vector dicts."""
-        out = {}
-        for i, ca in a.items():
-            self._check_index(i)
-            ca = Fraction(ca)
-            if not ca:
-                continue
-            for j, cb in b.items():
-                self._check_index(j)
-                cb = Fraction(cb)
-                if not cb:
-                    continue
-                accumulate(out, self.bracket_basis(i, j).items(), ca * cb)
-        return out
-
     # ---- validation --------------------------------------------------------
 
     def validate(self):
@@ -159,17 +160,14 @@ class LieAlgebra:
         declared Levi subalgebra and radical ideal."""
         jacobi = []
         for i in range(self.dim):
-            ei = {i: Fraction(1)}
             for j in range(i + 1, self.dim):
-                ej = {j: Fraction(1)}
-                bij = self.bracket_basis(i, j)
                 for k in range(j + 1, self.dim):
-                    ek = {k: Fraction(1)}
-                    res = self.bracket(bij, ek)
-                    accumulate(res, self.bracket(self.bracket_basis(j, k),
-                                                 ei).items())
-                    accumulate(res, self.bracket(self.bracket_basis(k, i),
-                                                 ej).items())
+                    # sum_m C_ab^m [X_m, X_c] over the three cyclic orders
+                    res = {}
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        for m, coeff in self.bracket_basis(a, b).items():
+                            accumulate(res, self.bracket_basis(m, c).items(),
+                                       coeff)
                     if res:
                         jacobi.append((i, j, k, res))
         levi_bad = []
@@ -182,7 +180,7 @@ class LieAlgebra:
                     levi_bad.append((i, j, k, c))
                 if has_radical and k not in self.radical:
                     radical_bad.append((i, j, k, c))
-        return ValidationReport(jacobi, levi_bad, radical_bad)
+        return ValidationReport(self.names, jacobi, levi_bad, radical_bad)
 
     # ---- subalgebras ---------------------------------------------------------
 

@@ -100,18 +100,6 @@ class CommPoly(SparseTerms):
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def __pow__(self, n):
-        if n < 0:
-            raise MalformedInputError("negative power %d" % n)
-        result = CommPoly.constant(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     # ---- calculus and evaluation ---------------------------------------
 
     def partial(self, i):
@@ -131,12 +119,15 @@ class CommPoly(SparseTerms):
         if len(point) != self.nvars:
             raise MalformedInputError(
                 "point length %d, expected %d" % (len(point), self.nvars))
-        point = [Fraction(v) for v in point]
+        # integral coordinates multiply as ints, far cheaper than Fractions
+        point = [v.numerator if v.denominator == 1 else v
+                 for v in map(Fraction, point)]
         total = Fraction(0)
         for w, c in self.terms.items():
+            m = 1
             for t in w:
-                c *= point[t]
-            total += c
+                m *= point[t]
+            total += c * m
         return total
 
     def degree(self):

@@ -15,7 +15,15 @@ both conditions together force the factorization
 verify() recomputes every one of these constraints from scratch, plus the
 supporting identities (f central, P_i transforming like the adjoint
 action), and reports all nonzero residuals; nothing is assumed about
-where the spec came from.
+where the spec came from.  Every residual is one u_commutator call,
+made in one place.
+
+The report (CopyVerificationReport) holds the generator names and, for
+each condition of the ordered table CONDITIONS, a map from index key to
+nonzero residual: (y,) for the two f conditions, (i, j) or (i, y) for
+the others.  passed, f_is_radical_invariant, f_is_g_invariant and
+factor_identity_ok read those maps; to_json() and describe() give the
+verify-copy document and its text, both walking CONDITIONS in order.
 
 A verified copy lifts Casimir elements.  The substitution X_i -> X'_i is
 made through the symmetric presentation: a central element of the Levi
@@ -137,100 +145,77 @@ def build_operators(algebra, spec):
     return ops
 
 
+# the copy conditions in report order: JSON key, then the text line of one
+# residual, formatted with the generator names of its index key and the
+# rendered residual
+CONDITIONS = (
+    ("radical_residuals", "[X'_{0}, {1}] = {2}"),
+    ("adjoint_residuals", "adjoint defect at ({0}, {1}): {2}"),
+    ("f_radical_residuals", "[f, {0}] = {1}"),
+    ("f_levi_residuals", "[f, {0}] = {1}"),
+    ("equivariance_residuals", "equivariance defect at ({0}, {1}): {2}"),
+    ("factor_residuals", "factorization defect at ({0}, {1}): {2}"),
+)
+
+
 @dataclass
 class CopyVerificationReport:
     """All nonzero residuals of the copy conditions.
 
+    names is the algebra's generator names; residuals maps each condition
+    of CONDITIONS to {index key: nonzero residual}:
+
     radical_residuals[(i, y)]      [X'_i, Y_y]                    (radical y)
     adjoint_residuals[(i, j)]      [X'_i, X_j] - C_ij^k (X_k f + P_k)
-    f_radical_residuals[y]         [f, Y_y]
-    f_levi_residuals[j]            [f, X_j]
+    f_radical_residuals[(y,)]      [f, Y_y]
+    f_levi_residuals[(j,)]         [f, X_j]
     equivariance_residuals[(i,j)]  [P_i, X_j] - C_ij^k P_k
     factor_residuals[(i, j)]       [X'_i, X'_j] - f * C_ij^k (X_k f + P_k),  i < j
+
+    to_json() and describe() walk CONDITIONS in order, each key sorted.
     """
 
-    radical_residuals: dict = field(default_factory=dict)
-    adjoint_residuals: dict = field(default_factory=dict)
-    f_radical_residuals: dict = field(default_factory=dict)
-    f_levi_residuals: dict = field(default_factory=dict)
-    equivariance_residuals: dict = field(default_factory=dict)
-    factor_residuals: dict = field(default_factory=dict)
-
-    @property
-    def f_is_radical_invariant(self):
-        return not self.f_radical_residuals
-
-    @property
-    def f_is_g_invariant(self):
-        return not (self.f_radical_residuals or self.f_levi_residuals)
-
-    @property
-    def factor_identity_ok(self):
-        return not self.factor_residuals
-
-    def _tables(self):
-        return (self.radical_residuals, self.adjoint_residuals,
-                self.f_radical_residuals, self.f_levi_residuals,
-                self.equivariance_residuals, self.factor_residuals)
+    names: list
+    residuals: dict = field(
+        default_factory=lambda: {name: {} for name, _line in CONDITIONS})
 
     @property
     def passed(self):
-        return not any(self._tables())
+        return not any(self.residuals.values())
 
     @property
-    def names(self):
-        """Generator names of the algebra the residuals live in ([] when
-        the report passed)."""
-        for table in self._tables():
-            for residual in table.values():
-                return residual.algebra.names
-        return []
+    def f_is_radical_invariant(self):
+        return not self.residuals["f_radical_residuals"]
+
+    @property
+    def f_is_g_invariant(self):
+        return (self.f_is_radical_invariant
+                and not self.residuals["f_levi_residuals"])
+
+    @property
+    def factor_identity_ok(self):
+        return not self.residuals["factor_residuals"]
+
+    def _entries(self, name):
+        for key, residual in sorted(self.residuals[name].items()):
+            yield [self.names[t] for t in key], residual
 
     def to_json(self):
-        def pack(res, key_names):
-            return [{"at": key_names(key), "residual": emit_pbw(val)}
-                    for key, val in sorted(res.items())]
+        doc = {"passed": self.passed,
+               "f_is_radical_invariant": self.f_is_radical_invariant,
+               "f_is_g_invariant": self.f_is_g_invariant,
+               "factor_identity_ok": self.factor_identity_ok}
+        for name, _line in CONDITIONS:
+            doc[name] = [{"at": at, "residual": emit_pbw(residual)}
+                         for at, residual in self._entries(name)]
+        return doc
 
-        def one(i):
-            return [names[i]]
-
-        def two(key):
-            return [names[key[0]], names[key[1]]]
-
-        names = self.names
-        return {
-            "passed": self.passed,
-            "f_is_radical_invariant": self.f_is_radical_invariant,
-            "f_is_g_invariant": self.f_is_g_invariant,
-            "factor_identity_ok": self.factor_identity_ok,
-            "radical_residuals": pack(self.radical_residuals, two),
-            "adjoint_residuals": pack(self.adjoint_residuals, two),
-            "f_radical_residuals": pack(self.f_radical_residuals, one),
-            "f_levi_residuals": pack(self.f_levi_residuals, one),
-            "equivariance_residuals": pack(self.equivariance_residuals, two),
-            "factor_residuals": pack(self.factor_residuals, two),
-        }
-
-    def describe(self, names):
+    def describe(self):
         if self.passed:
             return "passed"
-        lines = []
-        for (i, j), r in sorted(self.radical_residuals.items()):
-            lines.append("[X'_%s, %s] = %s" % (names[i], names[j], r.render()))
-        for (i, j), r in sorted(self.adjoint_residuals.items()):
-            lines.append("adjoint defect at (%s, %s): %s"
-                         % (names[i], names[j], r.render()))
-        for j, r in sorted(self.f_radical_residuals.items()):
-            lines.append("[f, %s] = %s" % (names[j], r.render()))
-        for j, r in sorted(self.f_levi_residuals.items()):
-            lines.append("[f, %s] = %s" % (names[j], r.render()))
-        for (i, j), r in sorted(self.equivariance_residuals.items()):
-            lines.append("equivariance defect at (%s, %s): %s"
-                         % (names[i], names[j], r.render()))
-        for (i, j), r in sorted(self.factor_residuals.items()):
-            lines.append("factorization defect at (%s, %s): %s"
-                         % (names[i], names[j], r.render()))
-        return "\n".join(lines)
+        return "\n".join(line.format(*at, residual.render())
+                         for name, line in CONDITIONS
+                         for at, residual in self._entries(name))
 
 
 def verify(algebra, spec):
@@ -239,52 +224,43 @@ def verify(algebra, spec):
     levi = sorted(algebra.levi)
     radical = sorted(algebra.radical)
     gens = {t: PBWElement.generator(algebra, t) for t in range(algebra.dim)}
-    report = CopyVerificationReport()
+    # brackets close on the Levi part; a term k leaking outside it has no
+    # dressed image and stays a plain generator so the residual exposes it
+    dressed = {**gens, **ops}
+    zero = PBWElement(algebra)
+    report = CopyVerificationReport(algebra.names)
 
-    def dressed_bracket(i, j):
-        # sum_k C_ij^k (X_k f + P_k); brackets close on the Levi part,
-        # anything leaking outside it has no dressed image and is kept
-        # as a plain generator so the residual exposes it
-        out = PBWElement(algebra)
+    def check(name, key, a, b, expected=zero):
+        res = u_commutator(a, b) - expected
+        if res:
+            report.residuals[name][key] = res
+
+    def combination(i, j, image):
+        # sum_k C_ij^k image[k], over the k that image covers
+        out = zero
         for k, c in algebra.bracket_basis(i, j).items():
-            if k in ops:
-                out = out + ops[k].scale(c)
-            else:
-                out = out + gens[k].scale(c)
+            if k in image:
+                out = out + image[k].scale(c)
         return out
 
     for i in levi:
         for y in radical:
-            res = u_commutator(ops[i], gens[y])
-            if res:
-                report.radical_residuals[(i, y)] = res
-    for i in levi:
+            check("radical_residuals", (i, y), ops[i], gens[y])
         for j in levi:
-            res = u_commutator(ops[i], gens[j]) - dressed_bracket(i, j)
-            if res:
-                report.adjoint_residuals[(i, j)] = res
+            check("adjoint_residuals", (i, j), ops[i], gens[j],
+                  combination(i, j, dressed))
     for y in radical:
-        res = u_commutator(spec.f, gens[y])
-        if res:
-            report.f_radical_residuals[y] = res
+        check("f_radical_residuals", (y,), spec.f, gens[y])
     for j in levi:
-        res = u_commutator(spec.f, gens[j])
-        if res:
-            report.f_levi_residuals[j] = res
+        check("f_levi_residuals", (j,), spec.f, gens[j])
     for i in levi:
         for j in levi:
-            expect = PBWElement(algebra)
-            for k, c in algebra.bracket_basis(i, j).items():
-                if k in spec.P:
-                    expect = expect + spec.P[k].scale(c)
-            res = u_commutator(spec.P[i], gens[j]) - expect
-            if res:
-                report.equivariance_residuals[(i, j)] = res
+            check("equivariance_residuals", (i, j), spec.P[i], gens[j],
+                  combination(i, j, spec.P))
     for a_pos, i in enumerate(levi):
         for j in levi[a_pos + 1:]:
-            res = u_commutator(ops[i], ops[j]) - u_mul(spec.f, dressed_bracket(i, j))
-            if res:
-                report.factor_residuals[(i, j)] = res
+            check("factor_residuals", (i, j), ops[i], ops[j],
+                  u_mul(spec.f, combination(i, j, dressed)))
     return report
 
 

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -12,8 +14,9 @@ from liecas.catalog import FAMILIES, FAMILY_NAMES, FamilyId, build
 from liecas.cli import main
 from liecas.errors import (DegreeOverflowError, LiecasError,
                            LimitDoesNotExistError)
+from liecas.enveloping import PBWElement
 from liecas.lie_core import algebra_to_json
-from liecas.virtual_copy import emit_spec
+from liecas.virtual_copy import emit_spec, make_spec
 
 
 def run(capsys, *argv):
@@ -396,3 +399,107 @@ def test_catalog_dump_round_trips_through_validate(capsys, tmp_path, family):
     assert json.loads(from_file)["ok"] is True
     assert run(capsys, "validate", *select, "--format", "json") == (0,
                                                                     from_file)
+
+
+# ---- golden bytes of the report documents -----------------------------------------
+
+
+def _stripped_iha3(tmp_path):
+    # IHa(3) with every P term that touches R dropped: the dressing no
+    # longer commutes with the radical nor closes up to f
+    algebra, spec = build(FamilyId("IHa", 3))
+    doc = emit_spec(spec)
+    doc["P"] = {name: [t for t in terms if "R" not in t["word"]]
+                for name, terms in doc["P"].items()}
+    return ["--algebra", write_json(tmp_path / "iha3.json",
+                                    algebra_to_json(algebra)),
+            "--spec", write_json(tmp_path / "stripped.json", doc)]
+
+
+def _literal_boson(tmp_path):
+    # the left-to-right products of the boson_example dressing, which miss
+    # the su(1,1) closure by 4f
+    algebra, good = build(FamilyId("boson_example"))
+    ix = algebra.name_index
+    G, F, Q, P, R, T = (ix[m] for m in ("G_1", "F_1", "Q_1", "P_1", "R", "T"))
+    literal = dict(good.P)
+    literal[ix["X_1,1"]] = PBWElement.from_terms(algebra, {
+        (T, Q, F): Fraction(1), (T, G, P): Fraction(1),
+        (R, G, F): Fraction(-1), (R, Q, P): Fraction(-1)})
+    spec = make_spec(algebra, good.f, literal)
+    return ["--algebra", write_json(tmp_path / "boson.json",
+                                    algebra_to_json(algebra)),
+            "--spec", write_json(tmp_path / "literal.json", emit_spec(spec))]
+
+
+def _noncentral_f(tmp_path):
+    # f = G_1 commutes neither with the radical nor with the Levi part
+    algebra, _spec = build(FamilyId("boson_example"))
+    return ["--algebra", write_json(tmp_path / "boson.json",
+                                    algebra_to_json(algebra)),
+            "--spec", write_json(tmp_path / "f_g1.json",
+                                 {"f": [{"coeff": "1", "word": ["G_1"]}]})]
+
+
+def _non_lie(tmp_path):
+    # Jacobi fails on (a, b, c); with {a, b} declared Levi, [a, b] = c also
+    # leaks into the radical and [a, c] = b into the Levi part
+    doc = {
+        "names": ["a", "b", "c"],
+        "brackets": [
+            {"i": "a", "j": "b", "terms": [{"k": "c", "c": "1"}]},
+            {"i": "a", "j": "c", "terms": [{"k": "b", "c": "1/2"}]},
+            {"i": "b", "j": "c", "terms": [{"k": "c", "c": "1"}]},
+        ],
+        "levi": ["a", "b"],
+        "radical": ["c"],
+    }
+    return ["--algebra", write_json(tmp_path / "non_lie.json", doc)]
+
+
+_GOLDEN_CASES = {
+    "verify-copy-stripped": (["verify-copy"], _stripped_iha3),
+    "contract-stripped": (["contract", "--weights", '{"R": 1}'],
+                          _stripped_iha3),
+    "verify-copy-literal": (["verify-copy"], _literal_boson),
+    "verify-copy-noncentral-f": (["verify-copy"], _noncentral_f),
+    "validate-non-lie": (["validate"], _non_lie),
+    "load-non-lie": (["count"], _non_lie),
+}
+
+# (exit code, SHA-256 of stdout) per case and format
+_GOLDEN = {
+    ("contract-stripped", "json"):
+        (1, "fe3707893a548818d88420d60f3a7d64024a70f5c2b6f4e0c118b147db0c44d3"),
+    ("contract-stripped", "text"):
+        (1, "eb9d2774903a440b255beddfc0124f242c1078a57f879fae5c2233763d8f237f"),
+    ("load-non-lie", "json"):
+        (2, "b74dfd6e9a46410cb88ff5c344aa912e2e29526b91d914f7fcff24fe4131e53a"),
+    ("load-non-lie", "text"):
+        (2, "7ba0419807c9a70f6ac76a6b00a4c64a5d2de64c0c59352c54aa5489a4ed79cb"),
+    ("validate-non-lie", "json"):
+        (1, "04e0dca08b48dff22939ff9943a18e1464658cc056d837b5e5d7fa5b7e0d4447"),
+    ("validate-non-lie", "text"):
+        (1, "0eaabb08ec3a64b7abe36afc26cae48f49733090083170a9eb3d53a22bd11f0a"),
+    ("verify-copy-literal", "json"):
+        (1, "b1bd1c267138f8b5a53bf9d521fccf0abc8498fa6346abc157ef21f966233584"),
+    ("verify-copy-literal", "text"):
+        (1, "2e706304958e76dec593a228d6e865878baa038aa6a237d49ecb55d6b9bddc65"),
+    ("verify-copy-noncentral-f", "json"):
+        (1, "fb182b3f0e825b5508abd647132746c063083c2fb51a6d119c9bfaef968424c1"),
+    ("verify-copy-noncentral-f", "text"):
+        (1, "e4d234cb8a85e6f92217b128b5222bda5a67fa29a06833149cff4aaa45236f4c"),
+    ("verify-copy-stripped", "json"):
+        (1, "fe3707893a548818d88420d60f3a7d64024a70f5c2b6f4e0c118b147db0c44d3"),
+    ("verify-copy-stripped", "text"):
+        (1, "eb9d2774903a440b255beddfc0124f242c1078a57f879fae5c2233763d8f237f"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("case", sorted(_GOLDEN_CASES))
+def test_report_documents_keep_their_bytes(capsys, tmp_path, case, fmt):
+    argv, inputs = _GOLDEN_CASES[case]
+    code, out = run(capsys, *argv, *inputs(tmp_path), "--format", fmt)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        _GOLDEN[case, fmt]

@@ -219,8 +219,9 @@ def test_skew_weighting_is_reported_incompatible():
     naive = make_spec(algebra, spec.f, {})
     report = verify(algebra, naive)
     assert not report.passed
-    assert report.radical_residuals
-    assert all(not r.is_zero() for r in report.radical_residuals.values())
+    radical = report.residuals["radical_residuals"]
+    assert radical
+    assert all(not r.is_zero() for r in radical.values())
 
 
 def test_all_zero_weights_change_nothing():

@@ -17,6 +17,7 @@ from liecas.errors import (
 )
 from liecas.lie_core import LieAlgebra
 from liecas.virtual_copy import (
+    CONDITIONS,
     build_operators,
     emit_spec,
     feasibility,
@@ -124,11 +125,34 @@ def test_filtration_terms_below_top_degree_are_allowed():
 def test_catalog_specs_verify(fid):
     algebra, spec = build(fid)
     report = verify(algebra, spec)
-    assert report.passed, report.describe(algebra.names)
+    assert report.passed, report.describe()
     assert report.f_is_radical_invariant
     assert report.factor_identity_ok
     doc = report.to_json()
     assert doc["passed"] and doc["radical_residuals"] == []
+
+
+def test_report_is_one_map_per_condition():
+    # f = G_1 is a radical generator that neither commutes with the
+    # radical nor with the Levi part
+    algebra, _spec = b("boson_example")
+    G = algebra.index("G_1")
+    f = PBWElement.generator(algebra, G)
+    report = verify(algebra, make_spec(algebra, f, {}))
+    assert report.names == algebra.names
+    assert list(report.residuals) == [name for name, _line in CONDITIONS]
+    for name in ("f_radical_residuals", "f_levi_residuals"):
+        for (y,), residual in report.residuals[name].items():
+            assert residual == u_commutator(f, PBWElement.generator(algebra, y))
+    assert report.residuals["f_radical_residuals"]
+    assert report.residuals["f_levi_residuals"]
+    assert not (report.passed or report.f_is_radical_invariant
+                or report.f_is_g_invariant)
+    doc = report.to_json()
+    lines = report.describe().splitlines()
+    for name, _line in CONDITIONS:
+        assert len(doc[name]) == len(report.residuals[name])
+    assert len(lines) == sum(map(len, report.residuals.values()))
 
 
 def test_trivial_central_dressing_verifies():
@@ -148,8 +172,9 @@ def test_dropping_a_dressing_block_fails_with_nonzero_residual():
         stripped[i] = PBWElement(algebra, kept)
     report = verify(algebra, make_spec(algebra, good.f, stripped))
     assert not report.passed
-    assert report.radical_residuals
-    residual = report.radical_residuals[min(report.radical_residuals)]
+    radical = report.residuals["radical_residuals"]
+    assert radical
+    residual = radical[min(radical)]
     assert not residual.is_zero()
     # the f-side checks cannot see the P mutilation
     assert report.f_is_radical_invariant
@@ -169,11 +194,13 @@ def test_literal_product_order_misses_su11_closure_by_4f():
         (R, G, F): Fraction(-1), (R, Q, P): Fraction(-1)})
     report = verify(algebra, make_spec(algebra, good.f, literal))
     assert not report.passed
-    assert not report.radical_residuals
+    residuals = report.residuals
+    assert not residuals["radical_residuals"]
     y, z = ix["X_-1,1"], ix["X_1,-1"]
-    assert report.adjoint_residuals[(y, z)] == good.f.scale(4)
-    assert report.equivariance_residuals[(y, z)] == good.f.scale(4)
-    assert report.factor_residuals[(y, z)] == u_mul(good.f, good.f).scale(4)
+    assert residuals["adjoint_residuals"][(y, z)] == good.f.scale(4)
+    assert residuals["equivariance_residuals"][(y, z)] == good.f.scale(4)
+    assert (residuals["factor_residuals"][(y, z)]
+            == u_mul(good.f, good.f).scale(4))
 
 
 def test_build_operators_requires_matching_algebra():
