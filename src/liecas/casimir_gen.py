@@ -131,40 +131,12 @@ def char_poly_coefficients(matrix):
     return out
 
 
-def char_poly_cofactor(matrix):
-    """Reference characteristic polynomial (monic, in the appended last
-    variable) by cofactor expansion; intended for small n."""
-    n = len(matrix)
-    if n > 4:
-        raise MalformedInputError("cofactor reference is for n <= 4")
-    nvars = matrix[0][0].nvars
-    t_var = CommPoly.variable(nvars + 1, nvars)
-    rows = [[(t_var if i == j else CommPoly.zero(nvars + 1))
-             - CommPoly(nvars + 1, matrix[i][j].terms)
-             for j in range(n)] for i in range(n)]
-
-    def det(sub):
-        if len(sub) == 1:
-            return sub[0][0]
-        total = CommPoly.zero(nvars + 1)
-        for col in range(len(sub)):
-            minor = [row[:col] + row[col + 1:] for row in sub[1:]]
-            piece = sub[0][col] * det(minor)
-            total = total + (piece if col % 2 == 0 else piece.scale(-1))
-        return total
-
-    return det(rows)
-
-
 @dataclass
 class CasimirSet:
     N: int
     coefficients: dict     # l -> CommPoly over the algebra's variables
     symmetrized: dict      # l -> PBWElement
     checked: dict          # l -> whether the U(g) centrality check ran
-
-    def degrees(self):
-        return {l: poly.degree() for l, poly in self.coefficients.items()}
 
 
 # symmetrized elements beyond this degree are returned unchecked (and

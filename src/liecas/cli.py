@@ -24,7 +24,8 @@ tables that violate Jacobi, contractions whose limit does not exist and
 algebras the operation does not apply to.  _ERRORS maps every error to
 its kind and status.  All documents, error documents included, go to
 stdout; with --format json they are machine-readable, errors as
-{"error": <kind>, ...}.
+{"error": <kind>, ...}.  That holds for flags argparse rejects too; in
+text or latex format those keep argparse's usage message on stderr.
 
 The output format defaults to text, or to $LIECAS_FORMAT when that is
 set.  Randomized rank probes (count) take --seed and --trials; one seed
@@ -397,8 +398,34 @@ def _add_selection(sub, with_spec=False):
                      help="output format (default $%s or text)" % FORMAT_ENV)
 
 
+class _UsageError(Exception):
+    def __init__(self, parser, message):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error, so main can answer it in the requested
+    format; the subcommand parsers share the class."""
+
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
+def _usage_format(argv):
+    """The format a request that argparse rejected asked for: its own
+    --format when that names one, else $LIECAS_FORMAT."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--format")
+    try:
+        fmt = pre.parse_known_args(argv)[0].format
+    except _UsageError:
+        fmt = None
+    return fmt if fmt in FORMATS else os.environ.get(FORMAT_ENV)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liecas",
         description="exact invariants of Lie algebras through dressed "
                     "Levi copies")
@@ -411,8 +438,9 @@ def _build_parser():
                           help="number of functionally independent invariants")
     _add_selection(sub)
     sub.add_argument("--method", choices=("bb", "bb1"), default="bb",
-                     help="structure-matrix rank (bb) or 2-form half-rank "
-                          "(bb1)")
+                     help="rank of A(g) at random points (bb, 3 trials), "
+                          "or 2 x the half-rank of the structure 2-form "
+                          "pencil, the same matrix (bb1, 5 trials)")
     sub.add_argument("--seed", type=int, default=1729,
                      help="seed for the random rank probes (default 1729)")
     sub.add_argument("--trials", type=int, default=None,
@@ -482,6 +510,15 @@ def main(argv=None):
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    except _UsageError as err:
+        if _usage_format(argv) == "json":
+            _emit("json", {"error": "malformed-input", "detail": str(err)},
+                  None, None)
+            return 2
+        # argparse's own answer: usage and message on stderr
+        err.parser.print_usage(sys.stderr)
+        sys.stderr.write("%s: error: %s\n" % (err.parser.prog, err))
+        return 2
     try:
         fmt = _resolve_format(args)
     except MalformedInputError as err:

@@ -10,18 +10,18 @@ of functionally independent invariants is
 
     N(g) = dim g - generic rank of A(g),   A(g)[i][j] = sum_k C_ij^k x_k,
 
-with the generic rank witnessed at random integer points (method "bb"),
-or equivalently dim g - 2*j0 with j0 the generic half-rank of the
-structure 2-form pencil (method "bb1").  Both methods sample; ranks can
-only be underestimated, never overestimated, and the max over a few
-trials of a dense-open condition is stable in practice.
+with the generic rank witnessed at random integer points.  The 2-form
+pencil sum_k a_k d w_k of the structure equations has exactly A(a) as
+its alternating matrix, so method "bb1" (dim g - 2*j0, j0 the pencil's
+generic half-rank) is the same sampling loop with more default trials.
+Ranks can only be underestimated, never overestimated, and the max over
+a few trials of a dense-open condition is stable in practice.
 """
 
 import random
 from dataclasses import dataclass
 
-from .errors import MalformedInputError
-from .exterior import j0_estimate_with_witness
+from .errors import InternalConsistencyError, MalformedInputError
 from .linalg import rank
 from .sparse import accumulate
 
@@ -54,11 +54,6 @@ def _applier(algebra, poly):
     return apply
 
 
-def analytic_apply(algebra, i, poly):
-    """Apply Xhat_i to a polynomial in the dual coordinates."""
-    return _applier(algebra, poly)(i)
-
-
 def is_invariant(algebra, poly):
     """(flag, violations): violations lists (i, Xhat_i poly) for the
     generators that fail to kill the polynomial."""
@@ -79,43 +74,47 @@ class InvariantReport:
     method: str
 
 
+def structure_matrix(algebra, point):
+    """A(g) at a point, A[i][j] = sum_k C_ij^k point[k], straight from the
+    bracket table."""
+    n = algebra.dim
+    mat = [[0] * n for _ in range(n)]
+    for (i, j), terms in algebra.brackets.items():
+        v = sum(c * point[k] for k, c in terms.items())
+        mat[i][j], mat[j][i] = v, -v
+    return mat
+
+
+# default number of sampled points per method
+_TRIALS = {"bb": 3, "bb1": 5}
+
+
 def invariant_count(algebra, trials=None, seed=1729, method="bb"):
     """Number of functionally independent invariants.
 
-    method "bb" samples the structure matrix at random integer points
-    (default 3 trials); "bb1" goes through the 2-form pencil's generic
-    half-rank (default 5 trials), whose witness is a coefficient vector
-    over the structure 2-forms rather than a point.
+    Both methods rank A(g) at random integer points drawn from one rng
+    sequence: "bb" reads the point as coordinates (default 3 trials),
+    "bb1" as the coefficients of the 2-form pencil (default 5 trials).
     """
-    if method == "bb":
-        if trials is None:
-            trials = 3
-        if trials < 1:
-            raise MalformedInputError("need at least one trial")
-        rng = random.Random(seed)
-        n = algebra.dim
-        best, witness = -1, None
-        for _ in range(trials):
-            point = tuple(rng.randint(_LOW, _HIGH) for _ in range(n))
-            # A(g) at the point, straight from the bracket table
-            numeric = [[0] * n for _ in range(n)]
-            for (i, j), terms in algebra.brackets.items():
-                v = sum(c * point[k] for k, c in terms.items())
-                numeric[i][j], numeric[j][i] = v, -v
-            r = rank(numeric)
-            if r > best:
-                best, witness = r, point
-        return InvariantReport(
-            count=algebra.dim - best, generic_rank=best,
-            witness_point=witness, method="bb")
-    if method == "bb1":
-        if trials is None:
-            trials = 5
-        j, witness = j0_estimate_with_witness(algebra, trials=trials, seed=seed)
-        return InvariantReport(
-            count=algebra.dim - 2 * j, generic_rank=2 * j,
-            witness_point=tuple(witness), method="bb1")
-    raise MalformedInputError("unknown method %r" % (method,))
+    if method not in _TRIALS:
+        raise MalformedInputError("unknown method %r" % (method,))
+    if trials is None:
+        trials = _TRIALS[method]
+    if trials < 1:
+        raise MalformedInputError("need at least one trial")
+    rng = random.Random(seed)
+    n = algebra.dim
+    best, witness = -1, None
+    for _ in range(trials):
+        point = tuple(rng.randint(_LOW, _HIGH) for _ in range(n))
+        r = rank(structure_matrix(algebra, point))
+        if r % 2:
+            raise InternalConsistencyError(
+                "alternating matrix with odd rank %d" % r)
+        if r > best:
+            best, witness = r, point
+    return InvariantReport(count=n - best, generic_rank=best,
+                           witness_point=witness, method=method)
 
 
 def functionally_independent(algebra, polys, trials=3, seed=1729):

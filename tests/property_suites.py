@@ -1,8 +1,9 @@
 """Randomized property suites shared between unit tests and the acceptance
-module.  Each suite takes a list of algebras, a seed, and a case count,
-asserts every case, and returns the number of cases exercised.  Imports of
-package modules happen inside the functions so this file can be imported
-before the whole package exists at collection time.
+module.  Each suite takes a list of algebras (rank_agreement, on plain
+matrices, takes none), a seed, and a case count, asserts every case, and
+returns the number of cases exercised.  Imports of package modules happen
+inside the functions so this file can be imported before the whole
+package exists at collection time.
 """
 
 import random
@@ -103,7 +104,7 @@ def ug_jacobi(algebras, seed, cases):
 
 
 def exterior_leibniz(algebras, seed, cases):
-    from liecas.exterior import differential, wedge
+    from table_oracles import differential, wedge
     rng = random.Random(seed)
     for t in range(cases):
         g = algebras[t % len(algebras)]
@@ -120,21 +121,21 @@ def exterior_leibniz(algebras, seed, cases):
 
 
 def derivation_law(algebras, seed, cases):
-    from liecas.invariants import analytic_apply
+    from liecas.invariants import _applier
     rng = random.Random(seed)
     for t in range(cases):
         g = algebras[t % len(algebras)]
         i = rng.randrange(g.dim)
         f = random_poly(g.dim, rng)
         h = random_poly(g.dim, rng)
-        lhs = analytic_apply(g, i, f * h)
-        rhs = analytic_apply(g, i, f) * h + f * analytic_apply(g, i, h)
+        lhs = _applier(g, f * h)(i)
+        rhs = _applier(g, f)(i) * h + f * _applier(g, h)(i)
         assert lhs == rhs, "derivation law failed in %r at case %d" % (g, t)
     return cases
 
 
 def representation_property(algebras, seed, cases):
-    from liecas.invariants import analytic_apply
+    from liecas.invariants import _applier
     from liecas.polynomial import CommPoly
     rng = random.Random(seed)
     for t in range(cases):
@@ -142,18 +143,18 @@ def representation_property(algebras, seed, cases):
         i = rng.randrange(g.dim)
         j = rng.randrange(g.dim)
         f = random_poly(g.dim, rng)
-        lhs = (analytic_apply(g, i, analytic_apply(g, j, f))
-               - analytic_apply(g, j, analytic_apply(g, i, f)))
+        apply_f = _applier(g, f)
+        lhs = (_applier(g, apply_f(j))(i) - _applier(g, apply_f(i))(j))
         rhs = CommPoly.zero(g.dim)
         for k, c in g.bracket_basis(i, j).items():
-            rhs = rhs + c * analytic_apply(g, k, f)
+            rhs = rhs + c * apply_f(k)
         assert lhs == rhs, \
             "representation property failed in %r at case %d" % (g, t)
     return cases
 
 
 def d_squared_zero(algebras, seed, cases):
-    from liecas.exterior import differential
+    from table_oracles import differential
     rng = random.Random(seed)
     for t in range(cases):
         g = algebras[t % len(algebras)]
@@ -164,13 +165,55 @@ def d_squared_zero(algebras, seed, cases):
 
 
 def wedge_rank_agreement(algebras, seed, cases):
-    from liecas.exterior import wedge_rank, wedge_rank_slow
+    from liecas.linalg import rank
+    from table_oracles import alternating_matrix, wedge_rank_slow
     rng = random.Random(seed)
     for t in range(cases):
         g = algebras[t % len(algebras)]
         omega = random_form(g, rng, 2)
-        assert wedge_rank(omega) == wedge_rank_slow(omega), \
+        assert rank(alternating_matrix(omega)) == 2 * wedge_rank_slow(omega), \
             "wedge rank mismatch in %r at case %d" % (g, t)
+    return cases
+
+
+def random_matrix(rng, nrows, ncols):
+    """Rationals with mixed denominators; about a third of them zero."""
+    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+             if rng.random() < 0.7 else Fraction(0)
+             for _ in range(ncols)] for _ in range(nrows)]
+
+
+def rank_agreement(seed, cases):
+    """linalg.rank against Gaussian elimination over Fraction.  The cases
+    cycle through: a random tall, wide or square matrix; a product of
+    inner size below both sides, so rank deficient; such a product with
+    rows and columns zeroed; and 1x1, empty or zero-column matrices.
+    Not in ALL_SUITES: it takes no algebras."""
+    from liecas.linalg import rank
+    from table_oracles import rank_fraction
+    rng = random.Random(seed)
+    for t in range(cases):
+        kind = t % 4
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        if kind == 0:
+            m = random_matrix(rng, nrows, ncols)
+        elif kind in (1, 2):
+            nrows, ncols = nrows + 1, ncols + 1
+            inner = rng.randint(1, min(nrows, ncols) - 1)
+            left = random_matrix(rng, nrows, inner)
+            right = random_matrix(rng, inner, ncols)
+            m = [[sum((a * right[k][j] for k, a in enumerate(row)), Fraction(0))
+                  for j in range(ncols)] for row in left]
+            if kind == 2:
+                for i in rng.sample(range(nrows), rng.randint(1, nrows - 1)):
+                    m[i] = [Fraction(0)] * ncols
+                for j in rng.sample(range(ncols), rng.randint(1, ncols - 1)):
+                    for row in m:
+                        row[j] = Fraction(0)
+        else:
+            m = rng.choice(([], [[]] * nrows, random_matrix(rng, 1, 1)))
+        want = rank_fraction(m)
+        assert rank(m) == want, "rank of %r is %d, got %d" % (m, want, rank(m))
     return cases
 
 

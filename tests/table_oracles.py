@@ -19,12 +19,22 @@ never binds; instantiating it returns None by design.
 
 BOSON_TABLE_* give the full bracket table of the ten-generator boson
 realization, with the deformation parameter alpha left symbolic.
+
+The last sections hold slow, independent references that the package
+itself does not need: the wedge product and the antiderivation d on the
+exterior algebra of the dual, the half-rank of a 2-form by wedge powers,
+the characteristic polynomial by cofactor expansion, and the rank by
+Gaussian elimination over Fraction.
 """
 
 from fractions import Fraction
 from itertools import product
 
 from liecas.enveloping import PBWElement, pbw_normalize, u_commutator
+from liecas.errors import InternalConsistencyError, MalformedInputError
+from liecas.exterior import ExteriorElement, mc_differential
+from liecas.polynomial import CommPoly
+from liecas.sparse import accumulate
 
 _VECTOR_LETTERS = "GFQP"
 _INDEX_SLOTS = "ijklv"
@@ -335,3 +345,153 @@ def boson_table(alpha):
     }
     return {pair: {m: c for m, c in rhs.items() if c}
             for pair, rhs in rows.items()}
+
+
+# ---- exterior algebra on the dual -------------------------------------------
+
+
+def _merge_sign(idx1, idx2):
+    """Concatenate two strictly increasing tuples; return (sorted, sign)
+    or (None, 0) when an index repeats."""
+    merged = idx1 + idx2
+    if len(set(merged)) != len(merged):
+        return None, 0
+    arr = list(merged)
+    # count inversions of the concatenation (tuples are short)
+    inv = 0
+    for s in range(len(arr)):
+        for t in range(s + 1, len(arr)):
+            if arr[s] > arr[t]:
+                inv += 1
+    return tuple(sorted(arr)), -1 if inv % 2 else 1
+
+
+def wedge(a, b):
+    if not isinstance(a, ExteriorElement) or not isinstance(b, ExteriorElement):
+        raise MalformedInputError("wedge needs two exterior elements")
+    a._check_mate(b)
+    terms = {}
+    for idx1, c1 in a.terms.items():
+        row = []
+        for idx2, c2 in b.terms.items():
+            idx, sign = _merge_sign(idx1, idx2)
+            if idx is not None:
+                row.append((idx, sign * c2))
+        accumulate(terms, row, c1)
+    return a._new(terms)
+
+
+def differential(algebra, elem):
+    """Antiderivation extension of the structure equations to any form:
+
+        d(w_{i_1} ^ ... ^ w_{i_p})
+            = sum_t (-1)^{t-1} w_{i_1} ^ ... ^ d w_{i_t} ^ ... ^ w_{i_p}
+    """
+    if elem.n != algebra.dim:
+        raise MalformedInputError(
+            "form over %d directions against a %d-dim algebra"
+            % (elem.n, algebra.dim))
+    mc = mc_differential(algebra)
+    out = ExteriorElement(algebra.dim)
+    for idx, c in elem.terms.items():
+        for t, i in enumerate(idx):
+            head = ExteriorElement(algebra.dim, {idx[:t]: 1})
+            tail = ExteriorElement(algebra.dim, {idx[t + 1:]: 1})
+            piece = wedge(head, wedge(mc[i], tail))
+            sign = -1 if t % 2 else 1
+            out = out + piece.scale(sign * c)
+    return out
+
+
+def _require_two_form(omega):
+    for idx in omega.terms:
+        if len(idx) != 2:
+            raise MalformedInputError("need a pure 2-form")
+
+
+def alternating_matrix(omega):
+    """M[i][j] = the coefficient of omega on w_i ^ w_j, read through the
+    wedge of the two basis 1-forms, so antisymmetry comes from the sign
+    rule of wedge."""
+    _require_two_form(omega)
+    n = omega.n
+    basis = [ExteriorElement(n, {(i,): 1}) for i in range(n)]
+    return [[sum((c * omega.terms.get(idx, 0)
+                  for idx, c in wedge(basis[i], basis[j]).terms.items()),
+                 Fraction(0))
+             for j in range(n)] for i in range(n)]
+
+
+def pencil_matrix(algebra, coeffs):
+    """The alternating matrix of sum_k a_k d w_k."""
+    omega = ExteriorElement(algebra.dim)
+    for a, two_form in zip(coeffs, mc_differential(algebra)):
+        omega = omega + two_form.scale(a)
+    return alternating_matrix(omega)
+
+
+def wedge_rank_slow(omega):
+    """The largest j with omega^j != 0, by brute force on wedge powers."""
+    _require_two_form(omega)
+    j = 0
+    power = ExteriorElement(omega.n, {(): Fraction(1)})
+    while True:
+        power = wedge(power, omega)
+        if power.is_zero():
+            return j
+        j += 1
+        if 2 * j > omega.n:
+            raise InternalConsistencyError(
+                "nonzero wedge power beyond the dimension")
+
+
+# ---- characteristic polynomial and rank -------------------------------------
+
+
+def char_poly_cofactor(matrix):
+    """Reference characteristic polynomial (monic, in the appended last
+    variable) by cofactor expansion; intended for small n."""
+    n = len(matrix)
+    if n > 4:
+        raise MalformedInputError("cofactor reference is for n <= 4")
+    nvars = matrix[0][0].nvars
+    t_var = CommPoly.variable(nvars + 1, nvars)
+    rows = [[(t_var if i == j else CommPoly.zero(nvars + 1))
+             - CommPoly(nvars + 1, matrix[i][j].terms)
+             for j in range(n)] for i in range(n)]
+
+    def det(sub):
+        if len(sub) == 1:
+            return sub[0][0]
+        total = CommPoly.zero(nvars + 1)
+        for col in range(len(sub)):
+            minor = [row[:col] + row[col + 1:] for row in sub[1:]]
+            piece = sub[0][col] * det(minor)
+            total = total + (piece if col % 2 == 0 else piece.scale(-1))
+        return total
+
+    return det(rows)
+
+
+def rank_fraction(rows):
+    """Rank by Gaussian elimination with Fraction arithmetic."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    if not m:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][col]
+        for i in range(r + 1, nrows):
+            if m[i][col]:
+                factor = m[i][col] * inv
+                for j in range(col, ncols):
+                    m[i][j] -= factor * m[r][j]
+        r += 1
+        if r == nrows:
+            break
+    return r

@@ -5,10 +5,12 @@ public API and asserts with zero tolerance.  conftest.py turns the
 outcomes into one pass/fail line per criterion at the end of the run.
 """
 
+import random
 from fractions import Fraction
 
 from liecas.casimir_gen import casimir_set
 from liecas.catalog import (
+    FAMILIES,
     FamilyId,
     boson_algebra,
     build,
@@ -25,6 +27,7 @@ from liecas.invariants import (
     functionally_independent,
     invariant_count,
     is_invariant,
+    structure_matrix,
 )
 from liecas.polynomial import CommPoly
 from liecas.virtual_copy import build_operators, lift_casimir, make_spec, verify
@@ -36,6 +39,7 @@ from table_oracles import (
     engine_bracket,
     environments,
     instantiate,
+    pencil_matrix,
     rhs_terms,
 )
 
@@ -90,6 +94,14 @@ def test_criterion_2():
     for fam in ("IHa", "QHa"):
         report = invariant_count(_algebra(fam, 3), method="bb1")
         assert report.generic_rank == 16, (fam, report.generic_rank)
+    # both routes rank one matrix: at seeded a, the alternating matrix of
+    # sum_k a_k d w_k, read off the structure 2-forms through the wedge
+    # oracle, is A(a) entry for entry
+    rng = random.Random(1729)
+    for name, family in FAMILIES.items():
+        algebra = _algebra(name, family.least)
+        a = [rng.randint(-10 ** 4, 10 ** 4) for _ in range(algebra.dim)]
+        assert pencil_matrix(algebra, a) == structure_matrix(algebra, a), name
 
 
 def test_criterion_3():

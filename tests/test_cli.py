@@ -149,6 +149,33 @@ def test_malformed_flags_exit_2(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_usage_errors_answer_in_json(capsys, monkeypatch):
+    monkeypatch.delenv("LIECAS_FORMAT", raising=False)
+    # validate takes no --spec; bb2 is no method
+    code, out = run(capsys, "validate", "--family", "Ha", "--N", "3",
+                    "--spec", "x.json", "--format", "json")
+    assert code == 2
+    assert json.loads(out) == {"error": "malformed-input",
+                               "detail": "unrecognized arguments: --spec x.json"}
+    monkeypatch.setenv("LIECAS_FORMAT", "json")
+    code, out = run(capsys, "count", "--method", "bb2")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "malformed-input",
+        "detail": "argument --method: invalid choice: 'bb2' "
+                  "(choose from 'bb', 'bb1')"}
+    # text keeps argparse's answer on stderr; --help still exits 0
+    code = main(["count", "--method", "bb2", "--format", "text"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage: liecas count")
+    assert captured.err.endswith("liecas count: error: argument --method: "
+                                 "invalid choice: 'bb2' "
+                                 "(choose from 'bb', 'bb1')\n")
+    assert main(["count", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: liecas count")
+
+
 # ---- determinism and format selection ---------------------------------------------
 
 

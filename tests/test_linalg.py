@@ -8,6 +8,8 @@ import liecas
 from liecas.errors import MalformedInputError
 from liecas.linalg import rank
 
+from property_suites import rank_agreement
+
 
 def test_ragged_rank_rejected():
     with pytest.raises(MalformedInputError):
@@ -28,3 +30,8 @@ def test_ragged_rank_rejected_under_optimize():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ragged matrix\n"
+
+
+def test_rank_matches_fraction_elimination():
+    assert rank_agreement(seed=21, cases=200) == 200
+
