@@ -15,8 +15,20 @@ both conditions together force the factorization
 verify() recomputes every one of these constraints from scratch, plus the
 supporting identities (f central, P_i transforming like the adjoint
 action), and reports all nonzero residuals; nothing is assumed about
-where the spec came from.  Every residual is one u_commutator call,
-made in one place.
+where the spec came from.  The radical, adjoint, f and equivariance
+residuals are one u_commutator call each, made in one place.  The
+factor residuals are derived from the radical, adjoint and f residuals
+through the exact identity in U(g)
+
+    [X'_i, X'_j] - f E_ij = A_ij f + [E_ij, f] + X_j [X'_i, f] + [X'_i, P_j]
+
+with E_ij = sum_k C_ij^k image_k (image_k = X_k f + P_k for Levi k, the
+plain generator otherwise) and A_ij the adjoint residual.  As f and P_j
+are radical-supported, [X'_i, f] and [X'_i, P_j] expand letter by letter
+into sum w[:m] [X'_i, Y_{w_m}] w[m+1:] over their words w; likewise
+[X_k f, f] = -[f, X_k] f, [Y_k, f] = -[f, Y_k] and [P_k, f] expands
+over the f radical residuals.  On a passing spec every term is zero, so
+no product of two dressed generators, of degree 2k, is normally ordered.
 
 The report (CopyVerificationReport) holds the generator names and, for
 each condition of the ordered table CONDITIONS, a map from index key to
@@ -43,6 +55,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .enveloping import (
+    DEGREE_CAP,
     PBWElement,
     _distinct_arrangements,
     emit_pbw,
@@ -53,6 +66,7 @@ from .enveloping import (
     u_product,
 )
 from .errors import (
+    DegreeOverflowError,
     MalformedInputError,
     NotApplicableError,
     PreconditionError,
@@ -219,7 +233,13 @@ class CopyVerificationReport:
 
 
 def verify(algebra, spec):
-    """Evaluate every copy condition exactly; collect nonzero residuals."""
+    """Evaluate every copy condition exactly; collect nonzero residuals.
+
+    The factor residuals come from the other residuals through the
+    Leibniz identity of the module docstring; they equal those of
+    multiplying [X'_i, X'_j] out.  [X'_i, X'_j] has degree 2k - 1, so a spec with
+    2k - 1 > DEGREE_CAP and two Levi generators is refused with
+    DegreeOverflowError before the factor block."""
     ops = build_operators(algebra, spec)
     levi = sorted(algebra.levi)
     radical = sorted(algebra.radical)
@@ -257,10 +277,46 @@ def verify(algebra, spec):
         for j in levi:
             check("equivariance_residuals", (i, j), spec.P[i], gens[j],
                   combination(i, j, spec.P))
-    for a_pos, i in enumerate(levi):
-        for j in levi[a_pos + 1:]:
-            check("factor_residuals", (i, j), ops[i], ops[j],
-                  u_mul(spec.f, combination(i, j, dressed)))
+
+    pairs = [(i, j) for a_pos, i in enumerate(levi) for j in levi[a_pos + 1:]]
+    # the Leibniz terms below stay within degree 2k - 1 and never hit the
+    # cap on their own, so the limit on [X'_i, X'_j] is checked here
+    if pairs and 2 * spec.k - 1 > DEGREE_CAP:
+        raise DegreeOverflowError(2 * spec.k - 1, DEGREE_CAP)
+    radical_res = report.residuals["radical_residuals"]
+    adjoint_res = report.residuals["adjoint_residuals"]
+    f_levi_res = report.residuals["f_levi_residuals"]
+    f_radical_res = {y: r for (y,), r
+                     in report.residuals["f_radical_residuals"].items()}
+
+    def derive(elem, residual):
+        # the derivation D with D(Y_y) = residual[y] on radical-supported
+        # elem: sum over its words w of w[:m] D(Y_{w_m}) w[m+1:]
+        out = zero
+        for w, c in elem.terms.items():
+            for m, y in enumerate(w):
+                if y in residual:
+                    out = out + u_product(algebra, (
+                        PBWElement(algebra, {w[:m]: c}), residual[y],
+                        PBWElement(algebra, {w[m + 1:]: Fraction(1)})))
+        return out
+
+    # [image_k, f]: -[f, X_k] f - [f, P_k] for Levi k, -[f, Y_k] otherwise
+    against_f = {}
+    for k in range(algebra.dim):
+        if k in algebra.levi:
+            against_f[k] = -(u_mul(f_levi_res.get((k,), zero), spec.f)
+                             + derive(spec.P[k], f_radical_res))
+        else:
+            against_f[k] = -f_radical_res.get(k, zero)
+    for i, j in pairs:
+        on_i = {y: r for (a, y), r in radical_res.items() if a == i}
+        res = (u_mul(adjoint_res.get((i, j), zero), spec.f)
+               + combination(i, j, against_f)
+               + u_mul(gens[j], derive(spec.f, on_i))
+               + derive(spec.P[j], on_i))
+        if res:
+            report.residuals["factor_residuals"][(i, j)] = res
     return report
 
 

@@ -217,6 +217,100 @@ def rank_agreement(seed, cases):
     return cases
 
 
+def failing_specs():
+    """{label: (algebra, spec)} for three dressings that do not verify:
+    IHa(3) with every P term touching R dropped, boson_example with its
+    X_1,1 dressing in literal left-to-right order (misses su(1,1) closure
+    by 4f), and f = G_1 on boson_example (f commutes with neither part)."""
+    from liecas.catalog import FamilyId, build
+    from liecas.enveloping import PBWElement
+    from liecas.virtual_copy import make_spec
+    algebra, good = build(FamilyId("IHa", 3))
+    r = algebra.index("R")
+    stripped = {i: PBWElement(algebra, {w: c for w, c in p.terms.items()
+                                        if r not in w})
+                for i, p in good.P.items()}
+    out = {"stripped-IHa3": (algebra, make_spec(algebra, good.f, stripped))}
+    algebra, good = build(FamilyId("boson_example"))
+    G, F, Q, P, R, T = (algebra.index(m)
+                        for m in ("G_1", "F_1", "Q_1", "P_1", "R", "T"))
+    literal = dict(good.P)
+    literal[algebra.index("X_1,1")] = PBWElement.from_terms(algebra, {
+        (T, Q, F): Fraction(1), (T, G, P): Fraction(1),
+        (R, G, F): Fraction(-1), (R, Q, P): Fraction(-1)})
+    out["literal-boson"] = (algebra, make_spec(algebra, good.f, literal))
+    out["f=G_1-boson"] = (
+        algebra, make_spec(algebra, PBWElement.generator(algebra, G), {}))
+    return out
+
+
+def perturbed_spec(algebra, spec, rng):
+    """spec with one coefficient of f or of one nonzero P_i shifted by a
+    random rational; the word is one of its own, or a random radical word
+    of its top degree, so degrees and radical support are kept."""
+    from liecas.enveloping import PBWElement
+    from liecas.virtual_copy import make_spec
+    target = rng.choice([None] + [i for i, p in sorted(spec.P.items()) if p])
+    elem = spec.f if target is None else spec.P[target]
+    if rng.random() < 0.5:
+        word = rng.choice(sorted(elem.terms))
+    else:
+        word = tuple(sorted(rng.choice(sorted(algebra.radical))
+                            for _ in range(elem.degree())))
+    terms = dict(elem.terms)
+    old = terms.get(word, 0)
+    terms[word] = old
+    while terms[word] == old or not terms[word]:
+        terms[word] = old + random_fraction(rng)
+    elem = PBWElement(algebra, terms)
+    if target is None:
+        return make_spec(algebra, elem, spec.P)
+    return make_spec(algebra, spec.f, {**spec.P, target: elem})
+
+
+def factor_leibniz_agreement(seed, cases):
+    """verify's factor residuals, derived through the Leibniz rule, against
+    the direct products [X'_i, X'_j] - f E_ij.  Runs every dressed catalog
+    family at its least N, the three failing_specs, an sl2 whose declared
+    Levi part is not closed, then `cases` seeded perturbed_spec cases
+    cycling through the Ha, IHa and QHa(3) specs; returns the number of
+    specs checked.  Not in ALL_SUITES: it takes no algebras."""
+    from liecas.catalog import FAMILIES, FamilyId, build
+    from liecas.enveloping import PBWElement
+    from liecas.virtual_copy import make_spec, verify
+    from table_oracles import factor_residuals_direct
+    rng = random.Random(seed)
+    specs = []
+    for name, family in FAMILIES.items():
+        if family.dressed:
+            algebra, spec = build(FamilyId(name, family.least))
+            specs.append(("%s(%s)" % (name, family.least), algebra, spec))
+    specs.extend((label, algebra, spec)
+                 for label, (algebra, spec) in failing_specs().items())
+    # sl2 acting on C^2 with only {E, F} declared Levi: [E, F] = H leaks
+    # into the radical, so E_EF holds the plain generator H
+    leaky = LieAlgebra(
+        ["H", "E", "F", "v1", "v2"],
+        {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}, (0, 3): {3: 1},
+         (0, 4): {4: -1}, (1, 4): {3: 1}, (2, 3): {4: 1}},
+        levi=[1, 2])
+    specs.append(("leaky-sl2", leaky,
+                  make_spec(leaky, PBWElement.generator(leaky, "v1"), {})))
+    for t in range(cases):
+        name = ("Ha", "IHa", "QHa")[t % 3]
+        algebra, spec = build(FamilyId(name, 3))
+        specs.append(("perturbed %s(3) #%d" % (name, t), algebra,
+                      perturbed_spec(algebra, spec, rng)))
+    failing = 0
+    for label, algebra, spec in specs:
+        got = verify(algebra, spec).residuals["factor_residuals"]
+        want = factor_residuals_direct(algebra, spec)
+        assert got == want, "factor residuals differ on %s" % label
+        failing += bool(want)
+    assert failing > cases, "too few specs with a nonzero factor residual"
+    return len(specs)
+
+
 ALL_SUITES = (
     pbw_associativity,
     ug_jacobi,

@@ -23,18 +23,20 @@ realization, with the deformation parameter alpha left symbolic.
 The last sections hold slow, independent references that the package
 itself does not need: the wedge product and the antiderivation d on the
 exterior algebra of the dual, the half-rank of a 2-form by wedge powers,
-the characteristic polynomial by cofactor expansion, and the rank by
-Gaussian elimination over Fraction.
+the characteristic polynomial by cofactor expansion, the rank by
+Gaussian elimination over Fraction, and the factor condition of a
+virtual copy with the dressed generators multiplied out in full.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from liecas.enveloping import PBWElement, pbw_normalize, u_commutator
+from liecas.enveloping import PBWElement, pbw_normalize, u_commutator, u_mul
 from liecas.errors import InternalConsistencyError, MalformedInputError
 from liecas.exterior import ExteriorElement, mc_differential
 from liecas.polynomial import CommPoly
 from liecas.sparse import accumulate
+from liecas.virtual_copy import build_operators
 
 _VECTOR_LETTERS = "GFQP"
 _INDEX_SLOTS = "ijklv"
@@ -495,3 +497,26 @@ def rank_fraction(rows):
         if r == nrows:
             break
     return r
+
+
+# ---- the factor condition of a virtual copy ---------------------------------
+
+
+def factor_residuals_direct(algebra, spec):
+    """{(i, j): [X'_i, X'_j] - f * sum_k C_ij^k image_k} over Levi i < j,
+    nonzero entries only, from the full product of two dressed generators;
+    image_k is X'_k for Levi k and the plain generator otherwise."""
+    ops = build_operators(algebra, spec)
+    levi = sorted(algebra.levi)
+    out = {}
+    for a, i in enumerate(levi):
+        for j in levi[a + 1:]:
+            image = PBWElement(algebra)
+            for k, c in algebra.bracket_basis(i, j).items():
+                image_k = (ops[k] if k in ops
+                           else PBWElement.generator(algebra, k))
+                image = image + image_k.scale(c)
+            res = u_commutator(ops[i], ops[j]) - u_mul(spec.f, image)
+            if res:
+                out[(i, j)] = res
+    return out

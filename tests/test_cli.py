@@ -129,6 +129,19 @@ def test_casimirs_over_the_degree_cap_exits_2(capsys):
     assert emitted["detail"] == "word of length 24 exceeds the degree cap 12"
 
 
+def test_verify_copy_over_the_degree_cap_exits_2(capsys, tmp_path):
+    # f = R^6 makes [X'_i, X'_j] a degree-13 element: refused, not reported
+    algebra, _spec = build(FamilyId("Ha", 3))
+    doc = algebra_to_json(algebra)
+    spec = {"f": [{"word": ["R"] * 6, "coeff": "1"}]}
+    code, out = run(capsys, "verify-copy",
+                    "--algebra", write_json(tmp_path / "ha3.json", doc),
+                    "--spec", write_json(tmp_path / "r6.json", spec),
+                    "--format", "json")
+    assert (code, out) == (2, '{"detail": "word of length 13 exceeds the '
+                              'degree cap 12", "error": "degree-overflow"}\n')
+
+
 def test_malformed_flags_exit_2(capsys, tmp_path):
     assert main([]) == 2
     assert main(["count"]) == 2                        # no input selected

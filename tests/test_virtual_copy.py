@@ -27,6 +27,8 @@ from liecas.virtual_copy import (
     verify,
 )
 
+from property_suites import factor_leibniz_agreement, failing_specs
+
 
 def b(name, N=None, **params):
     return build(FamilyId(name, N, params))
@@ -135,10 +137,9 @@ def test_catalog_specs_verify(fid):
 def test_report_is_one_map_per_condition():
     # f = G_1 is a radical generator that neither commutes with the
     # radical nor with the Levi part
-    algebra, _spec = b("boson_example")
-    G = algebra.index("G_1")
-    f = PBWElement.generator(algebra, G)
-    report = verify(algebra, make_spec(algebra, f, {}))
+    algebra, spec = failing_specs()["f=G_1-boson"]
+    f = spec.f
+    report = verify(algebra, spec)
     assert report.names == algebra.names
     assert list(report.residuals) == [name for name, _line in CONDITIONS]
     for name in ("f_radical_residuals", "f_levi_residuals"):
@@ -163,14 +164,9 @@ def test_trivial_central_dressing_verifies():
 
 
 def test_dropping_a_dressing_block_fails_with_nonzero_residual():
-    algebra, good = b("IHa", 3)
-    ix = algebra.name_index
-    r = ix["R"]
-    stripped = {}
-    for i, p in good.P.items():
-        kept = {w: c for w, c in p.terms.items() if r not in w}
-        stripped[i] = PBWElement(algebra, kept)
-    report = verify(algebra, make_spec(algebra, good.f, stripped))
+    # IHa(3) with every P term that touches R dropped
+    algebra, spec = failing_specs()["stripped-IHa3"]
+    report = verify(algebra, spec)
     assert not report.passed
     radical = report.residuals["radical_residuals"]
     assert radical
@@ -185,22 +181,16 @@ def test_literal_product_order_misses_su11_closure_by_4f():
     # left to right instead of symmetrized: every radical check still
     # passes (the difference is central), but the Levi-side identities
     # miss by exactly 4f on the pair bracketing onto X_1,1
-    algebra, good = b("boson_example")
-    ix = algebra.name_index
-    G, F, Q, P, R, T = (ix[m] for m in ("G_1", "F_1", "Q_1", "P_1", "R", "T"))
-    literal = dict(good.P)
-    literal[ix["X_1,1"]] = PBWElement.from_terms(algebra, {
-        (T, Q, F): Fraction(1), (T, G, P): Fraction(1),
-        (R, G, F): Fraction(-1), (R, Q, P): Fraction(-1)})
-    report = verify(algebra, make_spec(algebra, good.f, literal))
+    algebra, spec = failing_specs()["literal-boson"]
+    report = verify(algebra, spec)
     assert not report.passed
     residuals = report.residuals
     assert not residuals["radical_residuals"]
-    y, z = ix["X_-1,1"], ix["X_1,-1"]
-    assert residuals["adjoint_residuals"][(y, z)] == good.f.scale(4)
-    assert residuals["equivariance_residuals"][(y, z)] == good.f.scale(4)
+    y, z = algebra.index("X_-1,1"), algebra.index("X_1,-1")
+    assert residuals["adjoint_residuals"][(y, z)] == spec.f.scale(4)
+    assert residuals["equivariance_residuals"][(y, z)] == spec.f.scale(4)
     assert (residuals["factor_residuals"][(y, z)]
-            == u_mul(good.f, good.f).scale(4))
+            == u_mul(spec.f, spec.f).scale(4))
 
 
 def test_build_operators_requires_matching_algebra():
@@ -320,3 +310,20 @@ def test_parse_spec_rejects_malformed_documents():
     doc["P"] = [["J_12"]]
     with pytest.raises(MalformedInputError):
         parse_spec(algebra, doc)
+
+
+# ---- the factor condition through the Leibniz rule -------------------------------
+
+
+def test_factor_residuals_match_direct_products():
+    # 12 dressed families at their least N, 3 failing specs, one leaking
+    # Levi bracket, 12 perturbations
+    assert factor_leibniz_agreement(seed=8, cases=12) == 28
+
+
+def test_verify_footprint_on_qha5():
+    # multiplying the factor condition [X'_i, X'_j] out in full leaves
+    # 117,417 entries; the Leibniz derivation leaves about 21,000
+    algebra, spec = b("QHa", 5)
+    assert verify(algebra, spec).passed
+    assert len(algebra._pbw_cache) < 30000
