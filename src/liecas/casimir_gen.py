@@ -140,8 +140,10 @@ class CasimirSet:
 
 
 # symmetrized elements beyond this degree are returned unchecked (and
-# marked so in CasimirSet.checked): the commutation test multiplies out
-# products whose size grows factorially
+# marked so in CasimirSet.checked): each [X_t, C] is a derivation over the
+# words of C, but the normal orderings it caches on the largest elements
+# (QHa(4)'s C_4: 49,047 words of degree 12) are not yet bounded, and a
+# word of degree 12 times X_t exceeds DEGREE_CAP
 UCHECK_DEGREE_CAP = 6
 
 

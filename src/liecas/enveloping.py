@@ -11,8 +11,16 @@ computed by bubbling adjacent out-of-order pairs with
 which terminates because each swap removes an inversion and each bracket
 term shortens the word.  Normal forms of words are memoized per algebra.
 
+A commutator with one scaled generator, [c X_t, b], is taken as the
+derivation it is: each letter of each word of b is replaced in turn by
+its bracket with X_t, one normal ordering per bracket term.  Symmetrizing
+a commutative polynomial averages each group of mutually entangled
+letters once per call, memoized on the group's letters, and merges the
+commuting groups of a word as sorted words.
+
 Word lengths are capped: products whose raw concatenation would exceed
-DEGREE_CAP raise DegreeOverflowError rather than silently grinding.
+DEGREE_CAP raise DegreeOverflowError rather than silently grinding; the
+derivation refuses the words for which X_t w would.
 """
 
 from fractions import Fraction
@@ -72,10 +80,6 @@ class PBWElement(SparseTerms):
         self.terms = {} if terms is None else terms
 
     # ---- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, algebra):
-        return cls(algebra)
 
     @classmethod
     def unit(cls, algebra, coeff=1):
@@ -184,8 +188,37 @@ def u_mul(a, b):
 
 
 def u_commutator(a, b):
-    """[a, b] = ab - ba in U(g)."""
+    """[a, b] = ab - ba in U(g).
+
+    When either factor is one scaled generator c X_t, [c X_t, b] is taken
+    as a derivation: c sum_w b_w sum_k NF(w[:k] [X_t, X_{w_k}] w[k+1:]),
+    one normal ordering per bracket term instead of two full products.
+    With the generator on the right the sign flips.  A word w of b with
+    len(w) + 1 > DEGREE_CAP raises DegreeOverflowError(len(w) + 1), as the
+    product X_t w would.
+    """
+    if isinstance(a, PBWElement) and isinstance(b, PBWElement):
+        a._check_mate(b)
+        for gen, other, sign in ((a, b, 1), (b, a, -1)):
+            if len(gen.terms) == 1:
+                (word, c), = gen.terms.items()
+                if len(word) == 1:
+                    return _generator_bracket(word[0], other, sign * c)
     return u_mul(a, b) - u_mul(b, a)
+
+
+def _generator_bracket(t, elem, c):
+    """c [X_t, elem], one letter of each word at a time."""
+    algebra = elem.algebra
+    out = {}
+    for w, wc in elem.terms.items():
+        if len(w) + 1 > DEGREE_CAP:
+            raise DegreeOverflowError(len(w) + 1, DEGREE_CAP)
+        for k, y in enumerate(w):
+            for z, bc in algebra.bracket_basis(t, y).items():
+                accumulate(out, _normal_word(
+                    algebra, w[:k] + (z,) + w[k + 1:]).items(), c * wc * bc)
+    return PBWElement(algebra, out)
 
 
 def u_product(algebra, factors):
@@ -214,64 +247,101 @@ def _distinct_arrangements(letters):
             yield (a,) + tail
 
 
-def _letter_components(algebra, letters):
-    """Group distinct letters into connected components of the
-    "does not commute with" graph."""
-    letters = sorted(set(letters))
-    parent = {a: a for a in letters}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for s, a in enumerate(letters):
-        for b in letters[s + 1:]:
-            if algebra.bracket_basis(a, b):
-                parent[find(a)] = find(b)
-    groups = {}
-    for a in letters:
-        groups.setdefault(find(a), []).append(a)
-    return sorted(groups.values())
-
-
-def _sym_word(algebra, word):
-    """Average of a single sorted word over all orderings.
-
-    Averaging over the p! permutations weights each distinct arrangement
-    of the multiset equally, so it is enough to enumerate distinct
-    arrangements.  Letters from different components of the
-    noncommutativity graph commute outright, so the average factors as a
-    product of per-component averages; that keeps the enumeration down to
-    the sizes of the entangled letter groups.
-    """
-    out = PBWElement.unit(algebra)
-    for group in _letter_components(algebra, word):
-        inside = tuple(a for a in word if a in set(group))
-        arrangements = list(_distinct_arrangements(inside))
-        avg = PBWElement(algebra)
-        for arr in arrangements:
-            avg = avg + pbw_normalize(algebra, arr)
-        out = u_mul(out, avg.scale(Fraction(1, len(arrangements))))
-    return out
+def _letter_groups(word, neighbours):
+    """Split a sorted word into the letters that commute with every other
+    letter of it, as one sorted tuple, and the sorted letter tuples of the
+    remaining connected components of the "does not commute with" graph;
+    neighbours[a] holds the letters whose bracket with a is nonzero."""
+    present = set(word)
+    free = tuple(a for a in word if not neighbours[a] & present)
+    left = present.difference(free)
+    groups = []
+    while left:
+        component, frontier = set(), [min(left)]
+        while frontier:
+            a = frontier.pop()
+            if a not in component:
+                component.add(a)
+                frontier.extend(neighbours[a] & left)
+        left -= component
+        groups.append(tuple(a for a in word if a in component))
+    return free, groups
 
 
 def symmetrize(algebra, poly):
     """Symmetrization map S(g) -> U(g), extended linearly from
 
         x^alpha  |->  (1/p!) sum over orderings of the letter word.
+
+    Letters from different components of the "does not commute with"
+    graph commute outright, so the average of a letter multiset is the
+    product of the averages of its letter groups, and a letter commuting
+    with every other letter is its own average.  Within one call the
+    average of each multiset met is memoized on its sorted letter tuple;
+    a connected one goes through
+
+        sym(M) = (1/|M|) sum over distinct a in M of mult(a) X_a sym(M - a)
+
+    whose sub-multisets M - a split again.  The parts are combined by
+    merging sorted words, coefficients multiplied, which is exact when
+    every letter of the product so far commutes with every letter of the
+    next group's average; a bracket term can leave its group, so
+    otherwise the two are multiplied with u_mul.
     """
     if poly.nvars != algebra.dim:
         raise MalformedInputError(
             "polynomial in %d variables against a %d-dim algebra"
             % (poly.nvars, algebra.dim))
-    out = PBWElement(algebra)
+    neighbours = [set() for _ in range(algebra.dim)]
+    for i, j in algebra.brackets:
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+
+    def reach(letters):
+        # every letter failing to commute with one of letters
+        return set().union(*(neighbours[a] for a in letters))
+
+    averages = {}
+
+    def average(letters):
+        # (sym(letters), the letters of its words); letters is sorted
+        if letters not in averages:
+            free, groups = _letter_groups(letters, neighbours)
+            if free or len(groups) != 1:
+                total = PBWElement(algebra, combine(free, groups, _ONE))
+            else:
+                total = PBWElement(algebra)
+                for s, a in enumerate(letters):
+                    if s == 0 or letters[s - 1] != a:
+                        rest, _ = average(letters[:s] + letters[s + 1:])
+                        total = total + u_mul(PBWElement.generator(algebra, a),
+                                              rest).scale(letters.count(a))
+                total = total.scale(Fraction(1, len(letters)))
+            averages[letters] = (total, total.support())
+        return averages[letters]
+
+    def combine(free, groups, c):
+        # terms of c * free * sym(group_1) * ... * sym(group_n)
+        product, support = {free: c}, set(free)
+        for group in groups:
+            avg, letters = average(group)
+            if reach(support).isdisjoint(letters):
+                merged = {}
+                for w1, c1 in product.items():
+                    accumulate(merged, ((tuple(sorted(w1 + w2)), c1 * c2)
+                                        for w2, c2 in avg.terms.items()))
+                product = merged
+            else:
+                product = u_mul(PBWElement(algebra, product), avg).terms
+            support |= letters
+        return product
+
+    out = {}
     for word, c in poly.terms.items():
         if len(word) > DEGREE_CAP:
             raise DegreeOverflowError(len(word), DEGREE_CAP)
-        out = out + _sym_word(algebra, word).scale(c)
-    return out
+        accumulate(out, combine(*_letter_groups(word, neighbours), c).items())
+    return PBWElement(algebra, out)
 
 
 # ---- JSON -------------------------------------------------------------------

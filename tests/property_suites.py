@@ -311,6 +311,35 @@ def factor_leibniz_agreement(seed, cases):
     return len(specs)
 
 
+def derivation_agreement(seed, cases):
+    """u_commutator with a scaled generator c X_t (c not 0 or 1), on the
+    left and on the right, against the explicit ab - ba of
+    table_oracles.commutator_direct.  The other factor is a seeded random
+    element of degree at most 6 that is not itself a scaled generator;
+    the cases cycle through every catalog family at its least N.  Not in
+    ALL_SUITES: it takes no algebras."""
+    from liecas.catalog import FAMILIES, FamilyId, build
+    from liecas.enveloping import PBWElement, u_commutator
+    from table_oracles import commutator_direct
+    rng = random.Random(seed)
+    algebras = [build(FamilyId(name, family.least))[0]
+                for name, family in FAMILIES.items()]
+    for t in range(cases):
+        g = algebras[t % len(algebras)]
+        c = random_fraction(rng)
+        while c == 1:
+            c = random_fraction(rng)
+        x = PBWElement.generator(g, rng.randrange(g.dim)).scale(c)
+        b = random_pbw(g, rng, max_len=6, max_terms=4)
+        while len(b.terms) == 1 and len(next(iter(b.terms))) == 1:
+            b = random_pbw(g, rng, max_len=6, max_terms=4)
+        assert u_commutator(x, b) == commutator_direct(x, b), \
+            "[c X_t, b] differs in %r at case %d" % (g, t)
+        assert u_commutator(b, x) == commutator_direct(b, x), \
+            "[b, c X_t] differs in %r at case %d" % (g, t)
+    return cases
+
+
 ALL_SUITES = (
     pbw_associativity,
     ug_jacobi,

@@ -24,8 +24,9 @@ The last sections hold slow, independent references that the package
 itself does not need: the wedge product and the antiderivation d on the
 exterior algebra of the dual, the half-rank of a 2-form by wedge powers,
 the characteristic polynomial by cofactor expansion, the rank by
-Gaussian elimination over Fraction, and the factor condition of a
-virtual copy with the dressed generators multiplied out in full.
+Gaussian elimination over Fraction, the commutator in U(g) as two full
+products, and the factor condition of a virtual copy with the dressed
+generators multiplied out in full.
 """
 
 from fractions import Fraction
@@ -499,6 +500,14 @@ def rank_fraction(rows):
     return r
 
 
+# ---- commutators in U(g) ----------------------------------------------------
+
+
+def commutator_direct(a, b):
+    """[a, b] as the two full products ab - ba, whatever the factors."""
+    return u_mul(a, b) - u_mul(b, a)
+
+
 # ---- the factor condition of a virtual copy ---------------------------------
 
 
@@ -516,7 +525,7 @@ def factor_residuals_direct(algebra, spec):
                 image_k = (ops[k] if k in ops
                            else PBWElement.generator(algebra, k))
                 image = image + image_k.scale(c)
-            res = u_commutator(ops[i], ops[j]) - u_mul(spec.f, image)
+            res = commutator_direct(ops[i], ops[j]) - u_mul(spec.f, image)
             if res:
                 out[(i, j)] = res
     return out

@@ -187,6 +187,16 @@ def test_casimir_set_inhomogeneous_3():
     assert not cs.coefficients[1].partial(ix["E"])
 
 
+def test_casimir_set_footprint_on_qha3():
+    # symmetrizing through per-group averages and checking each [X_t, C]
+    # as a derivation leave about 14,000 normal forms in the cache;
+    # per-term arrangement averages and two full products per check
+    # left 77,095
+    algebra, spec = b("QHa", 3)
+    casimir_set(algebra, spec)
+    assert len(algebra._pbw_cache) < 30000
+
+
 def test_casimir_set_checks_the_spec_first():
     algebra, spec = b("Ha", 3)
     hollow = make_spec(algebra, spec.f,

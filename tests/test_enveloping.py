@@ -14,12 +14,20 @@ from liecas.enveloping import (
     u_mul,
     u_product,
 )
-from liecas.catalog import heisenberg_algebra
+from liecas.casimir_gen import build_so_matrix, char_poly_coefficients
+from liecas.catalog import FamilyId, build, heisenberg_algebra
 from liecas.errors import DegreeOverflowError, MalformedInputError
 from liecas.lie_core import LieAlgebra
 from liecas.polynomial import CommPoly
+from liecas.sparse import accumulate
 
-from property_suites import pbw_associativity, random_poly, roster, ug_jacobi
+from property_suites import (
+    derivation_agreement,
+    pbw_associativity,
+    random_poly,
+    roster,
+    ug_jacobi,
+)
 
 F = Fraction
 
@@ -113,6 +121,27 @@ def test_degree_cap():
         u_mul(half, half)
 
 
+def test_generator_commutator_keeps_the_degree_cap():
+    # [X_t, b] as a derivation never forms X_t w, but refuses the words
+    # for which the product would exceed the cap, with the same detail
+    g = h1()
+    b = pbw_normalize(g, (1,) * DEGREE_CAP) + PBWElement.generator(g, 2)
+    for t in range(g.dim):
+        x = PBWElement.generator(g, t).scale(3)
+        for args in ((x, b), (b, x)):
+            with pytest.raises(DegreeOverflowError) as caught:
+                u_commutator(*args)
+            assert str(caught.value) == \
+                "word of length 13 exceeds the degree cap 12"
+    short = pbw_normalize(g, (1,) * (DEGREE_CAP - 1))
+    assert u_commutator(PBWElement.generator(g, 0), short) == \
+        pbw_normalize(g, (1,) * (DEGREE_CAP - 2) + (2,), DEGREE_CAP - 1)
+
+
+def test_generator_commutator_matches_products():
+    assert derivation_agreement(seed=13, cases=160) == 160
+
+
 def test_scale_and_linear_ops():
     g = h1()
     x = PBWElement.generator(g, 0)
@@ -121,7 +150,7 @@ def test_scale_and_linear_ops():
     assert e.terms == {(0,): F(2), (1,): F(-1, 3)}
     assert (e - e).is_zero()
     assert (-e).terms[(0,)] == F(-2)
-    assert e.degree() == 1 and PBWElement.zero(g).degree() == -1
+    assert e.degree() == 1 and PBWElement(g).degree() == -1
     assert e.support() == {0, 1}
 
 
@@ -147,8 +176,29 @@ def test_symmetrize_degree_two():
     assert symmetrize(g, CommPoly.zero(3)).is_zero()
 
 
+def brute_symmetrize(g, p):
+    """(1/p!) sum over all permutations of each word, term by term."""
+    out = {}
+    for word, c in p.terms.items():
+        perms = list(itertools.permutations(word))
+        for w in perms:
+            accumulate(out, pbw_normalize(g, w).terms.items(),
+                       F(c, len(perms)))
+    return PBWElement(g, out)
+
+
+def entangled_nilpotent():
+    # [a, b] = k1 + k2, [k1, c] = z, [k2, c] = -z (Jacobi holds since
+    # [[a, b], c] = 0).  c commutes with a and b but not with k1 or k2,
+    # the bracket letters of their average; as k1 < c < k2, a sorted
+    # merge of c into Sym(ab) = ab - (k1 + k2)/2 would be off by z/2
+    return LieAlgebra(["a", "b", "k1", "c", "k2", "z"],
+                      {(0, 1): {2: 1, 4: 1}, (2, 3): {5: 1},
+                       (3, 4): {5: 1}}, levi=[])
+
+
 def test_symmetrize_matches_brute_force_average():
-    # the component-factorized average must agree with the raw
+    # the memoized, group-merged average must agree with the raw
     # (1/p!) sum over all permutations
     rosters = roster()
     import random
@@ -156,14 +206,29 @@ def test_symmetrize_matches_brute_force_average():
     for t in range(25):
         g = rosters[t % len(rosters)]
         p = random_poly(g.dim, rng, max_deg=4, max_terms=2)
-        brute = PBWElement(g)
-        for word, c in p.terms.items():
-            perms = list(itertools.permutations(word))
-            acc = PBWElement(g)
-            for w in perms:
-                acc = acc + pbw_normalize(g, w)
-            brute = brute + acc.scale(F(c, len(perms)))
-        assert symmetrize(g, p) == brute
+        assert symmetrize(g, p) == brute_symmetrize(g, p)
+    # every word of degree <= 4 at once: the words share letter groups and
+    # sub-multisets, so one call reuses its averages
+    for g in rosters:
+        q = CommPoly.constant(g.dim, 1)
+        for i in range(g.dim):
+            q = q + CommPoly.variable(g.dim, i).scale(i + 2)
+        p = q * q * q * q
+        assert symmetrize(g, p) == brute_symmetrize(g, p)
+    # groups whose averages do not commute: the merge must multiply
+    g = entangled_nilpotent()
+    x = [CommPoly.variable(g.dim, i) for i in range(g.dim)]
+    a, b, k1, c, k2, z = x
+    for p in (a * b * c, a * b * c * c + a * a * b * c * z,
+              (a + c) * (b + c) * (k1 + k2) * c, a * b * c * k1 * k2):
+        assert symmetrize(g, p) == brute_symmetrize(g, p)
+    # every char-poly Casimir of degree at most 6 on the smallest families
+    for name in ("Ha", "IHa"):
+        algebra, spec = build(FamilyId(name, 3))
+        coefficients = char_poly_coefficients(build_so_matrix(algebra, spec))
+        for poly in coefficients.values():
+            assert poly.degree() <= 6
+            assert symmetrize(algebra, poly) == brute_symmetrize(algebra, poly)
 
 
 def test_symmetrize_leading_part_is_identity():
@@ -192,7 +257,7 @@ def test_render_words():
     e = pbw_normalize(g, (0, 0, 1)).scale(2) - PBWElement.unit(g, F(1, 2))
     assert e.render() == "2*P^2*Q - 1/2"
     assert e.render(latex=True) == "2 P^{2} Q - \\frac{1}{2}"
-    assert PBWElement.zero(g).render() == "0"
+    assert PBWElement(g).render() == "0"
 
 
 def test_json_round_trip_normalizes():
