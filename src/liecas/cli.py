@@ -176,6 +176,15 @@ def _poly_json(poly):
 
 
 # ---- subcommands -------------------------------------------------------------
+#
+# A handler takes (args, fmt) and returns (exit status, output), where the
+# output is the document when fmt is "json" and the text to print otherwise;
+# it renders only that one format.  Latex falls back to the text where a
+# command has no latex form.
+
+
+def _report_out(fmt, report):
+    return report.to_json() if fmt == "json" else report.describe()
 
 
 def _cmd_validate(args, fmt):
@@ -184,84 +193,88 @@ def _cmd_validate(args, fmt):
     else:
         algebra, _embedded = _read_algebra(args.algebra)
     report = algebra.validate()
-    return (0 if report.ok else 1), report.to_json(), report.describe(), None
+    return (0 if report.ok else 1), _report_out(fmt, report)
 
 
 def _cmd_count(args, fmt):
     algebra, _spec = _select(args)
     report = invariant_count(algebra, trials=args.trials, seed=args.seed,
                              method=args.method)
-    if args.verbose:
-        doc = {
+    if fmt == "latex":
+        return 0, "N(\\mathfrak{g}) = %d" % report.count
+    if not args.verbose:
+        return 0, ({"count": report.count} if fmt == "json"
+                   else "count: %d" % report.count)
+    if fmt == "json":
+        return 0, {
             "count": report.count,
             "generic_rank": report.generic_rank,
             "method": report.method,
             "seed": args.seed,
             "witness_point": [str(x) for x in report.witness_point],
         }
-        text = ("count: %d\nmethod: %s\ngeneric rank: %d\nwitness: %s"
-                % (report.count, report.method, report.generic_rank,
-                   " ".join(str(x) for x in report.witness_point)))
-    else:
-        doc = {"count": report.count}
-        text = "count: %d" % report.count
-    latex = "N(\\mathfrak{g}) = %d" % report.count
-    return 0, doc, text, latex
+    return 0, ("count: %d\nmethod: %s\ngeneric rank: %d\nwitness: %s"
+               % (report.count, report.method, report.generic_rank,
+                  " ".join(str(x) for x in report.witness_point)))
 
 
 def _cmd_mc(args, fmt):
     algebra, _spec = _select(args)
     names = algebra.names
     forms = mc_differential(algebra)
-    rows = []
-    for k in range(algebra.dim):
-        rows.append({"k": names[k],
-                     "terms": [{"i": names[i], "j": names[j], "c": str(c)}
-                               for (i, j), c in forms[k].ordered_terms()]})
-    text = "\n".join("d w_{%s} = %s" % (names[k], forms[k].render(names))
-                     for k in range(algebra.dim))
-    latex = "\n".join(
-        "d\\omega_{%s} = %s" % (latex_name(names[k]),
-                                forms[k].render(names, latex=True))
-        for k in range(algebra.dim))
-    return 0, {"forms": rows}, text, latex
+    if fmt == "json":
+        return 0, {"forms": [
+            {"k": names[k],
+             "terms": [{"i": names[i], "j": names[j], "c": str(c)}
+                       for (i, j), c in forms[k].ordered_terms()]}
+            for k in range(algebra.dim)]}
+    if fmt == "latex":
+        return 0, "\n".join(
+            "d\\omega_{%s} = %s" % (latex_name(names[k]),
+                                    forms[k].render(names, latex=True))
+            for k in range(algebra.dim))
+    return 0, "\n".join("d w_{%s} = %s" % (names[k], forms[k].render(names))
+                        for k in range(algebra.dim))
 
 
 def _cmd_verify_copy(args, fmt):
     algebra, spec = _select(args, want_spec=True)
     report = verify(algebra, spec)
     if report.passed:
-        return 0, {"passed": True}, "passed", None
-    return 1, report.to_json(), report.describe(), None
+        return 0, {"passed": True} if fmt == "json" else "passed"
+    return 1, _report_out(fmt, report)
 
 
 def _cmd_casimirs(args, fmt):
     algebra, spec = _select(args, want_spec=True)
     cs = casimir_set(algebra, spec)
     names = algebra.names
-    rows = []
-    text_lines = ["N = %d" % cs.N]
-    latex_lines = []
-    for l in sorted(cs.coefficients):
+    ls = sorted(cs.coefficients)
+    if fmt == "json":
+        return 0, {"N": cs.N, "casimirs": [
+            {"l": l, "degree": cs.coefficients[l].degree(),
+             "coefficient": _poly_json(cs.coefficients[l]),
+             "symmetrized": emit_pbw(cs.symmetrized[l]),
+             "checked": cs.checked[l]}
+            for l in ls]}
+    if fmt == "latex" and ls:
+        return 0, "\n".join(
+            line for l in ls for line in (
+                "C_{%d} = %s" % (2 * l,
+                                 cs.coefficients[l].render(names, latex=True)),
+                "\\operatorname{Sym} C_{%d} = %s"
+                % (2 * l, cs.symmetrized[l].render(latex=True))))
+    lines = ["N = %d" % cs.N]
+    for l in ls:
         poly = cs.coefficients[l]
-        rows.append({"l": l, "degree": poly.degree(),
-                     "coefficient": _poly_json(poly),
-                     "symmetrized": emit_pbw(cs.symmetrized[l]),
-                     "checked": cs.checked[l]})
-        text_lines.append("C_%d = %s" % (2 * l, poly.render(names)))
-        text_lines.append("sym C_%d = %s" % (2 * l,
-                                             cs.symmetrized[l].render()))
+        lines.append("C_%d = %s" % (2 * l, poly.render(names)))
+        lines.append("sym C_%d = %s" % (2 * l, cs.symmetrized[l].render()))
         if not cs.checked[l]:
-            text_lines.append("(unchecked in U(g): degree %d > %d)"
-                              % (poly.degree(), UCHECK_DEGREE_CAP))
-        latex_lines.append("C_{%d} = %s" % (2 * l,
-                                            poly.render(names, latex=True)))
-        latex_lines.append("\\operatorname{Sym} C_{%d} = %s"
-                           % (2 * l, cs.symmetrized[l].render(latex=True)))
-    if not rows:
-        text_lines.append("(no even coefficients: rotation block below 2)")
-    doc = {"N": cs.N, "casimirs": rows}
-    return 0, doc, "\n".join(text_lines), "\n".join(latex_lines) or None
+            lines.append("(unchecked in U(g): degree %d > %d)"
+                         % (poly.degree(), UCHECK_DEGREE_CAP))
+    if not ls:
+        lines.append("(no even coefficients: rotation block below 2)")
+    return 0, "\n".join(lines)
 
 
 def _cmd_contract(args, fmt):
@@ -275,12 +288,13 @@ def _cmd_contract(args, fmt):
 
     if spec is None:
         prime = contract_algebra(algebra, weights)
-        doc = {"weights": shown,
-               "contracted_algebra": algebra_to_json(prime)}
-        text = "\n".join([weight_line, "contracted bracket table:"]
-                         + _bracket_lines(prime))
-        latex = "\n".join(_bracket_lines(prime, latex=True))
-        return 0, doc, text, latex
+        if fmt == "json":
+            return 0, {"weights": shown,
+                       "contracted_algebra": algebra_to_json(prime)}
+        if fmt == "latex":
+            return 0, "\n".join(_bracket_lines(prime, latex=True))
+        return 0, "\n".join([weight_line, "contracted bracket table:"]
+                            + _bracket_lines(prime))
 
     outcome = contract_copy(algebra, spec, weights)
     if outcome.limit_error is not None:
@@ -292,23 +306,29 @@ def _cmd_contract(args, fmt):
         raise err
 
     prime = outcome.algebra_prime
-    doc = {
-        "weights": shown,
-        "f_top_weight": outcome.M0,
-        "p_top_weights": {names[i]: m for i, m in outcome.Mi.items()},
-        "operator_top_weights": {names[i]: n for i, n in outcome.Ni.items()},
-        "copy_compatible": outcome.copy_compatible,
-        "f_leading": emit_pbw(outcome.f0),
-        "p_leading": {names[i]: emit_pbw(p)
-                      for i, p in outcome.P0.items() if not p.is_zero()},
-        "contracted_algebra": algebra_to_json(prime),
-        "operators": {names[i]: emit_pbw(op)
-                      for i, op in outcome.operators_prime.items()},
-        "contracted_dressing": (emit_spec(outcome.spec_prime)
-                                if outcome.spec_prime is not None else None),
-        "verify": (outcome.verify_report.to_json()
-                   if outcome.verify_report is not None else None),
-    }
+    code = 0
+    if outcome.verify_report is not None and not outcome.verify_report.passed:
+        code = 1
+    if fmt == "json":
+        return code, {
+            "weights": shown,
+            "f_top_weight": outcome.M0,
+            "p_top_weights": {names[i]: m for i, m in outcome.Mi.items()},
+            "operator_top_weights": {names[i]: n
+                                     for i, n in outcome.Ni.items()},
+            "copy_compatible": outcome.copy_compatible,
+            "f_leading": emit_pbw(outcome.f0),
+            "p_leading": {names[i]: emit_pbw(p)
+                          for i, p in outcome.P0.items() if not p.is_zero()},
+            "contracted_algebra": algebra_to_json(prime),
+            "operators": {names[i]: emit_pbw(op)
+                          for i, op in outcome.operators_prime.items()},
+            "contracted_dressing": (emit_spec(outcome.spec_prime)
+                                    if outcome.spec_prime is not None
+                                    else None),
+            "verify": (outcome.verify_report.to_json()
+                       if outcome.verify_report is not None else None),
+        }
     lines = [weight_line,
              "top weight of f: %d" % outcome.M0]
     for i in sorted(outcome.Mi):
@@ -324,21 +344,19 @@ def _cmd_contract(args, fmt):
     if outcome.verify_report is not None:
         lines.append("contracted dressing verifies: %s"
                      % ("yes" if outcome.verify_report.passed else "no"))
-    code = 0
-    if outcome.verify_report is not None and not outcome.verify_report.passed:
-        code = 1
-    return code, doc, "\n".join(lines), None
+    return code, "\n".join(lines)
 
 
 def _cmd_catalog(args, fmt):
     if not args.family:
-        rows = []
+        if fmt == "json":
+            return 0, {"families": [
+                {"name": name, "parameter": fam.parameter,
+                 "min_parameter": fam.least, "max_parameter": fam.most,
+                 "carries_dressing": fam.dressed, "about": fam.about}
+                for name, fam in FAMILIES.items()]}
         lines = []
         for name, fam in FAMILIES.items():
-            rows.append({"name": name, "parameter": fam.parameter,
-                         "min_parameter": fam.least,
-                         "max_parameter": fam.most,
-                         "carries_dressing": fam.dressed, "about": fam.about})
             if fam.most is not None:
                 head = "%s in %d..%d" % (fam.parameter, fam.least, fam.most)
             elif fam.parameter == "alpha":
@@ -349,23 +367,23 @@ def _cmd_catalog(args, fmt):
                          % (name, head,
                             "with dressing" if fam.dressed else "no dressing",
                             fam.about))
-        return 0, {"families": rows}, "\n".join(lines), None
+        return 0, "\n".join(lines)
 
     algebra, spec = _select(args)
-    doc = {"algebra": algebra_to_json(algebra),
-           "spec": emit_spec(spec) if spec is not None else None}
+    if fmt == "json":
+        return 0, {"algebra": algebra_to_json(algebra),
+                   "spec": emit_spec(spec) if spec is not None else None}
+    latex = fmt == "latex"
     names = algebra.names
-    lines = ["%s  dim %d" % (args.family, algebra.dim),
-             "generators: %s" % ", ".join(names),
-             "levi: %s" % ", ".join(names[i] for i in sorted(algebra.levi)),
-             "radical: %s" % ", ".join(names[i]
-                                       for i in sorted(algebra.radical))]
-    lines.extend(_bracket_lines(algebra))
-    latex_lines = list(_bracket_lines(algebra, latex=True))
+    lines = [] if latex else [
+        "%s  dim %d" % (args.family, algebra.dim),
+        "generators: %s" % ", ".join(names),
+        "levi: %s" % ", ".join(names[i] for i in sorted(algebra.levi)),
+        "radical: %s" % ", ".join(names[i] for i in sorted(algebra.radical))]
+    lines.extend(_bracket_lines(algebra, latex))
     if spec is not None:
-        lines.extend(_spec_lines(spec))
-        latex_lines.extend(_spec_lines(spec, latex=True))
-    return 0, doc, "\n".join(lines), "\n".join(latex_lines)
+        lines.extend(_spec_lines(spec, latex))
+    return 0, "\n".join(lines)
 
 
 _HANDLERS = {
@@ -496,13 +514,8 @@ def _resolve_format(args):
     return fmt
 
 
-def _emit(fmt, doc, text, latex):
-    if fmt == "json":
-        print(json.dumps(doc, sort_keys=True))
-    elif fmt == "latex" and latex is not None:
-        print(latex)
-    else:
-        print(text)
+def _emit(fmt, out):
+    print(json.dumps(out, sort_keys=True) if fmt == "json" else out)
 
 
 def main(argv=None):
@@ -512,8 +525,7 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     except _UsageError as err:
         if _usage_format(argv) == "json":
-            _emit("json", {"error": "malformed-input", "detail": str(err)},
-                  None, None)
+            _emit("json", {"error": "malformed-input", "detail": str(err)})
             return 2
         # argparse's own answer: usage and message on stderr
         err.parser.print_usage(sys.stderr)
@@ -525,12 +537,12 @@ def main(argv=None):
         print("error: %s" % err)
         return 2
     try:
-        code, doc, text, latex = _HANDLERS[args.subcommand](args, fmt)
+        code, out = _HANDLERS[args.subcommand](args, fmt)
     except LiecasError as err:
         report = getattr(err, "report", None)
         if report is not None:
             # a dressing that fails its check prints the whole report
-            _emit(fmt, report.to_json(), report.describe(), None)
+            _emit(fmt, _report_out(fmt, report))
             return 1
         tag, code = next(_ERRORS[cls] for cls in type(err).__mro__
                          if cls in _ERRORS)
@@ -540,9 +552,9 @@ def main(argv=None):
         else:
             doc = {"error": tag, "detail": str(err)}
         doc.update(getattr(err, "payload", {}))
-        _emit(fmt, doc, "error: %s" % err, None)
+        _emit(fmt, doc if fmt == "json" else "error: %s" % err)
         return code
-    _emit(fmt, doc, text, latex)
+    _emit(fmt, out)
     return code
 
 

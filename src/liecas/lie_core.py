@@ -7,17 +7,25 @@ part and a radical.  The split is taken on trust from the caller or the
 catalog and only checked for closure (Levi a subalgebra, radical an ideal);
 no decomposition algorithm is run.
 
+The constructor also builds the adjoint table ad[i] = {j: [X_i, X_j]} once,
+from the stored rows and their negations, so a bracket is one lookup and
+validate() reaches only the triples that a stored row touches.
+
 validate() returns a ValidationReport that carries the generator names:
 ok, to_json() (the validate document, generators by name) and describe()
 (one text line per violation) need nothing else.
 
-Vectors in the algebra are plain dicts index -> Fraction.
+Vectors in the algebra are plain dicts index -> Fraction.  The rows that
+bracket_basis returns are the table's own, shared between callers: read
+them, never mutate them.
 """
 
 from fractions import Fraction
 
 from .errors import MalformedInputError
 from .sparse import accumulate
+
+_NO_TERMS = {}      # the shared, read-only [X_i, X_j] = 0
 
 
 class ValidationReport:
@@ -107,6 +115,11 @@ class LieAlgebra:
             if row:
                 table[(i, j)] = row
         self.brackets = table
+        ad = [{} for _ in names]
+        for (i, j), row in table.items():
+            ad[i][j] = row
+            ad[j][i] = {k: -c for k, c in row.items()}
+        self._ad = ad
 
         levi = frozenset(levi)
         for i in levi:
@@ -143,33 +156,44 @@ class LieAlgebra:
     # ---- bracket ---------------------------------------------------------
 
     def bracket_basis(self, i, j):
-        """[X_i, X_j] as a dict k -> c, for any index order."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.brackets.get((i, j), {}))
-        row = self.brackets.get((j, i))
-        if not row:
-            return {}
-        return {k: -c for k, c in row.items()}
+        """[X_i, X_j] as a dict k -> c, for any order of two indices in
+        range(dim).  The dict is the adjoint table's row (or one shared
+        empty dict), not a copy: it is read-only, like the cache entries
+        of enveloping._normal_word."""
+        return self._ad[i].get(j, _NO_TERMS)
 
     # ---- validation --------------------------------------------------------
 
     def validate(self):
-        """Exhaustive Jacobi check over all index triples, plus closure of the
-        declared Levi subalgebra and radical ideal."""
-        jacobi = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(j + 1, self.dim):
-                    # sum_m C_ab^m [X_m, X_c] over the three cyclic orders
-                    res = {}
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        for m, coeff in self.bracket_basis(a, b).items():
-                            accumulate(res, self.bracket_basis(m, c).items(),
-                                       coeff)
-                    if res:
-                        jacobi.append((i, j, k, res))
+        """Jacobi on every index triple, plus closure of the declared Levi
+        subalgebra and radical ideal.
+
+        The Jacobi sum of i < j < k is, over the cyclic pairs (a, b) with
+        third index c, sum_m C_ab^m [X_m, X_c].  Each stored row
+        [X_a, X_b] = sum_m C_ab^m X_m (a < b) is scattered into the triple
+        of every third index t with some [X_m, X_t] != 0, read from ad[m]:
+        with sign + when t < a or t > b, and - when a < t < b, since the
+        triple (a, t, b) takes the pair as (k, i) = -(a, b).  A triple
+        none of whose three pairs has a stored row has every term zero, so
+        it is never visited; one visited only through vanishing brackets
+        has no entry.  The residuals are exact, so they equal those of the
+        term-by-term sum over all dim^3/6 triples.
+        """
+        ad = self._ad
+        sums = {}
+        for (a, b), row in self.brackets.items():
+            for m, cm in row.items():
+                for t, mt in ad[m].items():
+                    if t < a:
+                        key, c = (t, a, b), cm
+                    elif a < t < b:
+                        key, c = (a, t, b), -cm
+                    elif t > b:
+                        key, c = (a, b, t), cm
+                    else:
+                        continue
+                    accumulate(sums.setdefault(key, {}), mt.items(), c)
+        jacobi = [key + (res,) for key, res in sorted(sums.items()) if res]
         levi_bad = []
         radical_bad = []
         for (i, j), terms in sorted(self.brackets.items()):

@@ -340,6 +340,53 @@ def derivation_agreement(seed, cases):
     return cases
 
 
+def perturbed_algebra(algebra, rng):
+    """algebra with 1-3 bracket coefficients added or shifted by a random
+    rational, each in a random stored row or, one time in four, in a
+    random pair's row; the names and the declared split are kept."""
+    rows = {key: dict(row) for key, row in algebra.brackets.items()}
+    for _ in range(rng.randint(1, 3)):
+        if rows and rng.random() < 0.75:
+            key = rng.choice(sorted(rows))
+        else:
+            key = tuple(sorted(rng.sample(range(algebra.dim), 2)))
+        row = rows.setdefault(key, {})
+        k = rng.randrange(algebra.dim)
+        row[k] = row.get(k, 0) + random_fraction(rng)
+    return LieAlgebra(algebra.names, rows, levi=algebra.levi,
+                      radical=algebra.radical)
+
+
+def jacobi_agreement(seed, cases):
+    """validate's Jacobi residuals, report document and text against
+    table_oracles.jacobi_direct, the term-by-term sum over every triple.
+    Runs every catalog family at its least N, then `cases` seeded
+    perturbed_algebra cases cycling through those of dimension at least
+    3; returns the number of algebras checked.  Not in ALL_SUITES: it
+    takes no algebras."""
+    from liecas.catalog import FAMILIES, FamilyId, build
+    from liecas.lie_core import ValidationReport
+    from table_oracles import jacobi_direct
+    rng = random.Random(seed)
+    bases = [build(FamilyId(name, family.least))[0]
+             for name, family in FAMILIES.items()]
+    # a Jacobi triple needs three generators, so(2) has one
+    triples = [g for g in bases if g.dim >= 3]
+    algebras = bases + [perturbed_algebra(triples[t % len(triples)], rng)
+                        for t in range(cases)]
+    failing = 0
+    for g in algebras:
+        report = g.validate()
+        want = ValidationReport(g.names, jacobi_direct(g),
+                                report.levi_closure, report.radical_ideal)
+        assert report.jacobi == want.jacobi, "Jacobi residuals differ on %r" % g
+        assert report.to_json() == want.to_json()
+        assert report.describe() == want.describe()
+        failing += bool(want.jacobi)
+    assert failing > cases // 2, "too few tables that fail Jacobi"
+    return len(algebras)
+
+
 ALL_SUITES = (
     pbw_associativity,
     ug_jacobi,

@@ -25,8 +25,9 @@ itself does not need: the wedge product and the antiderivation d on the
 exterior algebra of the dual, the half-rank of a 2-form by wedge powers,
 the characteristic polynomial by cofactor expansion, the rank by
 Gaussian elimination over Fraction, the commutator in U(g) as two full
-products, and the factor condition of a virtual copy with the dressed
-generators multiplied out in full.
+products, the factor condition of a virtual copy with the dressed
+generators multiplied out in full, and the Jacobi sums of a bracket table
+over every index triple.
 """
 
 from fractions import Fraction
@@ -528,4 +529,30 @@ def factor_residuals_direct(algebra, spec):
             res = commutator_direct(ops[i], ops[j]) - u_mul(spec.f, image)
             if res:
                 out[(i, j)] = res
+    return out
+
+
+# ---- Jacobi over every triple -----------------------------------------------
+
+
+def jacobi_direct(algebra):
+    """[(i, j, k, residual)] over every i < j < k with a nonzero Jacobi sum
+    [[X_i,X_j],X_k] + [[X_j,X_k],X_i] + [[X_k,X_i],X_j], in triple order;
+    brackets are read from the stored i < j rows, not the adjoint table."""
+    def bracket(a, b):
+        if a < b:
+            return algebra.brackets.get((a, b), {})
+        return {k: -c for k, c in algebra.brackets.get((b, a), {}).items()}
+
+    out = []
+    for i in range(algebra.dim):
+        for j in range(i + 1, algebra.dim):
+            for k in range(j + 1, algebra.dim):
+                # sum_m C_ab^m [X_m, X_c] over the three cyclic orders
+                res = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, coeff in bracket(a, b).items():
+                        accumulate(res, bracket(m, c).items(), coeff)
+                if res:
+                    out.append((i, j, k, res))
     return out

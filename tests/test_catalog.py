@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from liecas.catalog import (
+    FAMILIES,
     FAMILY_NAMES,
     FamilyId,
     boson_algebra,
@@ -14,6 +15,7 @@ from liecas.catalog import (
 from liecas.enveloping import PBWElement, u_commutator
 from liecas.errors import MalformedInputError
 from liecas.lie_core import LieAlgebra
+from property_suites import roster
 
 
 def b(name, N=None, **params):
@@ -30,6 +32,8 @@ ALL_BUILDS = (
     + [FamilyId("boson_example", params={"alpha": 1}),
        FamilyId("boson_example", params={"alpha": 0}),
        FamilyId("boson_example_contracted")]
+    + [FamilyId(name, family.most) for name, family in FAMILIES.items()
+       if family.most is not None]
 )
 
 
@@ -39,6 +43,15 @@ def test_every_built_algebra_validates(fid):
     algebra, _ = build(fid)
     report = algebra.validate()
     assert report.ok, report.describe()
+
+
+def test_bracket_rows_are_antisymmetric():
+    for algebra in roster():
+        for i in range(algebra.dim):
+            assert algebra.bracket_basis(i, i) == {}
+            for j in range(algebra.dim):
+                assert algebra.bracket_basis(j, i) == {
+                    k: -c for k, c in algebra.bracket_basis(i, j).items()}
 
 
 def test_dimensions():
