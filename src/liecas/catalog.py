@@ -381,11 +381,9 @@ def _sym_words(algebra, terms):
     the dressed su(1,1) generators close correctly, and it also keeps the
     whole family invariant under reversing every factor order.
     """
-    out = PBWElement(algebra)
-    for word, c in terms.items():
-        out = out + symmetrize(algebra,
-                               CommPoly.monomial(algebra.dim, word, c))
-    return out
+    return symmetrize(algebra, sum((CommPoly.monomial(algebra.dim, w, c)
+                                    for w, c in terms.items()),
+                                   CommPoly.zero(algebra.dim)))
 
 
 def boson_example(alpha=Fraction(1)):

@@ -21,9 +21,10 @@ Exit status: 0 on success; 1 when the requested verification fails
 its check before casimirs or contract run, a derived result fails an
 internal check); 2 on input the command cannot take, including bracket
 tables that violate Jacobi, contractions whose limit does not exist and
-algebras the operation does not apply to.  _ERRORS maps every error to
-its kind and status.  All documents, error documents included, go to
-stdout; with --format json they are machine-readable, errors as
+algebras the operation does not apply to; BROKEN_PIPE when stdout is
+closed early (a pipe into head), with empty stderr.  _ERRORS maps every
+error to its kind and status.  All documents, error documents included,
+go to stdout; with --format json they are machine-readable, errors as
 {"error": <kind>, ...}.  That holds for flags argparse rejects too; in
 text or latex format those keep argparse's usage message on stderr.
 
@@ -54,6 +55,7 @@ from .virtual_copy import emit_spec, parse_spec, verify
 
 FORMATS = ("json", "text", "latex")
 FORMAT_ENV = "LIECAS_FORMAT"
+BROKEN_PIPE = 141     # 128 + SIGPIPE, as a shell reports the signal
 
 def _fail(message, **payload):
     err = MalformedInputError(message)
@@ -519,6 +521,18 @@ def _emit(fmt, out):
 
 
 def main(argv=None):
+    try:
+        code = _answer(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the flush at exit would raise again: send the rest to devnull
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return BROKEN_PIPE
+    return code
+
+
+def _answer(argv):
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

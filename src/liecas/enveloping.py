@@ -9,7 +9,8 @@ computed by bubbling adjacent out-of-order pairs with
     X_a X_b = X_b X_a + [X_a, X_b]        (a > b)
 
 which terminates because each swap removes an inversion and each bracket
-term shortens the word.  Normal forms of words are memoized per algebra.
+term shortens the word.  Normal forms of words are memoized within one
+call and dropped when it returns; nothing is kept on the algebra.
 
 A commutator with one scaled generator, [c X_t, b], is taken as the
 derivation it is: each letter of each word of b is replaced in turn by
@@ -18,12 +19,13 @@ a commutative polynomial averages each group of mutually entangled
 letters once per call, memoized on the group's letters, and merges the
 commuting groups of a word as sorted words.
 
-Word lengths are capped: products whose raw concatenation would exceed
-DEGREE_CAP raise DegreeOverflowError rather than silently grinding; the
-derivation refuses the words for which X_t w would.
+Word lengths are capped: words and products whose raw concatenation
+would exceed DEGREE_CAP raise DegreeOverflowError rather than silently
+grinding; no term of [X_t, w] is longer than w, so w may reach the cap.
 """
 
 from fractions import Fraction
+from functools import reduce
 
 from .errors import DegreeOverflowError, MalformedInputError
 from .naming import latex_name, render_words
@@ -40,32 +42,43 @@ def _wkey(word):
     return (len(word), word)
 
 
-def _normal_word(algebra, word):
+def _normal_word(algebra, word, memo):
     """Normal form of a single word as a dict word -> coefficient.
 
-    The result dicts are cached on the algebra and shared; callers must
-    treat them as read-only.
+    memo maps words to normal forms for one top-level call, which creates
+    it; the result dicts are shared through it and must stay read-only.
     """
-    cache = algebra._pbw_cache
-    hit = cache.get(word)
+    hit = memo.get(word)
     if hit is not None:
         return hit
-    t = -1
-    for s in range(len(word) - 1):
-        if word[s] > word[s + 1]:
-            t = s
-            break
-    if t < 0:
+    t = next((s for s in range(len(word) - 1) if word[s] > word[s + 1]), None)
+    if t is None:
         result = {word: _ONE}
     else:
         a, b = word[t], word[t + 1]
         head, tail = word[:t], word[t + 2:]
-        result = dict(_normal_word(algebra, head + (b, a) + tail))
+        result = dict(_normal_word(algebra, head + (b, a) + tail, memo))
         for k, c in algebra.bracket_basis(a, b).items():
-            accumulate(result, _normal_word(algebra, head + (k,) + tail).items(),
+            accumulate(result,
+                       _normal_word(algebra, head + (k,) + tail, memo).items(),
                        c)
-    cache[word] = result
+    memo[word] = result
     return result
+
+
+def _normal_sum(algebra, pairs):
+    """sum of c * NF(word) over (word, c) pairs, through one memo."""
+    out, memo = {}, {}
+    for word, coeff in pairs:
+        word = tuple(word)
+        for i in word:
+            algebra._check_index(i)
+        if len(word) > DEGREE_CAP:
+            raise DegreeOverflowError(len(word), DEGREE_CAP)
+        coeff = Fraction(coeff)
+        if coeff:
+            accumulate(out, _normal_word(algebra, word, memo).items(), coeff)
+    return PBWElement(algebra, out)
 
 
 class PBWElement(SparseTerms):
@@ -96,27 +109,16 @@ class PBWElement(SparseTerms):
     def from_terms(cls, algebra, raw):
         """Build from a dict of arbitrary (not necessarily ordered) index
         words to coefficients, normalizing as needed."""
-        out = cls(algebra)
-        for word, c in raw.items():
-            out = out + pbw_normalize(algebra, word, c)
-        return out
+        return _normal_sum(algebra, raw.items())
 
     # ---- structure ---------------------------------------------------------
 
     def __repr__(self):
         return "PBWElement(%s)" % self.render()
 
-    def degree(self):
-        if not self.terms:
-            return -1
-        return max(len(w) for w in self.terms)
-
     def support(self):
         """Set of generator indices appearing in any word."""
-        out = set()
-        for w in self.terms:
-            out.update(w)
-        return out
+        return set().union(*self.terms)
 
     # ---- products ------------------------------------------------------------
 
@@ -153,16 +155,7 @@ class PBWElement(SparseTerms):
 
 def pbw_normalize(algebra, word, coeff=1):
     """Normal form of coeff * X_{word_1} ... X_{word_p} as a PBWElement."""
-    word = tuple(word)
-    for i in word:
-        algebra._check_index(i)
-    if len(word) > DEGREE_CAP:
-        raise DegreeOverflowError(len(word), DEGREE_CAP)
-    coeff = Fraction(coeff)
-    if not coeff:
-        return PBWElement(algebra)
-    return PBWElement(algebra, {w: coeff * c for w, c
-                                in _normal_word(algebra, word).items()})
+    return _normal_sum(algebra, ((word, coeff),))
 
 
 def u_mul(a, b):
@@ -171,7 +164,7 @@ def u_mul(a, b):
         raise MalformedInputError("u_mul needs two enveloping elements")
     a._check_mate(b)
     algebra = a.algebra
-    out = {}
+    out, memo = {}, {}
     for w1, c1 in a.terms.items():
         ordered = []
         for w2, c2 in b.terms.items():
@@ -181,7 +174,7 @@ def u_mul(a, b):
                 # concatenation is already normally ordered
                 ordered.append((w1 + w2, c2))
             else:
-                accumulate(out, _normal_word(algebra, w1 + w2).items(),
+                accumulate(out, _normal_word(algebra, w1 + w2, memo).items(),
                            c1 * c2)
         accumulate(out, ordered, c1)
     return PBWElement(algebra, out)
@@ -193,9 +186,8 @@ def u_commutator(a, b):
     When either factor is one scaled generator c X_t, [c X_t, b] is taken
     as a derivation: c sum_w b_w sum_k NF(w[:k] [X_t, X_{w_k}] w[k+1:]),
     one normal ordering per bracket term instead of two full products.
-    With the generator on the right the sign flips.  A word w of b with
-    len(w) + 1 > DEGREE_CAP raises DegreeOverflowError(len(w) + 1), as the
-    product X_t w would.
+    With the generator on the right the sign flips.  No term is longer
+    than its word w, so b may reach DEGREE_CAP.
     """
     if isinstance(a, PBWElement) and isinstance(b, PBWElement):
         a._check_mate(b)
@@ -210,23 +202,19 @@ def u_commutator(a, b):
 def _generator_bracket(t, elem, c):
     """c [X_t, elem], one letter of each word at a time."""
     algebra = elem.algebra
-    out = {}
+    out, memo = {}, {}
     for w, wc in elem.terms.items():
-        if len(w) + 1 > DEGREE_CAP:
-            raise DegreeOverflowError(len(w) + 1, DEGREE_CAP)
         for k, y in enumerate(w):
             for z, bc in algebra.bracket_basis(t, y).items():
                 accumulate(out, _normal_word(
-                    algebra, w[:k] + (z,) + w[k + 1:]).items(), c * wc * bc)
+                    algebra, w[:k] + (z,) + w[k + 1:], memo).items(),
+                    c * wc * bc)
     return PBWElement(algebra, out)
 
 
 def u_product(algebra, factors):
     """Left-to-right product of a sequence of elements (unit when empty)."""
-    out = PBWElement.unit(algebra)
-    for f in factors:
-        out = u_mul(out, f)
-    return out
+    return reduce(u_mul, factors, PBWElement.unit(algebra))
 
 
 # ---- symmetrization --------------------------------------------------------
@@ -355,15 +343,17 @@ def parse_pbw(algebra, doc):
     from .lie_core import parse_rational
     if not isinstance(doc, list):
         raise MalformedInputError("enveloping element must be a list of terms")
-    out = PBWElement(algebra)
-    for term in doc:
-        if not isinstance(term, dict) or not {"word", "coeff"} <= set(term):
-            raise MalformedInputError("bad enveloping term %r" % (term,))
-        if not isinstance(term["word"], list):
-            raise MalformedInputError("term word must be a list of names")
-        word = tuple(algebra.index(n) for n in term["word"])
-        out = out + pbw_normalize(algebra, word, parse_rational(term["coeff"]))
-    return out
+
+    def pairs():
+        # checked one term at a time, so the first bad term is reported
+        for term in doc:
+            if not isinstance(term, dict) or not {"word", "coeff"} <= set(term):
+                raise MalformedInputError("bad enveloping term %r" % (term,))
+            if not isinstance(term["word"], list):
+                raise MalformedInputError("term word must be a list of names")
+            yield ([algebra.index(n) for n in term["word"]],
+                   parse_rational(term["coeff"]))
+    return _normal_sum(algebra, pairs())
 
 
 def emit_pbw(elem):

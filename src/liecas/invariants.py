@@ -29,11 +29,16 @@ _LOW, _HIGH = -10 ** 4, 10 ** 4
 
 
 def _applier(algebra, poly):
-    """i -> Xhat_i poly; each dF/dx_j is taken once, on first use."""
+    """i -> Xhat_i poly.  dF/dx_j is taken on first use and dropped after
+    last[j], the largest i with [X_i, X_j] != 0; a later call retakes it."""
     if poly.nvars != algebra.dim:
         raise MalformedInputError(
             "polynomial in %d variables against a %d-dim algebra"
             % (poly.nvars, algebra.dim))
+    last = {}
+    for i, j in algebra.brackets:
+        last[i] = max(last.get(i, j), j)
+        last[j] = max(last.get(j, i), i)
     partials = {}
 
     def apply(i):
@@ -43,9 +48,9 @@ def _applier(algebra, poly):
             row = algebra.bracket_basis(i, j)
             if not row:
                 continue
-            if j not in partials:
-                partials[j] = poly.partial(j).terms
-            dF = partials[j]
+            dF = partials.pop(j) if j in partials else poly.partial(j).terms
+            if i < last[j]:
+                partials[j] = dF
             for k, c in row.items():
                 # c * x_k * dF/dx_j: x_k joins the word of each term
                 accumulate(out, ((tuple(sorted(w + (k,))), v)

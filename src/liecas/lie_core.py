@@ -136,9 +136,6 @@ class LieAlgebra:
         self.levi = levi
         self.radical = radical
 
-        # normal-ordering cache used by the enveloping module
-        self._pbw_cache = {}
-
     def _check_index(self, i):
         if not isinstance(i, int) or not 0 <= i < self.dim:
             raise MalformedInputError("generator index %r out of range" % (i,))
@@ -158,8 +155,8 @@ class LieAlgebra:
     def bracket_basis(self, i, j):
         """[X_i, X_j] as a dict k -> c, for any order of two indices in
         range(dim).  The dict is the adjoint table's row (or one shared
-        empty dict), not a copy: it is read-only, like the cache entries
-        of enveloping._normal_word."""
+        empty dict), not a copy: it is read-only, like the normal forms
+        that enveloping._normal_word shares through its memo."""
         return self._ad[i].get(j, _NO_TERMS)
 
     # ---- validation --------------------------------------------------------

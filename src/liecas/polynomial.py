@@ -130,12 +130,6 @@ class CommPoly(SparseTerms):
             total += c * m
         return total
 
-    def degree(self):
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(map(len, self.terms))
-
     # ---- rendering --------------------------------------------------------
 
     def monomials(self):

@@ -57,6 +57,10 @@ class SparseTerms:
     def is_zero(self):
         return not self.terms
 
+    def degree(self):
+        """Length of the longest key; -1 when there are no terms."""
+        return max(map(len, self.terms), default=-1)
+
     def __bool__(self):
         return bool(self.terms)
 

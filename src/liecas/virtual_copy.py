@@ -153,10 +153,8 @@ def build_operators(algebra, spec):
     """The dressed generators X'_i = X_i f + P_i, keyed by Levi index."""
     if spec.algebra is not algebra:
         raise MalformedInputError("spec belongs to a different algebra")
-    ops = {}
-    for i in sorted(algebra.levi):
-        ops[i] = u_mul(PBWElement.generator(algebra, i), spec.f) + spec.P[i]
-    return ops
+    return {i: u_mul(PBWElement.generator(algebra, i), spec.f) + spec.P[i]
+            for i in sorted(algebra.levi)}
 
 
 # the copy conditions in report order: JSON key, then the text line of one
@@ -332,12 +330,11 @@ def require_verified(algebra, spec, consequence):
 
 def _symmetric_substitute(algebra, ops, word):
     """Equal-weight average of ops[i1]...[ip] over the orderings of word."""
+    arrangements = list(_distinct_arrangements(word))
     total = PBWElement(algebra)
-    n = 0
-    for arr in _distinct_arrangements(word):
+    for arr in arrangements:
         total = total + u_product(algebra, (ops[i] for i in arr))
-        n += 1
-    return total.scale(Fraction(1, n))
+    return total.scale(Fraction(1, len(arrangements)))
 
 
 def lift_casimir(algebra, spec, casimir):

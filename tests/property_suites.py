@@ -1,9 +1,11 @@
 """Randomized property suites shared between unit tests and the acceptance
 module.  Each suite takes a list of algebras (rank_agreement, on plain
 matrices, takes none), a seed, and a case count, asserts every case, and
-returns the number of cases exercised.  Imports of package modules happen
-inside the functions so this file can be imported before the whole
-package exists at collection time.
+returns the number of cases exercised.  normal_order_footprint measures
+the normal-ordering work and the memory a call leaves behind, for the
+footprint guards.  Imports of package modules happen inside the
+functions so this file can be imported before the whole package exists
+at collection time.
 """
 
 import random
@@ -385,6 +387,63 @@ def jacobi_agreement(seed, cases):
         failing += bool(want.jacobi)
     assert failing > cases // 2, "too few tables that fail Jacobi"
     return len(algebras)
+
+
+def normal_order_agreement(seed, cases):
+    """pbw_normalize, u_mul and the [c X_t, .] derivation of u_commutator
+    against table_oracles.normal_word_bubble, on seeded random words of
+    length at most 6 over the roster algebras: NF(w) is the bubble of w,
+    NF(u) NF(v) that of u v, and [c X_t, NF(w)] that of c (t w - w t),
+    with the generator on either side.  Not in ALL_SUITES: it takes no
+    algebras."""
+    from liecas.enveloping import PBWElement, pbw_normalize, u_commutator, u_mul
+    from table_oracles import normal_word_bubble as bubble
+    rng = random.Random(seed)
+    algebras = roster()
+    for t in range(cases):
+        g = algebras[t % len(algebras)]
+        word = tuple(rng.randrange(g.dim) for _ in range(rng.randint(0, 6)))
+        c = random_fraction(rng)
+        nf = pbw_normalize(g, word, c)
+        assert nf == bubble(g, word, c), \
+            "normal form differs in %r at case %d" % (g, t)
+        cut = rng.randint(0, len(word))
+        assert u_mul(bubble(g, word[:cut], c), bubble(g, word[cut:])) == nf, \
+            "product differs in %r at case %d" % (g, t)
+        x, d = rng.randrange(g.dim), random_fraction(rng)
+        gen = PBWElement.generator(g, x).scale(d)
+        want = bubble(g, (x,) + word, c * d) - bubble(g, word + (x,), c * d)
+        assert u_commutator(gen, nf) == want, \
+            "[c X_t, b] differs in %r at case %d" % (g, t)
+        assert u_commutator(nf, gen) == -want, \
+            "[b, c X_t] differs in %r at case %d" % (g, t)
+    return cases
+
+
+def normal_order_footprint(call):
+    """(calls, retained): the enveloping._normal_word calls made by
+    call(), recursive ones included, and the bytes tracemalloc still
+    counts once call() has returned and its result is dropped."""
+    import gc
+    import tracemalloc
+    import liecas.enveloping as enveloping
+    kernel, calls = enveloping._normal_word, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    enveloping._normal_word = counted
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        enveloping._normal_word = kernel
+    return calls[0], retained
 
 
 ALL_SUITES = (

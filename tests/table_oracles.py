@@ -24,10 +24,11 @@ The last sections hold slow, independent references that the package
 itself does not need: the wedge product and the antiderivation d on the
 exterior algebra of the dual, the half-rank of a 2-form by wedge powers,
 the characteristic polynomial by cofactor expansion, the rank by
-Gaussian elimination over Fraction, the commutator in U(g) as two full
-products, the factor condition of a virtual copy with the dressed
-generators multiplied out in full, and the Jacobi sums of a bracket table
-over every index triple.
+Gaussian elimination over Fraction, the normal form of a word in U(g)
+by unmemoized bubbling, the commutator in U(g) as two full products, the
+factor condition of a virtual copy with the dressed generators
+multiplied out in full, and the Jacobi sums of a bracket table over
+every index triple.
 """
 
 from fractions import Fraction
@@ -501,7 +502,29 @@ def rank_fraction(rows):
     return r
 
 
-# ---- commutators in U(g) ----------------------------------------------------
+# ---- normal ordering and commutators in U(g) --------------------------------
+
+
+def normal_word_bubble(algebra, word, coeff=1):
+    """coeff * X_{word_1} ... X_{word_p} in normal form, by swapping the
+    leftmost out-of-order pair, X_a X_b = X_b X_a + [X_a, X_b] for a > b,
+    with no memo; brackets are read from the stored i < j rows.  Every
+    word is bubbled afresh, so the work is exponential in the length."""
+    out = {}
+    pending = [(tuple(word), Fraction(coeff))]
+    while pending:
+        w, c = pending.pop()
+        t = next((s for s in range(len(w) - 1) if w[s] > w[s + 1]), None)
+        if t is None:
+            accumulate(out, ((w, c),))
+            continue
+        b, a = w[t], w[t + 1]
+        head, tail = w[:t], w[t + 2:]
+        pending.append((head + (a, b) + tail, c))
+        # [X_b, X_a] = -[X_a, X_b] with a < b
+        for k, v in algebra.brackets.get((a, b), {}).items():
+            pending.append((head + (k,) + tail, -c * v))
+    return PBWElement(algebra, out)
 
 
 def commutator_direct(a, b):

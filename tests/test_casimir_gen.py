@@ -25,6 +25,7 @@ from liecas.lie_core import LieAlgebra
 from liecas.polynomial import CommPoly
 from liecas.virtual_copy import make_spec
 
+from property_suites import normal_order_footprint
 from table_oracles import char_poly_cofactor
 
 
@@ -189,12 +190,13 @@ def test_casimir_set_inhomogeneous_3():
 
 def test_casimir_set_footprint_on_qha3():
     # symmetrizing through per-group averages and checking each [X_t, C]
-    # as a derivation leave about 14,000 normal forms in the cache;
-    # per-term arrangement averages and two full products per check
-    # left 77,095
+    # as a derivation take about 21,000 _normal_word calls; two full
+    # products per check take about 91,000.  Normal forms live for one
+    # call: a per-algebra cache of them kept about 4.8 MB
     algebra, spec = b("QHa", 3)
-    casimir_set(algebra, spec)
-    assert len(algebra._pbw_cache) < 30000
+    calls, retained = normal_order_footprint(lambda: casimir_set(algebra, spec))
+    assert calls < 30000
+    assert retained < 64 * 1024
 
 
 def test_casimir_set_checks_the_spec_first():

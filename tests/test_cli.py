@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -346,6 +347,21 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == '{"count": 3}\n'
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader is gone before the first byte: no traceback, one status
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "liecas.cli", "casimirs", "--family", "IHa",
+             "--N", "3", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == liecas.cli.BROKEN_PIPE == 141
+    assert proc.stderr == b""
 
 
 def _subclasses(cls):

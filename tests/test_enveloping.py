@@ -15,7 +15,7 @@ from liecas.enveloping import (
     u_product,
 )
 from liecas.casimir_gen import build_so_matrix, char_poly_coefficients
-from liecas.catalog import FamilyId, build, heisenberg_algebra
+from liecas.catalog import FamilyId, build, heisenberg_algebra, so_algebra
 from liecas.errors import DegreeOverflowError, MalformedInputError
 from liecas.lie_core import LieAlgebra
 from liecas.polynomial import CommPoly
@@ -23,6 +23,8 @@ from liecas.sparse import accumulate
 
 from property_suites import (
     derivation_agreement,
+    normal_order_agreement,
+    normal_order_footprint,
     pbw_associativity,
     random_poly,
     roster,
@@ -121,25 +123,48 @@ def test_degree_cap():
         u_mul(half, half)
 
 
-def test_generator_commutator_keeps_the_degree_cap():
-    # [X_t, b] as a derivation never forms X_t w, but refuses the words
-    # for which the product would exceed the cap, with the same detail
+# each letter of so(4) twice, in reverse basis order: without a memo the
+# bracket terms make the bubbling exponential (about 72 s on a 2-vCPU host)
+_SO4_REVERSED = (5, 5, 4, 4, 3, 3, 2, 2, 1, 1, 0, 0)
+
+
+def test_generator_commutator_takes_elements_at_the_degree_cap():
+    # no term of [X_t, w] is longer than w, so the derivation takes an
+    # element at the cap; the product X_t w still refuses it
     g = h1()
     b = pbw_normalize(g, (1,) * DEGREE_CAP) + PBWElement.generator(g, 2)
     for t in range(g.dim):
         x = PBWElement.generator(g, t).scale(3)
         for args in ((x, b), (b, x)):
+            assert u_commutator(*args).degree() <= DEGREE_CAP
             with pytest.raises(DegreeOverflowError) as caught:
-                u_commutator(*args)
+                u_mul(*args)
             assert str(caught.value) == \
                 "word of length 13 exceeds the degree cap 12"
-    short = pbw_normalize(g, (1,) * (DEGREE_CAP - 1))
-    assert u_commutator(PBWElement.generator(g, 0), short) == \
-        pbw_normalize(g, (1,) * (DEGREE_CAP - 2) + (2,), DEGREE_CAP - 1)
+    for n in (DEGREE_CAP - 1, DEGREE_CAP):
+        assert u_commutator(PBWElement.generator(g, 0),
+                            pbw_normalize(g, (1,) * n)) == \
+            pbw_normalize(g, (1,) * (n - 1) + (2,), n)
+    top = pbw_normalize(so_algebra(4), _SO4_REVERSED)
+    for t in range(6):
+        x = PBWElement.generator(top.algebra, t)
+        assert top.degree() == u_commutator(x, top).degree() == DEGREE_CAP
 
 
 def test_generator_commutator_matches_products():
     assert derivation_agreement(seed=13, cases=160) == 160
+
+
+def test_normal_ordering_matches_bubbling():
+    assert normal_order_agreement(seed=17, cases=400) == 400
+
+
+def test_reversed_so4_word_is_normal_ordered_through_the_memo():
+    g = so_algebra(4)
+    calls, retained = normal_order_footprint(
+        lambda: pbw_normalize(g, _SO4_REVERSED))
+    assert calls < 20000
+    assert retained < 64 * 1024
 
 
 def test_scale_and_linear_ops():

@@ -27,7 +27,11 @@ from liecas.virtual_copy import (
     verify,
 )
 
-from property_suites import factor_leibniz_agreement, failing_specs
+from property_suites import (
+    factor_leibniz_agreement,
+    failing_specs,
+    normal_order_footprint,
+)
 
 
 def b(name, N=None, **params):
@@ -322,10 +326,16 @@ def test_factor_residuals_match_direct_products():
 
 
 def test_verify_footprint_on_qha5():
-    # multiplying the factor condition [X'_i, X'_j] out in full leaves
-    # 117,417 entries; the Leibniz derivation with two full products per
-    # commutator leaves 21,302, and with [X'_i, Y] and [P_i, X_j] taken as
-    # one-letter derivations about 900
+    # the Leibniz derivation of the factor condition with [X'_i, Y] and
+    # [P_i, X_j] taken as one-letter derivations takes about 4,000
+    # _normal_word calls; two full products per commutator take about
+    # 33,000.  Normal forms live for one call: a per-algebra cache of them
+    # kept about 180 KB
     algebra, spec = b("QHa", 5)
-    assert verify(algebra, spec).passed
-    assert len(algebra._pbw_cache) < 5000
+
+    def check():
+        assert verify(algebra, spec).passed
+
+    calls, retained = normal_order_footprint(check)
+    assert calls < 8000
+    assert retained < 64 * 1024
