@@ -16,7 +16,8 @@ Families:
     Ha              so(N) over the Heisenberg radical {G, F, R};
                     spec f = R, P_{J_ij} = G_i F_j - G_j F_i
     IHa             the inhomogeneous extension {G, F, Q, P, R, E, T};
-                    spec f = T^2 with trailing-multiplier P terms
+                    spec f = T^2, P_{J_ij} = T(G_i Q_j - G_j Q_i)
+                    + T(F_i P_j - F_j P_i) + R(P_i Q_j - P_j Q_i)
     IHa_L IHa_A IHa_M IHa_AL IHa_LM IHa_AM
                     central extensions of IHa by the listed letters,
                     each with its own f (T^2, T^2+RL, or T^2-AM)
@@ -269,11 +270,10 @@ def hamilton(N, inhomogeneous=False, extension=""):
     return algebra, _hamilton_spec(algebra, N, inhomogeneous, ext)
 
 
-def _antisym(ix, i, j, x, y, lead=(), trail=()):
-    """{lead x_i y_j trail: 1, lead x_j y_i trail: -1} as index words."""
+def _antisym(ix, i, j, x, y, lead=()):
+    """{lead x_i y_j: 1, lead x_j y_i: -1} as index words."""
     def word(a, b):
-        return tuple(ix[m] for m in (*lead, "%s_%d" % (x, a),
-                                     "%s_%d" % (y, b), *trail))
+        return tuple(ix[m] for m in (*lead, "%s_%d" % (x, a), "%s_%d" % (y, b)))
     return {word(i, j): Fraction(1), word(j, i): Fraction(-1)}
 
 
@@ -287,20 +287,10 @@ def _hamilton_spec(algebra, N, inhomogeneous, ext):
         words = {(i, j): _antisym(ix, i, j, "G", "F") for (i, j) in pairs}
         return make_spec(algebra, f, _collect(algebra, words))
 
-    f_words = {(ix["T"], ix["T"]): Fraction(1)}
-    if not ext:
-        # trailing multipliers: (G_i Q_j - G_j Q_i) T + (F_i P_j - F_j P_i) T
-        #                      + (P_i Q_j - P_j Q_i) R
-        words = {(i, j): {**_antisym(ix, i, j, "G", "Q", trail=("T",)),
-                          **_antisym(ix, i, j, "F", "P", trail=("T",)),
-                          **_antisym(ix, i, j, "P", "Q", trail=("R",))}
-                 for (i, j) in pairs}
-        return make_spec(algebra, PBWElement.from_terms(algebra, f_words),
-                         _collect(algebra, words))
-
-    # extensions use leading multipliers:
-    #   T(G_i Q_j - G_j Q_i) + T(F_i P_j - F_j P_i) + R(P_i Q_j - P_j Q_i)
+    # f = T^2, P_{J_ij} = T(G_i Q_j - G_j Q_i) + T(F_i P_j - F_j P_i)
+    #                  + R(P_i Q_j - P_j Q_i)
     # plus one extra block per extension letter, and an f of its own
+    f_words = {(ix["T"], ix["T"]): Fraction(1)}
     blocks = [("T", "G", "Q"), ("T", "F", "P"), ("R", "P", "Q")]
     blocks += [block for block in (("L", "G", "F"), ("M", "Q", "F"),
                                    ("A", "P", "G")) if block[0] in ext]

@@ -9,8 +9,9 @@ computed by bubbling adjacent out-of-order pairs with
     X_a X_b = X_b X_a + [X_a, X_b]        (a > b)
 
 which terminates because each swap removes an inversion and each bracket
-term shortens the word.  Normal forms of words are memoized within one
-call and dropped when it returns; nothing is kept on the algebra.
+term shortens the word.  Products, brackets, sums and symmetrization all
+add up normal forms through _normalize, with one memo per top-level
+operation (a whole symmetrize call is one); nothing outlives the call.
 
 A commutator with one scaled generator, [c X_t, b], is taken as the
 derivation it is: each letter of each word of b is replaced in turn by
@@ -19,9 +20,9 @@ a commutative polynomial averages each group of mutually entangled
 letters once per call, memoized on the group's letters, and merges the
 commuting groups of a word as sorted words.
 
-Word lengths are capped: words and products whose raw concatenation
-would exceed DEGREE_CAP raise DegreeOverflowError rather than silently
-grinding; no term of [X_t, w] is longer than w, so w may reach the cap.
+Word lengths are capped in _normalize: any word longer than DEGREE_CAP,
+a raw product included, raises DegreeOverflowError rather than grinding;
+no term of [X_t, w] is longer than w, so w may reach the cap.
 """
 
 from fractions import Fraction
@@ -37,16 +38,11 @@ _ONE = Fraction(1)
 DEGREE_CAP = 12
 
 
-def _wkey(word):
-    # graded lex on words, mirroring the polynomial monomial order
-    return (len(word), word)
-
-
 def _normal_word(algebra, word, memo):
     """Normal form of a single word as a dict word -> coefficient.
 
-    memo maps words to normal forms for one top-level call, which creates
-    it; the result dicts are shared through it and must stay read-only.
+    memo maps words to normal forms for one top-level operation, which
+    creates it; its result dicts are shared and must stay read-only.
     """
     hit = memo.get(word)
     if hit is not None:
@@ -66,19 +62,33 @@ def _normal_word(algebra, word, memo):
     return result
 
 
-def _normal_sum(algebra, pairs):
-    """sum of c * NF(word) over (word, c) pairs, through one memo."""
-    out, memo = {}, {}
-    for word, coeff in pairs:
-        word = tuple(word)
-        for i in word:
-            algebra._check_index(i)
+def _normalize(algebra, pairs, memo):
+    """{word: coeff}, the sum of c * NF(word) over a stream of (word, c)
+    pairs through memo; each word is checked against DEGREE_CAP first.
+    The one caller of _normal_word outside its own recursion."""
+    out = {}
+    for word, c in pairs:
         if len(word) > DEGREE_CAP:
             raise DegreeOverflowError(len(word), DEGREE_CAP)
-        coeff = Fraction(coeff)
-        if coeff:
-            accumulate(out, _normal_word(algebra, word, memo).items(), coeff)
-    return PBWElement(algebra, out)
+        accumulate(out, _normal_word(algebra, word, memo).items(), c)
+    return out
+
+
+def _concatenations(a, b):
+    """(w1 w2, c1 c2) over the term pairs of two term dicts."""
+    return ((w1 + w2, c1 * c2) for w1, c1 in a.items() for w2, c2 in b.items())
+
+
+def _normal_sum(algebra, pairs):
+    """sum of c * NF(word) over (word, c) pairs of outside input, whose
+    indices and coefficients are checked here."""
+    def checked():
+        for word, coeff in pairs:
+            word = tuple(word)
+            for i in word:
+                algebra._check_index(i)
+            yield word, Fraction(coeff)
+    return PBWElement(algebra, _normalize(algebra, checked(), {}))
 
 
 class PBWElement(SparseTerms):
@@ -140,8 +150,8 @@ class PBWElement(SparseTerms):
 
     def ordered_terms(self):
         """(word, coeff) pairs, highest graded-lex word first."""
-        return [(w, self.terms[w])
-                for w in sorted(self.terms, key=_wkey, reverse=True)]
+        return [(w, self.terms[w]) for w in sorted(
+            self.terms, key=lambda w: (len(w), w), reverse=True)]
 
     def commutative_image(self):
         """Project onto the symmetric algebra: each normal word is
@@ -159,25 +169,13 @@ def pbw_normalize(algebra, word, coeff=1):
 
 
 def u_mul(a, b):
-    """Product in U(g), renormalized."""
+    """Product in U(g): every concatenation of a term of a with a term of
+    b, normally ordered through one memo that lives for this call."""
     if not isinstance(a, PBWElement) or not isinstance(b, PBWElement):
         raise MalformedInputError("u_mul needs two enveloping elements")
     a._check_mate(b)
-    algebra = a.algebra
-    out, memo = {}, {}
-    for w1, c1 in a.terms.items():
-        ordered = []
-        for w2, c2 in b.terms.items():
-            if len(w1) + len(w2) > DEGREE_CAP:
-                raise DegreeOverflowError(len(w1) + len(w2), DEGREE_CAP)
-            if not w1 or not w2 or w1[-1] <= w2[0]:
-                # concatenation is already normally ordered
-                ordered.append((w1 + w2, c2))
-            else:
-                accumulate(out, _normal_word(algebra, w1 + w2, memo).items(),
-                           c1 * c2)
-        accumulate(out, ordered, c1)
-    return PBWElement(algebra, out)
+    return PBWElement(a.algebra, _normalize(
+        a.algebra, _concatenations(a.terms, b.terms), {}))
 
 
 def u_commutator(a, b):
@@ -202,14 +200,10 @@ def u_commutator(a, b):
 def _generator_bracket(t, elem, c):
     """c [X_t, elem], one letter of each word at a time."""
     algebra = elem.algebra
-    out, memo = {}, {}
-    for w, wc in elem.terms.items():
-        for k, y in enumerate(w):
-            for z, bc in algebra.bracket_basis(t, y).items():
-                accumulate(out, _normal_word(
-                    algebra, w[:k] + (z,) + w[k + 1:], memo).items(),
-                    c * wc * bc)
-    return PBWElement(algebra, out)
+    return PBWElement(algebra, _normalize(algebra, (
+        (w[:k] + (z,) + w[k + 1:], c * wc * bc)
+        for w, wc in elem.terms.items() for k, y in enumerate(w)
+        for z, bc in algebra.bracket_basis(t, y).items()), {}))
 
 
 def u_product(algebra, factors):
@@ -274,7 +268,7 @@ def symmetrize(algebra, poly):
     merging sorted words, coefficients multiplied, which is exact when
     every letter of the product so far commutes with every letter of the
     next group's average; a bracket term can leave its group, so
-    otherwise the two are multiplied with u_mul.
+    otherwise the two are multiplied out, through the call's one memo.
     """
     if poly.nvars != algebra.dim:
         raise MalformedInputError(
@@ -289,38 +283,39 @@ def symmetrize(algebra, poly):
         # every letter failing to commute with one of letters
         return set().union(*(neighbours[a] for a in letters))
 
-    averages = {}
+    memo, averages = {}, {}
 
     def average(letters):
-        # (sym(letters), the letters of its words); letters is sorted
+        # (terms of sym(letters), the letters of its words); letters is sorted
         if letters not in averages:
             free, groups = _letter_groups(letters, neighbours)
             if free or len(groups) != 1:
-                total = PBWElement(algebra, combine(free, groups, _ONE))
+                terms = combine(free, groups, _ONE)
             else:
-                total = PBWElement(algebra)
-                for s, a in enumerate(letters):
-                    if s == 0 or letters[s - 1] != a:
-                        rest, _ = average(letters[:s] + letters[s + 1:])
-                        total = total + u_mul(PBWElement.generator(algebra, a),
-                                              rest).scale(letters.count(a))
-                total = total.scale(Fraction(1, len(letters)))
-            averages[letters] = (total, total.support())
+                terms = _normalize(algebra, steps(letters), memo)
+            averages[letters] = (terms, set().union(*terms))
         return averages[letters]
+
+    def steps(letters):
+        # (a w, mult(a) c / |M|) over distinct a in M and terms c w of sym(M - a)
+        for s, a in enumerate(letters):
+            if s == 0 or letters[s - 1] != a:
+                share = Fraction(letters.count(a), len(letters))
+                rest, _ = average(letters[:s] + letters[s + 1:])
+                for w, c in rest.items():
+                    yield (a,) + w, share * c
 
     def combine(free, groups, c):
         # terms of c * free * sym(group_1) * ... * sym(group_n)
         product, support = {free: c}, set(free)
         for group in groups:
             avg, letters = average(group)
+            pairs = _concatenations(product, avg)
             if reach(support).isdisjoint(letters):
-                merged = {}
-                for w1, c1 in product.items():
-                    accumulate(merged, ((tuple(sorted(w1 + w2)), c1 * c2)
-                                        for w2, c2 in avg.terms.items()))
-                product = merged
+                product = {}
+                accumulate(product, ((tuple(sorted(w)), v) for w, v in pairs))
             else:
-                product = u_mul(PBWElement(algebra, product), avg).terms
+                product = _normalize(algebra, pairs, memo)
             support |= letters
         return product
 

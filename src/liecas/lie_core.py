@@ -145,10 +145,9 @@ class LieAlgebra:
             self.dim, len(self.levi), len(self.radical))
 
     def index(self, name):
-        try:
+        if isinstance(name, str) and name in self.name_index:
             return self.name_index[name]
-        except KeyError:
-            raise MalformedInputError("unknown generator %r" % (name,)) from None
+        raise MalformedInputError("unknown generator %r" % (name,))
 
     # ---- bracket ---------------------------------------------------------
 
@@ -284,7 +283,7 @@ def algebra_from_json(doc):
         index[n] = i
 
     def look(n):
-        if n not in index:
+        if not isinstance(n, str) or n not in index:
             raise MalformedInputError("unknown generator %r" % (n,))
         return index[n]
 
@@ -310,6 +309,9 @@ def algebra_from_json(doc):
         accumulate(brackets.setdefault((i, j), {}), map(term, row["terms"]),
                    sign)
     brackets = {key: val for key, val in brackets.items() if val}
+    for key in ("levi", "radical"):
+        if not isinstance(doc[key], list):
+            raise MalformedInputError("%s must be a list of names" % key)
     levi = [look(n) for n in doc["levi"]]
     radical = [look(n) for n in doc["radical"]]
     return LieAlgebra(names, brackets, levi=levi, radical=radical)

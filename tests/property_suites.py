@@ -420,6 +420,28 @@ def normal_order_agreement(seed, cases):
     return cases
 
 
+def symmetrize_agreement(seed, cases):
+    """symmetrize against table_oracles.symmetrize_arrangements, the
+    average of the products of each word's generators over its distinct
+    orderings, on seeded random polynomials of degree at most 5 with 1-3
+    terms; the cases cycle through the roster algebras, Ha(3), IHa(3),
+    QHa(3), boson_example and weyl_quesne(2).  Not in ALL_SUITES: it
+    takes no algebras."""
+    from liecas.catalog import FamilyId, build
+    from liecas.enveloping import symmetrize
+    from table_oracles import symmetrize_arrangements
+    rng = random.Random(seed)
+    algebras = roster() + [build(FamilyId(name, N))[0] for name, N in (
+        ("Ha", 3), ("IHa", 3), ("QHa", 3), ("boson_example", None),
+        ("weyl_quesne", 2))]
+    for t in range(cases):
+        g = algebras[t % len(algebras)]
+        p = random_poly(g.dim, rng, max_deg=5, max_terms=3)
+        assert symmetrize(g, p) == symmetrize_arrangements(g, p), \
+            "symmetrization differs in %r at case %d" % (g, t)
+    return cases
+
+
 def normal_order_footprint(call):
     """(calls, retained): the enveloping._normal_word calls made by
     call(), recursive ones included, and the bytes tracemalloc still

@@ -32,9 +32,10 @@ every index triple.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
-from liecas.enveloping import PBWElement, pbw_normalize, u_commutator, u_mul
+from liecas.enveloping import (PBWElement, pbw_normalize, u_commutator,
+                               u_mul, u_product)
 from liecas.errors import InternalConsistencyError, MalformedInputError
 from liecas.exterior import ExteriorElement, mc_differential
 from liecas.polynomial import CommPoly
@@ -530,6 +531,19 @@ def normal_word_bubble(algebra, word, coeff=1):
 def commutator_direct(a, b):
     """[a, b] as the two full products ab - ba, whatever the factors."""
     return u_mul(a, b) - u_mul(b, a)
+
+
+def symmetrize_arrangements(algebra, poly):
+    """Sym(poly) by its definition: each word's generators multiplied in
+    every distinct order with u_product, one product at a time with no
+    memo shared between them, and the products averaged."""
+    out = PBWElement(algebra)
+    for word, c in poly.terms.items():
+        orders = set(permutations(word))
+        for order in orders:
+            factors = [PBWElement.generator(algebra, a) for a in order]
+            out = out + u_product(algebra, factors).scale(c / len(orders))
+    return out
 
 
 # ---- the factor condition of a virtual copy ---------------------------------

@@ -163,6 +163,53 @@ def test_malformed_flags_exit_2(capsys, tmp_path):
     capsys.readouterr()
 
 
+def _ha3_answer(capsys, tmp_path, algebra_edit=None, spec_edit=None):
+    """verify-copy --format json on Ha(3)'s dump after an edit of the
+    algebra or spec document; (exit status, parsed stdout)."""
+    algebra, spec = build(FamilyId("Ha", 3))
+    docs = {"algebra": algebra_to_json(algebra), "spec": emit_spec(spec)}
+    for key, edit in (("algebra", algebra_edit), ("spec", spec_edit)):
+        if edit is not None:
+            edit(docs[key])
+    code, out = run(capsys, "verify-copy",
+                    "--algebra", write_json(tmp_path / "a.json",
+                                            docs["algebra"]),
+                    "--spec", write_json(tmp_path / "s.json", docs["spec"]),
+                    "--format", "json")
+    return code, json.loads(out)
+
+
+def test_levi_that_is_no_list_is_malformed_input(capsys, tmp_path):
+    code, doc = _ha3_answer(capsys, tmp_path,
+                            algebra_edit=lambda d: d.update(levi=5))
+    assert (code, doc["error"]) == (2, "malformed-input")
+
+
+def test_radical_that_is_no_list_is_malformed_input(capsys, tmp_path):
+    # an object of the radical names was once read as its keys
+    def edit(d):
+        d["radical"] = {name: 1 for name in d["radical"]}
+    code, doc = _ha3_answer(capsys, tmp_path, algebra_edit=edit)
+    assert (code, doc["error"]) == (2, "malformed-input")
+
+
+def test_bracket_name_that_is_no_string_is_malformed_input(capsys, tmp_path):
+    def edit(d):
+        d["brackets"][0]["i"] = [d["brackets"][0]["i"]]
+    code, doc = _ha3_answer(capsys, tmp_path, algebra_edit=edit)
+    assert (code, doc) == (2, {"error": "malformed-input",
+                               "detail": "unknown generator ['J_12']"})
+
+
+def test_spec_word_name_that_is_no_string_is_malformed_input(capsys,
+                                                             tmp_path):
+    def edit(d):
+        d["f"][0]["word"] = [d["f"][0]["word"]]
+    code, doc = _ha3_answer(capsys, tmp_path, spec_edit=edit)
+    assert (code, doc) == (2, {"error": "malformed-input",
+                               "detail": "unknown generator ['R']"})
+
+
 def test_usage_errors_answer_in_json(capsys, monkeypatch):
     monkeypatch.delenv("LIECAS_FORMAT", raising=False)
     # validate takes no --spec; bb2 is no method

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -19,7 +18,6 @@ from liecas.catalog import FamilyId, build, heisenberg_algebra, so_algebra
 from liecas.errors import DegreeOverflowError, MalformedInputError
 from liecas.lie_core import LieAlgebra
 from liecas.polynomial import CommPoly
-from liecas.sparse import accumulate
 
 from property_suites import (
     derivation_agreement,
@@ -28,8 +26,10 @@ from property_suites import (
     pbw_associativity,
     random_poly,
     roster,
+    symmetrize_agreement,
     ug_jacobi,
 )
+from table_oracles import symmetrize_arrangements
 
 F = Fraction
 
@@ -149,6 +149,11 @@ def test_generator_commutator_takes_elements_at_the_degree_cap():
     for t in range(6):
         x = PBWElement.generator(top.algebra, t)
         assert top.degree() == u_commutator(x, top).degree() == DEGREE_CAP
+    # only the raw constructor builds a word past the cap; the derivation
+    # checks every word it orders, as a product does
+    over = PBWElement(g, {(1,) * (DEGREE_CAP + 1): F(1)})
+    with pytest.raises(DegreeOverflowError):
+        u_commutator(PBWElement.generator(g, 0), over)
 
 
 def test_generator_commutator_matches_products():
@@ -201,17 +206,6 @@ def test_symmetrize_degree_two():
     assert symmetrize(g, CommPoly.zero(3)).is_zero()
 
 
-def brute_symmetrize(g, p):
-    """(1/p!) sum over all permutations of each word, term by term."""
-    out = {}
-    for word, c in p.terms.items():
-        perms = list(itertools.permutations(word))
-        for w in perms:
-            accumulate(out, pbw_normalize(g, w).terms.items(),
-                       F(c, len(perms)))
-    return PBWElement(g, out)
-
-
 def entangled_nilpotent():
     # [a, b] = k1 + k2, [k1, c] = z, [k2, c] = -z (Jacobi holds since
     # [[a, b], c] = 0).  c commutes with a and b but not with k1 or k2,
@@ -224,14 +218,14 @@ def entangled_nilpotent():
 
 def test_symmetrize_matches_brute_force_average():
     # the memoized, group-merged average must agree with the raw
-    # (1/p!) sum over all permutations
+    # average over all distinct orderings
     rosters = roster()
     import random
     rng = random.Random(20)
     for t in range(25):
         g = rosters[t % len(rosters)]
         p = random_poly(g.dim, rng, max_deg=4, max_terms=2)
-        assert symmetrize(g, p) == brute_symmetrize(g, p)
+        assert symmetrize(g, p) == symmetrize_arrangements(g, p)
     # every word of degree <= 4 at once: the words share letter groups and
     # sub-multisets, so one call reuses its averages
     for g in rosters:
@@ -239,21 +233,36 @@ def test_symmetrize_matches_brute_force_average():
         for i in range(g.dim):
             q = q + CommPoly.variable(g.dim, i).scale(i + 2)
         p = q * q * q * q
-        assert symmetrize(g, p) == brute_symmetrize(g, p)
+        assert symmetrize(g, p) == symmetrize_arrangements(g, p)
     # groups whose averages do not commute: the merge must multiply
     g = entangled_nilpotent()
     x = [CommPoly.variable(g.dim, i) for i in range(g.dim)]
     a, b, k1, c, k2, z = x
     for p in (a * b * c, a * b * c * c + a * a * b * c * z,
               (a + c) * (b + c) * (k1 + k2) * c, a * b * c * k1 * k2):
-        assert symmetrize(g, p) == brute_symmetrize(g, p)
+        assert symmetrize(g, p) == symmetrize_arrangements(g, p)
     # every char-poly Casimir of degree at most 6 on the smallest families
     for name in ("Ha", "IHa"):
         algebra, spec = build(FamilyId(name, 3))
         coefficients = char_poly_coefficients(build_so_matrix(algebra, spec))
         for poly in coefficients.values():
             assert poly.degree() <= 6
-            assert symmetrize(algebra, poly) == brute_symmetrize(algebra, poly)
+            assert symmetrize(algebra, poly) == \
+                symmetrize_arrangements(algebra, poly)
+
+
+def test_symmetrize_matches_its_definition():
+    assert symmetrize_agreement(seed=23, cases=300) == 300
+
+
+def test_symmetrize_footprint_on_iha4_c4():
+    # every product of one symmetrize call goes through one memo: 11,394
+    # _normal_word calls, against 18,835 with a memo per product
+    algebra, spec = build(FamilyId("IHa", 4))
+    c4 = char_poly_coefficients(build_so_matrix(algebra, spec))[2]
+    calls, retained = normal_order_footprint(lambda: symmetrize(algebra, c4))
+    assert calls < 14000
+    assert retained < 64 * 1024
 
 
 def test_symmetrize_leading_part_is_identity():
