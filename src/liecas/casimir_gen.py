@@ -61,17 +61,12 @@ def rotation_block_size(algebra):
     return top
 
 
-def build_so_matrix(algebra, spec, N=None):
+def build_so_matrix(algebra, spec):
     """Antisymmetric N x N matrix of the dressed generators' commutative
-    images.  The spec must verify, which is checked first; N defaults to
-    the size read off the Levi labels."""
+    images, N the size read off the Levi labels.  The spec must verify,
+    which is checked first."""
     require_verified(algebra, spec, "the matrix entries would be meaningless")
-    size = rotation_block_size(algebra)
-    if N is None:
-        N = size
-    elif N != size:
-        raise MalformedInputError(
-            "algebra carries a %d x %d rotation block, not %d" % (size, size, N))
+    N = rotation_block_size(algebra)
     zero = CommPoly.zero(algebra.dim)
     matrix = [[zero for _ in range(N)] for _ in range(N)]
     if N == 1:

@@ -1,10 +1,10 @@
 """Exact multivariate polynomials over the rationals.
 
 A CommPoly lives in a fixed set of nvars commuting variables x_0..x_{nvars-1}
-(in practice the coordinates dual to a Lie algebra basis, plus possibly one
-extra char-poly variable).  A monomial is keyed by its sorted index word,
-the key a PBWElement uses for a normal word: x_0^2 x_3 is (0, 0, 3) and
-the constant monomial is ().  Terms are stored as a map
+(in practice the coordinates dual to a Lie algebra basis).  A monomial is
+keyed by its sorted index word, the key a PBWElement uses for a normal
+word: x_0^2 x_3 is (0, 0, 3) and the constant monomial is ().  Terms are
+stored as a map
 
     sorted index word -> Fraction coefficient
 

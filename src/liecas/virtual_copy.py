@@ -12,23 +12,27 @@ both conditions together force the factorization
 
     [X'_i, X'_j] = f * sum_k C_ij^k (X_k f + P_k).
 
-verify() recomputes every one of these constraints from scratch, plus the
-supporting identities (f central, P_i transforming like the adjoint
-action), and reports all nonzero residuals; nothing is assumed about
-where the spec came from.  The radical, adjoint, f and equivariance
-residuals are one u_commutator call each, made in one place.  The
-factor residuals are derived from the radical, adjoint and f residuals
-through the exact identity in U(g)
+verify() checks every one of these constraints, plus the supporting
+identities (f central, P_i transforming like the adjoint action), and
+reports all nonzero residuals; nothing is assumed about where the spec
+came from.  It takes two commutator tables over every generator t,
 
-    [X'_i, X'_j] - f E_ij = A_ij f + [E_ij, f] + X_j [X'_i, f] + [X'_i, P_j]
+    F_t = [f, X_t],    B_it = [P_i, X_t]  (Levi i),
 
-with E_ij = sum_k C_ij^k image_k (image_k = X_k f + P_k for Levi k, the
+and derives each residual from them by an exact identity in U(g):
+[f, X_t] is F_t, the equivariance residual is E_ij = B_ij - sum over
+Levi k of C_ij^k P_k, [X'_i, Y_y] = [X_i, Y_y] f + X_i F_y + B_iy, and
+the adjoint residual is E_ij + X_i F_j + sum over non-Levi k of
+C_ij^k (X_k f - X_k).  The factor residuals follow from those through
+
+    [X'_i, X'_j] - f E'_ij = A_ij f + [E'_ij, f] + X_j [X'_i, f] + [X'_i, P_j]
+
+with E'_ij = sum_k C_ij^k image_k (image_k = X_k f + P_k for Levi k, the
 plain generator otherwise) and A_ij the adjoint residual.  As f and P_j
 are radical-supported, [X'_i, f] and [X'_i, P_j] expand letter by letter
 into sum w[:m] [X'_i, Y_{w_m}] w[m+1:] over their words w; likewise
-[X_k f, f] = -[f, X_k] f, [Y_k, f] = -[f, Y_k] and [P_k, f] expands
-over the f radical residuals.  On a passing spec every term is zero, so
-no product of two dressed generators, of degree 2k, is normally ordered.
+[X_k f, f] = -F_k f, [Y_k, f] = -F_k and [P_k, f] expands over the F_y.
+No dressed generator is formed, let alone a product of two.
 
 The report (CopyVerificationReport) holds the generator names and, for
 each condition of the ordered table CONDITIONS, a map from index key to
@@ -58,6 +62,7 @@ from .enveloping import (
     DEGREE_CAP,
     PBWElement,
     _distinct_arrangements,
+    _normalize,
     emit_pbw,
     parse_pbw,
     symmetrize,
@@ -233,25 +238,37 @@ class CopyVerificationReport:
 def verify(algebra, spec):
     """Evaluate every copy condition exactly; collect nonzero residuals.
 
-    The factor residuals come from the other residuals through the
-    Leibniz identity of the module docstring; they equal those of
-    multiplying [X'_i, X'_j] out.  [X'_i, X'_j] has degree 2k - 1, so a spec with
-    2k - 1 > DEGREE_CAP and two Levi generators is refused with
-    DegreeOverflowError before the factor block."""
-    ops = build_operators(algebra, spec)
+    Each residual is derived from the tables F and B of the module
+    docstring and equals the one of multiplying its bracket out.  X'_i has
+    degree k and [X'_i, X'_j] degree 2k - 1, so a spec with k > DEGREE_CAP,
+    or 2k - 1 > DEGREE_CAP and two Levi generators, raises
+    DegreeOverflowError first."""
+    if spec.algebra is not algebra:
+        raise MalformedInputError("spec belongs to a different algebra")
     levi = sorted(algebra.levi)
     radical = sorted(algebra.radical)
+    pairs = [(i, j) for a_pos, i in enumerate(levi) for j in levi[a_pos + 1:]]
+    # neither X'_i nor [X'_i, X'_j] is ever formed, so their limits are
+    # checked here
+    for length, present in ((spec.k, levi), (2 * spec.k - 1, pairs)):
+        if present and length > DEGREE_CAP:
+            raise DegreeOverflowError(length, DEGREE_CAP)
     gens = {t: PBWElement.generator(algebra, t) for t in range(algebra.dim)}
-    # brackets close on the Levi part; a term k leaking outside it has no
-    # dressed image and stays a plain generator so the residual exposes it
-    dressed = {**gens, **ops}
+    F = {t: u_commutator(spec.f, x) for t, x in gens.items()}
+    B = {i: {t: u_commutator(spec.P[i], x) for t, x in gens.items()}
+         for i in levi}
+    # X_t f, of degree k, is formed only next to a Levi generator; a bracket
+    # term leaking into the radical has no dressed image and is expected as
+    # the plain generator
+    xf = {t: u_mul(x, spec.f) for t, x in gens.items() if levi}
+    leak = {y: xf[y] - gens[y] for y in xf if y in algebra.radical}
     zero = PBWElement(algebra)
     report = CopyVerificationReport(algebra.names)
+    residuals = report.residuals
 
-    def check(name, key, a, b, expected=zero):
-        res = u_commutator(a, b) - expected
-        if res:
-            report.residuals[name][key] = res
+    def keep(name, key, residual):
+        if residual:
+            residuals[name][key] = residual
 
     def combination(i, j, image):
         # sum_k C_ij^k image[k], over the k that image covers
@@ -261,60 +278,39 @@ def verify(algebra, spec):
                 out = out + image[k].scale(c)
         return out
 
-    for i in levi:
-        for y in radical:
-            check("radical_residuals", (i, y), ops[i], gens[y])
-        for j in levi:
-            check("adjoint_residuals", (i, j), ops[i], gens[j],
-                  combination(i, j, dressed))
     for y in radical:
-        check("f_radical_residuals", (y,), spec.f, gens[y])
-    for j in levi:
-        check("f_levi_residuals", (j,), spec.f, gens[j])
+        keep("f_radical_residuals", (y,), F[y])
     for i in levi:
+        keep("f_levi_residuals", (i,), F[i])
+        for y in radical:
+            # [X_i f, Y] = [X_i, Y] f + X_i [f, Y]
+            keep("radical_residuals", (i, y), combination(i, y, xf)
+                 + u_mul(gens[i], F[y]) + B[i][y])
         for j in levi:
-            check("equivariance_residuals", (i, j), spec.P[i], gens[j],
-                  combination(i, j, spec.P))
-
-    pairs = [(i, j) for a_pos, i in enumerate(levi) for j in levi[a_pos + 1:]]
-    # the Leibniz terms below stay within degree 2k - 1 and never hit the
-    # cap on their own, so the limit on [X'_i, X'_j] is checked here
-    if pairs and 2 * spec.k - 1 > DEGREE_CAP:
-        raise DegreeOverflowError(2 * spec.k - 1, DEGREE_CAP)
-    radical_res = report.residuals["radical_residuals"]
-    adjoint_res = report.residuals["adjoint_residuals"]
-    f_levi_res = report.residuals["f_levi_residuals"]
-    f_radical_res = {y: r for (y,), r
-                     in report.residuals["f_radical_residuals"].items()}
+            E = B[i][j] - combination(i, j, spec.P)
+            keep("equivariance_residuals", (i, j), E)
+            keep("adjoint_residuals", (i, j), E + u_mul(gens[i], F[j])
+                 + combination(i, j, leak))
 
     def derive(elem, residual):
         # the derivation D with D(Y_y) = residual[y] on radical-supported
         # elem: sum over its words w of w[:m] D(Y_{w_m}) w[m+1:]
-        out = zero
-        for w, c in elem.terms.items():
-            for m, y in enumerate(w):
-                if y in residual:
-                    out = out + u_product(algebra, (
-                        PBWElement(algebra, {w[:m]: c}), residual[y],
-                        PBWElement(algebra, {w[m + 1:]: Fraction(1)})))
-        return out
+        return PBWElement(algebra, _normalize(algebra, (
+            (w[:m] + u + w[m + 1:], c * v)
+            for w, c in elem.terms.items() for m, y in enumerate(w)
+            for u, v in residual.get(y, zero).terms.items()), {}))
 
     # [image_k, f]: -[f, X_k] f - [f, P_k] for Levi k, -[f, Y_k] otherwise
-    against_f = {}
-    for k in range(algebra.dim):
-        if k in algebra.levi:
-            against_f[k] = -(u_mul(f_levi_res.get((k,), zero), spec.f)
-                             + derive(spec.P[k], f_radical_res))
-        else:
-            against_f[k] = -f_radical_res.get(k, zero)
+    against_f = {k: -(u_mul(F[k], spec.f) + derive(spec.P[k], F))
+                 if k in algebra.levi else -F[k] for k in F}
     for i, j in pairs:
-        on_i = {y: r for (a, y), r in radical_res.items() if a == i}
-        res = (u_mul(adjoint_res.get((i, j), zero), spec.f)
-               + combination(i, j, against_f)
-               + u_mul(gens[j], derive(spec.f, on_i))
-               + derive(spec.P[j], on_i))
-        if res:
-            report.residuals["factor_residuals"][(i, j)] = res
+        on_i = {y: r for (a, y), r in residuals["radical_residuals"].items()
+                if a == i}
+        keep("factor_residuals", (i, j),
+             u_mul(residuals["adjoint_residuals"].get((i, j), zero), spec.f)
+             + combination(i, j, against_f)
+             + u_mul(gens[j], derive(spec.f, on_i))
+             + derive(spec.P[j], on_i))
     return report
 
 

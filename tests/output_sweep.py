@@ -7,26 +7,39 @@ Run it from the repository root:
 Every catalog family is built at its least N and at least N + 1 (the
 parameterless families once, boson_example at its default alpha).  Each
 instance gets `catalog`, `validate`, `mc` and `count --verbose`, and a
-dressed one also `verify-copy` and `casimirs`, each in json, text and
-latex.  The requests run in this process through liecas.cli.main; the
-script prints the request count and one sha256 over every (request,
-exit status, stdout, stderr).  Equal digests from two checkouts mean
+dressed one also `verify-copy`, `casimirs` and `contract --weights
+'{"R": 1}'`.  The three dressings of property_suites.failing_specs are
+written to catalog-style dump files in a temporary folder and each gets
+`verify-copy` and `casimirs --algebra`.  Every request runs in json,
+text and latex.  The requests run in this process through
+liecas.cli.main; the script prints the request count and one sha256
+over every (request, exit status, stdout, stderr), with the temporary
+folder's name left out.  Equal digests from two checkouts mean
 byte-identical answers: point PYTHONPATH at each checkout's src in turn.
-Standard library only; it takes about 40 s.
+A request that raises instead of answering is named on stderr, and the
+script then exits 1.  Standard library only; it takes about two minutes.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
+import sys
+import tempfile
+import traceback
 
 from liecas.catalog import FAMILIES
 from liecas.cli import main
+from liecas.lie_core import algebra_to_json
+from liecas.virtual_copy import emit_spec
+
+from property_suites import failing_specs
 
 FORMATS = ("json", "text", "latex")
 
 
-def requests():
+def requests(folder):
     for name, family in FAMILIES.items():
         if family.least is None:
             instances = [[]]
@@ -35,12 +48,21 @@ def requests():
                          for n in (family.least, family.least + 1)]
         commands = [["catalog"], ["validate"], ["mc"], ["count", "--verbose"]]
         if family.dressed:
-            commands += [["verify-copy"], ["casimirs"]]
+            commands += [["verify-copy"], ["casimirs"],
+                         ["contract", "--weights", '{"R": 1}']]
         for instance in instances:
             for command in commands:
                 for fmt in FORMATS:
                     yield command + ["--family", name] + instance + [
                         "--format", fmt]
+    for label, (algebra, spec) in failing_specs().items():
+        path = os.path.join(folder, label + ".json")
+        with open(path, "w") as dump:
+            json.dump({"algebra": algebra_to_json(algebra),
+                       "spec": emit_spec(spec)}, dump)
+        for command in ("verify-copy", "casimirs"):
+            for fmt in FORMATS:
+                yield [command, "--algebra", path, "--format", fmt]
 
 
 def answer(argv):
@@ -51,9 +73,18 @@ def answer(argv):
 
 
 if __name__ == "__main__":
-    digest, count = hashlib.sha256(), 0
-    for argv in requests():
-        digest.update(json.dumps(answer(argv)).encode("utf-8") + b"\n")
-        count += 1
+    digest, count, raised = hashlib.sha256(), 0, 0
+    with tempfile.TemporaryDirectory() as folder:
+        for argv in requests(folder):
+            try:
+                record = answer(argv)
+            except Exception:
+                raised += 1
+                record = [argv, traceback.format_exc()]
+                print("raised: %s\n%s" % (argv, record[1]), file=sys.stderr)
+            text = json.dumps(record).replace(folder, "<folder>")
+            digest.update(text.encode("utf-8") + b"\n")
+            count += 1
     print("%d requests" % count)
     print("sha256 %s" % digest.hexdigest())
+    sys.exit(1 if raised else 0)

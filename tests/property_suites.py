@@ -270,17 +270,20 @@ def perturbed_spec(algebra, spec, rng):
     return make_spec(algebra, spec.f, {**spec.P, target: elem})
 
 
-def factor_leibniz_agreement(seed, cases):
-    """verify's factor residuals, derived through the Leibniz rule, against
-    the direct products [X'_i, X'_j] - f E_ij.  Runs every dressed catalog
-    family at its least N, the three failing_specs, an sl2 whose declared
-    Levi part is not closed, then `cases` seeded perturbed_spec cases
-    cycling through the Ha, IHa and QHa(3) specs; returns the number of
-    specs checked.  Not in ALL_SUITES: it takes no algebras."""
+def copy_residual_agreement(seed, cases):
+    """verify's residuals, each derived from the tables [f, X_t] and
+    [P_i, X_t], against table_oracles.residuals_direct, which multiplies
+    every bracket out on the dressed generators.  Runs every dressed
+    catalog family at its least N, the three failing_specs, an sl2 whose
+    declared Levi part is not closed, then `cases` seeded perturbed_spec
+    cases cycling through the specs of Ha(3), IHa(3), QHa(3),
+    boson_example and weyl_quesne(2); returns the number of specs checked.
+    Every condition must be nonzero on some spec.  Not in ALL_SUITES: it
+    takes no algebras."""
     from liecas.catalog import FAMILIES, FamilyId, build
     from liecas.enveloping import PBWElement
-    from liecas.virtual_copy import make_spec, verify
-    from table_oracles import factor_residuals_direct
+    from liecas.virtual_copy import CONDITIONS, make_spec, verify
+    from table_oracles import residuals_direct
     rng = random.Random(seed)
     specs = []
     for name, family in FAMILIES.items():
@@ -298,18 +301,21 @@ def factor_leibniz_agreement(seed, cases):
         levi=[1, 2])
     specs.append(("leaky-sl2", leaky,
                   make_spec(leaky, PBWElement.generator(leaky, "v1"), {})))
+    bases = [FamilyId("Ha", 3), FamilyId("IHa", 3), FamilyId("QHa", 3),
+             FamilyId("boson_example"), FamilyId("weyl_quesne", 2)]
     for t in range(cases):
-        name = ("Ha", "IHa", "QHa")[t % 3]
-        algebra, spec = build(FamilyId(name, 3))
-        specs.append(("perturbed %s(3) #%d" % (name, t), algebra,
+        fid = bases[t % len(bases)]
+        algebra, spec = build(fid)
+        specs.append(("perturbed %s(%s) #%d" % (fid.name, fid.N, t), algebra,
                       perturbed_spec(algebra, spec, rng)))
-    failing = 0
+    nonzero = dict.fromkeys((name for name, _line in CONDITIONS), 0)
     for label, algebra, spec in specs:
-        got = verify(algebra, spec).residuals["factor_residuals"]
-        want = factor_residuals_direct(algebra, spec)
-        assert got == want, "factor residuals differ on %s" % label
-        failing += bool(want)
-    assert failing > cases, "too few specs with a nonzero factor residual"
+        want = residuals_direct(algebra, spec)
+        assert verify(algebra, spec).residuals == want, \
+            "residuals differ on %s" % label
+        for name, found in want.items():
+            nonzero[name] += bool(found)
+    assert all(nonzero.values()), "a condition never fails: %r" % nonzero
     return len(specs)
 
 

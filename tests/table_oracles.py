@@ -26,9 +26,9 @@ exterior algebra of the dual, the half-rank of a 2-form by wedge powers,
 the characteristic polynomial by cofactor expansion, the rank by
 Gaussian elimination over Fraction, the normal form of a word in U(g)
 by unmemoized bubbling, the commutator in U(g) as two full products, the
-factor condition of a virtual copy with the dressed generators
-multiplied out in full, and the Jacobi sums of a bracket table over
-every index triple.
+conditions of a virtual copy with every bracket of the dressed
+generators multiplied out in full, and the Jacobi sums of a bracket
+table over every index triple.
 """
 
 from fractions import Fraction
@@ -40,7 +40,7 @@ from liecas.errors import InternalConsistencyError, MalformedInputError
 from liecas.exterior import ExteriorElement, mc_differential
 from liecas.polynomial import CommPoly
 from liecas.sparse import accumulate
-from liecas.virtual_copy import build_operators
+from liecas.virtual_copy import CONDITIONS, build_operators
 
 _VECTOR_LETTERS = "GFQP"
 _INDEX_SLOTS = "ijklv"
@@ -546,26 +546,56 @@ def symmetrize_arrangements(algebra, poly):
     return out
 
 
-# ---- the factor condition of a virtual copy ---------------------------------
+# ---- the conditions of a virtual copy --------------------------------------
 
 
-def factor_residuals_direct(algebra, spec):
-    """{(i, j): [X'_i, X'_j] - f * sum_k C_ij^k image_k} over Levi i < j,
-    nonzero entries only, from the full product of two dressed generators;
-    image_k is X'_k for Levi k and the plain generator otherwise."""
+def residuals_direct(algebra, spec):
+    """{condition: {key: nonzero residual}}, keyed like verify's report,
+    with every bracket multiplied out in full by commutator_direct:
+
+    radical (i, y)                [X'_i, Y_y]
+    adjoint (i, j)                [X'_i, X_j] - E_ij
+    f_radical (y,), f_levi (j,)   [f, Y_y], [f, X_j]
+    equivariance (i, j)           [P_i, X_j] - sum over Levi k of C_ij^k P_k
+    factor (i, j), i < j          [X'_i, X'_j] - f E_ij
+
+    where X'_i = X_i f + P_i comes from build_operators and E_ij is
+    sum_k C_ij^k image_k, image_k being X'_k for Levi k and the plain
+    generator otherwise."""
     ops = build_operators(algebra, spec)
-    levi = sorted(algebra.levi)
-    out = {}
-    for a, i in enumerate(levi):
-        for j in levi[a + 1:]:
-            image = PBWElement(algebra)
-            for k, c in algebra.bracket_basis(i, j).items():
-                image_k = (ops[k] if k in ops
-                           else PBWElement.generator(algebra, k))
-                image = image + image_k.scale(c)
-            res = commutator_direct(ops[i], ops[j]) - u_mul(spec.f, image)
-            if res:
-                out[(i, j)] = res
+    gens = {t: PBWElement.generator(algebra, t) for t in range(algebra.dim)}
+    image = {**gens, **ops}
+    levi, radical = sorted(algebra.levi), sorted(algebra.radical)
+    out = {name: {} for name, _line in CONDITIONS}
+
+    def combination(i, j, terms):
+        total = PBWElement(algebra)
+        for k, c in algebra.bracket_basis(i, j).items():
+            if k in terms:
+                total = total + terms[k].scale(c)
+        return total
+
+    def keep(name, key, residual):
+        if residual:
+            out[name][key] = residual
+
+    for y in radical:
+        keep("f_radical_residuals", (y,), commutator_direct(spec.f, gens[y]))
+    for i in levi:
+        keep("f_levi_residuals", (i,), commutator_direct(spec.f, gens[i]))
+        for y in radical:
+            keep("radical_residuals", (i, y),
+                 commutator_direct(ops[i], gens[y]))
+        for j in levi:
+            keep("adjoint_residuals", (i, j),
+                 commutator_direct(ops[i], gens[j]) - combination(i, j, image))
+            keep("equivariance_residuals", (i, j),
+                 commutator_direct(spec.P[i], gens[j])
+                 - combination(i, j, spec.P))
+            if i < j:
+                keep("factor_residuals", (i, j),
+                     commutator_direct(ops[i], ops[j])
+                     - u_mul(spec.f, combination(i, j, image)))
     return out
 
 

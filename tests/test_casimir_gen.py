@@ -226,7 +226,7 @@ def test_casimir_set_refuses_an_over_cap_rotation_block(monkeypatch):
 
 def test_build_so_matrix_shape():
     algebra, spec = b("Ha", 3)
-    M = build_so_matrix(algebra, spec, N=3)
+    M = build_so_matrix(algebra, spec)
     assert len(M) == 3 and all(len(row) == 3 for row in M)
     for i in range(3):
         assert M[i][i].is_zero()
@@ -235,8 +235,6 @@ def test_build_so_matrix_shape():
     ops_image = (PBWElement.generator(algebra, "J_12") * spec.f
                  + spec.P[algebra.index("J_12")]).commutative_image()
     assert M[0][1] == ops_image
-    with pytest.raises(MalformedInputError):
-        build_so_matrix(algebra, spec, N=4)
 
 
 def test_one_by_one_block_is_trivial():

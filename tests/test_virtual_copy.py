@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import liecas.virtual_copy
 from liecas.catalog import (
     FamilyId,
     build,
@@ -28,7 +29,7 @@ from liecas.virtual_copy import (
 )
 
 from property_suites import (
-    factor_leibniz_agreement,
+    copy_residual_agreement,
     failing_specs,
     normal_order_footprint,
 )
@@ -316,26 +317,46 @@ def test_parse_spec_rejects_malformed_documents():
         parse_spec(algebra, doc)
 
 
-# ---- the factor condition through the Leibniz rule -------------------------------
+# ---- every residual from the two commutator tables ------------------------------
 
 
-def test_factor_residuals_match_direct_products():
+def test_copy_residuals_match_direct_products():
     # 12 dressed families at their least N, 3 failing specs, one leaking
-    # Levi bracket, 12 perturbations
-    assert factor_leibniz_agreement(seed=8, cases=12) == 28
+    # Levi bracket, 25 perturbations over five families
+    assert copy_residual_agreement(seed=8, cases=25) == 41
+
+
+def test_verify_takes_two_commutator_tables(monkeypatch):
+    # [f, X_t] and [P_i, X_t] once each over the 36 generators of QHa(5)
+    # and its 10 Levi generators: 36 * 11 = 396 brackets, where checking
+    # each condition on its own took 496; no dressed generator is built
+    algebra, spec = b("QHa", 5)
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return u_commutator(x, y)
+
+    def no_operators(*args):
+        raise AssertionError("verify built the dressed generators")
+
+    monkeypatch.setattr(liecas.virtual_copy, "u_commutator", counted)
+    monkeypatch.setattr(liecas.virtual_copy, "build_operators", no_operators)
+    assert verify(algebra, spec).passed
+    assert len(calls) == algebra.dim * (1 + len(algebra.levi)) == 396
 
 
 def test_verify_footprint_on_qha5():
-    # the Leibniz derivation of the factor condition with [X'_i, Y] and
-    # [P_i, X_j] taken as one-letter derivations takes about 4,000
-    # _normal_word calls; two full products per commutator take about
-    # 33,000.  Normal forms live for one call: a per-algebra cache of them
-    # kept about 180 KB
+    # the two commutator tables and the Leibniz derivation of the factor
+    # condition take about 2,700 _normal_word calls; checking each
+    # condition on its own took about 4,000, and two full products per
+    # commutator about 33,000.  Normal forms live for one call: a
+    # per-algebra cache of them kept about 180 KB
     algebra, spec = b("QHa", 5)
 
     def check():
         assert verify(algebra, spec).passed
 
     calls, retained = normal_order_footprint(check)
-    assert calls < 8000
+    assert calls < 3200
     assert retained < 64 * 1024
