@@ -42,22 +42,24 @@ def _normal_word(algebra, word, memo):
     """Normal form of a single word as a dict word -> coefficient.
 
     memo maps words to normal forms for one top-level operation, which
-    creates it; its result dicts are shared and must stay read-only.
+    creates it; its result dicts are shared and must stay read-only.  An
+    ordered word is its own normal form and is not stored.
     """
     hit = memo.get(word)
     if hit is not None:
         return hit
-    t = next((s for s in range(len(word) - 1) if word[s] > word[s + 1]), None)
-    if t is None:
-        result = {word: _ONE}
+    for t in range(len(word) - 1):
+        if word[t] > word[t + 1]:
+            break
     else:
-        a, b = word[t], word[t + 1]
-        head, tail = word[:t], word[t + 2:]
-        result = dict(_normal_word(algebra, head + (b, a) + tail, memo))
-        for k, c in algebra.bracket_basis(a, b).items():
-            accumulate(result,
-                       _normal_word(algebra, head + (k,) + tail, memo).items(),
-                       c)
+        return {word: _ONE}
+    a, b = word[t], word[t + 1]
+    head, tail = word[:t], word[t + 2:]
+    result = dict(_normal_word(algebra, head + (b, a) + tail, memo))
+    for k, c in algebra.bracket_basis(a, b).items():
+        accumulate(result,
+                   _normal_word(algebra, head + (k,) + tail, memo).items(),
+                   c)
     memo[word] = result
     return result
 

@@ -15,7 +15,10 @@ pencil sum_k a_k d w_k of the structure equations has exactly A(a) as
 its alternating matrix, so method "bb1" (dim g - 2*j0, j0 the pencil's
 generic half-rank) is the same sampling loop with more default trials.
 Ranks can only be underestimated, never overestimated, and the max over
-a few trials of a dense-open condition is stable in practice.
+a few trials of a dense-open condition is stable in practice.  That
+guarantee is the same with linalg.rank taken mod p: the rank mod p at a
+point is at most the rank over Q there, which is at most the generic
+rank, so the count stays an upper bound that its witness point attains.
 """
 
 import random

@@ -1,10 +1,17 @@
-"""Exact rank computation over the rationals.
+"""Rank of a rational matrix, taken mod the prime p = 2^61 - 1.
 
-One routine, fraction-free (Bareiss) elimination on integer rows: each
-row is first scaled by the lcm of its denominators, which keeps the
-rank, and every later division is exact (Bareiss, Math. Comp. 22, 1968).
-No pivoting strategy is needed beyond "first nonzero" since there is no
-rounding.
+Each row is first scaled by the lcm of its denominators, which keeps the
+rank over Q, and its integers are reduced mod p; Gaussian elimination
+then runs in GF(p), with one modular inverse per pivot.  No denominator
+is ever inverted, so an entry whose denominator p divides cannot raise:
+its row is still scaled to integers, and the worst it can do is lower
+the rank.
+
+The rank mod p never exceeds the rank over Q, because every minor that
+vanishes over Q vanishes mod p.  A full rank mod p therefore certifies a
+full rank over Q, and a rank mod p at a random point is the same kind of
+lower bound on a generic rank as a rank over Q (Schwartz, J. ACM 27,
+1980; Zippel, EUROSAM 1979).
 """
 
 from fractions import Fraction
@@ -12,38 +19,37 @@ from math import lcm
 
 from .errors import MalformedInputError
 
+P = 2 ** 61 - 1
+
 
 def rank(rows):
-    """Rank of a matrix given as a list of rows of rationals."""
+    """Rank mod p of a matrix given as a list of rows of rationals;
+    never above the rank over Q."""
     m = []
     for row in rows:
         row = [Fraction(v) for v in row]
         scale = lcm(*(v.denominator for v in row))
-        m.append([v.numerator * (scale // v.denominator) for v in row])
+        m.append([v.numerator * (scale // v.denominator) % P for v in row])
     if not m:
         return 0
     nrows, ncols = len(m), len(m[0])
     if any(len(row) != ncols for row in m):
         raise MalformedInputError("ragged matrix")
-    r, prev = 0, 1
+    r = 0
     for col in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if m[i][col]:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, nrows) if m[i][col]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        top = m[r]
-        p = top[col]
+        inv = pow(m[r][col], -1, P)
+        tail = m[r][col + 1:]
         for i in range(r + 1, nrows):
             row = m[i]
             a = row[col]
-            # p * row - a * top, divided by the previous pivot: exact
-            for j in range(col + 1, ncols):
-                row[j] = (p * row[j] - a * top[j]) // prev
-        prev = p
+            if a:
+                f = a * inv % P
+                row[col + 1:] = [(v - f * t) % P
+                                 for v, t in zip(row[col + 1:], tail)]
         r += 1
         if r == nrows:
             break

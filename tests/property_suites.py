@@ -186,13 +186,14 @@ def random_matrix(rng, nrows, ncols):
 
 
 def rank_agreement(seed, cases):
-    """linalg.rank against Gaussian elimination over Fraction.  The cases
-    cycle through: a random tall, wide or square matrix; a product of
-    inner size below both sides, so rank deficient; such a product with
-    rows and columns zeroed; and 1x1, empty or zero-column matrices.
-    Not in ALL_SUITES: it takes no algebras."""
+    """linalg.rank against the rank over Q by Gaussian elimination over
+    Fraction and by Bareiss elimination.  The cases cycle through: a
+    random tall, wide or square matrix; a product of inner size below
+    both sides, so rank deficient; such a product with rows and columns
+    zeroed; and 1x1, empty or zero-column matrices.  Not in ALL_SUITES:
+    it takes no algebras."""
     from liecas.linalg import rank
-    from table_oracles import rank_fraction
+    from table_oracles import rank_bareiss, rank_fraction
     rng = random.Random(seed)
     for t in range(cases):
         kind = t % 4
@@ -215,8 +216,46 @@ def rank_agreement(seed, cases):
         else:
             m = rng.choice(([], [[]] * nrows, random_matrix(rng, 1, 1)))
         want = rank_fraction(m)
+        assert rank_bareiss(m) == want, "Bareiss rank of %r is not %d" % (m, want)
         assert rank(m) == want, "rank of %r is %d, got %d" % (m, want, rank(m))
     return cases
+
+
+def catalog_algebras(every_n=False):
+    """Every catalog family built at its least N and least N + 1, or at
+    every N it supports; the parameterless families once, boson_example
+    at its default alpha."""
+    from liecas.catalog import FAMILIES, FamilyId, build
+    algebras = []
+    for name, family in FAMILIES.items():
+        if family.least is None:
+            ns = [None]
+        elif every_n:
+            ns = range(family.least, family.most + 1)
+        else:
+            ns = (family.least, family.least + 1)
+        algebras += [build(FamilyId(name, n))[0] for n in ns]
+    return algebras
+
+
+def structure_rank_agreement(algebras, seed, points):
+    """linalg.rank against table_oracles.rank_bareiss on
+    invariants.structure_matrix at `points` seeded integer points per
+    algebra, drawn from the range invariant_count samples; returns the
+    number of matrices ranked.  Not in ALL_SUITES: it ranks whole
+    catalog algebras, which is slow."""
+    from liecas.invariants import _HIGH, _LOW, structure_matrix
+    from liecas.linalg import rank
+    from table_oracles import rank_bareiss
+    rng = random.Random(seed)
+    for a, g in enumerate(algebras):
+        for t in range(points):
+            point = [rng.randint(_LOW, _HIGH) for _ in range(g.dim)]
+            m = structure_matrix(g, point)
+            want = rank_bareiss(m)
+            assert rank(m) == want, "algebra %d %r, point %d: rank %d, got %d" \
+                % (a, g, t, want, rank(m))
+    return len(algebras) * points
 
 
 def failing_specs():

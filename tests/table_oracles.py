@@ -23,16 +23,17 @@ realization, with the deformation parameter alpha left symbolic.
 The last sections hold slow, independent references that the package
 itself does not need: the wedge product and the antiderivation d on the
 exterior algebra of the dual, the half-rank of a 2-form by wedge powers,
-the characteristic polynomial by cofactor expansion, the rank by
-Gaussian elimination over Fraction, the normal form of a word in U(g)
-by unmemoized bubbling, the commutator in U(g) as two full products, the
-conditions of a virtual copy with every bracket of the dressed
-generators multiplied out in full, and the Jacobi sums of a bracket
-table over every index triple.
+the characteristic polynomial by cofactor expansion, the rank over Q by
+Gaussian elimination over Fraction and by fraction-free (Bareiss)
+elimination, the normal form of a word in U(g) by unmemoized bubbling,
+the commutator in U(g) as two full products, the conditions of a virtual
+copy with every bracket of the dressed generators multiplied out in
+full, and the Jacobi sums of a bracket table over every index triple.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
 
 from liecas.enveloping import (PBWElement, pbw_normalize, u_commutator,
                                u_mul, u_product)
@@ -497,6 +498,40 @@ def rank_fraction(rows):
                 factor = m[i][col] * inv
                 for j in range(col, ncols):
                     m[i][j] -= factor * m[r][j]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def rank_bareiss(rows):
+    """Rank over Q by fraction-free (Bareiss) elimination on integer rows:
+    each row is first scaled by the lcm of its denominators, which keeps
+    the rank, and every later division is exact (Bareiss, Math. Comp. 22,
+    1968)."""
+    m = []
+    for row in rows:
+        row = [Fraction(v) for v in row]
+        scale = lcm(*(v.denominator for v in row))
+        m.append([v.numerator * (scale // v.denominator) for v in row])
+    if not m:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    r, prev = 0, 1
+    for col in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        top = m[r]
+        p = top[col]
+        for i in range(r + 1, nrows):
+            row = m[i]
+            a = row[col]
+            # p * row - a * top, divided by the previous pivot: exact
+            for j in range(col + 1, ncols):
+                row[j] = (p * row[j] - a * top[j]) // prev
+        prev = p
         r += 1
         if r == nrows:
             break

@@ -1,14 +1,16 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import liecas
 from liecas.errors import MalformedInputError
-from liecas.linalg import rank
+from liecas.linalg import P, rank
 
-from property_suites import rank_agreement
+from property_suites import (catalog_algebras, rank_agreement,
+                             structure_rank_agreement)
 
 
 def test_ragged_rank_rejected():
@@ -35,3 +37,15 @@ def test_ragged_rank_rejected_under_optimize():
 def test_rank_matches_fraction_elimination():
     assert rank_agreement(seed=21, cases=200) == 200
 
+
+
+def test_entries_that_p_divides_only_lower_the_rank():
+    # 1/P scales to 1, and P itself reduces to 0: at most the rank over Q
+    assert rank([[Fraction(1, P)]]) == 1
+    assert rank([[P]]) == 0
+
+
+def test_structure_ranks_match_bareiss():
+    algebras = catalog_algebras()
+    assert structure_rank_agreement(algebras, seed=14, points=3) \
+        == 3 * len(algebras)
