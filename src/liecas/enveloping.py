@@ -2,9 +2,10 @@
 
 Elements of U(g) are stored as sparse linear combinations of normally
 ordered words: tuples of generator indices with nondecreasing entries,
-mapping to Fraction coefficients.  The empty word is the unit.  Ordering
-follows the algebra's basis order, so the normal form of a product is
-computed by bubbling adjacent out-of-order pairs with
+mapping to exact coefficients, ints when integral and Fractions otherwise
+(sparse.exact).  The empty word is the unit.  Ordering follows the
+algebra's basis order, so the normal form of a product is computed by
+bubbling adjacent out-of-order pairs with
 
     X_a X_b = X_b X_a + [X_a, X_b]        (a > b)
 
@@ -16,9 +17,10 @@ operation (a whole symmetrize call is one); nothing outlives the call.
 A commutator with one scaled generator, [c X_t, b], is taken as the
 derivation it is: each letter of each word of b is replaced in turn by
 its bracket with X_t, one normal ordering per bracket term.  Symmetrizing
-a commutative polynomial averages each group of mutually entangled
-letters once per call, memoized on the group's letters, and merges the
-commuting groups of a word as sorted words.
+a commutative polynomial sums the orderings of each group of mutually
+entangled letters once per call, memoized on the group's letters, merges
+the commuting groups of a word as sorted words, and divides by the
+number of orderings once per term.
 
 Word lengths are capped in _normalize: any word longer than DEGREE_CAP,
 a raw product included, raises DegreeOverflowError rather than grinding;
@@ -27,13 +29,13 @@ no term of [X_t, w] is longer than w, so w may reach the cap.
 
 from fractions import Fraction
 from functools import reduce
+from itertools import groupby
+from math import factorial, lcm, prod
 
 from .errors import DegreeOverflowError, MalformedInputError
 from .naming import latex_name, render_words
 from .polynomial import CommPoly
-from .sparse import SparseTerms, accumulate
-
-_ONE = Fraction(1)
+from .sparse import SparseTerms, accumulate, exact
 
 DEGREE_CAP = 12
 
@@ -52,7 +54,7 @@ def _normal_word(algebra, word, memo):
         if word[t] > word[t + 1]:
             break
     else:
-        return {word: _ONE}
+        return {word: 1}
     a, b = word[t], word[t + 1]
     head, tail = word[:t], word[t + 2:]
     result = dict(_normal_word(algebra, head + (b, a) + tail, memo))
@@ -89,7 +91,7 @@ def _normal_sum(algebra, pairs):
             word = tuple(word)
             for i in word:
                 algebra._check_index(i)
-            yield word, Fraction(coeff)
+            yield word, exact(coeff)
     return PBWElement(algebra, _normalize(algebra, checked(), {}))
 
 
@@ -108,14 +110,14 @@ class PBWElement(SparseTerms):
 
     @classmethod
     def unit(cls, algebra, coeff=1):
-        coeff = Fraction(coeff)
+        coeff = exact(coeff)
         return cls(algebra, {(): coeff} if coeff else {})
 
     @classmethod
     def generator(cls, algebra, ref):
         i = algebra.index(ref) if isinstance(ref, str) else ref
         algebra._check_index(i)
-        return cls(algebra, {(i,): _ONE})
+        return cls(algebra, {(i,): 1})
 
     @classmethod
     def from_terms(cls, algebra, raw):
@@ -252,25 +254,39 @@ def _letter_groups(word, neighbours):
     return free, groups
 
 
+def _orderings(letters):
+    """D(M) = |M|! / prod of mult(a)!, the number of distinct orderings of
+    a sorted letter multiset M."""
+    return factorial(len(letters)) // prod(
+        factorial(len(list(run))) for _, run in groupby(letters))
+
+
 def symmetrize(algebra, poly):
     """Symmetrization map S(g) -> U(g), extended linearly from
 
-        x^alpha  |->  (1/p!) sum over orderings of the letter word.
+        x^M  |->  sym(M) = A(M) / D(M),
 
-    Letters from different components of the "does not commute with"
-    graph commute outright, so the average of a letter multiset is the
-    product of the averages of its letter groups, and a letter commuting
-    with every other letter is its own average.  Within one call the
-    average of each multiset met is memoized on its sorted letter tuple;
-    a connected one goes through
+    A(M) the sum of the words over the D(M) distinct orderings of the
+    letter multiset M.  Letters from different components of the "does
+    not commute with" graph commute outright, so sym(M) is the product
+    of the sym of its letter groups, and a letter commuting with every
+    other letter is its own.  Within one call A of each multiset met is
+    memoized on its sorted letter tuple; a connected one goes through
 
-        sym(M) = (1/|M|) sum over distinct a in M of mult(a) X_a sym(M - a)
+        A(M) = sum over distinct a in M of X_a A(M - a)
 
-    whose sub-multisets M - a split again.  The parts are combined by
-    merging sorted words, coefficients multiplied, which is exact when
-    every letter of the product so far commutes with every letter of the
-    next group's average; a bracket term can leave its group, so
-    otherwise the two are multiplied out, through the call's one memo.
+    whose sub-multisets M - a split again, and a split one is
+    D(M) / prod D(G) times the product of the A(G) of its groups G.  So
+    every A has integer coefficients when the structure constants do.
+    A word of the polynomial is sym(free) times the A(G) of its groups
+    over prod D(G); the words are summed over the lcm of those
+    denominators, and the sum is divided once per term.
+
+    The parts are combined by merging sorted words, coefficients
+    multiplied, which is exact when every letter of the product so far
+    commutes with every letter of the next group's sum; a bracket term
+    can leave its group, so otherwise the two are multiplied out, through
+    the call's one memo.
     """
     if poly.nvars != algebra.dim:
         raise MalformedInputError(
@@ -285,34 +301,34 @@ def symmetrize(algebra, poly):
         # every letter failing to commute with one of letters
         return set().union(*(neighbours[a] for a in letters))
 
-    memo, averages = {}, {}
+    memo, sums = {}, {}
 
-    def average(letters):
-        # (terms of sym(letters), the letters of its words); letters is sorted
-        if letters not in averages:
+    def arrangements(letters):
+        # (terms of A(letters), the letters of its words); letters is sorted
+        if letters not in sums:
             free, groups = _letter_groups(letters, neighbours)
             if free or len(groups) != 1:
-                terms = combine(free, groups, _ONE)
+                terms = combine(free, groups, _orderings(letters)
+                                // prod(map(_orderings, groups)))
             else:
                 terms = _normalize(algebra, steps(letters), memo)
-            averages[letters] = (terms, set().union(*terms))
-        return averages[letters]
+            sums[letters] = (terms, set().union(*terms))
+        return sums[letters]
 
     def steps(letters):
-        # (a w, mult(a) c / |M|) over distinct a in M and terms c w of sym(M - a)
+        # (a w, c) over distinct a in M and terms c w of A(M - a)
         for s, a in enumerate(letters):
             if s == 0 or letters[s - 1] != a:
-                share = Fraction(letters.count(a), len(letters))
-                rest, _ = average(letters[:s] + letters[s + 1:])
+                rest, _ = arrangements(letters[:s] + letters[s + 1:])
                 for w, c in rest.items():
-                    yield (a,) + w, share * c
+                    yield (a,) + w, c
 
     def combine(free, groups, c):
-        # terms of c * free * sym(group_1) * ... * sym(group_n)
+        # terms of c * free * A(group_1) * ... * A(group_n)
         product, support = {free: c}, set(free)
         for group in groups:
-            avg, letters = average(group)
-            pairs = _concatenations(product, avg)
+            terms, letters = arrangements(group)
+            pairs = _concatenations(product, terms)
             if reach(support).isdisjoint(letters):
                 product = {}
                 accumulate(product, ((tuple(sorted(w)), v) for w, v in pairs))
@@ -321,11 +337,18 @@ def symmetrize(algebra, poly):
             support |= letters
         return product
 
-    out = {}
+    parts = []
     for word, c in poly.terms.items():
         if len(word) > DEGREE_CAP:
             raise DegreeOverflowError(len(word), DEGREE_CAP)
-        accumulate(out, combine(*_letter_groups(word, neighbours), c).items())
+        free, groups = _letter_groups(word, neighbours)
+        parts.append((free, groups, c, prod(map(_orderings, groups))))
+    # every word over the common denominator, then one division per term
+    common = lcm(*(d for *_, d in parts))
+    total, out = {}, {}
+    for free, groups, c, d in parts:
+        accumulate(total, combine(free, groups, c * (common // d)).items())
+    accumulate(out, total.items(), Fraction(1, common))
     return PBWElement(algebra, out)
 
 

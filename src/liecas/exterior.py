@@ -2,8 +2,9 @@
 that `mc` prints.
 
 Forms are stored sparsely: strictly increasing index tuples (the wedge
-monomials w_{i_1} ^ ... ^ w_{i_p} of the dual basis) mapping to Fraction
-coefficients.  The structure equations are
+monomials w_{i_1} ^ ... ^ w_{i_p} of the dual basis) mapping to exact
+coefficients, ints when integral (sparse.exact).  The structure
+equations are
 
     d w_k = sum_{i<j} C_ij^k  w_i ^ w_j
 
@@ -20,11 +21,9 @@ invariant count, so the half-rank route of `count --method bb1` never
 builds a form (see invariants.invariant_count).
 """
 
-from fractions import Fraction
-
 from .errors import MalformedInputError
 from .naming import latex_name, signed_join, signed_term
-from .sparse import SparseTerms
+from .sparse import SparseTerms, exact
 
 
 class ExteriorElement(SparseTerms):
@@ -44,7 +43,7 @@ class ExteriorElement(SparseTerms):
                 if list(idx) != sorted(set(idx)):
                     raise MalformedInputError(
                         "form indices must be strictly increasing, got %r" % (idx,))
-                c = Fraction(c)
+                c = exact(c)
                 if c:
                     clean[idx] = c
         self.terms = clean

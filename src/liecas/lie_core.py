@@ -15,7 +15,8 @@ validate() returns a ValidationReport that carries the generator names:
 ok, to_json() (the validate document, generators by name) and describe()
 (one text line per violation) need nothing else.
 
-Vectors in the algebra are plain dicts index -> Fraction.  The rows that
+Vectors in the algebra are plain dicts index -> coefficient, an int when
+integral and a Fraction otherwise (sparse.exact).  The rows that
 bracket_basis returns are the table's own, shared between callers: read
 them, never mutate them.
 """
@@ -23,7 +24,7 @@ them, never mutate them.
 from fractions import Fraction
 
 from .errors import MalformedInputError
-from .sparse import accumulate
+from .sparse import accumulate, exact
 
 _NO_TERMS = {}      # the shared, read-only [X_i, X_j] = 0
 
@@ -109,7 +110,7 @@ class LieAlgebra:
             row = {}
             for k, c in terms.items():
                 self._check_index(k)
-                c = Fraction(c)
+                c = exact(c)
                 if c:
                     row[k] = c
             if row:

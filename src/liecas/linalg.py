@@ -14,7 +14,6 @@ lower bound on a generic rank as a rank over Q (Schwartz, J. ACM 27,
 1980; Zippel, EUROSAM 1979).
 """
 
-from fractions import Fraction
 from math import lcm
 
 from .errors import MalformedInputError
@@ -23,11 +22,10 @@ P = 2 ** 61 - 1
 
 
 def rank(rows):
-    """Rank mod p of a matrix given as a list of rows of rationals;
-    never above the rank over Q."""
+    """Rank mod p of a matrix given as a list of rows of ints and
+    Fractions; never above the rank over Q."""
     m = []
     for row in rows:
-        row = [Fraction(v) for v in row]
         scale = lcm(*(v.denominator for v in row))
         m.append([v.numerator * (scale // v.denominator) % P for v in row])
     if not m:

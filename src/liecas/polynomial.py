@@ -6,20 +6,22 @@ keyed by its sorted index word, the key a PBWElement uses for a normal
 word: x_0^2 x_3 is (0, 0, 3) and the constant monomial is ().  Terms are
 stored as a map
 
-    sorted index word -> Fraction coefficient
+    sorted index word -> coefficient
 
-with zero coefficients never stored, so equality is plain structural equality
-(the linear operations come from sparse.SparseTerms).  The monomial order
-used for rendering and JSON is graded lex: compare total degree first, then
-the exponent vectors lexicographically; among words of one length the larger
-exponent vector is the smaller word.
+where a coefficient is an int when integral and a Fraction otherwise
+(sparse.exact), and zero coefficients are never stored, so equality is
+plain structural equality (the linear operations come from
+sparse.SparseTerms).  The monomial order used for rendering and JSON is
+graded lex: compare total degree first, then the exponent vectors
+lexicographically; among words of one length the larger exponent vector
+is the smaller word.
 """
 
 from fractions import Fraction
 
 from .errors import MalformedInputError
 from .naming import latex_name, render_words
-from .sparse import SparseTerms, accumulate
+from .sparse import SparseTerms, accumulate, exact
 
 
 def _grlex(word):
@@ -45,7 +47,7 @@ class CommPoly(SparseTerms):
                              or word[0] < 0 or word[-1] >= nvars):
                     raise MalformedInputError(
                         "bad monomial word %r for %d variables" % (word, nvars))
-                c = Fraction(c)
+                c = exact(c)
                 if c:
                     clean[word] = c
         self.terms = clean
@@ -58,16 +60,16 @@ class CommPoly(SparseTerms):
 
     @classmethod
     def constant(cls, nvars, c):
-        return cls(nvars, {(): Fraction(c)})
+        return cls(nvars, {(): c})
 
     @classmethod
     def variable(cls, nvars, i):
-        return cls(nvars, {(i,): Fraction(1)})
+        return cls(nvars, {(i,): 1})
 
     @classmethod
     def monomial(cls, nvars, word, c=1):
         """c times the product of the word's letters, in any order."""
-        return cls(nvars, {tuple(sorted(word)): Fraction(c)})
+        return cls(nvars, {tuple(sorted(word)): c})
 
     def __repr__(self):
         if not self.terms:
@@ -111,7 +113,7 @@ class CommPoly(SparseTerms):
         for w, c in self.terms.items():
             if i in w:
                 t = w.index(i)
-                out[w[:t] + w[t + 1:]] = c * w.count(i)
+                out[w[:t] + w[t + 1:]] = exact(c * w.count(i))
         return self._new(out)
 
     def eval(self, point):
@@ -120,8 +122,7 @@ class CommPoly(SparseTerms):
             raise MalformedInputError(
                 "point length %d, expected %d" % (len(point), self.nvars))
         # integral coordinates multiply as ints, far cheaper than Fractions
-        point = [v.numerator if v.denominator == 1 else v
-                 for v in map(Fraction, point)]
+        point = list(map(exact, point))
         total = Fraction(0)
         for w, c in self.terms.items():
             m = 1

@@ -1,14 +1,16 @@
 """Sparse exact linear combinations, the shared core of the term classes.
 
 CommPoly and PBWElement (sorted index words) and ExteriorElement
-(increasing index tuples) all store a map key -> nonzero Fraction over a
-fixed universe: a variable count, an algebra, a dual dimension.  Zero
-coefficients are never stored, so equality is structural equality of the
-maps.  The linear operations live here once; a subclass names the
-attribute holding its universe and the error text for a mismatch.
+(increasing index tuples) all store a map key -> nonzero coefficient over
+a fixed universe: a variable count, an algebra, a dual dimension.  A
+coefficient is an int when it is integral, else a Fraction (see exact);
+int and Fraction mix exactly, and both print alike.  Zero coefficients
+are never stored, so equality is structural equality of the maps.  The
+linear operations live here once; a subclass names the attribute holding
+its universe and the error text for a mismatch.
 
-Public constructors validate outside input; results of arithmetic are
-built with _new() from terms that are already clean.
+Public constructors validate outside input through exact; results of
+arithmetic are built with _new() from terms that are already clean.
 """
 
 from fractions import Fraction
@@ -16,23 +18,33 @@ from fractions import Fraction
 from .errors import MalformedInputError
 
 
+def exact(c):
+    """c as a stored coefficient: its numerator when it is integral, else
+    Fraction(c).  A float is refused: it is already rounded."""
+    if isinstance(c, float):
+        raise MalformedInputError("inexact coefficient %r" % (c,))
+    if not isinstance(c, (int, Fraction)):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def accumulate(terms, items, c=1):
     """terms += c * items, in place, over (key, coefficient) pairs; a key
-    whose coefficient cancels is dropped."""
+    whose coefficient cancels is dropped, and an integral sum or product
+    is stored as its numerator."""
     scaled = c != 1
     for key, v in items:
         if scaled:
             v = c * v
         old = terms.get(key)
-        if old is None:
-            if v:
-                terms[key] = v
-        else:
-            s = old + v
-            if s:
-                terms[key] = s
-            else:
-                del terms[key]
+        if old is not None:
+            v = old + v
+        if v:
+            if type(v) is Fraction and v.denominator == 1:
+                v = v.numerator
+            terms[key] = v
+        elif old is not None:
+            del terms[key]
 
 
 class SparseTerms:
@@ -85,7 +97,8 @@ class SparseTerms:
         return self + (-other)
 
     def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return self._new({})
-        return self._new({k: c * v for k, v in self.terms.items()})
+        c = exact(c)
+        terms = {}
+        if c:
+            accumulate(terms, self.terms.items(), c)
+        return self._new(terms)

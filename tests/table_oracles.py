@@ -577,7 +577,8 @@ def symmetrize_arrangements(algebra, poly):
         orders = set(permutations(word))
         for order in orders:
             factors = [PBWElement.generator(algebra, a) for a in order]
-            out = out + u_product(algebra, factors).scale(c / len(orders))
+            out = out + u_product(algebra, factors).scale(
+                Fraction(c, len(orders)))
     return out
 
 

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from liecas.casimir_gen import casimir_set
+from liecas.catalog import FAMILIES, FamilyId, build
 from liecas.enveloping import PBWElement
-from liecas.errors import MalformedInputError
+from liecas.errors import MalformedInputError, NotApplicableError
 from liecas.exterior import ExteriorElement
 from liecas.lie_core import LieAlgebra
 from liecas.polynomial import CommPoly
-from liecas.sparse import accumulate
+from liecas.sparse import accumulate, exact
 
 F = Fraction
 
@@ -71,3 +73,63 @@ def test_accumulate_scales_and_drops_cancelled_keys():
     assert terms == {"y": F(2), "w": F(-6)}
     accumulate(terms, {"w": F(6), "v": F(1)}.items())
     assert terms == {"y": F(2), "v": F(1)}
+
+
+def test_accumulate_stores_an_integral_coefficient_as_an_int():
+    terms = {"x": F(1, 2)}
+    accumulate(terms, [("x", F(3, 8)), ("y", F(3, 4))], F(4, 3))
+    assert terms == {"x": 1, "y": 1}
+    assert all(type(c) is int for c in terms.values())
+    accumulate(terms, [("x", F(1, 3))])
+    assert terms == {"x": F(4, 3), "y": 1}
+
+
+def test_exact_keeps_ints_and_proper_fractions():
+    for given, want in ((3, 3), (F(6, 2), 3), ("-4/2", -2), (True, 1),
+                        (F(6, 4), F(3, 2)), ("1/3", F(1, 3))):
+        got = exact(given)
+        assert got == want and type(got) is type(want)
+
+
+def test_a_float_coefficient_is_refused():
+    for build_one in (lambda: PBWElement.generator(so3(), 0).scale(0.1),
+                      lambda: CommPoly(2, {(0,): 2.0}),
+                      lambda: CommPoly.constant(2, 0.5),
+                      lambda: ExteriorElement(2, {(0,): 2.0}),
+                      lambda: LieAlgebra(["a", "b"], {(0, 1): {0: 0.5}},
+                                         levi=[]),
+                      lambda: PBWElement.unit(so3(), 0.5),
+                      lambda: PBWElement.from_terms(so3(), {(1, 0): 0.5})):
+        with pytest.raises(MalformedInputError, match="inexact coefficient"):
+            build_one()
+
+
+def _canonical(c):
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, family in FAMILIES.items() if family.dressed))
+def test_every_stored_coefficient_is_canonical(name):
+    """An integral coefficient is stored as an int and any other as a
+    Fraction with denominator above 1, from the bracket rows through the
+    unit, the generators, f and P to the char-poly coefficients C_2l and
+    their symmetrizations."""
+    algebra, spec = build(FamilyId(name, FAMILIES[name].least))
+    stores = list(algebra.brackets.values())
+    stores += [PBWElement.unit(algebra).terms]
+    stores += [PBWElement.generator(algebra, t).terms
+               for t in range(algebra.dim)]
+    stores += [spec.f.terms] + [p.terms for p in spec.P.values()]
+    try:
+        casimirs = casimir_set(algebra, spec)
+    except NotApplicableError:
+        casimirs = None    # no rotation block, no char-poly
+    else:
+        stores += [c.terms for c in casimirs.coefficients.values()]
+        stores += [s.terms for s in casimirs.symmetrized.values()]
+    bad = [c for terms in stores for c in terms.values() if not _canonical(c)]
+    assert not bad, "%d coefficients out of canonical form, e.g. %r" % (
+        len(bad), bad[0])
+    if name in ("Ha", "IHa", "QHa"):
+        assert casimirs is not None
