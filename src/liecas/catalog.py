@@ -40,7 +40,7 @@ from .enveloping import PBWElement, symmetrize, u_mul
 from .errors import InternalConsistencyError, MalformedInputError
 from .lie_core import LieAlgebra
 from .polynomial import CommPoly
-from .sparse import accumulate
+from .sparse import accumulate, exact
 from .virtual_copy import make_spec
 
 
@@ -67,7 +67,7 @@ def build(fid):
     if family is None:
         raise MalformedInputError("unknown family %r" % (fid.name,))
     if family.parameter == "alpha":
-        value = Fraction(fid.params.get("alpha", 1))
+        value = exact(fid.params.get("alpha", 1))
     elif family.parameter is None:
         value = None
     elif fid.N is None:
@@ -108,7 +108,7 @@ def _rotation_brackets(pairs, index):
             terms = {}
             accumulate(terms, (
                 (index[_j_name(min(u, v), max(u, v))],
-                 Fraction(sgn if u < v else -sgn))
+                 sgn if u < v else -sgn)
                 for (u, v), sgn in (((j, k), 1 if i == l else 0),
                                     ((i, l), 1 if j == k else 0),
                                     ((i, k), -1 if j == l else 0),
@@ -128,7 +128,7 @@ def _vector_action(pairs, index, letter, N):
         for k, t, c in ((i, j, -1), (j, i, 1)):
             b = index["%s_%d" % (letter, k)]
             out[(a, b) if a < b else (b, a)] = {
-                index["%s_%d" % (letter, t)]: Fraction(c if a < b else -c)}
+                index["%s_%d" % (letter, t)]: c if a < b else -c}
     return out
 
 
@@ -146,7 +146,7 @@ def so_algebra(N):
 def heisenberg_algebra(N):
     names = (["P_%d" % k for k in range(1, N + 1)]
              + ["Q_%d" % k for k in range(1, N + 1)] + ["Z"])
-    brackets = {(k, N + k): {2 * N: Fraction(1)} for k in range(N)}
+    brackets = {(k, N + k): {2 * N: 1} for k in range(N)}
     return _check_dim(LieAlgebra(names, brackets, levi=[]), 2 * N + 1)
 
 
@@ -175,18 +175,17 @@ def weyl_quesne(n):
                         continue
                     terms = {}
                     if j == k:
-                        terms[index["E_%d%d" % (i, l)]] = Fraction(1)
+                        terms[index["E_%d%d" % (i, l)]] = 1
                     if l == i:
                         # E_kj differs from E_il since b != a
-                        terms[index["E_%d%d" % (k, j)]] = Fraction(-1)
+                        terms[index["E_%d%d" % (k, j)]] = -1
                     canon(a, b, terms)
             # [E_ij, bd_k] = d_jk bd_i ;  [E_ij, b_k] = -d_ik b_j
-            canon(a, index["bd_%d" % j], {index["bd_%d" % i]: Fraction(1)})
-            canon(a, index["b_%d" % i], {index["b_%d" % j]: Fraction(-1)})
+            canon(a, index["bd_%d" % j], {index["bd_%d" % i]: 1})
+            canon(a, index["b_%d" % i], {index["b_%d" % j]: -1})
     # [b_i, bd_j] = d_ij I
     for i in range(1, n + 1):
-        canon(index["b_%d" % i], index["bd_%d" % i],
-              {index["I"]: Fraction(1)})
+        canon(index["b_%d" % i], index["bd_%d" % i], {index["I"]: 1})
 
     algebra = _check_dim(
         LieAlgebra(names, {key: val for key, val in brackets.items() if val},
@@ -197,8 +196,7 @@ def weyl_quesne(n):
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             P["E_%d%d" % (i, j)] = PBWElement.from_terms(
-                algebra,
-                {(index["bd_%d" % i], index["b_%d" % j]): Fraction(-1)})
+                algebra, {(index["bd_%d" % i], index["b_%d" % j]): -1})
     return algebra, make_spec(algebra, f, P)
 
 
@@ -233,32 +231,31 @@ def hamilton(N, inhomogeneous=False, extension=""):
     if inhomogeneous:
         brackets.update(_vector_action(pairs, index, "Q", N))
         brackets.update(_vector_action(pairs, index, "P", N))
-    one = Fraction(1)
     for k in range(1, N + 1):
         # [G_k, F_k] = R
-        brackets[(index["G_%d" % k], index["F_%d" % k])] = {index["R"]: one}
+        brackets[(index["G_%d" % k], index["F_%d" % k])] = {index["R"]: 1}
         if inhomogeneous:
             # [G_k, Q_k] = T and [F_k, P_k] = T
-            brackets[(index["G_%d" % k], index["Q_%d" % k])] = {index["T"]: one}
-            brackets[(index["F_%d" % k], index["P_%d" % k])] = {index["T"]: one}
+            brackets[(index["G_%d" % k], index["Q_%d" % k])] = {index["T"]: 1}
+            brackets[(index["F_%d" % k], index["P_%d" % k])] = {index["T"]: 1}
             # [E, G_k] = -P_k and [E, F_k] = Q_k, stored from the other side
-            brackets[(index["G_%d" % k], index["E"])] = {index["P_%d" % k]: one}
-            brackets[(index["F_%d" % k], index["E"])] = {index["Q_%d" % k]: -one}
+            brackets[(index["G_%d" % k], index["E"])] = {index["P_%d" % k]: 1}
+            brackets[(index["F_%d" % k], index["E"])] = {index["Q_%d" % k]: -1}
         if "L" in ext:
             # [P_k, Q_k] = L
-            brackets[(index["Q_%d" % k], index["P_%d" % k])] = {index["L"]: -one}
+            brackets[(index["Q_%d" % k], index["P_%d" % k])] = {index["L"]: -1}
         if "M" in ext:
             # [G_k, P_k] = M
-            brackets[(index["G_%d" % k], index["P_%d" % k])] = {index["M"]: one}
+            brackets[(index["G_%d" % k], index["P_%d" % k])] = {index["M"]: 1}
         if "A" in ext:
             # [F_k, Q_k] = A
-            brackets[(index["F_%d" % k], index["Q_%d" % k])] = {index["A"]: one}
+            brackets[(index["F_%d" % k], index["Q_%d" % k])] = {index["A"]: 1}
     if inhomogeneous:
         # [E, R] = 2T, stored as [R, E] = -2T
-        brackets[(index["R"], index["E"])] = {index["T"]: Fraction(-2)}
+        brackets[(index["R"], index["E"])] = {index["T"]: -2}
         if "L" in ext:
             # [E, T] = -L
-            brackets[(index["E"], index["T"])] = {index["L"]: -one}
+            brackets[(index["E"], index["T"])] = {index["L"]: -1}
 
     # rotations, two N-vectors and R; IHa adds two more vectors, E and T
     algebra = _check_dim(
@@ -274,7 +271,7 @@ def _antisym(ix, i, j, x, y, lead=()):
     """{lead x_i y_j: 1, lead x_j y_i: -1} as index words."""
     def word(a, b):
         return tuple(ix[m] for m in (*lead, "%s_%d" % (x, a), "%s_%d" % (y, b)))
-    return {word(i, j): Fraction(1), word(j, i): Fraction(-1)}
+    return {word(i, j): 1, word(j, i): -1}
 
 
 def _hamilton_spec(algebra, N, inhomogeneous, ext):
@@ -290,7 +287,7 @@ def _hamilton_spec(algebra, N, inhomogeneous, ext):
     # f = T^2, P_{J_ij} = T(G_i Q_j - G_j Q_i) + T(F_i P_j - F_j P_i)
     #                  + R(P_i Q_j - P_j Q_i)
     # plus one extra block per extension letter, and an f of its own
-    f_words = {(ix["T"], ix["T"]): Fraction(1)}
+    f_words = {(ix["T"], ix["T"]): 1}
     blocks = [("T", "G", "Q"), ("T", "F", "P"), ("R", "P", "Q")]
     blocks += [block for block in (("L", "G", "F"), ("M", "Q", "F"),
                                    ("A", "P", "G")) if block[0] in ext]
@@ -300,9 +297,9 @@ def _hamilton_spec(algebra, N, inhomogeneous, ext):
         for lead, x, y in blocks:
             words[(i, j)].update(_antisym(ix, i, j, x, y, lead=(lead,)))
     if "L" in ext:
-        f_words[(ix["R"], ix["L"])] = Fraction(1)
+        f_words[(ix["R"], ix["L"])] = 1
     if {"A", "M"} <= ext:
-        f_words[(ix["A"], ix["M"])] = Fraction(-1)
+        f_words[(ix["A"], ix["M"])] = -1
     return make_spec(algebra, PBWElement.from_terms(algebra, f_words),
                      _collect(algebra, words))
 
@@ -318,9 +315,7 @@ def _collect(algebra, words):
 def su11_algebra():
     return LieAlgebra(
         ["X_1,1", "X_-1,1", "X_1,-1"],
-        {(0, 1): {1: Fraction(-2)},
-         (0, 2): {2: Fraction(2)},
-         (1, 2): {0: Fraction(4)}},
+        {(0, 1): {1: -2}, (0, 2): {2: 2}, (1, 2): {0: 4}},
         levi=[0, 1, 2])
 
 
@@ -331,32 +326,31 @@ _BOSON_NAMES = ["X_1,1", "X_-1,1", "X_1,-1",
 def boson_algebra(alpha):
     """The 10-dim algebra of creation/annihilation bilinears, with the
     deformation parameter alpha switching the Q/P/E/T brackets on."""
-    alpha = Fraction(alpha)
-    two = Fraction(2)
+    alpha = exact(alpha)
     brackets = {
-        (0, 1): {1: -two},            # [X_1,1, X_-1,1] = -2 X_-1,1
-        (0, 2): {2: two},             # [X_1,1, X_1,-1] = 2 X_1,-1
-        (1, 2): {0: Fraction(4)},     # [X_-1,1, X_1,-1] = 4 X_1,1
-        (0, 3): {3: Fraction(-1)},    # [X_1,1, G_1] = -G_1
-        (0, 4): {4: Fraction(1)},     # [X_1,1, F_1] = F_1
-        (0, 5): {5: Fraction(-1)},    # [X_1,1, Q_1] = -Q_1
-        (0, 6): {6: Fraction(1)},     # [X_1,1, P_1] = P_1
-        (1, 4): {3: two},             # [X_-1,1, F_1] = 2 G_1
-        (1, 6): {5: two},             # [X_-1,1, P_1] = 2 Q_1
-        (2, 3): {4: -two},            # [X_1,-1, G_1] = -2 F_1
-        (2, 5): {6: -two},            # [X_1,-1, Q_1] = -2 P_1
-        (3, 4): {7: Fraction(1)},     # [G_1, F_1] = R
-        (3, 6): {9: Fraction(1)},     # [G_1, P_1] = T
-        (3, 8): {5: Fraction(1)},     # [G_1, E] = Q_1
-        (4, 5): {9: Fraction(-1)},    # [F_1, Q_1] = -T
-        (4, 8): {6: Fraction(1)},     # [F_1, E] = P_1
-        (7, 8): {9: two},             # [R, E] = 2T
+        (0, 1): {1: -2},      # [X_1,1, X_-1,1] = -2 X_-1,1
+        (0, 2): {2: 2},       # [X_1,1, X_1,-1] = 2 X_1,-1
+        (1, 2): {0: 4},       # [X_-1,1, X_1,-1] = 4 X_1,1
+        (0, 3): {3: -1},      # [X_1,1, G_1] = -G_1
+        (0, 4): {4: 1},       # [X_1,1, F_1] = F_1
+        (0, 5): {5: -1},      # [X_1,1, Q_1] = -Q_1
+        (0, 6): {6: 1},       # [X_1,1, P_1] = P_1
+        (1, 4): {3: 2},       # [X_-1,1, F_1] = 2 G_1
+        (1, 6): {5: 2},       # [X_-1,1, P_1] = 2 Q_1
+        (2, 3): {4: -2},      # [X_1,-1, G_1] = -2 F_1
+        (2, 5): {6: -2},      # [X_1,-1, Q_1] = -2 P_1
+        (3, 4): {7: 1},       # [G_1, F_1] = R
+        (3, 6): {9: 1},       # [G_1, P_1] = T
+        (3, 8): {5: 1},       # [G_1, E] = Q_1
+        (4, 5): {9: -1},      # [F_1, Q_1] = -T
+        (4, 8): {6: 1},       # [F_1, E] = P_1
+        (7, 8): {9: 2},       # [R, E] = 2T
     }
     if alpha:
         brackets[(5, 6)] = {7: alpha}         # [Q_1, P_1] = alpha R
         brackets[(5, 8)] = {3: alpha}         # [Q_1, E] = alpha G_1
         brackets[(6, 8)] = {4: alpha}         # [P_1, E] = alpha F_1
-        brackets[(8, 9)] = {7: -two * alpha}  # [E, T] = -2 alpha R
+        brackets[(8, 9)] = {7: -2 * alpha}    # [E, T] = -2 alpha R
     return _check_dim(LieAlgebra(list(_BOSON_NAMES), brackets, levi=[0, 1, 2]),
                       10)
 
@@ -376,48 +370,43 @@ def _sym_words(algebra, terms):
                                    CommPoly.zero(algebra.dim)))
 
 
-def boson_example(alpha=Fraction(1)):
-    alpha = Fraction(alpha)
+def boson_example(alpha=1):
+    alpha = exact(alpha)
     algebra = boson_algebra(alpha)
     if alpha != 1:
         return algebra, None
     ix = algebra.name_index
     G, F, Q, P, R, T = (ix[m] for m in ("G_1", "F_1", "Q_1", "P_1", "R", "T"))
-    f = PBWElement.from_terms(
-        algebra, {(R, R): Fraction(1), (T, T): Fraction(-1)})
+    f = PBWElement.from_terms(algebra, {(R, R): 1, (T, T): -1})
     P_map = {
         # T(Q_1 F_1 + G_1 P_1) - R(G_1 F_1 + Q_1 P_1)
         "X_1,1": _sym_words(algebra, {
-            (T, Q, F): Fraction(1), (T, G, P): Fraction(1),
-            (R, G, F): Fraction(-1), (R, Q, P): Fraction(-1)}),
+            (T, Q, F): 1, (T, G, P): 1, (R, G, F): -1, (R, Q, P): -1}),
         # 2 T G_1 Q_1 - R G_1^2 - R Q_1^2
         "X_-1,1": _sym_words(algebra, {
-            (T, G, Q): Fraction(2),
-            (R, G, G): Fraction(-1), (R, Q, Q): Fraction(-1)}),
+            (T, G, Q): 2, (R, G, G): -1, (R, Q, Q): -1}),
         # 2 T F_1 P_1 - R F_1^2 - R P_1^2
         "X_1,-1": _sym_words(algebra, {
-            (T, F, P): Fraction(2),
-            (R, F, F): Fraction(-1), (R, P, P): Fraction(-1)}),
+            (T, F, P): 2, (R, F, F): -1, (R, P, P): -1}),
     }
     return algebra, make_spec(algebra, f, P_map)
 
 
 def boson_example_contracted():
-    algebra = boson_algebra(Fraction(0))
+    algebra = boson_algebra(0)
     ix = algebra.name_index
     G, F, Q, P, R, T = (ix[m] for m in ("G_1", "F_1", "Q_1", "P_1", "R", "T"))
-    f0 = PBWElement.from_terms(algebra, {(T, T): Fraction(-1)})
+    f0 = PBWElement.from_terms(algebra, {(T, T): -1})
     P_map = {
         # T(Q_1 F_1 + G_1 P_1) - R Q_1 P_1
         "X_1,1": _sym_words(algebra, {
-            (T, Q, F): Fraction(1), (T, G, P): Fraction(1),
-            (R, Q, P): Fraction(-1)}),
+            (T, Q, F): 1, (T, G, P): 1, (R, Q, P): -1}),
         # 2 T G_1 Q_1 - R Q_1^2
         "X_-1,1": _sym_words(algebra, {
-            (T, G, Q): Fraction(2), (R, Q, Q): Fraction(-1)}),
+            (T, G, Q): 2, (R, Q, Q): -1}),
         # 2 T F_1 P_1 - R P_1^2
         "X_1,-1": _sym_words(algebra, {
-            (T, F, P): Fraction(2), (R, P, P): Fraction(-1)}),
+            (T, F, P): 2, (R, P, P): -1}),
     }
     return algebra, make_spec(algebra, f0, P_map)
 

@@ -1,6 +1,5 @@
 """Name, coefficient and signed-sum formatting shared by the renderers."""
 
-from fractions import Fraction
 from itertools import groupby
 
 
@@ -22,8 +21,7 @@ def latex_name(name):
 
 
 def latex_fraction(c):
-    """Render a Fraction for LaTeX, using \\frac for proper fractions."""
-    c = Fraction(c)
+    """Render an int or a Fraction for LaTeX, \\frac for a proper one."""
     if c.denominator == 1:
         return str(c.numerator)
     if c.numerator < 0:

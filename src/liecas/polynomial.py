@@ -117,19 +117,20 @@ class CommPoly(SparseTerms):
         return self._new(out)
 
     def eval(self, point):
-        """Exact value at a rational point (a sequence of length nvars)."""
+        """Exact value at a rational point (a sequence of length nvars),
+        through sparse.exact: an int when it is integral."""
         if len(point) != self.nvars:
             raise MalformedInputError(
                 "point length %d, expected %d" % (len(point), self.nvars))
         # integral coordinates multiply as ints, far cheaper than Fractions
         point = list(map(exact, point))
-        total = Fraction(0)
+        total = 0
         for w, c in self.terms.items():
             m = 1
             for t in w:
                 m *= point[t]
             total += c * m
-        return total
+        return exact(total)
 
     # ---- rendering --------------------------------------------------------
 

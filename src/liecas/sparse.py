@@ -9,8 +9,9 @@ are never stored, so equality is structural equality of the maps.  The
 linear operations live here once; a subclass names the attribute holding
 its universe and the error text for a mismatch.
 
-Public constructors validate outside input through exact; results of
-arithmetic are built with _new() from terms that are already clean.
+Public constructors validate outside input through exact, and so does
+the catalog for the boson example's alpha; results of arithmetic are
+built with _new() from terms that are already clean.
 """
 
 from fractions import Fraction

@@ -180,6 +180,8 @@ def test_casimir_set_inhomogeneous_3():
     algebra, spec = b("IHa", 3)
     cs = casimir_set(algebra, spec)
     assert {l: p.degree() for l, p in cs.coefficients.items()} == {1: 6}
+    # degree 6 is exactly UCHECK_DEGREE_CAP, so the centrality check runs
+    assert cs.checked == {1: True}
     ix = algebra.name_index
     # dressing is built from T and R only; the three extension letters
     # are absent and E never appears in an invariant

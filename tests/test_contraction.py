@@ -224,6 +224,23 @@ def test_skew_weighting_is_reported_incompatible():
     assert all(not r.is_zero() for r in radical.values())
 
 
+def test_incompatible_copy_with_a_limit_keeps_the_leading_parts():
+    # M0 = 0 while every P_ij is G_i F_j - G_j F_i of weight 1, so each
+    # contracted operator is the transplanted P0 alone
+    algebra, spec = b("Ha", 3)
+    w = ContractionWeights(algebra, {"G_1": 1, "G_2": 1, "G_3": 1})
+    outcome = contract_copy(algebra, spec, w)
+
+    assert outcome.M0 == 0
+    assert set(outcome.Mi.values()) == {1}
+    assert not outcome.copy_compatible
+    prime = outcome.algebra_prime
+    assert prime is not None
+    for i in sorted(algebra.levi):
+        assert outcome.operators_prime[i] == transplant(outcome.P0[i], prime)
+    assert outcome.spec_prime is None and outcome.verify_report is None
+
+
 def test_all_zero_weights_change_nothing():
     algebra, spec = b("Ha", 3)
     outcome = contract_copy(algebra, spec, ContractionWeights(algebra))

@@ -95,6 +95,7 @@ def test_invariant_count_bb1_agrees():
         invariant_count(so3(), method="nope")
     with pytest.raises(MalformedInputError):
         invariant_count(so3(), trials=0)
+    assert invariant_count(so3(), trials=1).count == 1
 
 
 def test_invariant_count_deterministic():
@@ -108,6 +109,8 @@ def test_functionally_independent():
     x1, x2, x3 = (xv(3, i) for i in range(3))
     assert functionally_independent(g, [x1, x2, x3], seed=2)
     assert functionally_independent(g, [], seed=2)
+    with pytest.raises(MalformedInputError):
+        functionally_independent(g, [x1], trials=0)
     # x1^2 and x1^2 + 1 are dependent
     assert not functionally_independent(g, [x1 * x1, x1 * x1 + 1], seed=2)
     # r^2 and its square are dependent

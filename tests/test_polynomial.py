@@ -60,10 +60,13 @@ def test_eval_is_exact():
     x, y = xvar(0), xvar(1)
     p = F(1, 3) * x * y - F(2, 7)
     assert p.eval((F(3, 5), 7, 0)) == F(7, 5) - F(2, 7)
-    # an integer point still evaluates to an exact Fraction
+    # the value follows sparse.exact: a Fraction when it is not integral,
+    # else an int, also when fractional terms sum to an integer
     value = p.eval((3, 7, 0))
     assert value == 7 - F(2, 7) and type(value) is F
-    assert type(CommPoly.zero(3).eval((1, 2, 3))) is F
+    assert type(CommPoly.zero(3).eval((1, 2, 3))) is int
+    whole = (3 * x * y).eval((F(1, 3), 2, 0))
+    assert whole == 2 and type(whole) is int
 
 
 def test_graded_lex_monomial_order():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from liecas.casimir_gen import casimir_set
-from liecas.catalog import FAMILIES, FamilyId, build
+from liecas.catalog import FAMILIES, FamilyId, boson_algebra, build
 from liecas.enveloping import PBWElement
 from liecas.errors import MalformedInputError, NotApplicableError
 from liecas.exterior import ExteriorElement
@@ -99,7 +99,10 @@ def test_a_float_coefficient_is_refused():
                       lambda: LieAlgebra(["a", "b"], {(0, 1): {0: 0.5}},
                                          levi=[]),
                       lambda: PBWElement.unit(so3(), 0.5),
-                      lambda: PBWElement.from_terms(so3(), {(1, 0): 0.5})):
+                      lambda: PBWElement.from_terms(so3(), {(1, 0): 0.5}),
+                      lambda: build(FamilyId("boson_example",
+                                             params={"alpha": 0.1})),
+                      lambda: boson_algebra(0.5)):
         with pytest.raises(MalformedInputError, match="inexact coefficient"):
             build_one()
 
