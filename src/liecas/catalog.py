@@ -1,10 +1,13 @@
 """Constructors for the algebra families the package ships with.
 
-Every family comes with its generator names, its bracket table, a declared
+Every family comes with its generator names, its brackets, a declared
 Levi/radical split, and (where one is known) the virtual-copy spec that
 dresses the Levi generators.  Generator naming follows the conventions
 used throughout: rotations J_ij, vector pairs G_k/F_k and Q_k/P_k, the
 central or quasi-central R, E, T, and central extension letters L, A, M.
+Brackets are stated by name as relations (a, b, k, c), each adding c k
+to [a, b], with a and b in whichever order reads naturally;
+lie_core.bracket_table folds them into the stored i < j table.
 
 Families:
 
@@ -33,14 +36,15 @@ Families:
 The Hamilton families need N >= 3 and all J_ij naming stops at N = 9.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 
 from .enveloping import PBWElement, symmetrize, u_mul
 from .errors import InternalConsistencyError, MalformedInputError
-from .lie_core import LieAlgebra
+from .lie_core import LieAlgebra, bracket_table
 from .polynomial import CommPoly
-from .sparse import accumulate, exact
+from .sparse import exact
 from .virtual_copy import make_spec
 
 
@@ -58,7 +62,7 @@ class Family:
 class FamilyId:
     name: str
     N: int | None = None
-    params: dict = field(default_factory=dict)
+    alpha: object = None      # a rational, for boson_example alone
 
 
 def build(fid):
@@ -66,8 +70,12 @@ def build(fid):
     family = FAMILIES.get(fid.name)
     if family is None:
         raise MalformedInputError("unknown family %r" % (fid.name,))
+    if fid.alpha is not None and family.parameter != "alpha":
+        raise MalformedInputError("--alpha only applies to boson_example")
+    if fid.N is not None and family.most is None:
+        raise MalformedInputError("family %r takes no --N" % (fid.name,))
     if family.parameter == "alpha":
-        value = exact(fid.params.get("alpha", 1))
+        value = exact(1 if fid.alpha is None else fid.alpha)
     elif family.parameter is None:
         value = None
     elif fid.N is None:
@@ -81,14 +89,20 @@ def build(fid):
     return family.builder(value)
 
 
-def _check_dim(algebra, dim):
+# ---- named relations --------------------------------------------------------
+
+
+def _algebra(names, relations, levi, dim):
+    """The algebra on names with the given relations and Levi names; dim
+    is the family's count of generators, checked."""
+    ix = {m: t for t, m in enumerate(names)}
+    algebra = LieAlgebra(names, bracket_table(
+        (ix[a], ix[b], ((ix[k], c),)) for a, b, k, c in relations),
+        levi=[ix[m] for m in levi])
     if algebra.dim != dim:
         raise InternalConsistencyError(
             "built %d generators, the family has %d" % (algebra.dim, dim))
     return algebra
-
-
-# ---- rotation block ----------------------------------------------------------
 
 
 def _so_pairs(N):
@@ -99,104 +113,64 @@ def _j_name(i, j):
     return "J_%d%d" % (i, j)
 
 
-def _rotation_brackets(pairs, index):
-    """[J_ij, J_kl] = d_il J_jk + d_jk J_il - d_jl J_ik - d_ik J_jl,
-    with J_vu = -J_uv and J_uu = 0, into an i<j-keyed table."""
-    out = {}
-    for a_pos, (i, j) in enumerate(pairs):
-        for (k, l) in pairs[a_pos + 1:]:
-            terms = {}
-            accumulate(terms, (
-                (index[_j_name(min(u, v), max(u, v))],
-                 sgn if u < v else -sgn)
-                for (u, v), sgn in (((j, k), 1 if i == l else 0),
-                                    ((i, l), 1 if j == k else 0),
-                                    ((i, k), -1 if j == l else 0),
-                                    ((j, l), -1 if i == k else 0))
-                if sgn and u != v))
-            if terms:
-                out[(index[_j_name(i, j)], index[_j_name(k, l)])] = terms
-    return out
+def _rotation_relations(N):
+    """[J_ij, J_jk] = J_ik, [J_ij, J_ik] = -J_jk, [J_ik, J_jk] = -J_ij for
+    i < j < k: two rotations commute unless they share one index."""
+    for i, j, k in combinations(range(1, N + 1), 3):
+        ij, ik, jk = _j_name(i, j), _j_name(i, k), _j_name(j, k)
+        yield from ((ij, jk, ik, 1), (ij, ik, jk, -1), (ik, jk, ij, -1))
 
 
-def _vector_action(pairs, index, letter, N):
-    """[J_ij, V_k] = -d_ik V_j + d_kj V_i for a vector family V_1..V_N."""
-    out = {}
-    for (i, j) in pairs:
-        a = index[_j_name(i, j)]
-        # only V_i and V_j move: [J_ij, V_i] = -V_j, [J_ij, V_j] = V_i
-        for k, t, c in ((i, j, -1), (j, i, 1)):
-            b = index["%s_%d" % (letter, k)]
-            out[(a, b) if a < b else (b, a)] = {
-                index["%s_%d" % (letter, t)]: c if a < b else -c}
-    return out
+def _vector_relations(N, letter):
+    """[J_ij, V_i] = -V_j and [J_ij, V_j] = V_i for a vector V_1..V_N."""
+    for i, j in _so_pairs(N):
+        vi, vj = "%s_%d" % (letter, i), "%s_%d" % (letter, j)
+        yield from ((_j_name(i, j), vi, vj, -1), (_j_name(i, j), vj, vi, 1))
 
 
 def so_algebra(N):
-    pairs = _so_pairs(N)
-    names = [_j_name(i, j) for (i, j) in pairs]
-    index = {n: t for t, n in enumerate(names)}
-    return _check_dim(LieAlgebra(names, _rotation_brackets(pairs, index),
-                                 levi=range(len(names))), N * (N - 1) // 2)
+    names = [_j_name(i, j) for (i, j) in _so_pairs(N)]
+    return _algebra(names, _rotation_relations(N), names, N * (N - 1) // 2)
 
 
 # ---- Heisenberg and the Quesne boson family -----------------------------------
 
 
 def heisenberg_algebra(N):
-    names = (["P_%d" % k for k in range(1, N + 1)]
-             + ["Q_%d" % k for k in range(1, N + 1)] + ["Z"])
-    brackets = {(k, N + k): {2 * N: 1} for k in range(N)}
-    return _check_dim(LieAlgebra(names, brackets, levi=[]), 2 * N + 1)
+    P = ["P_%d" % k for k in range(1, N + 1)]
+    Q = ["Q_%d" % k for k in range(1, N + 1)]
+    return _algebra(P + Q + ["Z"], [(p, q, "Z", 1) for p, q in zip(P, Q)],
+                    [], 2 * N + 1)
 
 
 def weyl_quesne(n):
-    e_names = ["E_%d%d" % (i, j)
-               for i in range(1, n + 1) for j in range(1, n + 1)]
-    names = (e_names + ["bd_%d" % k for k in range(1, n + 1)]
-             + ["b_%d" % k for k in range(1, n + 1)] + ["I"])
-    index = {m: t for t, m in enumerate(names)}
-    brackets = {}
+    ns = range(1, n + 1)
 
-    def canon(a, b, terms):
-        if a == b or not terms:
-            return
-        key, sign = ((a, b), 1) if a < b else ((b, a), -1)
-        accumulate(brackets.setdefault(key, {}), terms.items(), sign)
+    def E(i, j):
+        return "E_%d%d" % (i, j)
 
-    # [E_ij, E_kl] = d_jk E_il - d_li E_kj
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            a = index["E_%d%d" % (i, j)]
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    b = index["E_%d%d" % (k, l)]
-                    if b <= a:
-                        continue
-                    terms = {}
-                    if j == k:
-                        terms[index["E_%d%d" % (i, l)]] = 1
-                    if l == i:
-                        # E_kj differs from E_il since b != a
-                        terms[index["E_%d%d" % (k, j)]] = -1
-                    canon(a, b, terms)
+    def relations():
+        # [E_ij, E_kl] = d_jk E_il - d_li E_kj: each term is [E_ij, E_jl]
+        # = E_il, read from one side or the other
+        for i, j, l in product(ns, repeat=3):
+            if not i == j == l:
+                yield E(i, j), E(j, l), E(i, l), 1
+        for i, j in product(ns, repeat=2):
             # [E_ij, bd_k] = d_jk bd_i ;  [E_ij, b_k] = -d_ik b_j
-            canon(a, index["bd_%d" % j], {index["bd_%d" % i]: 1})
-            canon(a, index["b_%d" % i], {index["b_%d" % j]: -1})
-    # [b_i, bd_j] = d_ij I
-    for i in range(1, n + 1):
-        canon(index["b_%d" % i], index["bd_%d" % i], {index["I"]: 1})
+            yield from ((E(i, j), "bd_%d" % j, "bd_%d" % i, 1),
+                        (E(i, j), "b_%d" % i, "b_%d" % j, -1))
+        for i in ns:
+            yield "b_%d" % i, "bd_%d" % i, "I", 1     # [b_i, bd_j] = d_ij I
 
-    algebra = _check_dim(
-        LieAlgebra(names, {key: val for key, val in brackets.items() if val},
-                   levi=[index[m] for m in e_names]), n * n + 2 * n + 1)
-
+    e_names = [E(i, j) for i in ns for j in ns]
+    names = (e_names + ["bd_%d" % k for k in ns] + ["b_%d" % k for k in ns]
+             + ["I"])
+    algebra = _algebra(names, relations(), e_names, n * n + 2 * n + 1)
     f = PBWElement.generator(algebra, "I")
-    P = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            P["E_%d%d" % (i, j)] = PBWElement.from_terms(
-                algebra, {(index["bd_%d" % i], index["b_%d" % j]): -1})
+    ix = algebra.name_index
+    P = {E(i, j): PBWElement.from_terms(
+            algebra, {(ix["bd_%d" % i], ix["b_%d" % j]): -1})
+         for i in ns for j in ns}
     return algebra, make_spec(algebra, f, P)
 
 
@@ -211,59 +185,36 @@ def hamilton(N, inhomogeneous=False, extension=""):
     ext = set(extension)
     if not ext <= {"L", "A", "M"}:
         raise MalformedInputError("unknown extension letters %r" % (extension,))
+    vectors = "GFQP" if inhomogeneous else "GF"
 
-    pairs = _so_pairs(N)
-    names = [_j_name(i, j) for (i, j) in pairs]
-    names += ["G_%d" % k for k in range(1, N + 1)]
-    names += ["F_%d" % k for k in range(1, N + 1)]
-    if inhomogeneous:
-        names += ["Q_%d" % k for k in range(1, N + 1)]
-        names += ["P_%d" % k for k in range(1, N + 1)]
-    names += ["R"]
-    if inhomogeneous:
-        names += ["E", "T"]
-    names += [letter for letter in "LAM" if letter in ext]
-    index = {m: t for t, m in enumerate(names)}
-
-    brackets = _rotation_brackets(pairs, index)
-    brackets.update(_vector_action(pairs, index, "G", N))
-    brackets.update(_vector_action(pairs, index, "F", N))
-    if inhomogeneous:
-        brackets.update(_vector_action(pairs, index, "Q", N))
-        brackets.update(_vector_action(pairs, index, "P", N))
-    for k in range(1, N + 1):
-        # [G_k, F_k] = R
-        brackets[(index["G_%d" % k], index["F_%d" % k])] = {index["R"]: 1}
+    def relations():
+        yield from _rotation_relations(N)
+        for letter in vectors:
+            yield from _vector_relations(N, letter)
+        for k in range(1, N + 1):
+            G, F, Q, P = ("%s_%d" % (letter, k) for letter in "GFQP")
+            yield G, F, "R", 1
+            if inhomogeneous:
+                yield from ((G, Q, "T", 1), (F, P, "T", 1),
+                            ("E", G, P, -1), ("E", F, Q, 1))
+            for letter, a, b in (("L", P, Q), ("M", G, P), ("A", F, Q)):
+                if letter in ext:
+                    yield a, b, letter, 1
         if inhomogeneous:
-            # [G_k, Q_k] = T and [F_k, P_k] = T
-            brackets[(index["G_%d" % k], index["Q_%d" % k])] = {index["T"]: 1}
-            brackets[(index["F_%d" % k], index["P_%d" % k])] = {index["T"]: 1}
-            # [E, G_k] = -P_k and [E, F_k] = Q_k, stored from the other side
-            brackets[(index["G_%d" % k], index["E"])] = {index["P_%d" % k]: 1}
-            brackets[(index["F_%d" % k], index["E"])] = {index["Q_%d" % k]: -1}
+            yield "E", "R", "T", 2
         if "L" in ext:
-            # [P_k, Q_k] = L
-            brackets[(index["Q_%d" % k], index["P_%d" % k])] = {index["L"]: -1}
-        if "M" in ext:
-            # [G_k, P_k] = M
-            brackets[(index["G_%d" % k], index["P_%d" % k])] = {index["M"]: 1}
-        if "A" in ext:
-            # [F_k, Q_k] = A
-            brackets[(index["F_%d" % k], index["Q_%d" % k])] = {index["A"]: 1}
-    if inhomogeneous:
-        # [E, R] = 2T, stored as [R, E] = -2T
-        brackets[(index["R"], index["E"])] = {index["T"]: -2}
-        if "L" in ext:
-            # [E, T] = -L
-            brackets[(index["E"], index["T"])] = {index["L"]: -1}
+            yield "E", "T", "L", -1
 
+    rotations = [_j_name(i, j) for (i, j) in _so_pairs(N)]
+    names = list(rotations)
+    for letter in vectors:
+        names += ["%s_%d" % (letter, k) for k in range(1, N + 1)]
+    names += ["R", "E", "T"] if inhomogeneous else ["R"]
+    names += [letter for letter in "LAM" if letter in ext]
     # rotations, two N-vectors and R; IHa adds two more vectors, E and T
-    algebra = _check_dim(
-        LieAlgebra(names, brackets,
-                   levi=[index[m] for m in names if m.startswith("J_")]),
-        N * (N - 1) // 2 + (4 * N + 3 if inhomogeneous else 2 * N + 1)
-        + len(ext))
-
+    algebra = _algebra(names, relations(), rotations, N * (N - 1) // 2
+                       + (4 * N + 3 if inhomogeneous else 2 * N + 1)
+                       + len(ext))
     return algebra, _hamilton_spec(algebra, N, inhomogeneous, ext)
 
 
@@ -312,47 +263,31 @@ def _collect(algebra, words):
 # ---- su(1,1) and the boson example ---------------------------------------------
 
 
+_SU11_NAMES = ["X_1,1", "X_-1,1", "X_1,-1"]
+_SU11_RELATIONS = [("X_1,1", "X_-1,1", "X_-1,1", -2),
+                   ("X_1,1", "X_1,-1", "X_1,-1", 2),
+                   ("X_-1,1", "X_1,-1", "X_1,1", 4)]
+
+
 def su11_algebra():
-    return LieAlgebra(
-        ["X_1,1", "X_-1,1", "X_1,-1"],
-        {(0, 1): {1: -2}, (0, 2): {2: 2}, (1, 2): {0: 4}},
-        levi=[0, 1, 2])
-
-
-_BOSON_NAMES = ["X_1,1", "X_-1,1", "X_1,-1",
-                "G_1", "F_1", "Q_1", "P_1", "R", "E", "T"]
+    return _algebra(_SU11_NAMES, _SU11_RELATIONS, _SU11_NAMES, 3)
 
 
 def boson_algebra(alpha):
     """The 10-dim algebra of creation/annihilation bilinears, with the
     deformation parameter alpha switching the Q/P/E/T brackets on."""
     alpha = exact(alpha)
-    brackets = {
-        (0, 1): {1: -2},      # [X_1,1, X_-1,1] = -2 X_-1,1
-        (0, 2): {2: 2},       # [X_1,1, X_1,-1] = 2 X_1,-1
-        (1, 2): {0: 4},       # [X_-1,1, X_1,-1] = 4 X_1,1
-        (0, 3): {3: -1},      # [X_1,1, G_1] = -G_1
-        (0, 4): {4: 1},       # [X_1,1, F_1] = F_1
-        (0, 5): {5: -1},      # [X_1,1, Q_1] = -Q_1
-        (0, 6): {6: 1},       # [X_1,1, P_1] = P_1
-        (1, 4): {3: 2},       # [X_-1,1, F_1] = 2 G_1
-        (1, 6): {5: 2},       # [X_-1,1, P_1] = 2 Q_1
-        (2, 3): {4: -2},      # [X_1,-1, G_1] = -2 F_1
-        (2, 5): {6: -2},      # [X_1,-1, Q_1] = -2 P_1
-        (3, 4): {7: 1},       # [G_1, F_1] = R
-        (3, 6): {9: 1},       # [G_1, P_1] = T
-        (3, 8): {5: 1},       # [G_1, E] = Q_1
-        (4, 5): {9: -1},      # [F_1, Q_1] = -T
-        (4, 8): {6: 1},       # [F_1, E] = P_1
-        (7, 8): {9: 2},       # [R, E] = 2T
-    }
-    if alpha:
-        brackets[(5, 6)] = {7: alpha}         # [Q_1, P_1] = alpha R
-        brackets[(5, 8)] = {3: alpha}         # [Q_1, E] = alpha G_1
-        brackets[(6, 8)] = {4: alpha}         # [P_1, E] = alpha F_1
-        brackets[(8, 9)] = {7: -2 * alpha}    # [E, T] = -2 alpha R
-    return _check_dim(LieAlgebra(list(_BOSON_NAMES), brackets, levi=[0, 1, 2]),
-                      10)
+    H, X, Y = _SU11_NAMES
+    G, F, Q, P = "G_1", "F_1", "Q_1", "P_1"
+    relations = _SU11_RELATIONS + [
+        (H, G, G, -1), (H, F, F, 1), (H, Q, Q, -1), (H, P, P, 1),
+        (X, F, G, 2), (X, P, Q, 2), (Y, G, F, -2), (Y, Q, P, -2),
+        (G, F, "R", 1), (G, P, "T", 1), (G, "E", Q, 1), (F, Q, "T", -1),
+        (F, "E", P, 1), ("R", "E", "T", 2),
+        (Q, P, "R", alpha), (Q, "E", G, alpha), (P, "E", F, alpha),
+        ("E", "T", "R", -2 * alpha)]
+    names = _SU11_NAMES + [G, F, Q, P, "R", "E", "T"]
+    return _algebra(names, relations, _SU11_NAMES, 10)
 
 
 def _sym_words(algebra, terms):

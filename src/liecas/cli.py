@@ -104,26 +104,18 @@ def _read_algebra(path):
 
 def _select(args, want_spec=False):
     """(algebra, spec-or-None) from --family or --algebra [+ --spec]."""
-    family = getattr(args, "family", None)
-    path = getattr(args, "algebra", None)
+    family, path = args.family, args.algebra
+    spec_path = getattr(args, "spec", None)
     if family and path:
         _fail("give --family or --algebra, not both")
     if family:
-        if getattr(args, "spec", None):
+        if spec_path:
             _fail("--spec only combines with --algebra")
-        alpha = getattr(args, "alpha", None)
-        if alpha is not None and family != "boson_example":
-            _fail("--alpha only applies to boson_example")
-        if (args.N is not None and family in FAMILIES
-                and FAMILIES[family].most is None):
-            _fail("family %r takes no --N" % (family,))
-        params = {} if alpha is None else {"alpha": alpha}
-        algebra, spec = build(FamilyId(name=family, N=args.N, params=params))
+        algebra, spec = build(FamilyId(family, args.N, args.alpha))
     elif path:
         algebra, embedded = _read_algebra(path)
         algebra = _validated(algebra)
         spec = None
-        spec_path = getattr(args, "spec", None)
         if spec_path:
             spec = parse_spec(algebra, _load_json(spec_path))
         elif embedded is not None:

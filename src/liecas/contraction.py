@@ -84,8 +84,7 @@ def contract_algebra(algebra, weights):
                                              algebra.names[k], s)
             if s == 0:
                 kept[k] = c
-        if kept:
-            rows[(i, j)] = kept
+        rows[(i, j)] = kept
     out = LieAlgebra(algebra.names, rows, levi=sorted(algebra.levi))
     report = out.validate()
     if not report.ok:

@@ -218,21 +218,6 @@ def u_product(algebra, factors):
 # ---- symmetrization --------------------------------------------------------
 
 
-def _distinct_arrangements(letters):
-    """All distinct orderings of a sorted letter multiset."""
-    if not letters:
-        yield ()
-        return
-    seen = set()
-    for t, a in enumerate(letters):
-        if a in seen:
-            continue
-        seen.add(a)
-        rest = letters[:t] + letters[t + 1:]
-        for tail in _distinct_arrangements(rest):
-            yield (a,) + tail
-
-
 def _letter_groups(word, neighbours):
     """Split a sorted word into the letters that commute with every other
     letter of it, as one sorted tuple, and the sorted letter tuples of the

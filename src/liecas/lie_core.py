@@ -7,6 +7,9 @@ part and a radical.  The split is taken on trust from the caller or the
 catalog and only checked for closure (Levi a subalgebra, radical an ideal);
 no decomposition algorithm is run.
 
+bracket_table builds that table from rows stated in either order, the
+one reader of rows for the JSON loader and the catalog.
+
 The constructor also builds the adjoint table ad[i] = {j: [X_i, X_j]} once,
 from the stored rows and their negations, so a bracket is one lookup and
 validate() reaches only the triples that a stored row touches.
@@ -215,26 +218,36 @@ class LieAlgebra:
         for i in indices:
             self._check_index(i)
         pos = {old: new for new, old in enumerate(indices)}
-        inside = set(indices)
-        brackets = {}
-        for a_pos, i in enumerate(indices):
-            for j in indices[a_pos + 1:]:
-                row = self.bracket_basis(i, j)
-                for k in row:
-                    if k not in inside:
-                        raise MalformedInputError(
-                            "generators are not closed: [%s, %s] contains %s"
-                            % (self.names[i], self.names[j], self.names[k]))
-                if row:
-                    brackets[(pos[i], pos[j])] = {pos[k]: c for k, c in row.items()}
+        table = {}
+        for (i, j), row in sorted(self.brackets.items()):
+            if i not in pos or j not in pos:
+                continue
+            for k in row:
+                if k not in pos:
+                    raise MalformedInputError(
+                        "generators are not closed: [%s, %s] contains %s"
+                        % (self.names[i], self.names[j], self.names[k]))
+            table[pos[i], pos[j]] = {pos[k]: c for k, c in row.items()}
         return LieAlgebra(
-            [self.names[i] for i in indices],
-            brackets,
+            [self.names[i] for i in indices], table,
             levi=[pos[i] for i in indices if i in self.levi],
             radical=[pos[i] for i in indices if i in self.radical])
 
     def levi_subalgebra(self):
         return self.subalgebra(sorted(self.levi))
+
+
+def bracket_table(rows):
+    """The i < j table of LieAlgebra from rows (i, j, terms) in either
+    order of i and j, terms being (k, c) pairs with [X_i, X_j] = sum of
+    c X_k: a row with i > j enters (j, i) negated.  Rows of one pair add
+    up, and a term that cancels is dropped (LieAlgebra drops the rows
+    left empty)."""
+    table = {}
+    for i, j, terms in rows:
+        accumulate(table.setdefault((min(i, j), max(i, j)), {}), terms,
+                   1 if i < j else -1)
+    return table
 
 
 # ---- JSON schema ------------------------------------------------------------
@@ -293,23 +306,22 @@ def algebra_from_json(doc):
             raise MalformedInputError("bad bracket term %r" % (t,))
         return look(t["k"]), parse_rational(t["c"])
 
-    brackets = {}
+    def rows():
+        for row in doc["brackets"]:
+            if (not isinstance(row, dict)
+                    or not {"i", "j", "terms"} <= set(row)):
+                raise MalformedInputError("bad bracket row %r" % (row,))
+            i, j = look(row["i"]), look(row["j"])
+            if i == j:
+                raise MalformedInputError(
+                    "bracket row with i = j = %r" % row["i"])
+            if not isinstance(row["terms"], list):
+                raise MalformedInputError("bracket terms must be a list")
+            yield i, j, map(term, row["terms"])
+
     if not isinstance(doc["brackets"], list):
         raise MalformedInputError("brackets must be a list")
-    for row in doc["brackets"]:
-        if not isinstance(row, dict) or not {"i", "j", "terms"} <= set(row):
-            raise MalformedInputError("bad bracket row %r" % (row,))
-        i, j = look(row["i"]), look(row["j"])
-        if i == j:
-            raise MalformedInputError("bracket row with i = j = %r" % row["i"])
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        if not isinstance(row["terms"], list):
-            raise MalformedInputError("bracket terms must be a list")
-        accumulate(brackets.setdefault((i, j), {}), map(term, row["terms"]),
-                   sign)
-    brackets = {key: val for key, val in brackets.items() if val}
+    brackets = bracket_table(rows())
     for key in ("levi", "radical"):
         if not isinstance(doc[key], list):
             raise MalformedInputError("%s must be a list of names" % key)

@@ -29,11 +29,12 @@ def latex_fraction(c):
     return r"\frac{%d}{%d}" % (c.numerator, c.denominator)
 
 
-def signed_term(c, mono, latex=False, number=str):
+def signed_term(c, mono, latex=False):
     """(negative, body) for the term c * mono, where body carries |c|.
 
     A unit magnitude is left out, an empty mono is the constant |c|, and
-    number formats the magnitude (latex_fraction for \\frac)."""
+    in LaTeX a proper fraction is a \\frac."""
+    number = latex_fraction if latex else str
     mag = abs(c)
     if not mono:
         return c < 0, number(mag)
@@ -47,7 +48,7 @@ def power_term(c, powers, latex=False):
     2*x^2*y, or \\frac{1}{2} x^{2} y in LaTeX."""
     if latex:
         mono = " ".join(v if e == 1 else "%s^{%d}" % (v, e) for v, e in powers)
-        return signed_term(c, mono, True, latex_fraction)
+        return signed_term(c, mono, True)
     mono = "*".join(v if e == 1 else "%s^%d" % (v, e) for v, e in powers)
     return signed_term(c, mono)
 

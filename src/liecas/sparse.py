@@ -21,11 +21,15 @@ from .errors import MalformedInputError
 
 def exact(c):
     """c as a stored coefficient: its numerator when it is integral, else
-    Fraction(c).  A float is refused: it is already rounded."""
+    Fraction(c).  A float is refused, being already rounded, and so is
+    whatever Fraction cannot read."""
     if isinstance(c, float):
         raise MalformedInputError("inexact coefficient %r" % (c,))
     if not isinstance(c, (int, Fraction)):
-        c = Fraction(c)
+        try:
+            c = Fraction(c)
+        except (TypeError, ValueError, ArithmeticError):
+            raise MalformedInputError("bad rational %r" % (c,)) from None
     return c.numerator if c.denominator == 1 else c
 
 

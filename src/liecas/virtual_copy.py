@@ -61,14 +61,13 @@ from fractions import Fraction
 from .enveloping import (
     DEGREE_CAP,
     PBWElement,
-    _distinct_arrangements,
     _normalize,
+    _orderings,
     emit_pbw,
     parse_pbw,
     symmetrize,
     u_commutator,
     u_mul,
-    u_product,
 )
 from .errors import (
     DegreeOverflowError,
@@ -324,13 +323,21 @@ def require_verified(algebra, spec, consequence):
         raise err
 
 
-def _symmetric_substitute(algebra, ops, word):
-    """Equal-weight average of ops[i1]...[ip] over the orderings of word."""
-    arrangements = list(_distinct_arrangements(word))
-    total = PBWElement(algebra)
-    for arr in arrangements:
-        total = total + u_product(algebra, (ops[i] for i in arr))
-    return total.scale(Fraction(1, len(arrangements)))
+def _symmetric_substitute(algebra, ops, word, sums):
+    """Equal-weight average of ops[i1]...ops[ip] over the orderings of the
+    sorted word: A(M) / D(M) for its letters M, where A(M), the sum over
+    distinct a in M of ops[a] A(M - a), is memoized in sums on the sorted
+    letter tuple ({(): unit} to start), as in symmetrize."""
+    def arrangements(letters):
+        if letters not in sums:
+            total = PBWElement(algebra)
+            for s, a in enumerate(letters):
+                if s == 0 or letters[s - 1] != a:
+                    rest = arrangements(letters[:s] + letters[s + 1:])
+                    total = total + u_mul(ops[a], rest)
+            sums[letters] = total
+        return sums[letters]
+    return arrangements(word).scale(Fraction(1, _orderings(word)))
 
 
 def lift_casimir(algebra, spec, casimir):
@@ -368,12 +375,13 @@ def lift_casimir(algebra, spec, casimir):
                 "(fails against %s)" % sub.names[t])
     ops = build_operators(algebra, spec)
     out = PBWElement(algebra)
+    sums = {(): PBWElement.unit(algebra)}
     remaining = casimir
     while remaining:
         d = remaining.degree()
         layer = [(w, c) for w, c in remaining.terms.items() if len(w) == d]
         for w, c in layer:
-            out = out + _symmetric_substitute(algebra, ops, w).scale(c)
+            out = out + _symmetric_substitute(algebra, ops, w, sums).scale(c)
             remaining = remaining - symmetrize(
                 algebra, CommPoly.monomial(algebra.dim, w, c))
     return out

@@ -5,11 +5,13 @@ Run it from the repository root:
     PYTHONPATH=src python3 tests/output_sweep.py
 
 Every catalog family is built at its least N and at least N + 1 (the
-parameterless families once, boson_example at its default alpha).  Each
-instance gets `catalog`, `validate`, `mc` and `count --verbose`, and a
-dressed one also `verify-copy`, `casimirs` and `contract --weights
-'{"R": 1}'`.  The three dressings of property_suites.failing_specs are
-written to catalog-style dump files in a temporary folder and each gets
+parameterless families once, boson_example at its default alpha and at
+alpha = 1/2, whose fractional structure constants reach every renderer;
+it carries no dressing there).  Each instance gets `catalog`,
+`validate`, `mc` and `count --verbose`, and one of a dressed family also
+`verify-copy`, `casimirs` and `contract --weights '{"R": 1}'`.  The
+three dressings of property_suites.failing_specs are written to
+catalog-style dump files in a temporary folder and each gets
 `verify-copy` and `casimirs --algebra`.  Every request runs in json,
 text and latex.  The requests run in this process through
 liecas.cli.main; the script prints the request count and one sha256
@@ -46,6 +48,8 @@ def requests(folder):
         else:
             instances = [["--N", str(n)]
                          for n in (family.least, family.least + 1)]
+        if family.parameter == "alpha":
+            instances.append(["--alpha", "1/2"])
         commands = [["catalog"], ["validate"], ["mc"], ["count", "--verbose"]]
         if family.dressed:
             commands += [["verify-copy"], ["casimirs"],

@@ -48,8 +48,8 @@ DOUBLE_EXTENSIONS = ("IHa_AM", "IHa_AL", "IHa_LM")
 N_FAMILIES = ("Ha", "IHa", "QHa") + SINGLE_EXTENSIONS + DOUBLE_EXTENSIONS
 
 
-def _algebra(name, N=None, **params):
-    algebra, _ = build(FamilyId(name, N=N, params=params))
+def _algebra(name, N=None):
+    algebra, _ = build(FamilyId(name, N=N))
     return algebra
 
 

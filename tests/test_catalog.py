@@ -18,8 +18,8 @@ from liecas.lie_core import LieAlgebra
 from property_suites import roster
 
 
-def b(name, N=None, **params):
-    return build(FamilyId(name, N, params))
+def b(name, N=None):
+    return build(FamilyId(name, N))
 
 
 ALL_BUILDS = (
@@ -29,8 +29,8 @@ ALL_BUILDS = (
     + [FamilyId(name, N) for N in (3, 4)
        for name in ("Ha", "IHa", "QHa",
                     "IHa_L", "IHa_M", "IHa_A", "IHa_AM", "IHa_AL", "IHa_LM")]
-    + [FamilyId("boson_example", params={"alpha": 1}),
-       FamilyId("boson_example", params={"alpha": 0}),
+    + [FamilyId("boson_example", alpha=1),
+       FamilyId("boson_example", alpha=0),
        FamilyId("boson_example_contracted")]
     + [FamilyId(name, family.most) for name, family in FAMILIES.items()
        if family.most is not None]
@@ -93,7 +93,7 @@ def test_which_families_carry_specs():
     for fid in ALL_BUILDS:
         _, spec = build(fid)
         bare = fid.name in ("so", "su11", "heisenberg") or (
-            fid.name == "boson_example" and fid.params.get("alpha") == 0)
+            fid.name == "boson_example" and fid.alpha == 0)
         assert (spec is None) == bare, fid
 
 
@@ -194,6 +194,13 @@ def test_bad_family_ids():
         build(FamilyId("QHa", 10))
     with pytest.raises(MalformedInputError):
         build(FamilyId("heisenberg", 0))
+    with pytest.raises(MalformedInputError, match="takes no --N"):
+        build(FamilyId("su11", 3))
+    with pytest.raises(MalformedInputError, match="takes no --N"):
+        build(FamilyId("boson_example", 3))
+    with pytest.raises(MalformedInputError,
+                       match="only applies to boson_example"):
+        build(FamilyId("Ha", 3, alpha=5))
     assert "QHa" in FAMILY_NAMES and "boson_example" in FAMILY_NAMES
 
 

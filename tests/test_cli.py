@@ -279,6 +279,16 @@ def test_latex_output(capsys):
     assert code == 0
     assert out == "N(\\mathfrak{g}) = 2\n"
 
+    # a fractional structure constant is a \frac in brackets and forms
+    code, out = run(capsys, "catalog", "--family", "boson_example",
+                    "--alpha", "1/2", "--format", "latex")
+    assert code == 0
+    assert "\n[Q_{1}, P_{1}] = \\frac{1}{2} R\n" in out
+    code, out = run(capsys, "mc", "--family", "boson_example",
+                    "--alpha", "1/2", "--format", "latex")
+    assert code == 0
+    assert "+ \\frac{1}{2} \\omega_{Q_{1}} \\wedge \\omega_{E}\n" in out
+
 
 # ---- subcommand documents ----------------------------------------------------------
 

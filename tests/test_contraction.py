@@ -21,8 +21,8 @@ from liecas.lie_core import LieAlgebra
 from liecas.virtual_copy import build_operators, lift_casimir, make_spec, verify
 
 
-def b(name, N=None, **params):
-    return build(FamilyId(name, N, params))
+def b(name, N=None):
+    return build(FamilyId(name, N))
 
 
 def so3_with_center():

@@ -5,7 +5,8 @@ import pytest
 from liecas import lie_core
 from liecas.catalog import FamilyId, build
 from liecas.errors import MalformedInputError
-from liecas.lie_core import LieAlgebra, algebra_from_json, algebra_to_json
+from liecas.lie_core import (LieAlgebra, algebra_from_json, algebra_to_json,
+                             bracket_table)
 from property_suites import jacobi_agreement
 
 F = Fraction
@@ -179,6 +180,25 @@ def test_json_accepts_reversed_rows():
     }
     g = algebra_from_json(doc)
     assert g.bracket_basis(0, 1) == {0: F(-1)}
+
+
+def test_bracket_table_folds_rows_as_the_json_reader_does():
+    # [b, a] = a is a reversed row; [a, c] = b/2 stated twice adds up to
+    # b, stored as an int; [b, c] = a and [c, b] = a cancel
+    rows = [(1, 0, [(0, 1)]),
+            (0, 2, [(1, F(1, 2))]), (0, 2, [(1, F(1, 2))]),
+            (1, 2, [(0, 1)]), (2, 1, [(0, 1)])]
+    table = bracket_table(rows)
+    assert table == {(0, 1): {0: -1}, (0, 2): {1: 1}, (1, 2): {}}
+    assert type(table[(0, 2)][1]) is int
+    names = ["a", "b", "c"]
+    doc = {"names": names, "levi": [], "radical": names, "brackets": [
+        {"i": names[i], "j": names[j],
+         "terms": [{"k": names[k], "c": str(c)} for k, c in terms]}
+        for i, j, terms in rows]}
+    direct = LieAlgebra(names, table, levi=[])
+    assert direct.brackets == {(0, 1): {0: -1}, (0, 2): {1: 1}}
+    assert algebra_from_json(doc).brackets == direct.brackets
 
 
 def test_json_rejects_malformed_documents():

@@ -91,6 +91,14 @@ def test_exact_keeps_ints_and_proper_fractions():
         assert got == want and type(got) is type(want)
 
 
+def test_what_is_not_a_rational_is_refused():
+    for build_one in (lambda: exact("x"), lambda: exact("1/0"),
+                      lambda: exact(None),
+                      lambda: build(FamilyId("boson_example", alpha="x"))):
+        with pytest.raises(MalformedInputError, match="bad rational"):
+            build_one()
+
+
 def test_a_float_coefficient_is_refused():
     for build_one in (lambda: PBWElement.generator(so3(), 0).scale(0.1),
                       lambda: CommPoly(2, {(0,): 2.0}),
@@ -100,8 +108,7 @@ def test_a_float_coefficient_is_refused():
                                          levi=[]),
                       lambda: PBWElement.unit(so3(), 0.5),
                       lambda: PBWElement.from_terms(so3(), {(1, 0): 0.5}),
-                      lambda: build(FamilyId("boson_example",
-                                             params={"alpha": 0.1})),
+                      lambda: build(FamilyId("boson_example", alpha=0.1)),
                       lambda: boson_algebra(0.5)):
         with pytest.raises(MalformedInputError, match="inexact coefficient"):
             build_one()

@@ -35,8 +35,8 @@ from property_suites import (
 )
 
 
-def b(name, N=None, **params):
-    return build(FamilyId(name, N, params))
+def b(name, N=None):
+    return build(FamilyId(name, N))
 
 
 def so3_with_center():
