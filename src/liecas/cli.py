@@ -28,6 +28,13 @@ go to stdout; with --format json they are machine-readable, errors as
 {"error": <kind>, ...}.  That holds for flags argparse rejects too; in
 text or latex format those keep argparse's usage message on stderr.
 
+Each handler imports the modules it runs when it runs, so a request
+loads only its own layers.  validate needs lie_core alone; count adds
+invariants and linalg, mc adds exterior, and contract without a
+dressing adds contraction.  The catalog loads only for --family or the
+catalog command, and enveloping, virtual_copy and casimir_gen only for a
+dressing.
+
 The output format defaults to text, or to $LIECAS_FORMAT when that is
 set.  Randomized rank probes (count) take --seed and --trials; one seed
 always reproduces the same bytes.
@@ -37,21 +44,14 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from .casimir_gen import UCHECK_DEGREE_CAP, casimir_set
-from .catalog import FAMILIES, FamilyId, build
-from .contraction import ContractionWeights, contract_algebra, contract_copy
-from .enveloping import emit_pbw
 from .errors import (DegreeOverflowError, InternalConsistencyError,
                      LiecasError, LimitDoesNotExistError, MalformedInputError,
                      NotApplicableError, PreconditionError,
                      UndefinedLeadingPartError)
-from .exterior import mc_differential
-from .invariants import invariant_count
 from .lie_core import algebra_from_json, algebra_to_json
 from .naming import latex_name, signed_join, signed_term
-from .virtual_copy import emit_spec, parse_spec, verify
+from .sparse import exact
 
 FORMATS = ("json", "text", "latex")
 FORMAT_ENV = "LIECAS_FORMAT"
@@ -65,10 +65,12 @@ def _fail(message, **payload):
 
 
 def _rational(text):
+    # argparse answers an ArgumentTypeError as a usage error; a
+    # MalformedInputError here would end the request in a traceback
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError("bad rational %r" % (text,))
+        return exact(text)
+    except MalformedInputError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _load_json(path):
@@ -111,15 +113,17 @@ def _select(args, want_spec=False):
     if family:
         if spec_path:
             _fail("--spec only combines with --algebra")
+        from .catalog import FamilyId, build
         algebra, spec = build(FamilyId(family, args.N, args.alpha))
     elif path:
-        algebra, embedded = _read_algebra(path)
+        algebra, doc = _read_algebra(path)
         algebra = _validated(algebra)
-        spec = None
         if spec_path:
-            spec = parse_spec(algebra, _load_json(spec_path))
-        elif embedded is not None:
-            spec = parse_spec(algebra, embedded)
+            doc = _load_json(spec_path)
+        spec = None
+        if spec_path or doc is not None:
+            from .virtual_copy import parse_spec
+            spec = parse_spec(algebra, doc)
     else:
         _fail("need --family or --algebra")
     if want_spec and spec is None:
@@ -191,6 +195,7 @@ def _cmd_validate(args, fmt):
 
 
 def _cmd_count(args, fmt):
+    from .invariants import invariant_count
     algebra, _spec = _select(args)
     report = invariant_count(algebra, trials=args.trials, seed=args.seed,
                              method=args.method)
@@ -213,6 +218,7 @@ def _cmd_count(args, fmt):
 
 
 def _cmd_mc(args, fmt):
+    from .exterior import mc_differential
     algebra, _spec = _select(args)
     names = algebra.names
     forms = mc_differential(algebra)
@@ -232,6 +238,7 @@ def _cmd_mc(args, fmt):
 
 
 def _cmd_verify_copy(args, fmt):
+    from .virtual_copy import verify
     algebra, spec = _select(args, want_spec=True)
     report = verify(algebra, spec)
     if report.passed:
@@ -240,6 +247,8 @@ def _cmd_verify_copy(args, fmt):
 
 
 def _cmd_casimirs(args, fmt):
+    from .casimir_gen import UCHECK_DEGREE_CAP, casimir_set
+    from .enveloping import emit_pbw
     algebra, spec = _select(args, want_spec=True)
     cs = casimir_set(algebra, spec)
     names = algebra.names
@@ -272,6 +281,8 @@ def _cmd_casimirs(args, fmt):
 
 
 def _cmd_contract(args, fmt):
+    from .contraction import (ContractionWeights, contract_algebra,
+                              contract_copy)
     algebra, spec = _select(args)
     weights = ContractionWeights(algebra, _parse_weights(args.weights))
     names = algebra.names
@@ -290,6 +301,8 @@ def _cmd_contract(args, fmt):
         return 0, "\n".join([weight_line, "contracted bracket table:"]
                             + _bracket_lines(prime))
 
+    from .enveloping import emit_pbw
+    from .virtual_copy import emit_spec
     outcome = contract_copy(algebra, spec, weights)
     if outcome.limit_error is not None:
         err = outcome.limit_error
@@ -343,6 +356,7 @@ def _cmd_contract(args, fmt):
 
 def _cmd_catalog(args, fmt):
     if not args.family:
+        from .catalog import FAMILIES
         if fmt == "json":
             return 0, {"families": [
                 {"name": name, "parameter": fam.parameter,
@@ -363,6 +377,7 @@ def _cmd_catalog(args, fmt):
                             fam.about))
         return 0, "\n".join(lines)
 
+    from .virtual_copy import emit_spec
     algebra, spec = _select(args)
     if fmt == "json":
         return 0, {"algebra": algebra_to_json(algebra),

@@ -24,9 +24,6 @@ its M_i is taken to be M0 (the f half is still there) and its leading
 part stays zero.
 """
 
-from dataclasses import dataclass
-
-from .enveloping import PBWElement, u_mul
 from .errors import (
     InternalConsistencyError,
     LimitDoesNotExistError,
@@ -34,7 +31,9 @@ from .errors import (
     UndefinedLeadingPartError,
 )
 from .lie_core import LieAlgebra
-from .virtual_copy import VirtualCopySpec, make_spec, require_verified, verify
+
+# enveloping and virtual_copy are imported by the dressed path alone, so a
+# plain contraction (contract_algebra) loads neither
 
 
 class ContractionWeights:
@@ -96,6 +95,7 @@ def contract_algebra(algebra, weights):
 
 def weighted_leading_part(elem, weights):
     """(top weight, top-weight slice) of a nonzero enveloping element."""
+    from .enveloping import PBWElement
     if elem.algebra is not weights.algebra:
         raise MalformedInputError("element belongs to a different algebra")
     if elem.is_zero():
@@ -112,12 +112,12 @@ def transplant(elem, target):
     alone, so this is always well formed; it is the right move exactly
     when the words' meaning should survive a change of bracket table,
     as it does for leading parts passing to the contraction."""
+    from .enveloping import PBWElement
     if target.dim != elem.algebra.dim:
         raise MalformedInputError("algebras have different dimensions")
     return PBWElement(target, dict(elem.terms))
 
 
-@dataclass
 class ContractionOutcome:
     """Everything contract_copy() learns.
 
@@ -130,22 +130,20 @@ class ContractionOutcome:
     verify_report its verification.
     """
 
-    M0: int
-    Mi: dict
-    Ni: dict
-    f0: PBWElement
-    P0: dict
-    copy_compatible: bool
-    algebra_prime: LieAlgebra | None = None
-    limit_error: LimitDoesNotExistError | None = None
-    spec_prime: VirtualCopySpec | None = None
-    operators_prime: dict | None = None
-    verify_report: object | None = None
+    algebra_prime = limit_error = None
+    spec_prime = operators_prime = verify_report = None
+
+    def __init__(self, M0, Mi, Ni, f0, P0, copy_compatible):
+        self.M0, self.Mi, self.Ni = M0, Mi, Ni
+        self.f0, self.P0 = f0, P0
+        self.copy_compatible = copy_compatible
 
 
 def contract_copy(algebra, spec, weights):
     """Contract a dressing along a weighting; the dressing is verified
     here, and a copy-compatible limit dressing is verified in turn."""
+    from .enveloping import PBWElement, u_mul
+    from .virtual_copy import make_spec, require_verified, verify
     if spec.algebra is not algebra:
         raise MalformedInputError("spec belongs to a different algebra")
     if weights.algebra is not algebra:

@@ -28,7 +28,6 @@ no term of [X_t, w] is longer than w, so w may reach the cap.
 """
 
 from fractions import Fraction
-from functools import reduce
 from itertools import groupby
 from math import factorial, lcm, prod
 
@@ -210,11 +209,6 @@ def _generator_bracket(t, elem, c):
         for z, bc in algebra.bracket_basis(t, y).items()), {}))
 
 
-def u_product(algebra, factors):
-    """Left-to-right product of a sequence of elements (unit when empty)."""
-    return reduce(u_mul, factors, PBWElement.unit(algebra))
-
-
 # ---- symmetrization --------------------------------------------------------
 
 
@@ -345,7 +339,6 @@ def symmetrize(algebra, poly):
 
 
 def parse_pbw(algebra, doc):
-    from .lie_core import parse_rational
     if not isinstance(doc, list):
         raise MalformedInputError("enveloping element must be a list of terms")
 
@@ -356,8 +349,11 @@ def parse_pbw(algebra, doc):
                 raise MalformedInputError("bad enveloping term %r" % (term,))
             if not isinstance(term["word"], list):
                 raise MalformedInputError("term word must be a list of names")
-            yield ([algebra.index(n) for n in term["word"]],
-                   parse_rational(term["coeff"]))
+            word = [algebra.index(n) for n in term["word"]]
+            if isinstance(term["coeff"], bool):  # exact would read true as 1
+                raise MalformedInputError("bad rational %r" % (term["coeff"],))
+            # _normal_sum reads the coefficient through sparse.exact
+            yield word, term["coeff"]
     return _normal_sum(algebra, pairs())
 
 

@@ -22,7 +22,7 @@ rank, so the count stays an upper bound that its witness point attains.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InternalConsistencyError, MalformedInputError
 from .linalg import rank
@@ -74,12 +74,10 @@ def is_invariant(algebra, poly):
     return (not violations, violations)
 
 
-@dataclass
-class InvariantReport:
-    count: int
-    generic_rank: int
-    witness_point: tuple
-    method: str
+# a namedtuple, not a dataclass: dataclasses would load inspect on every
+# count request, for nothing a tuple's fields and == do not give
+InvariantReport = namedtuple("InvariantReport",
+                             "count generic_rank witness_point method")
 
 
 def structure_matrix(algebra, point):

@@ -24,8 +24,6 @@ bracket_basis returns are the table's own, shared between callers: read
 them, never mutate them.
 """
 
-from fractions import Fraction
-
 from .errors import MalformedInputError
 from .sparse import accumulate, exact
 
@@ -257,14 +255,8 @@ def bracket_table(rows):
 #   "levi":    ["J_12", ...],
 #   "radical": ["G_1", ...] }
 #
-# Rationals travel as "p/q" strings.
-
-
-def parse_rational(text):
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError):
-        raise MalformedInputError("bad rational %r" % (text,)) from None
+# Rationals travel as "p/q" strings; a JSON integer reads too, and a JSON
+# float is refused as inexact (sparse.exact reads every coefficient).
 
 
 def algebra_to_json(algebra):
@@ -304,7 +296,9 @@ def algebra_from_json(doc):
     def term(t):
         if not isinstance(t, dict) or not {"k", "c"} <= set(t):
             raise MalformedInputError("bad bracket term %r" % (t,))
-        return look(t["k"]), parse_rational(t["c"])
+        if isinstance(t["c"], bool):     # exact would read true as 1
+            raise MalformedInputError("bad rational %r" % (t["c"],))
+        return look(t["k"]), exact(t["c"])
 
     def rows():
         for row in doc["brackets"]:

@@ -26,17 +26,18 @@ exterior algebra of the dual, the half-rank of a 2-form by wedge powers,
 the characteristic polynomial by cofactor expansion, the rank over Q by
 Gaussian elimination over Fraction and by fraction-free (Bareiss)
 elimination, the normal form of a word in U(g) by unmemoized bubbling,
-the commutator in U(g) as two full products, the conditions of a virtual
+the product of a sequence of elements of U(g) one factor at a time, the
+commutator in U(g) as two full products, the conditions of a virtual
 copy with every bracket of the dressed generators multiplied out in
 full, and the Jacobi sums of a bracket table over every index triple.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations, product
 from math import lcm
 
-from liecas.enveloping import (PBWElement, pbw_normalize, u_commutator,
-                               u_mul, u_product)
+from liecas.enveloping import PBWElement, pbw_normalize, u_commutator, u_mul
 from liecas.errors import InternalConsistencyError, MalformedInputError
 from liecas.exterior import ExteriorElement, mc_differential
 from liecas.polynomial import CommPoly
@@ -561,6 +562,11 @@ def normal_word_bubble(algebra, word, coeff=1):
         for k, v in algebra.brackets.get((a, b), {}).items():
             pending.append((head + (k,) + tail, -c * v))
     return PBWElement(algebra, out)
+
+
+def u_product(algebra, factors):
+    """Left-to-right product of a sequence of elements (unit when empty)."""
+    return reduce(u_mul, factors, PBWElement.unit(algebra))
 
 
 def commutator_direct(a, b):

@@ -210,6 +210,44 @@ def test_spec_word_name_that_is_no_string_is_malformed_input(capsys,
                                "detail": "unknown generator ['R']"})
 
 
+def test_float_coefficient_is_malformed_input(capsys, tmp_path):
+    # a JSON float is already rounded, so it is refused like any float
+    def edit(d):
+        d["brackets"][0]["terms"][0]["c"] = 0.1
+    code, doc = _ha3_answer(capsys, tmp_path, algebra_edit=edit)
+    assert (code, doc) == (2, {"error": "malformed-input",
+                               "detail": "inexact coefficient 0.1"})
+
+
+def test_boolean_coefficient_is_malformed_input(capsys, tmp_path):
+    # exact alone would read true as 1
+    def edit_row(d):
+        d["brackets"][0]["terms"][0]["c"] = True
+
+    def edit_spec(d):
+        d["f"][0]["coeff"] = True
+    for edits in ({"algebra_edit": edit_row}, {"spec_edit": edit_spec}):
+        code, doc = _ha3_answer(capsys, tmp_path, **edits)
+        assert (code, doc) == (2, {"error": "malformed-input",
+                                   "detail": "bad rational True"})
+
+
+def test_bad_alpha_is_a_usage_error(capsys):
+    # --alpha reads through sparse.exact; its refusal must reach argparse
+    # as a usage error, not end the request in a traceback
+    code, out = run(capsys, "catalog", "--family", "boson_example",
+                    "--alpha", "1/0", "--format", "json")
+    assert (code, json.loads(out)) == (2, {
+        "error": "malformed-input",
+        "detail": "argument --alpha: bad rational '1/0'"})
+    code = main(["catalog", "--family", "boson_example", "--alpha", "x",
+                 "--format", "text"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.endswith("error: argument --alpha: "
+                                 "bad rational 'x'\n")
+
+
 def test_usage_errors_answer_in_json(capsys, monkeypatch):
     monkeypatch.delenv("LIECAS_FORMAT", raising=False)
     # validate takes no --spec; bb2 is no method
@@ -329,8 +367,9 @@ def test_casimirs_document(capsys):
 
 
 def test_casimirs_report_a_skipped_centrality_check(capsys, monkeypatch):
+    # the one patch reaches both the check and the text note, which the
+    # handler reads from casimir_gen when it runs
     monkeypatch.setattr(liecas.casimir_gen, "UCHECK_DEGREE_CAP", 3)
-    monkeypatch.setattr(liecas.cli, "UCHECK_DEGREE_CAP", 3)
     code, out = run(capsys, "casimirs", "--family", "Ha", "--N", "3",
                     "--format", "json")
     assert code == 0
@@ -419,6 +458,37 @@ def test_closed_stdout_exits_quietly():
         os.close(write_end)
     assert proc.returncode == liecas.cli.BROKEN_PIPE == 141
     assert proc.stderr == b""
+
+
+# ---- each request loads only what it runs ---------------------------------------
+
+_LOADED = """
+import contextlib, io, json, sys
+import liecas.cli
+path, weights = sys.argv[1:]
+codes = []
+for argv in (["validate"], ["count", "--method", "bb1"], ["mc"],
+             ["contract", "--weights", weights]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(liecas.cli.main(argv + ["--algebra", path]))
+print(json.dumps({"codes": codes, "loaded": [
+    name for name in ("liecas.enveloping", "liecas.virtual_copy",
+                      "liecas.casimir_gen", "liecas.catalog")
+    if name in sys.modules]}))
+"""
+
+
+def test_requests_on_an_algebra_file_load_no_dressing_layer(tmp_path):
+    # validate, count, mc and a contraction without a dressing never reach
+    # U(g), a dressing or the catalog, so a fresh interpreter running them
+    # must not have imported those modules
+    algebra, _spec = build(FamilyId("QHa", 3))
+    path = write_json(tmp_path / "qha3.json", algebra_to_json(algebra))
+    weights = json.dumps({"R": 1, "G_1": 1, "G_2": 1, "G_3": 1})
+    proc = subprocess.run([sys.executable, "-c", _LOADED, path, weights],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0], "loaded": []}
 
 
 def _subclasses(cls):

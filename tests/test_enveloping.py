@@ -11,7 +11,6 @@ from liecas.enveloping import (
     symmetrize,
     u_commutator,
     u_mul,
-    u_product,
 )
 from liecas.casimir_gen import build_so_matrix, char_poly_coefficients
 from liecas.catalog import FamilyId, build, heisenberg_algebra, so_algebra
@@ -29,7 +28,7 @@ from property_suites import (
     symmetrize_agreement,
     ug_jacobi,
 )
-from table_oracles import symmetrize_arrangements
+from table_oracles import symmetrize_arrangements, u_product
 
 F = Fraction
 
@@ -311,6 +310,10 @@ def test_json_round_trip_normalizes():
         parse_pbw(g, [{"word": ["P"], "coeff": "1/0"}])
     with pytest.raises(MalformedInputError):
         parse_pbw(g, {"word": ["P"], "coeff": "1"})
+    with pytest.raises(MalformedInputError, match="inexact coefficient 0.5"):
+        parse_pbw(g, [{"word": ["P"], "coeff": 0.5}])
+    with pytest.raises(MalformedInputError, match="bad rational True"):
+        parse_pbw(g, [{"word": ["P"], "coeff": True}])
 
 
 def test_associativity_suite():

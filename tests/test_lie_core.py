@@ -201,6 +201,22 @@ def test_bracket_table_folds_rows_as_the_json_reader_does():
     assert algebra_from_json(doc).brackets == direct.brackets
 
 
+def test_json_coefficients_read_through_exact():
+    # one reader for every coefficient: a JSON integer reads as an int, a
+    # JSON float is refused as inexact, and a JSON true is no rational
+    def with_c(c):
+        doc = algebra_to_json(sl2())
+        doc["brackets"][0]["terms"][0]["c"] = c
+        return doc
+    assert algebra_from_json(with_c(2)).brackets[(0, 1)] == {1: 2}
+    with pytest.raises(MalformedInputError, match="inexact coefficient 0.1"):
+        algebra_from_json(with_c(0.1))
+    for flag in (True, False):
+        with pytest.raises(MalformedInputError,
+                           match="bad rational %s" % flag):
+            algebra_from_json(with_c(flag))
+
+
 def test_json_rejects_malformed_documents():
     good = algebra_to_json(sl2())
     for mutate in (
