@@ -19,7 +19,7 @@ casimir_set() sums the squared principal Pfaffians, checks the
 invariance, and symmetrizes each C_2l back into the enveloping algebra.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .enveloping import DEGREE_CAP, PBWElement, symmetrize, u_commutator
@@ -126,12 +126,11 @@ def char_poly_coefficients(matrix):
     return out
 
 
-@dataclass
-class CasimirSet:
-    N: int
-    coefficients: dict     # l -> CommPoly over the algebra's variables
-    symmetrized: dict      # l -> PBWElement
-    checked: dict          # l -> whether the U(g) centrality check ran
+# N is the rotation block size; coefficients, symmetrized and checked map
+# each l to C_2l as a CommPoly over the algebra's variables, to its
+# symmetrization as a PBWElement, and to whether the U(g) centrality
+# check ran
+CasimirSet = namedtuple("CasimirSet", "N coefficients symmetrized checked")
 
 
 # symmetrized elements beyond this degree are returned unchecked (and

@@ -36,7 +36,7 @@ Families:
 The Hamilton families need N >= 3 and all J_ij naming stops at N = 9.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -47,45 +47,35 @@ from .polynomial import CommPoly
 from .sparse import exact
 from .virtual_copy import make_spec
 
-
-@dataclass(frozen=True)
-class Family:
-    parameter: str | None     # "N", "n", "alpha", or None for a fixed algebra
-    least: int | None         # bounds of an integer parameter
-    most: int | None
-    dressed: bool             # the family carries a virtual-copy spec
-    about: str
-    builder: object           # parameter value (None when fixed) -> (algebra, spec)
+# parameter is "N", "n", "alpha", or None for a fixed algebra; least and
+# most bound an integer parameter; dressed says the family carries a
+# virtual-copy spec; builder maps the parameter value (None when fixed)
+# to (algebra, spec-or-None)
+Family = namedtuple("Family", "parameter least most dressed about builder")
 
 
-@dataclass
-class FamilyId:
-    name: str
-    N: int | None = None
-    alpha: object = None      # a rational, for boson_example alone
-
-
-def build(fid):
-    """(algebra, spec-or-None) for a family id."""
-    family = FAMILIES.get(fid.name)
+def build(name, N=None, alpha=None):
+    """(algebra, spec-or-None) for a family, its size N or, for
+    boson_example alone, its rational alpha."""
+    family = FAMILIES.get(name)
     if family is None:
-        raise MalformedInputError("unknown family %r" % (fid.name,))
-    if fid.alpha is not None and family.parameter != "alpha":
+        raise MalformedInputError("unknown family %r" % (name,))
+    if alpha is not None and family.parameter != "alpha":
         raise MalformedInputError("--alpha only applies to boson_example")
-    if fid.N is not None and family.most is None:
-        raise MalformedInputError("family %r takes no --N" % (fid.name,))
+    if N is not None and family.most is None:
+        raise MalformedInputError("family %r takes no --N" % (name,))
     if family.parameter == "alpha":
-        value = exact(1 if fid.alpha is None else fid.alpha)
+        value = exact(1 if alpha is None else alpha)
     elif family.parameter is None:
         value = None
-    elif fid.N is None:
-        raise MalformedInputError("family %r needs N" % (fid.name,))
-    elif not family.least <= fid.N <= family.most:
+    elif N is None:
+        raise MalformedInputError("family %r needs N" % (name,))
+    elif not family.least <= N <= family.most:
         raise MalformedInputError(
             "family %r supports N in %d..%d, got %r"
-            % (fid.name, family.least, family.most, fid.N))
+            % (name, family.least, family.most, N))
     else:
-        value = fid.N
+        value = N
     return family.builder(value)
 
 

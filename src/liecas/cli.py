@@ -13,8 +13,10 @@ Subcommands:
 Algebras come from the built-in catalog (--family, plus --N or --alpha
 where the family is parametric) or from a JSON file (--algebra) in the
 schema of algebra_to_json; dressings travel with the family or come from
---spec in the schema of emit_spec.  User-supplied algebras are validated
-on load, so every subcommand rejects a non-Lie bracket table up front.
+--spec in the schema of emit_spec.  A flag the request would ignore is
+refused: --N or --alpha without --family, --spec with it.  User-supplied
+algebras are validated on load, so every subcommand but validate rejects
+a non-Lie bracket table up front.
 
 Exit status: 0 on success; 1 when the requested verification fails
 (validate finds violations, verify-copy does not pass, a dressing fails
@@ -30,14 +32,14 @@ text or latex format those keep argparse's usage message on stderr.
 
 Each handler imports the modules it runs when it runs, so a request
 loads only its own layers.  validate needs lie_core alone; count adds
-invariants and linalg, mc adds exterior, and contract without a
-dressing adds contraction.  The catalog loads only for --family or the
-catalog command, and enveloping, virtual_copy and casimir_gen only for a
-dressing.
+invariants and linalg, mc adds exterior, and contract adds contraction.
+The catalog loads only for --family or the catalog command, enveloping
+and virtual_copy only for a dressing, and casimir_gen, invariants and
+linalg for casimirs.
 
-The output format defaults to text, or to $LIECAS_FORMAT when that is
-set.  Randomized rank probes (count) take --seed and --trials; one seed
-always reproduces the same bytes.
+The output format is text unless --format names another.  Randomized
+rank probes (count) take --seed and --trials; one seed always reproduces
+the same bytes.
 """
 
 import argparse
@@ -47,14 +49,12 @@ import sys
 
 from .errors import (DegreeOverflowError, InternalConsistencyError,
                      LiecasError, LimitDoesNotExistError, MalformedInputError,
-                     NotApplicableError, PreconditionError,
-                     UndefinedLeadingPartError)
+                     NotApplicableError, PreconditionError)
 from .lie_core import algebra_from_json, algebra_to_json
 from .naming import latex_name, signed_join, signed_term
 from .sparse import exact
 
 FORMATS = ("json", "text", "latex")
-FORMAT_ENV = "LIECAS_FORMAT"
 BROKEN_PIPE = 141     # 128 + SIGPIPE, as a shell reports the signal
 
 def _fail(message, **payload):
@@ -104,19 +104,25 @@ def _read_algebra(path):
     return algebra_from_json(doc), embedded
 
 
-def _select(args, want_spec=False):
-    """(algebra, spec-or-None) from --family or --algebra [+ --spec]."""
-    family, path = args.family, args.algebra
+def _select(args, want_spec=False, raw=False):
+    """(algebra, spec-or-None) from --family or --algebra [+ --spec], the
+    one reader of the selection flags.  With raw, an --algebra file is
+    taken as it stands: not validated, its embedded dressing unread."""
+    family, path = args.family, getattr(args, "algebra", None)
     spec_path = getattr(args, "spec", None)
     if family and path:
         _fail("give --family or --algebra, not both")
+    if not family and (args.N is not None or args.alpha is not None):
+        _fail("--N and --alpha only combine with --family")
     if family:
         if spec_path:
             _fail("--spec only combines with --algebra")
-        from .catalog import FamilyId, build
-        algebra, spec = build(FamilyId(family, args.N, args.alpha))
+        from .catalog import build
+        algebra, spec = build(family, args.N, args.alpha)
     elif path:
         algebra, doc = _read_algebra(path)
+        if raw:
+            return algebra, None
         algebra = _validated(algebra)
         if spec_path:
             doc = _load_json(spec_path)
@@ -186,10 +192,7 @@ def _report_out(fmt, report):
 
 
 def _cmd_validate(args, fmt):
-    if args.family or not args.algebra:
-        algebra, _spec = _select(args)
-    else:
-        algebra, _embedded = _read_algebra(args.algebra)
+    algebra, _spec = _select(args, raw=True)
     report = algebra.validate()
     return (0 if report.ok else 1), _report_out(fmt, report)
 
@@ -355,7 +358,7 @@ def _cmd_contract(args, fmt):
 
 
 def _cmd_catalog(args, fmt):
-    if not args.family:
+    if not args.family and args.N is None and args.alpha is None:
         from .catalog import FAMILIES
         if fmt == "json":
             return 0, {"families": [
@@ -409,20 +412,21 @@ _HANDLERS = {
 # ---- wiring ------------------------------------------------------------------
 
 
-def _add_selection(sub, with_spec=False):
+def _add_selection(sub, with_spec=False, with_algebra=True):
     sub.add_argument("--family", metavar="NAME",
                      help="built-in family (see catalog)")
     sub.add_argument("--N", type=int, metavar="N",
                      help="size parameter for parametric families")
     sub.add_argument("--alpha", type=_rational, metavar="Q",
                      help="rational parameter of boson_example")
-    sub.add_argument("--algebra", metavar="PATH",
-                     help="algebra JSON file (validated on load)")
+    if with_algebra:
+        sub.add_argument("--algebra", metavar="PATH",
+                         help="algebra JSON file (validated on load)")
     if with_spec:
         sub.add_argument("--spec", metavar="PATH",
                          help="dressing JSON file (with --algebra)")
-    sub.add_argument("--format", choices=FORMATS, default=None,
-                     help="output format (default $%s or text)" % FORMAT_ENV)
+    sub.add_argument("--format", choices=FORMATS, default="text",
+                     help="output format (default text)")
 
 
 class _UsageError(Exception):
@@ -440,15 +444,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _usage_format(argv):
-    """The format a request that argparse rejected asked for: its own
-    --format when that names one, else $LIECAS_FORMAT."""
+    """The --format a request that argparse rejected asked for, if any."""
     pre = _Parser(add_help=False)
     pre.add_argument("--format")
     try:
-        fmt = pre.parse_known_args(argv)[0].format
+        return pre.parse_known_args(argv)[0].format
     except _UsageError:
-        fmt = None
-    return fmt if fmt in FORMATS else os.environ.get(FORMAT_ENV)
+        return None
 
 
 def _build_parser():
@@ -494,7 +496,7 @@ def _build_parser():
 
     sub = subs.add_parser("catalog",
                           help="list built-in families or dump one")
-    _add_selection(sub)
+    _add_selection(sub, with_algebra=False)
 
     return parser
 
@@ -506,21 +508,9 @@ _ERRORS = {
     LimitDoesNotExistError: ("limit-does-not-exist", 2),
     DegreeOverflowError: ("degree-overflow", 2),
     NotApplicableError: ("not-applicable", 2),
-    UndefinedLeadingPartError: ("undefined-leading-part", 2),
     PreconditionError: ("precondition", 1),
     InternalConsistencyError: ("internal-consistency", 1),
 }
-
-
-def _resolve_format(args):
-    fmt = args.format
-    if fmt is None:
-        fmt = os.environ.get(FORMAT_ENV) or "text"
-    if fmt not in FORMATS:
-        raise MalformedInputError(
-            "unknown output format %r (choose from %s)"
-            % (fmt, ", ".join(FORMATS)))
-    return fmt
 
 
 def _emit(fmt, out):
@@ -552,11 +542,7 @@ def _answer(argv):
         err.parser.print_usage(sys.stderr)
         sys.stderr.write("%s: error: %s\n" % (err.parser.prog, err))
         return 2
-    try:
-        fmt = _resolve_format(args)
-    except MalformedInputError as err:
-        print("error: %s" % err)
-        return 2
+    fmt = args.format
     try:
         code, out = _HANDLERS[args.subcommand](args, fmt)
     except LiecasError as err:

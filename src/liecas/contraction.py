@@ -28,7 +28,6 @@ from .errors import (
     InternalConsistencyError,
     LimitDoesNotExistError,
     MalformedInputError,
-    UndefinedLeadingPartError,
 )
 from .lie_core import LieAlgebra
 
@@ -99,7 +98,7 @@ def weighted_leading_part(elem, weights):
     if elem.algebra is not weights.algebra:
         raise MalformedInputError("element belongs to a different algebra")
     if elem.is_zero():
-        raise UndefinedLeadingPartError("the zero element has no leading part")
+        raise MalformedInputError("the zero element has no leading part")
     top = max(weights.word_weight(w) for w in elem.terms)
     kept = {w: c for w, c in elem.terms.items()
             if weights.word_weight(w) == top}

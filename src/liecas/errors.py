@@ -51,10 +51,6 @@ class LimitDoesNotExistError(LiecasError):
         self.weight = weight
 
 
-class UndefinedLeadingPartError(LiecasError):
-    """Leading part of the zero element is undefined."""
-
-
 class NotApplicableError(LiecasError):
     """Operation does not apply to this algebra (e.g. feasibility with an
     empty radical)."""

@@ -74,8 +74,8 @@ def is_invariant(algebra, poly):
     return (not violations, violations)
 
 
-# a namedtuple, not a dataclass: dataclasses would load inspect on every
-# count request, for nothing a tuple's fields and == do not give
+# a namedtuple, as every record in the package is: a tuple's fields and ==
+# are all it needs, and no request pays for loading inspect
 InvariantReport = namedtuple("InvariantReport",
                              "count generic_rank witness_point method")
 

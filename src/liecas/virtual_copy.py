@@ -55,7 +55,7 @@ the ordering-free choice, and it commutes with the adjoint action
 without ever invoking the bracket, so invariance survives the dressing.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .enveloping import (
@@ -76,15 +76,13 @@ from .errors import (
     PreconditionError,
     VirtualCopySpecError,
 )
-from .invariants import invariant_count
 from .polynomial import CommPoly
 
 
-@dataclass
-class VirtualCopySpec:
-    f: PBWElement
-    P: dict          # levi index -> PBWElement, complete over the levi set
-    k: int
+class VirtualCopySpec(namedtuple("VirtualCopySpec", "f P k")):
+    # f and each P[i] (keyed by every Levi index i) are PBWElements, and
+    # k - 1 is the degree of f
+    __slots__ = ()
 
     @property
     def algebra(self):
@@ -130,7 +128,7 @@ def make_spec(algebra, f, P):
                 "P[%s] has top degree %d, expected %d"
                 % (algebra.names[i], elem.degree(), k))
         full[i] = elem
-    return VirtualCopySpec(f=f, P=full, k=k)
+    return VirtualCopySpec(f, full, k)
 
 
 def parse_spec(algebra, doc):
@@ -174,7 +172,6 @@ CONDITIONS = (
 )
 
 
-@dataclass
 class CopyVerificationReport:
     """All nonzero residuals of the copy conditions.
 
@@ -191,9 +188,9 @@ class CopyVerificationReport:
     to_json() and describe() walk CONDITIONS in order, each key sorted.
     """
 
-    names: list
-    residuals: dict = field(
-        default_factory=lambda: {name: {} for name, _line in CONDITIONS})
+    def __init__(self, names):
+        self.names = names
+        self.residuals = {name: {} for name, _line in CONDITIONS}
 
     @property
     def passed(self):
@@ -387,12 +384,9 @@ def lift_casimir(algebra, spec, casimir):
     return out
 
 
-@dataclass
-class FeasibilityVerdict:
-    possible: bool
-    reason: str | None
-    n_g: int
-    n_s: int
+# reason is None when possible, else "count" or "abelian-radical"; n_g and
+# n_s are the invariant counts of the algebra and of its Levi part
+FeasibilityVerdict = namedtuple("FeasibilityVerdict", "possible reason n_g n_s")
 
 
 def feasibility(algebra, trials=None, seed=1729):
@@ -403,6 +397,7 @@ def feasibility(algebra, trials=None, seed=1729):
     and the Levi part acts on it nontrivially ("abelian-radical");
     otherwise possible (which is not a proof of existence).
     """
+    from .invariants import invariant_count
     if not algebra.radical:
         raise NotApplicableError("algebra has no radical")
     if not algebra.levi:

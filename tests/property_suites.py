@@ -225,7 +225,7 @@ def catalog_algebras(every_n=False):
     """Every catalog family built at its least N and least N + 1, or at
     every N it supports; the parameterless families once, boson_example
     at its default alpha."""
-    from liecas.catalog import FAMILIES, FamilyId, build
+    from liecas.catalog import FAMILIES, build
     algebras = []
     for name, family in FAMILIES.items():
         if family.least is None:
@@ -234,7 +234,7 @@ def catalog_algebras(every_n=False):
             ns = range(family.least, family.most + 1)
         else:
             ns = (family.least, family.least + 1)
-        algebras += [build(FamilyId(name, n))[0] for n in ns]
+        algebras += [build(name, n)[0] for n in ns]
     return algebras
 
 
@@ -263,16 +263,16 @@ def failing_specs():
     IHa(3) with every P term touching R dropped, boson_example with its
     X_1,1 dressing in literal left-to-right order (misses su(1,1) closure
     by 4f), and f = G_1 on boson_example (f commutes with neither part)."""
-    from liecas.catalog import FamilyId, build
+    from liecas.catalog import build
     from liecas.enveloping import PBWElement
     from liecas.virtual_copy import make_spec
-    algebra, good = build(FamilyId("IHa", 3))
+    algebra, good = build("IHa", 3)
     r = algebra.index("R")
     stripped = {i: PBWElement(algebra, {w: c for w, c in p.terms.items()
                                         if r not in w})
                 for i, p in good.P.items()}
     out = {"stripped-IHa3": (algebra, make_spec(algebra, good.f, stripped))}
-    algebra, good = build(FamilyId("boson_example"))
+    algebra, good = build("boson_example")
     G, F, Q, P, R, T = (algebra.index(m)
                         for m in ("G_1", "F_1", "Q_1", "P_1", "R", "T"))
     literal = dict(good.P)
@@ -319,7 +319,7 @@ def copy_residual_agreement(seed, cases):
     boson_example and weyl_quesne(2); returns the number of specs checked.
     Every condition must be nonzero on some spec.  Not in ALL_SUITES: it
     takes no algebras."""
-    from liecas.catalog import FAMILIES, FamilyId, build
+    from liecas.catalog import FAMILIES, build
     from liecas.enveloping import PBWElement
     from liecas.virtual_copy import CONDITIONS, make_spec, verify
     from table_oracles import residuals_direct
@@ -327,7 +327,7 @@ def copy_residual_agreement(seed, cases):
     specs = []
     for name, family in FAMILIES.items():
         if family.dressed:
-            algebra, spec = build(FamilyId(name, family.least))
+            algebra, spec = build(name, family.least)
             specs.append(("%s(%s)" % (name, family.least), algebra, spec))
     specs.extend((label, algebra, spec)
                  for label, (algebra, spec) in failing_specs().items())
@@ -340,12 +340,12 @@ def copy_residual_agreement(seed, cases):
         levi=[1, 2])
     specs.append(("leaky-sl2", leaky,
                   make_spec(leaky, PBWElement.generator(leaky, "v1"), {})))
-    bases = [FamilyId("Ha", 3), FamilyId("IHa", 3), FamilyId("QHa", 3),
-             FamilyId("boson_example"), FamilyId("weyl_quesne", 2)]
+    bases = [("Ha", 3), ("IHa", 3), ("QHa", 3),
+             ("boson_example", None), ("weyl_quesne", 2)]
     for t in range(cases):
         fid = bases[t % len(bases)]
-        algebra, spec = build(fid)
-        specs.append(("perturbed %s(%s) #%d" % (fid.name, fid.N, t), algebra,
+        algebra, spec = build(*fid)
+        specs.append(("perturbed %s(%s) #%d" % (*fid, t), algebra,
                       perturbed_spec(algebra, spec, rng)))
     nonzero = dict.fromkeys((name for name, _line in CONDITIONS), 0)
     for label, algebra, spec in specs:
@@ -365,11 +365,11 @@ def derivation_agreement(seed, cases):
     element of degree at most 6 that is not itself a scaled generator;
     the cases cycle through every catalog family at its least N.  Not in
     ALL_SUITES: it takes no algebras."""
-    from liecas.catalog import FAMILIES, FamilyId, build
+    from liecas.catalog import FAMILIES, build
     from liecas.enveloping import PBWElement, u_commutator
     from table_oracles import commutator_direct
     rng = random.Random(seed)
-    algebras = [build(FamilyId(name, family.least))[0]
+    algebras = [build(name, family.least)[0]
                 for name, family in FAMILIES.items()]
     for t in range(cases):
         g = algebras[t % len(algebras)]
@@ -411,11 +411,11 @@ def jacobi_agreement(seed, cases):
     perturbed_algebra cases cycling through those of dimension at least
     3; returns the number of algebras checked.  Not in ALL_SUITES: it
     takes no algebras."""
-    from liecas.catalog import FAMILIES, FamilyId, build
+    from liecas.catalog import FAMILIES, build
     from liecas.lie_core import ValidationReport
     from table_oracles import jacobi_direct
     rng = random.Random(seed)
-    bases = [build(FamilyId(name, family.least))[0]
+    bases = [build(name, family.least)[0]
              for name, family in FAMILIES.items()]
     # a Jacobi triple needs three generators, so(2) has one
     triples = [g for g in bases if g.dim >= 3]
@@ -472,11 +472,11 @@ def symmetrize_agreement(seed, cases):
     terms; the cases cycle through the roster algebras, Ha(3), IHa(3),
     QHa(3), boson_example and weyl_quesne(2).  Not in ALL_SUITES: it
     takes no algebras."""
-    from liecas.catalog import FamilyId, build
+    from liecas.catalog import build
     from liecas.enveloping import symmetrize
     from table_oracles import symmetrize_arrangements
     rng = random.Random(seed)
-    algebras = roster() + [build(FamilyId(name, N))[0] for name, N in (
+    algebras = roster() + [build(name, N)[0] for name, N in (
         ("Ha", 3), ("IHa", 3), ("QHa", 3), ("boson_example", None),
         ("weyl_quesne", 2))]
     for t in range(cases):

@@ -11,7 +11,6 @@ from fractions import Fraction
 from liecas.casimir_gen import casimir_set
 from liecas.catalog import (
     FAMILIES,
-    FamilyId,
     boson_algebra,
     build,
     levi_quadratic_casimir,
@@ -49,7 +48,7 @@ N_FAMILIES = ("Ha", "IHa", "QHa") + SINGLE_EXTENSIONS + DOUBLE_EXTENSIONS
 
 
 def _algebra(name, N=None):
-    algebra, _ = build(FamilyId(name, N=N))
+    algebra, _ = build(name, N)
     return algebra
 
 
@@ -78,14 +77,14 @@ def test_criterion_1():
 
 def test_criterion_2():
     # the 2-form pencil route must land on the same counts everywhere
-    targets = [FamilyId(fam, N=N) for fam in N_FAMILIES for N in (3, 4, 5)]
-    targets += [FamilyId("so", N=N) for N in (3, 4, 5)]
-    targets += [FamilyId("heisenberg", N=N) for N in (3, 4, 5)]
-    targets += [FamilyId("weyl_quesne", N=n) for n in (1, 2)]
-    targets += [FamilyId("su11"), FamilyId("boson_example"),
-                FamilyId("boson_example_contracted")]
+    targets = [(fam, N) for fam in N_FAMILIES for N in (3, 4, 5)]
+    targets += [("so", N) for N in (3, 4, 5)]
+    targets += [("heisenberg", N) for N in (3, 4, 5)]
+    targets += [("weyl_quesne", n) for n in (1, 2)]
+    targets += [("su11", None), ("boson_example", None),
+                ("boson_example_contracted", None)]
     for fid in targets:
-        algebra, _ = build(fid)
+        algebra, _ = build(*fid)
         bb = invariant_count(algebra, method="bb")
         bb1 = invariant_count(algebra, method="bb1")
         assert bb1.count == algebra.dim - bb1.generic_rank
@@ -106,11 +105,11 @@ def test_criterion_2():
 
 def test_criterion_3():
     # every shipped dressing verifies with residuals exactly zero
-    fids = [FamilyId(fam, N=N) for fam in N_FAMILIES for N in (3, 4)]
-    fids += [FamilyId("weyl_quesne", N=n) for n in (1, 2)]
-    fids += [FamilyId("boson_example")]
+    fids = [(fam, N) for fam in N_FAMILIES for N in (3, 4)]
+    fids += [("weyl_quesne", n) for n in (1, 2)]
+    fids += [("boson_example", None)]
     for fid in fids:
-        algebra, spec = build(fid)
+        algebra, spec = build(*fid)
         assert spec is not None, fid
         report = verify(algebra, spec)
         assert report.passed, (fid, report.describe())
@@ -147,7 +146,7 @@ def test_criterion_5():
     # functionally independent set
     central = {"Ha": ("R",), "IHa": ("T",), "QHa": ("L", "A", "M")}
     for fam in ("Ha", "IHa", "QHa"):
-        algebra, spec = build(FamilyId(fam, N=3))
+        algebra, spec = build(fam, 3)
         cs = casimir_set(algebra, spec)
         polys = []
         for l in sorted(cs.coefficients):
@@ -162,7 +161,7 @@ def test_criterion_5():
         assert len(polys) == invariant_count(algebra, method="bb").count
         assert functionally_independent(algebra, polys), fam
     # the symmetrized quadratic lift is central in the enveloping algebra
-    algebra, spec = build(FamilyId("Ha", N=3))
+    algebra, spec = build("Ha", 3)
     lifted = lift_casimir(algebra, spec, levi_quadratic_casimir(algebra))
     assert algebra.dim == 10
     for i in range(algebra.dim):
@@ -172,7 +171,7 @@ def test_criterion_5():
 
 def test_criterion_6():
     # no generated invariant of the full extension involves x_E
-    algebra, spec = build(FamilyId("QHa", N=3))
+    algebra, spec = build("QHa", 3)
     cs = casimir_set(algebra, spec)
     polys = [cs.coefficients[l] for l in sorted(cs.coefficients)]
     polys.append(spec.f.commutative_image())
@@ -186,14 +185,14 @@ def test_criterion_6():
 def test_criterion_7():
     # end to end: weighting the oscillator pair by one carries algebra,
     # dressing, operators, and Casimir onto the contracted member
-    algebra, spec = build(FamilyId("boson_example"))
+    algebra, spec = build("boson_example")
     w = ContractionWeights(algebra, {"Q_1": 1, "P_1": 1, "E": 1, "T": 1})
     outcome = contract_copy(algebra, spec, w)
 
     assert outcome.copy_compatible
     assert outcome.limit_error is None
 
-    target, target_spec = build(FamilyId("boson_example_contracted"))
+    target, target_spec = build("boson_example_contracted")
     prime = outcome.algebra_prime
     assert prime.names == target.names
     assert prime.brackets == target.brackets
@@ -218,7 +217,7 @@ def test_criterion_7():
 def test_criterion_8():
     # a weighting that skews the dressing against its completions is
     # flagged, and forcing it anyway breaks the radical commutation
-    algebra, spec = build(FamilyId("IHa", N=3))
+    algebra, spec = build("IHa", 3)
     outcome = contract_copy(algebra, spec, ContractionWeights(algebra, {"T": 3}))
 
     assert outcome.M0 == 6

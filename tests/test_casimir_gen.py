@@ -11,7 +11,7 @@ from liecas.casimir_gen import (
     char_poly_coefficients,
     rotation_block_size,
 )
-from liecas.catalog import FamilyId, build, so_algebra
+from liecas.catalog import build, so_algebra
 from liecas.enveloping import PBWElement, u_commutator
 from liecas.errors import (
     DegreeOverflowError,
@@ -30,7 +30,7 @@ from table_oracles import char_poly_cofactor
 
 
 def b(name, N=None):
-    return build(FamilyId(name, N))
+    return build(name, N)
 
 
 def antisym(nvars, n, entries):

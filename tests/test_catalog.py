@@ -5,7 +5,6 @@ import pytest
 from liecas.catalog import (
     FAMILIES,
     FAMILY_NAMES,
-    FamilyId,
     boson_algebra,
     build,
     levi_quadratic_casimir,
@@ -19,28 +18,28 @@ from property_suites import roster
 
 
 def b(name, N=None):
-    return build(FamilyId(name, N))
+    return build(name, N)
 
 
 ALL_BUILDS = (
-    [FamilyId("so", N) for N in (2, 3, 4, 5)]
-    + [FamilyId("su11"), FamilyId("heisenberg", 1), FamilyId("heisenberg", 3),
-       FamilyId("weyl_quesne", 1), FamilyId("weyl_quesne", 2)]
-    + [FamilyId(name, N) for N in (3, 4)
+    [("so", N) for N in (2, 3, 4, 5)]
+    + [("su11", None), ("heisenberg", 1), ("heisenberg", 3),
+       ("weyl_quesne", 1), ("weyl_quesne", 2)]
+    + [(name, N) for N in (3, 4)
        for name in ("Ha", "IHa", "QHa",
                     "IHa_L", "IHa_M", "IHa_A", "IHa_AM", "IHa_AL", "IHa_LM")]
-    + [FamilyId("boson_example", alpha=1),
-       FamilyId("boson_example", alpha=0),
-       FamilyId("boson_example_contracted")]
-    + [FamilyId(name, family.most) for name, family in FAMILIES.items()
+    + [("boson_example", None, 1),
+       ("boson_example", None, 0),
+       ("boson_example_contracted", None)]
+    + [(name, family.most) for name, family in FAMILIES.items()
        if family.most is not None]
 )
 
 
 @pytest.mark.parametrize("fid", ALL_BUILDS,
-                         ids=lambda fid: "%s-%s" % (fid.name, fid.N))
+                         ids=lambda fid: "%s-%s" % fid[:2])
 def test_every_built_algebra_validates(fid):
-    algebra, _ = build(fid)
+    algebra, _ = build(*fid)
     report = algebra.validate()
     assert report.ok, report.describe()
 
@@ -91,9 +90,9 @@ def test_generator_name_order():
 
 def test_which_families_carry_specs():
     for fid in ALL_BUILDS:
-        _, spec = build(fid)
-        bare = fid.name in ("so", "su11", "heisenberg") or (
-            fid.name == "boson_example" and fid.alpha == 0)
+        _, spec = build(*fid)
+        bare = fid[0] in ("so", "su11", "heisenberg") or (
+            fid == ("boson_example", None, 0))
         assert (spec is None) == bare, fid
 
 
@@ -185,22 +184,22 @@ def test_boson_alpha_dependence():
 
 def test_bad_family_ids():
     with pytest.raises(MalformedInputError):
-        build(FamilyId("nosuch", 3))
+        build("nosuch", 3)
     with pytest.raises(MalformedInputError):
-        build(FamilyId("Ha"))
+        build("Ha")
     with pytest.raises(MalformedInputError):
-        build(FamilyId("Ha", 2))
+        build("Ha", 2)
     with pytest.raises(MalformedInputError):
-        build(FamilyId("QHa", 10))
+        build("QHa", 10)
     with pytest.raises(MalformedInputError):
-        build(FamilyId("heisenberg", 0))
+        build("heisenberg", 0)
     with pytest.raises(MalformedInputError, match="takes no --N"):
-        build(FamilyId("su11", 3))
+        build("su11", 3)
     with pytest.raises(MalformedInputError, match="takes no --N"):
-        build(FamilyId("boson_example", 3))
+        build("boson_example", 3)
     with pytest.raises(MalformedInputError,
                        match="only applies to boson_example"):
-        build(FamilyId("Ha", 3, alpha=5))
+        build("Ha", 3, alpha=5)
     assert "QHa" in FAMILY_NAMES and "boson_example" in FAMILY_NAMES
 
 

@@ -11,7 +11,7 @@ import liecas.casimir_gen
 import liecas.cli
 import liecas.contraction
 import liecas.virtual_copy
-from liecas.catalog import FAMILIES, FAMILY_NAMES, FamilyId, build
+from liecas.catalog import FAMILIES, FAMILY_NAMES, build
 from liecas.cli import main
 from liecas.errors import (DegreeOverflowError, LiecasError,
                            LimitDoesNotExistError)
@@ -48,7 +48,7 @@ def test_verify_copy_example_is_byte_exact(capsys):
 
 
 def test_jacobi_violation_exits_2_with_triple(capsys, tmp_path):
-    algebra, _ = build(FamilyId("Ha", 3))
+    algebra, _ = build("Ha", 3)
     doc = algebra_to_json(algebra)
     for row in doc["brackets"]:
         if row["i"] == "J_12" and row["j"] == "J_13":
@@ -90,7 +90,7 @@ def test_validate_reports_violations_with_exit_1(capsys, tmp_path):
 
 
 def test_failing_dressing_exits_1_with_residuals(capsys, tmp_path):
-    algebra, spec = build(FamilyId("IHa", 3))
+    algebra, spec = build("IHa", 3)
     apath = write_json(tmp_path / "iha3.json", algebra_to_json(algebra))
     doc = emit_spec(spec)
     doc["P"] = {name: [t for t in terms if "R" not in t["word"]]
@@ -132,7 +132,7 @@ def test_casimirs_over_the_degree_cap_exits_2(capsys):
 
 def test_verify_copy_over_the_degree_cap_exits_2(capsys, tmp_path):
     # f = R^6 makes [X'_i, X'_j] a degree-13 element: refused, not reported
-    algebra, _spec = build(FamilyId("Ha", 3))
+    algebra, _spec = build("Ha", 3)
     doc = algebra_to_json(algebra)
     spec = {"f": [{"word": ["R"] * 6, "coeff": "1"}]}
     code, out = run(capsys, "verify-copy",
@@ -163,10 +163,35 @@ def test_malformed_flags_exit_2(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_selection_flags_a_request_would_ignore_are_refused(capsys,
+                                                          tmp_path):
+    # catalog reads no algebra file, and a file fixes its own size, so
+    # neither may swallow a flag and answer as if it were absent
+    code, out = run(capsys, "catalog", "--algebra",
+                    str(tmp_path / "absent.json"), "--N", "3",
+                    "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error"] == "malformed-input"
+    assert "unrecognized arguments: --algebra" in json.loads(out)["detail"]
+    refusal = {"error": "malformed-input",
+               "detail": "--N and --alpha only combine with --family"}
+    code, out = run(capsys, "catalog", "--N", "3", "--format", "json")
+    assert (code, json.loads(out)) == (2, refusal)
+    algebra, spec = build("Ha", 3)
+    path = write_json(tmp_path / "ha3.json", {
+        "algebra": algebra_to_json(algebra), "spec": emit_spec(spec)})
+    for argv in (["validate"], ["count"], ["mc"], ["verify-copy"],
+                 ["casimirs"], ["contract", "--weights", "{}"]):
+        for extra in (["--N", "7"], ["--alpha", "3"]):
+            code, out = run(capsys, *argv, "--algebra", path, *extra,
+                            "--format", "json")
+            assert (code, json.loads(out)) == (2, refusal), argv + extra
+
+
 def _ha3_answer(capsys, tmp_path, algebra_edit=None, spec_edit=None):
     """verify-copy --format json on Ha(3)'s dump after an edit of the
     algebra or spec document; (exit status, parsed stdout)."""
-    algebra, spec = build(FamilyId("Ha", 3))
+    algebra, spec = build("Ha", 3)
     docs = {"algebra": algebra_to_json(algebra), "spec": emit_spec(spec)}
     for key, edit in (("algebra", algebra_edit), ("spec", spec_edit)):
         if edit is not None:
@@ -248,16 +273,14 @@ def test_bad_alpha_is_a_usage_error(capsys):
                                  "bad rational 'x'\n")
 
 
-def test_usage_errors_answer_in_json(capsys, monkeypatch):
-    monkeypatch.delenv("LIECAS_FORMAT", raising=False)
+def test_usage_errors_answer_in_json(capsys):
     # validate takes no --spec; bb2 is no method
     code, out = run(capsys, "validate", "--family", "Ha", "--N", "3",
                     "--spec", "x.json", "--format", "json")
     assert code == 2
     assert json.loads(out) == {"error": "malformed-input",
                                "detail": "unrecognized arguments: --spec x.json"}
-    monkeypatch.setenv("LIECAS_FORMAT", "json")
-    code, out = run(capsys, "count", "--method", "bb2")
+    code, out = run(capsys, "count", "--method", "bb2", "--format", "json")
     assert code == 2
     assert json.loads(out) == {
         "error": "malformed-input",
@@ -286,24 +309,6 @@ def test_same_seed_same_bytes(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert json.loads(out1)["count"] == 6
-
-
-def test_format_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("LIECAS_FORMAT", "json")
-    code, out = run(capsys, "count", "--family", "Ha", "--N", "3")
-    assert code == 0
-    assert out == '{"count": 2}\n'
-
-    monkeypatch.setenv("LIECAS_FORMAT", "yaml")
-    code, out = run(capsys, "count", "--family", "Ha", "--N", "3")
-    assert code == 2
-
-    # an explicit flag beats the environment
-    monkeypatch.setenv("LIECAS_FORMAT", "json")
-    code, out = run(capsys, "count", "--family", "Ha", "--N", "3",
-                    "--format", "text")
-    assert code == 0
-    assert out == "count: 2\n"
 
 
 def test_latex_output(capsys):
@@ -465,30 +470,53 @@ def test_closed_stdout_exits_quietly():
 _LOADED = """
 import contextlib, io, json, sys
 import liecas.cli
-path, weights = sys.argv[1:]
+requests, modules = json.loads(sys.argv[1])
 codes = []
-for argv in (["validate"], ["count", "--method", "bb1"], ["mc"],
-             ["contract", "--weights", weights]):
+for argv in requests:
     with contextlib.redirect_stdout(io.StringIO()):
-        codes.append(liecas.cli.main(argv + ["--algebra", path]))
-print(json.dumps({"codes": codes, "loaded": [
-    name for name in ("liecas.enveloping", "liecas.virtual_copy",
-                      "liecas.casimir_gen", "liecas.catalog")
-    if name in sys.modules]}))
+        codes.append(liecas.cli.main(argv))
+print(json.dumps({"codes": codes,
+                  "loaded": [name for name in modules if name in sys.modules]}))
 """
+
+# no request needs these: records are namedtuples and plain classes
+_RECORD_MACHINERY = ["dataclasses", "inspect"]
+
+
+def _fresh_run(requests, modules):
+    """Exit statuses of the requests, run in order in a fresh interpreter,
+    and which of the modules it then had loaded."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED, json.dumps([requests, modules])],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def test_requests_on_an_algebra_file_load_no_dressing_layer(tmp_path):
     # validate, count, mc and a contraction without a dressing never reach
     # U(g), a dressing or the catalog, so a fresh interpreter running them
     # must not have imported those modules
-    algebra, _spec = build(FamilyId("QHa", 3))
+    algebra, _spec = build("QHa", 3)
     path = write_json(tmp_path / "qha3.json", algebra_to_json(algebra))
     weights = json.dumps({"R": 1, "G_1": 1, "G_2": 1, "G_3": 1})
-    proc = subprocess.run([sys.executable, "-c", _LOADED, path, weights],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0], "loaded": []}
+    requests = [argv + ["--algebra", path] for argv in (
+        ["validate"], ["count", "--method", "bb1"], ["mc"],
+        ["contract", "--weights", weights])]
+    assert _fresh_run(requests, [
+        "liecas.enveloping", "liecas.virtual_copy", "liecas.casimir_gen",
+        "liecas.catalog"] + _RECORD_MACHINERY) == {
+        "codes": [0, 0, 0, 0], "loaded": []}
+
+
+def test_dressed_requests_load_only_their_layers():
+    # a dressing is verified without invariant counts, and neither route
+    # builds a dataclass
+    assert _fresh_run([["verify-copy", "--family", "QHa", "--N", "3"]], [
+        "liecas.invariants", "liecas.linalg"] + _RECORD_MACHINERY) == {
+        "codes": [0], "loaded": []}
+    assert _fresh_run([["casimirs", "--family", "Ha", "--N", "3"]],
+                      _RECORD_MACHINERY) == {"codes": [0], "loaded": []}
 
 
 def _subclasses(cls):
@@ -548,7 +576,7 @@ def test_one_verify_per_request(capsys, monkeypatch):
 
 
 def test_failing_dressing_prints_its_report(capsys, tmp_path):
-    algebra, spec = build(FamilyId("Ha", 3))
+    algebra, spec = build("Ha", 3)
     apath = write_json(tmp_path / "ha3.json", algebra_to_json(algebra))
     spath = write_json(tmp_path / "bare.json", dict(emit_spec(spec), P={}))
     for fmt in ("json", "text"):
@@ -590,7 +618,7 @@ def test_catalog_dump_round_trips_through_validate(capsys, tmp_path, family):
 def _stripped_iha3(tmp_path):
     # IHa(3) with every P term that touches R dropped: the dressing no
     # longer commutes with the radical nor closes up to f
-    algebra, spec = build(FamilyId("IHa", 3))
+    algebra, spec = build("IHa", 3)
     doc = emit_spec(spec)
     doc["P"] = {name: [t for t in terms if "R" not in t["word"]]
                 for name, terms in doc["P"].items()}
@@ -602,7 +630,7 @@ def _stripped_iha3(tmp_path):
 def _literal_boson(tmp_path):
     # the left-to-right products of the boson_example dressing, which miss
     # the su(1,1) closure by 4f
-    algebra, good = build(FamilyId("boson_example"))
+    algebra, good = build("boson_example")
     ix = algebra.name_index
     G, F, Q, P, R, T = (ix[m] for m in ("G_1", "F_1", "Q_1", "P_1", "R", "T"))
     literal = dict(good.P)
@@ -617,7 +645,7 @@ def _literal_boson(tmp_path):
 
 def _noncentral_f(tmp_path):
     # f = G_1 commutes neither with the radical nor with the Levi part
-    algebra, _spec = build(FamilyId("boson_example"))
+    algebra, _spec = build("boson_example")
     return ["--algebra", write_json(tmp_path / "boson.json",
                                     algebra_to_json(algebra)),
             "--spec", write_json(tmp_path / "f_g1.json",

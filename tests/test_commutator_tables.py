@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from liecas.catalog import FamilyId, boson_algebra, build
+from liecas.catalog import boson_algebra, build
 from liecas.enveloping import PBWElement, pbw_normalize, u_commutator
 
 from table_oracles import (
@@ -31,7 +31,7 @@ EXTENSION_SWEEPS = [("IHa_L", 3), ("IHa_M", 3), ("IHa_A", 3),
 
 
 def _algebra(family, N):
-    algebra, _ = build(FamilyId(family, N=N))
+    algebra, _ = build(family, N)
     return algebra
 
 

@@ -13,7 +13,7 @@ from liecas.enveloping import (
     u_mul,
 )
 from liecas.casimir_gen import build_so_matrix, char_poly_coefficients
-from liecas.catalog import FamilyId, build, heisenberg_algebra, so_algebra
+from liecas.catalog import build, heisenberg_algebra, so_algebra
 from liecas.errors import DegreeOverflowError, MalformedInputError
 from liecas.lie_core import LieAlgebra
 from liecas.polynomial import CommPoly
@@ -242,7 +242,7 @@ def test_symmetrize_matches_brute_force_average():
         assert symmetrize(g, p) == symmetrize_arrangements(g, p)
     # every char-poly Casimir of degree at most 6 on the smallest families
     for name in ("Ha", "IHa"):
-        algebra, spec = build(FamilyId(name, 3))
+        algebra, spec = build(name, 3)
         coefficients = char_poly_coefficients(build_so_matrix(algebra, spec))
         for poly in coefficients.values():
             assert poly.degree() <= 6
@@ -257,7 +257,7 @@ def test_symmetrize_matches_its_definition():
 def test_symmetrize_footprint_on_iha4_c4():
     # every product of one symmetrize call goes through one memo: 11,394
     # _normal_word calls, against 18,835 with a memo per product
-    algebra, spec = build(FamilyId("IHa", 4))
+    algebra, spec = build("IHa", 4)
     c4 = char_poly_coefficients(build_so_matrix(algebra, spec))[2]
     calls, retained = normal_order_footprint(lambda: symmetrize(algebra, c4))
     assert calls < 14000

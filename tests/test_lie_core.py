@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from liecas import lie_core
-from liecas.catalog import FamilyId, build
+from liecas.catalog import build
 from liecas.errors import MalformedInputError
 from liecas.lie_core import (LieAlgebra, algebra_from_json, algebra_to_json,
                              bracket_table)
@@ -79,7 +79,7 @@ def test_validate_matches_direct_jacobi():
 def test_validate_footprint_on_qha9(monkeypatch):
     # the scattered Jacobi sums reach only triples a stored row touches:
     # 8,271 accumulate calls, against 46,664 for the walk over all triples
-    algebra, _spec = build(FamilyId("QHa", 9))
+    algebra, _spec = build("QHa", 9)
     calls = []
     original = lie_core.accumulate
 

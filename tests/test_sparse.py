@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from liecas.casimir_gen import casimir_set
-from liecas.catalog import FAMILIES, FamilyId, boson_algebra, build
+from liecas.catalog import FAMILIES, boson_algebra, build
 from liecas.enveloping import PBWElement
 from liecas.errors import MalformedInputError, NotApplicableError
 from liecas.exterior import ExteriorElement
@@ -94,7 +94,7 @@ def test_exact_keeps_ints_and_proper_fractions():
 def test_what_is_not_a_rational_is_refused():
     for build_one in (lambda: exact("x"), lambda: exact("1/0"),
                       lambda: exact(None),
-                      lambda: build(FamilyId("boson_example", alpha="x"))):
+                      lambda: build("boson_example", alpha="x")):
         with pytest.raises(MalformedInputError, match="bad rational"):
             build_one()
 
@@ -108,7 +108,7 @@ def test_a_float_coefficient_is_refused():
                                          levi=[]),
                       lambda: PBWElement.unit(so3(), 0.5),
                       lambda: PBWElement.from_terms(so3(), {(1, 0): 0.5}),
-                      lambda: build(FamilyId("boson_example", alpha=0.1)),
+                      lambda: build("boson_example", alpha=0.1),
                       lambda: boson_algebra(0.5)):
         with pytest.raises(MalformedInputError, match="inexact coefficient"):
             build_one()
@@ -125,7 +125,7 @@ def test_every_stored_coefficient_is_canonical(name):
     Fraction with denominator above 1, from the bracket rows through the
     unit, the generators, f and P to the char-poly coefficients C_2l and
     their symmetrizations."""
-    algebra, spec = build(FamilyId(name, FAMILIES[name].least))
+    algebra, spec = build(name, FAMILIES[name].least)
     stores = list(algebra.brackets.values())
     stores += [PBWElement.unit(algebra).terms]
     stores += [PBWElement.generator(algebra, t).terms
