@@ -110,24 +110,24 @@ def _select(args, want_spec=False, raw=False):
     taken as it stands: not validated, its embedded dressing unread."""
     family, path = args.family, getattr(args, "algebra", None)
     spec_path = getattr(args, "spec", None)
-    if family and path:
+    if family is not None and path is not None:
         _fail("give --family or --algebra, not both")
-    if not family and (args.N is not None or args.alpha is not None):
+    if family is None and (args.N is not None or args.alpha is not None):
         _fail("--N and --alpha only combine with --family")
-    if family:
-        if spec_path:
+    if family is not None:
+        if spec_path is not None:
             _fail("--spec only combines with --algebra")
         from .catalog import build
         algebra, spec = build(family, args.N, args.alpha)
-    elif path:
+    elif path is not None:
         algebra, doc = _read_algebra(path)
         if raw:
             return algebra, None
         algebra = _validated(algebra)
-        if spec_path:
+        if spec_path is not None:
             doc = _load_json(spec_path)
         spec = None
-        if spec_path or doc is not None:
+        if spec_path is not None or doc is not None:
             from .virtual_copy import parse_spec
             spec = parse_spec(algebra, doc)
     else:
@@ -358,7 +358,7 @@ def _cmd_contract(args, fmt):
 
 
 def _cmd_catalog(args, fmt):
-    if not args.family and args.N is None and args.alpha is None:
+    if args.family is None and args.N is None and args.alpha is None:
         from .catalog import FAMILIES
         if fmt == "json":
             return 0, {"families": [

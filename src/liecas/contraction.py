@@ -1,7 +1,7 @@
 """Contractions of Lie algebras by integer generator weights.
 
-A weighting assigns an integer n_t to each generator (Levi generators are
-pinned to 0).  Scaling X_t by eps^(n_t) multiplies the stored bracket
+A weighting assigns an integer n_t to each generator (Levi generators sit
+at 0).  Scaling X_t by eps^(n_t) multiplies the stored bracket
 term C_ij^k by eps^(n_i + n_j - n_k); letting the parameter run off to
 its limit keeps terms of total weight zero, kills terms of positive
 weight, and has no limit at all when any term comes out negative.  The
@@ -38,8 +38,8 @@ from .lie_core import LieAlgebra
 class ContractionWeights:
     """Integer weight per generator, from a {name: weight} table.
 
-    Names absent from the table sit at weight 0; Levi names are pinned
-    to 0 no matter what the table says.
+    Names absent from the table sit at weight 0; a Levi name may be
+    given weight 0 alone, and any other weight on it is refused.
     """
 
     def __init__(self, algebra, table=None):
@@ -49,8 +49,10 @@ class ContractionWeights:
             if isinstance(n, bool) or not isinstance(n, int):
                 raise MalformedInputError(
                     "weight of %r must be an integer, got %r" % (name, n))
-            if t in algebra.levi:
-                continue
+            if n and t in algebra.levi:
+                raise MalformedInputError(
+                    "weight of Levi generator %r must be 0, got %r"
+                    % (name, n))
             weights[t] = n
         self.algebra = algebra
         self.by_index = tuple(weights)

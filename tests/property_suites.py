@@ -185,18 +185,36 @@ def random_matrix(rng, nrows, ncols):
              for _ in range(ncols)] for _ in range(nrows)]
 
 
+def sparse_matrix(rng, nrows, ncols, density):
+    """Small integers and halves at about `density` of the places."""
+    return [[Fraction(rng.randint(-5, 5), rng.choice((1, 2)))
+             if rng.random() < density else Fraction(0)
+             for _ in range(ncols)] for _ in range(nrows)]
+
+
+def permuted(rng, m):
+    """m with its rows and its columns shuffled, which keeps the rank."""
+    m = rng.sample(m, len(m))
+    cols = rng.sample(range(len(m[0])), len(m[0])) if m else []
+    return [[row[j] for j in cols] for row in m]
+
+
 def rank_agreement(seed, cases):
     """linalg.rank against the rank over Q by Gaussian elimination over
     Fraction and by Bareiss elimination.  The cases cycle through: a
     random tall, wide or square matrix; a product of inner size below
     both sides, so rank deficient; such a product with rows and columns
-    zeroed; and 1x1, empty or zero-column matrices.  Not in ALL_SUITES:
-    it takes no algebras."""
+    zeroed; 1x1, empty or zero-column matrices; a sparse alternating
+    matrix up to 20 x 20 with a null vector hidden by congruences; a
+    block-diagonal matrix; and a sparse tall or wide matrix with a row
+    that combines two others.  The last three have their rows and
+    columns shuffled, so no zero pattern lines up with the column order.
+    Not in ALL_SUITES: it takes no algebras."""
     from liecas.linalg import rank
     from table_oracles import rank_bareiss, rank_fraction
     rng = random.Random(seed)
     for t in range(cases):
-        kind = t % 4
+        kind = t % 7
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
         if kind == 0:
             m = random_matrix(rng, nrows, ncols)
@@ -213,8 +231,42 @@ def rank_agreement(seed, cases):
                 for j in rng.sample(range(ncols), rng.randint(1, ncols - 1)):
                     for row in m:
                         row[j] = Fraction(0)
-        else:
+        elif kind == 3:
             m = rng.choice(([], [[]] * nrows, random_matrix(rng, 1, 1)))
+        elif kind == 4:
+            n = rng.randint(2, 20)
+            m = sparse_matrix(rng, n, n, 0.15)
+            for i in range(n):
+                m[i][i] = m[i][n - 1] = m[n - 1][i] = Fraction(0)
+                for j in range(i):
+                    m[i][j] = -m[j][i]
+            # X -> E^T X E with E = 1 + c e_i e_j^T keeps X alternating and
+            # its rank, and moves the null vector e_n off the basis
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.sample(range(n), 2)
+                c = rng.randint(-3, 3)
+                for row in m:
+                    row[j] += c * row[i]
+                m[j] = [a + c * b for a, b in zip(m[j], m[i])]
+            m = permuted(rng, m)
+        elif kind == 5:
+            blocks = [sparse_matrix(rng, rng.randint(1, 5), rng.randint(1, 5),
+                                    rng.choice((0.3, 0.7)))
+                      for _ in range(rng.randint(2, 4))]
+            ncols = sum(len(b[0]) for b in blocks)
+            m, left = [], 0
+            for b in blocks:
+                right = ncols - left - len(b[0])
+                m += [[Fraction(0)] * left + row + [Fraction(0)] * right
+                      for row in b]
+                left += len(b[0])
+            m = permuted(rng, m)
+        else:
+            short, long = rng.randint(1, 6), rng.randint(8, 20)
+            shape = rng.choice(((short, long), (long, short)))
+            m = sparse_matrix(rng, *shape, 0.2)
+            m.append([a + 2 * b for a, b in zip(m[0], m[-1])])
+            m = permuted(rng, m)
         want = rank_fraction(m)
         assert rank_bareiss(m) == want, "Bareiss rank of %r is not %d" % (m, want)
         assert rank(m) == want, "rank of %r is %d, got %d" % (m, want, rank(m))

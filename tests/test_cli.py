@@ -188,6 +188,30 @@ def test_selection_flags_a_request_would_ignore_are_refused(capsys,
             assert (code, json.loads(out)) == (2, refusal), argv + extra
 
 
+def test_an_empty_family_is_an_unknown_family(capsys):
+    # "" names no family: it may neither list the catalog nor read as
+    # an absent --family
+    refusal = {"error": "malformed-input", "detail": "unknown family ''"}
+    for argv in (["catalog"], ["count", "--N", "3"], ["casimirs"]):
+        code, out = run(capsys, *argv, "--family", "", "--format", "json")
+        assert (code, json.loads(out)) == (2, refusal), argv
+
+
+def test_a_nonzero_levi_weight_is_refused(capsys):
+    weights = {"J_12": 5, "R": 1, "G_1": 1, "G_2": 1, "G_3": 1}
+    code, out = run(capsys, "contract", "--family", "Ha", "--N", "3",
+                    "--weights", json.dumps(weights), "--format", "json")
+    assert (code, json.loads(out)) == (2, {
+        "error": "malformed-input",
+        "detail": "weight of Levi generator 'J_12' must be 0, got 5"})
+    weights["J_12"] = 0
+    code, out = run(capsys, "contract", "--family", "Ha", "--N", "3",
+                    "--weights", json.dumps(weights), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["weights"] == {"R": 1, "G_1": 1, "G_2": 1,
+                                          "G_3": 1}
+
+
 def _ha3_answer(capsys, tmp_path, algebra_edit=None, spec_edit=None):
     """verify-copy --format json on Ha(3)'s dump after an edit of the
     algebra or spec document; (exit status, parsed stdout)."""

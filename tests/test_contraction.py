@@ -43,9 +43,12 @@ def test_weights_default_to_zero():
     assert w.describe() == {}
 
 
-def test_weights_pin_levi_to_zero():
+def test_weights_refuse_a_nonzero_levi_weight():
     algebra, _ = b("Ha", 3)
-    w = ContractionWeights(algebra, {"J_12": 5, "R": 2})
+    for n in (5, -1):
+        with pytest.raises(MalformedInputError, match="'J_12'"):
+            ContractionWeights(algebra, {"J_12": n, "R": 2})
+    w = ContractionWeights(algebra, {"J_12": 0, "R": 2})
     assert w.of(algebra.index("J_12")) == 0
     assert w.of(algebra.index("R")) == 2
     assert w.describe() == {"R": 2}

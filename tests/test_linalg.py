@@ -38,6 +38,16 @@ def test_rank_matches_fraction_elimination():
     assert rank_agreement(seed=21, cases=200) == 200
 
 
+def test_rank_leaves_mixed_int_and_fraction_rows_unchanged():
+    rows = [[0, Fraction(1, 2), 3],
+            [Fraction(2, 3), 0, 1],
+            [Fraction(2, 3), Fraction(1, 2), 4]]
+    before = [list(row) for row in rows]
+    assert rank(rows) == 2
+    assert rows == before
+    assert [type(v) for row in rows for v in row] \
+        == [type(v) for row in before for v in row]
+
 
 def test_entries_that_p_divides_only_lower_the_rank():
     # 1/P scales to 1, and P itself reduces to 0: at most the rank over Q
