@@ -175,8 +175,13 @@ def _spec_lines(spec, latex=False):
 
 def _poly_json(poly):
     # the one place a word is spelled out as a dense exponent list
-    return [{"exps": [w.count(t) for t in range(poly.nvars)], "coeff": str(c)}
-            for w, c in poly.monomials()]
+    out = []
+    for w, c in poly.monomials():
+        exps = [0] * poly.nvars
+        for t in w:
+            exps[t] += 1
+        out.append({"exps": exps, "coeff": str(c)})
+    return out
 
 
 # ---- subcommands -------------------------------------------------------------

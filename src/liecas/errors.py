@@ -36,8 +36,8 @@ class PreconditionError(LiecasError):
 
 class InternalConsistencyError(LiecasError):
     """The engine derived something that contradicts a structural guarantee
-    (a char-poly coefficient that is not invariant, a contraction that breaks
-    Jacobi). Signals a transcription bug, not user error."""
+    (a dressed rotation matrix that fails covariance, a contraction that
+    breaks Jacobi). Signals a transcription bug, not user error."""
 
 
 class LimitDoesNotExistError(LiecasError):

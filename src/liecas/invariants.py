@@ -62,18 +62,6 @@ def _applier(algebra, poly):
     return apply
 
 
-def is_invariant(algebra, poly):
-    """(flag, violations): violations lists (i, Xhat_i poly) for the
-    generators that fail to kill the polynomial."""
-    apply = _applier(algebra, poly)
-    violations = []
-    for i in range(algebra.dim):
-        res = apply(i)
-        if not res.is_zero():
-            violations.append((i, res))
-    return (not violations, violations)
-
-
 # a namedtuple, as every record in the package is: a tuple's fields and ==
 # are all it needs, and no request pays for loading inspect
 InvariantReport = namedtuple("InvariantReport",

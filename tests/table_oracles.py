@@ -23,13 +23,15 @@ realization, with the deformation parameter alpha left symbolic.
 The last sections hold slow, independent references that the package
 itself does not need: the wedge product and the antiderivation d on the
 exterior algebra of the dual, the half-rank of a 2-form by wedge powers,
-the characteristic polynomial by cofactor expansion, the rank over Q by
-Gaussian elimination over Fraction and by fraction-free (Bareiss)
-elimination, the normal form of a word in U(g) by unmemoized bubbling,
-the product of a sequence of elements of U(g) one factor at a time, the
-commutator in U(g) as two full products, the conditions of a virtual
-copy with every bracket of the dressed generators multiplied out in
-full, and the Jacobi sums of a bracket table over every index triple.
+the characteristic polynomial by cofactor expansion, the invariance of a
+polynomial under the coadjoint action by one product per bracket term,
+the rank over Q by Gaussian elimination over Fraction and by
+fraction-free (Bareiss) elimination, the normal form of a word in U(g)
+by unmemoized bubbling, the product of a sequence of elements of U(g)
+one factor at a time, the commutator in U(g) as two full products, the
+conditions of a virtual copy with every bracket of the dressed
+generators multiplied out in full, and the Jacobi sums of a bracket
+table over every index triple.
 """
 
 from fractions import Fraction
@@ -453,7 +455,7 @@ def wedge_rank_slow(omega):
                 "nonzero wedge power beyond the dimension")
 
 
-# ---- characteristic polynomial and rank -------------------------------------
+# ---- characteristic polynomial, invariance and rank -------------------------
 
 
 def char_poly_cofactor(matrix):
@@ -479,6 +481,22 @@ def char_poly_cofactor(matrix):
         return total
 
     return det(rows)
+
+
+def is_invariant(algebra, poly):
+    """(flag, violations): violations lists (i, Xhat_i poly) for the
+    generators that fail to kill the polynomial, where
+    Xhat_i F = sum_{j,k} C_ij^k x_k dF/dx_j is multiplied out term by term."""
+    violations = []
+    for i in range(algebra.dim):
+        res = CommPoly.zero(poly.nvars)
+        for j in range(algebra.dim):
+            for k, c in algebra.bracket_basis(i, j).items():
+                res = res + (CommPoly.variable(poly.nvars, k)
+                             * poly.partial(j)).scale(c)
+        if res:
+            violations.append((i, res))
+    return (not violations, violations)
 
 
 def rank_fraction(rows):

@@ -25,7 +25,6 @@ from liecas.enveloping import PBWElement, u_commutator
 from liecas.invariants import (
     functionally_independent,
     invariant_count,
-    is_invariant,
     structure_matrix,
 )
 from liecas.polynomial import CommPoly
@@ -38,6 +37,7 @@ from table_oracles import (
     engine_bracket,
     environments,
     instantiate,
+    is_invariant,
     pencil_matrix,
     rhs_terms,
 )

@@ -9,10 +9,11 @@ from liecas.casimir_gen import (
     build_so_matrix,
     casimir_set,
     char_poly_coefficients,
+    check_covariance,
     rotation_block_size,
 )
-from liecas.catalog import build, so_algebra
-from liecas.enveloping import PBWElement, u_commutator
+from liecas.catalog import FAMILIES, build, so_algebra
+from liecas.enveloping import DEGREE_CAP, PBWElement, u_commutator
 from liecas.errors import (
     DegreeOverflowError,
     InternalConsistencyError,
@@ -20,17 +21,22 @@ from liecas.errors import (
     NotApplicableError,
     PreconditionError,
 )
-from liecas.invariants import functionally_independent, is_invariant
+from liecas.invariants import functionally_independent
 from liecas.lie_core import LieAlgebra
 from liecas.polynomial import CommPoly
 from liecas.virtual_copy import make_spec
 
 from property_suites import normal_order_footprint
-from table_oracles import char_poly_cofactor
+from table_oracles import char_poly_cofactor, is_invariant
 
 
 def b(name, N=None):
     return build(name, N)
+
+
+# the families whose Levi part is a dressed rotation block J_ij
+ROTATION_FAMILIES = tuple(name for name, fam in FAMILIES.items()
+                          if fam.dressed and fam.parameter == "N")
 
 
 def antisym(nvars, n, entries):
@@ -224,6 +230,63 @@ def test_casimir_set_refuses_an_over_cap_rotation_block(monkeypatch):
     with pytest.raises(DegreeOverflowError) as err:
         casimir_set(algebra, spec)
     assert (err.value.length, err.value.cap) == (18, 12)
+
+
+@pytest.mark.parametrize("name", ROTATION_FAMILIES)
+def test_casimir_set_refuses_a_matrix_that_fails_covariance(name, monkeypatch):
+    # x_r^k added to A_12 (and taken from A_21) leaves [K_t, A]_12 as it
+    # was for every t, so entry (1, 2) fails first, at the first generator
+    # that moves x_r; the refusal comes before any char-poly work
+    algebra, spec = b(name, FAMILIES[name].least)
+    matrix = build_so_matrix(algebra, spec)
+    r = min(r for r in algebra.radical
+            if any(algebra.bracket_basis(t, r) for t in range(algebra.dim)))
+    bump = CommPoly.monomial(algebra.dim, (r,) * spec.k)
+    matrix[0][1] = matrix[0][1] + bump
+    matrix[1][0] = matrix[1][0] - bump
+
+    def no_char_poly(matrix):
+        raise AssertionError("char-poly computed before the covariance check")
+
+    monkeypatch.setattr(liecas.casimir_gen, "build_so_matrix",
+                        lambda algebra, spec: matrix)
+    monkeypatch.setattr(liecas.casimir_gen, "char_poly_coefficients",
+                        no_char_poly)
+    with pytest.raises(InternalConsistencyError) as err:
+        casimir_set(algebra, spec)
+    mover = next(t for t in range(algebra.dim) if algebra.bracket_basis(t, r))
+    assert str(err.value) == (
+        "dressed matrix entry (1, 2) fails covariance against %s"
+        % algebra.names[mover])
+
+
+def test_every_dressed_matrix_casimirs_accepts_is_covariant():
+    # each rotation family from its least N up to the degree cap; the
+    # dressed matrix of QHa(5) is certified in milliseconds, where
+    # differentiating its C_2l took about 21 s under a profiler
+    certified = []
+    for name in ROTATION_FAMILIES:
+        N = FAMILIES[name].least
+        while True:
+            algebra, spec = b(name, N)
+            if 2 * (N // 2) * spec.k > DEGREE_CAP:
+                break
+            check_covariance(algebra, build_so_matrix(algebra, spec))
+            certified.append((name, N))
+            N += 1
+    assert len(certified) == 29
+    assert ("Ha", 7) in certified and ("QHa", 5) in certified
+
+
+@pytest.mark.parametrize("name", ROTATION_FAMILIES)
+def test_oracle_finds_every_coefficient_invariant(name):
+    # the covariance check replaces differentiating each C_2l; the slow
+    # oracle still agrees at each family's least N
+    algebra, spec = b(name, FAMILIES[name].least)
+    coeffs = char_poly_coefficients(build_so_matrix(algebra, spec))
+    assert coeffs
+    for l, poly in coeffs.items():
+        assert is_invariant(algebra, poly) == (True, []), (name, l)
 
 
 def test_build_so_matrix_shape():

@@ -8,12 +8,12 @@ from liecas.invariants import (
     _applier,
     functionally_independent,
     invariant_count,
-    is_invariant,
 )
 from liecas.lie_core import LieAlgebra
 from liecas.polynomial import CommPoly
 
 from property_suites import derivation_law, representation_property, roster
+from table_oracles import is_invariant
 
 F = Fraction
 
