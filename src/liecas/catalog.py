@@ -37,10 +37,9 @@ The Hamilton families need N >= 3 and all J_ij naming stops at N = 9.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import combinations, product
 
-from .enveloping import PBWElement, symmetrize, u_mul
+from .enveloping import PBWElement, symmetrize
 from .errors import InternalConsistencyError, MalformedInputError
 from .lie_core import LieAlgebra, bracket_table
 from .polynomial import CommPoly
@@ -336,42 +335,6 @@ def boson_example_contracted():
     return algebra, make_spec(algebra, f0, P_map)
 
 
-# ---- Levi Casimir helpers -------------------------------------------------------
-
-
-def so_quadratic_casimir(algebra):
-    """sum J_ij^2 over the (all J-named) Levi part."""
-    out = PBWElement(algebra)
-    for i in sorted(algebra.levi):
-        if not algebra.names[i].startswith("J_"):
-            raise MalformedInputError(
-                "Levi part is not a rotation block (found %s)"
-                % algebra.names[i])
-        gen = PBWElement.generator(algebra, i)
-        out = out + u_mul(gen, gen)
-    return out
-
-
-def su11_quadratic_casimir(algebra):
-    """X_1,1^2 - (X_-1,1 X_1,-1 + X_1,-1 X_-1,1)/2 over the X-named Levi."""
-    a = PBWElement.generator(algebra, "X_1,1")
-    b = PBWElement.generator(algebra, "X_-1,1")
-    c = PBWElement.generator(algebra, "X_1,-1")
-    return (u_mul(a, a)
-            - (u_mul(b, c) + u_mul(c, b)).scale(Fraction(1, 2)))
-
-
-def levi_quadratic_casimir(algebra):
-    """Whichever of the two hard-coded quadratic Casimirs fits the Levi part."""
-    levi_names = [algebra.names[i] for i in sorted(algebra.levi)]
-    if levi_names and all(m.startswith("J_") for m in levi_names):
-        return so_quadratic_casimir(algebra)
-    if levi_names == ["X_1,1", "X_-1,1", "X_1,-1"]:
-        return su11_quadratic_casimir(algebra)
-    raise MalformedInputError(
-        "no hard-coded Casimir for Levi part %s" % (levi_names,))
-
-
 # ---- the family registry -------------------------------------------------------
 
 
@@ -422,5 +385,3 @@ FAMILIES = {
                                        "dressing",
                                        lambda _: boson_example_contracted()),
 }
-
-FAMILY_NAMES = tuple(FAMILIES)

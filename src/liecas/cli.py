@@ -79,7 +79,9 @@ def _load_json(path):
             return json.load(fh)
     except OSError as err:
         _fail("cannot read %s: %s" % (path, err))
-    except json.JSONDecodeError as err:
+    except ValueError as err:
+        # JSONDecodeError, a file that is not UTF-8, and a JSON number
+        # past the int-string limit all raise a ValueError
         _fail("bad JSON in %s: %s" % (path, err))
 
 
@@ -142,7 +144,7 @@ def _parse_weights(raw):
     if raw.lstrip().startswith("{"):
         try:
             table = json.loads(raw)
-        except json.JSONDecodeError as err:
+        except ValueError as err:   # as in _load_json
             _fail("bad inline weights JSON: %s" % err)
     else:
         table = _load_json(raw)

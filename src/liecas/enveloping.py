@@ -166,11 +166,6 @@ class PBWElement(SparseTerms):
             latex_name(n) if latex else n for n in self.algebra.names], latex)
 
 
-def pbw_normalize(algebra, word, coeff=1):
-    """Normal form of coeff * X_{word_1} ... X_{word_p} as a PBWElement."""
-    return _normal_sum(algebra, ((word, coeff),))
-
-
 def u_mul(a, b):
     """Product in U(g): every concatenation of a term of a with a term of
     b, normally ordered through one memo that lives for this call."""

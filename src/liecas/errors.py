@@ -31,7 +31,8 @@ class DegreeOverflowError(LiecasError):
 
 class PreconditionError(LiecasError):
     """An operation was called on data that fails its stated precondition,
-    e.g. lifting through a spec that does not verify."""
+    e.g. casimirs or a copy contraction given a dressing that does not
+    verify."""
 
 
 class InternalConsistencyError(LiecasError):
@@ -52,5 +53,5 @@ class LimitDoesNotExistError(LiecasError):
 
 
 class NotApplicableError(LiecasError):
-    """Operation does not apply to this algebra (e.g. feasibility with an
-    empty radical)."""
+    """Operation does not apply to this algebra (e.g. casimirs on a Levi
+    part that is no rotation block)."""

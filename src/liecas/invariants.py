@@ -109,26 +109,3 @@ def invariant_count(algebra, trials=None, seed=1729, method="bb"):
             best, witness = r, point
     return InvariantReport(count=n - best, generic_rank=best,
                            witness_point=witness, method=method)
-
-
-def functionally_independent(algebra, polys, trials=3, seed=1729):
-    """Whether the Jacobian of the family reaches full row rank at one of
-    a few random integer points."""
-    polys = list(polys)
-    if not polys:
-        return True
-    for p in polys:
-        if p.nvars != algebra.dim:
-            raise MalformedInputError(
-                "polynomial in %d variables against a %d-dim algebra"
-                % (p.nvars, algebra.dim))
-    if trials < 1:
-        raise MalformedInputError("need at least one trial")
-    rng = random.Random(seed)
-    grads = [[p.partial(j) for j in range(algebra.dim)] for p in polys]
-    for _ in range(trials):
-        point = tuple(rng.randint(_LOW, _HIGH) for _ in range(algebra.dim))
-        jac = [[d.eval(point) for d in row] for row in grads]
-        if rank(jac) == len(polys):
-            return True
-    return False

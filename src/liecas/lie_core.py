@@ -204,36 +204,6 @@ class LieAlgebra:
                     radical_bad.append((i, j, k, c))
         return ValidationReport(self.names, jacobi, levi_bad, radical_bad)
 
-    # ---- subalgebras ---------------------------------------------------------
-
-    def subalgebra(self, indices):
-        """Standalone algebra on a closed subset of generators.
-
-        Names are preserved; the Levi/radical split is inherited by
-        intersection.  Raises when a bracket leaves the subset.
-        """
-        indices = sorted(set(indices))
-        for i in indices:
-            self._check_index(i)
-        pos = {old: new for new, old in enumerate(indices)}
-        table = {}
-        for (i, j), row in sorted(self.brackets.items()):
-            if i not in pos or j not in pos:
-                continue
-            for k in row:
-                if k not in pos:
-                    raise MalformedInputError(
-                        "generators are not closed: [%s, %s] contains %s"
-                        % (self.names[i], self.names[j], self.names[k]))
-            table[pos[i], pos[j]] = {pos[k]: c for k, c in row.items()}
-        return LieAlgebra(
-            [self.names[i] for i in indices], table,
-            levi=[pos[i] for i in indices if i in self.levi],
-            radical=[pos[i] for i in indices if i in self.radical])
-
-    def levi_subalgebra(self):
-        return self.subalgebra(sorted(self.levi))
-
 
 def bracket_table(rows):
     """The i < j table of LieAlgebra from rows (i, j, terms) in either

@@ -102,7 +102,7 @@ class CommPoly(SparseTerms):
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    # ---- calculus and evaluation ---------------------------------------
+    # ---- calculus -----------------------------------------------------
 
     def partial(self, i):
         """Formal derivative d/dx_i, so d(x_i^k)/dx_i = k x_i^(k-1)."""
@@ -115,22 +115,6 @@ class CommPoly(SparseTerms):
                 t = w.index(i)
                 out[w[:t] + w[t + 1:]] = exact(c * w.count(i))
         return self._new(out)
-
-    def eval(self, point):
-        """Exact value at a rational point (a sequence of length nvars),
-        through sparse.exact: an int when it is integral."""
-        if len(point) != self.nvars:
-            raise MalformedInputError(
-                "point length %d, expected %d" % (len(point), self.nvars))
-        # integral coordinates multiply as ints, far cheaper than Fractions
-        point = list(map(exact, point))
-        total = 0
-        for w, c in self.terms.items():
-            m = 1
-            for t in w:
-                m *= point[t]
-            total += c * m
-        return exact(total)
 
     # ---- rendering --------------------------------------------------------
 

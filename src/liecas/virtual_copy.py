@@ -40,43 +40,25 @@ nonzero residual: (y,) for the two f conditions, (i, j) or (i, y) for
 the others.  passed, f_is_radical_invariant, f_is_g_invariant and
 factor_identity_ok read those maps; to_json() and describe() give the
 verify-copy document and its text, both walking CONDITIONS in order.
-
-A verified copy lifts Casimir elements.  The substitution X_i -> X'_i is
-made through the symmetric presentation: a central element of the Levi
-subalgebra is first written as the symmetrization of a commutative
-polynomial, and each monomial is then replaced by the equal-weight
-average over the orderings of the matching X'_i product.  Substituting
-into an arbitrary ordering would not be well defined, because normally
-ordering an element uses [X_i, X_j] = C_ij^k X_k while the dressed
-generators only satisfy the f-scaled version of that relation; the
-completion terms then come out undressed and the result misses
-centrality by terms proportional to 1 - f.  The symmetric average is
-the ordering-free choice, and it commutes with the adjoint action
-without ever invoking the bracket, so invariance survives the dressing.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .enveloping import (
     DEGREE_CAP,
     PBWElement,
     _normalize,
-    _orderings,
     emit_pbw,
     parse_pbw,
-    symmetrize,
     u_commutator,
     u_mul,
 )
 from .errors import (
     DegreeOverflowError,
     MalformedInputError,
-    NotApplicableError,
     PreconditionError,
     VirtualCopySpecError,
 )
-from .polynomial import CommPoly
 
 
 class VirtualCopySpec(namedtuple("VirtualCopySpec", "f P k")):
@@ -318,101 +300,3 @@ def require_verified(algebra, spec, consequence):
         err = PreconditionError("spec does not verify; " + consequence)
         err.report = report
         raise err
-
-
-def _symmetric_substitute(algebra, ops, word, sums):
-    """Equal-weight average of ops[i1]...ops[ip] over the orderings of the
-    sorted word: A(M) / D(M) for its letters M, where A(M), the sum over
-    distinct a in M of ops[a] A(M - a), is memoized in sums on the sorted
-    letter tuple ({(): unit} to start), as in symmetrize."""
-    def arrangements(letters):
-        if letters not in sums:
-            total = PBWElement(algebra)
-            for s, a in enumerate(letters):
-                if s == 0 or letters[s - 1] != a:
-                    rest = arrangements(letters[:s] + letters[s + 1:])
-                    total = total + u_mul(ops[a], rest)
-            sums[letters] = total
-        return sums[letters]
-    return arrangements(word).scale(Fraction(1, _orderings(word)))
-
-
-def lift_casimir(algebra, spec, casimir):
-    """Substitute X_i -> X'_i into a Casimir element of the Levi part.
-
-    The input must be supported on Levi generators and commute with every
-    Levi generator inside the standalone Levi subalgebra; the output then
-    commutes with every generator of the full algebra.
-
-    The substitution goes through the symmetric presentation (see the
-    module docstring): the input is peeled top degree first into
-    symmetrizations of commutative monomials, and each monomial is
-    replaced by the symmetric average of the corresponding X' product.
-    A Casimir written as an explicitly symmetric arrangement, like the
-    quadratic X_1,1^2 - (X_-1,1 X_1,-1 + X_1,-1 X_-1,1)/2, is therefore
-    reproduced with X' in place of X, term for term.
-    """
-    if casimir.algebra is not algebra:
-        raise MalformedInputError("element belongs to a different algebra")
-    require_verified(algebra, spec, "nothing can be lifted")
-    outside = casimir.support() - algebra.levi
-    if outside:
-        raise PreconditionError(
-            "element touches non-Levi generators %s"
-            % sorted(algebra.names[i] for i in outside))
-    sub = algebra.levi_subalgebra()
-    pos = {old: new for new, old in enumerate(sorted(algebra.levi))}
-    # index order is preserved, so words stay normally ordered
-    inside = PBWElement(sub, {tuple(pos[i] for i in w): c
-                              for w, c in casimir.terms.items()})
-    for t in range(sub.dim):
-        if u_commutator(inside, PBWElement.generator(sub, t)):
-            raise PreconditionError(
-                "element is not a Casimir of the Levi subalgebra "
-                "(fails against %s)" % sub.names[t])
-    ops = build_operators(algebra, spec)
-    out = PBWElement(algebra)
-    sums = {(): PBWElement.unit(algebra)}
-    remaining = casimir
-    while remaining:
-        d = remaining.degree()
-        layer = [(w, c) for w, c in remaining.terms.items() if len(w) == d]
-        for w, c in layer:
-            out = out + _symmetric_substitute(algebra, ops, w, sums).scale(c)
-            remaining = remaining - symmetrize(
-                algebra, CommPoly.monomial(algebra.dim, w, c))
-    return out
-
-
-# reason is None when possible, else "count" or "abelian-radical"; n_g and
-# n_s are the invariant counts of the algebra and of its Levi part
-FeasibilityVerdict = namedtuple("FeasibilityVerdict", "possible reason n_g n_s")
-
-
-def feasibility(algebra, trials=None, seed=1729):
-    """Cheap necessary conditions for a virtual copy to exist at all.
-
-    Impossible when the whole algebra has no more independent invariants
-    than its Levi part alone ("count"), or when the radical is abelian
-    and the Levi part acts on it nontrivially ("abelian-radical");
-    otherwise possible (which is not a proof of existence).
-    """
-    from .invariants import invariant_count
-    if not algebra.radical:
-        raise NotApplicableError("algebra has no radical")
-    if not algebra.levi:
-        raise NotApplicableError("algebra has no Levi part to copy")
-    n_g = invariant_count(algebra, trials=trials, seed=seed).count
-    n_s = invariant_count(algebra.levi_subalgebra(), trials=trials,
-                          seed=seed).count
-    if n_g <= n_s:
-        return FeasibilityVerdict(False, "count", n_g, n_s)
-    radical_abelian = all(
-        not algebra.bracket_basis(a, b)
-        for a in algebra.radical for b in algebra.radical if a < b)
-    action_nontrivial = any(
-        algebra.bracket_basis(i, y)
-        for i in algebra.levi for y in algebra.radical)
-    if radical_abelian and action_nontrivial:
-        return FeasibilityVerdict(False, "abelian-radical", n_g, n_s)
-    return FeasibilityVerdict(True, None, n_g, n_s)

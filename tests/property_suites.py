@@ -487,14 +487,15 @@ def jacobi_agreement(seed, cases):
 
 
 def normal_order_agreement(seed, cases):
-    """pbw_normalize, u_mul and the [c X_t, .] derivation of u_commutator
-    against table_oracles.normal_word_bubble, on seeded random words of
-    length at most 6 over the roster algebras: NF(w) is the bubble of w,
+    """PBWElement.from_terms (through table_oracles.pbw_normalize), u_mul
+    and the [c X_t, .] derivation of u_commutator against
+    table_oracles.normal_word_bubble, on seeded random words of length at
+    most 6 over the roster algebras: NF(w) is the bubble of w,
     NF(u) NF(v) that of u v, and [c X_t, NF(w)] that of c (t w - w t),
     with the generator on either side.  Not in ALL_SUITES: it takes no
     algebras."""
-    from liecas.enveloping import PBWElement, pbw_normalize, u_commutator, u_mul
-    from table_oracles import normal_word_bubble as bubble
+    from liecas.enveloping import PBWElement, u_commutator, u_mul
+    from table_oracles import normal_word_bubble as bubble, pbw_normalize
     rng = random.Random(seed)
     algebras = roster()
     for t in range(cases):

@@ -32,19 +32,42 @@ one factor at a time, the commutator in U(g) as two full products, the
 conditions of a virtual copy with every bracket of the dressed
 generators multiplied out in full, and the Jacobi sums of a bracket
 table over every index triple.
+
+The last section holds the paper's other route to the Casimirs of the
+full algebra, which no request takes: the quadratic Casimirs of the two
+Levi parts the catalog uses, the standalone Levi subalgebra, the lift of
+a Levi Casimir through a verified copy, and a test of functional
+independence by the rank of the Jacobian at random points.  The
+acceptance tests read the paper's lifting route from it, and the
+char-poly Casimirs of casimir_gen are checked against the lift.
+pbw_normalize and evaluate are small helpers that the tests share.
 """
 
+import random
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations, product
 from math import lcm
 
-from liecas.enveloping import PBWElement, pbw_normalize, u_commutator, u_mul
-from liecas.errors import InternalConsistencyError, MalformedInputError
+from liecas.enveloping import (
+    PBWElement,
+    _orderings,
+    symmetrize,
+    u_commutator,
+    u_mul,
+)
+from liecas.errors import (
+    InternalConsistencyError,
+    MalformedInputError,
+    PreconditionError,
+)
 from liecas.exterior import ExteriorElement, mc_differential
+from liecas.invariants import _HIGH, _LOW
+from liecas.lie_core import LieAlgebra
+from liecas.linalg import rank
 from liecas.polynomial import CommPoly
-from liecas.sparse import accumulate
-from liecas.virtual_copy import CONDITIONS, build_operators
+from liecas.sparse import accumulate, exact
+from liecas.virtual_copy import CONDITIONS, build_operators, require_verified
 
 _VECTOR_LETTERS = "GFQP"
 _INDEX_SLOTS = "ijklv"
@@ -683,3 +706,188 @@ def jacobi_direct(algebra):
                 if res:
                     out.append((i, j, k, res))
     return out
+
+
+# ---- small shared helpers -----------------------------------------------------
+
+
+def pbw_normalize(algebra, word, coeff=1):
+    """Normal form of coeff * X_{word_1} ... X_{word_p} as a PBWElement."""
+    return PBWElement.from_terms(algebra, {tuple(word): coeff})
+
+
+def evaluate(poly, point):
+    """Exact value of a CommPoly at a rational point (a sequence of length
+    nvars), through sparse.exact: an int when it is integral."""
+    if len(point) != poly.nvars:
+        raise MalformedInputError(
+            "point length %d, expected %d" % (len(point), poly.nvars))
+    # integral coordinates multiply as ints, far cheaper than Fractions
+    point = list(map(exact, point))
+    total = 0
+    for w, c in poly.terms.items():
+        m = 1
+        for t in w:
+            m *= point[t]
+        total += c * m
+    return exact(total)
+
+
+# ---- the lifting route to the Casimirs ----------------------------------------
+
+
+def subalgebra(algebra, indices):
+    """Standalone algebra on a closed subset of generators.
+
+    Names are preserved; the Levi/radical split is inherited by
+    intersection.  Raises when a bracket leaves the subset.
+    """
+    indices = sorted(set(indices))
+    for i in indices:
+        algebra._check_index(i)
+    pos = {old: new for new, old in enumerate(indices)}
+    table = {}
+    for (i, j), row in sorted(algebra.brackets.items()):
+        if i not in pos or j not in pos:
+            continue
+        for k in row:
+            if k not in pos:
+                raise MalformedInputError(
+                    "generators are not closed: [%s, %s] contains %s"
+                    % (algebra.names[i], algebra.names[j], algebra.names[k]))
+        table[pos[i], pos[j]] = {pos[k]: c for k, c in row.items()}
+    return LieAlgebra(
+        [algebra.names[i] for i in indices], table,
+        levi=[pos[i] for i in indices if i in algebra.levi],
+        radical=[pos[i] for i in indices if i in algebra.radical])
+
+
+def levi_subalgebra(algebra):
+    return subalgebra(algebra, algebra.levi)
+
+
+def so_quadratic_casimir(algebra):
+    """sum J_ij^2 over the (all J-named) Levi part."""
+    out = PBWElement(algebra)
+    for i in sorted(algebra.levi):
+        if not algebra.names[i].startswith("J_"):
+            raise MalformedInputError(
+                "Levi part is not a rotation block (found %s)"
+                % algebra.names[i])
+        gen = PBWElement.generator(algebra, i)
+        out = out + u_mul(gen, gen)
+    return out
+
+
+def su11_quadratic_casimir(algebra):
+    """X_1,1^2 - (X_-1,1 X_1,-1 + X_1,-1 X_-1,1)/2 over the X-named Levi."""
+    a = PBWElement.generator(algebra, "X_1,1")
+    b = PBWElement.generator(algebra, "X_-1,1")
+    c = PBWElement.generator(algebra, "X_1,-1")
+    return (u_mul(a, a)
+            - (u_mul(b, c) + u_mul(c, b)).scale(Fraction(1, 2)))
+
+
+def levi_quadratic_casimir(algebra):
+    """Whichever of the two hard-coded quadratic Casimirs fits the Levi part."""
+    levi_names = [algebra.names[i] for i in sorted(algebra.levi)]
+    if levi_names and all(m.startswith("J_") for m in levi_names):
+        return so_quadratic_casimir(algebra)
+    if levi_names == ["X_1,1", "X_-1,1", "X_1,-1"]:
+        return su11_quadratic_casimir(algebra)
+    raise MalformedInputError(
+        "no hard-coded Casimir for Levi part %s" % (levi_names,))
+
+
+def _symmetric_substitute(algebra, ops, word, sums):
+    """Equal-weight average of ops[i1]...ops[ip] over the orderings of the
+    sorted word: A(M) / D(M) for its letters M, where A(M), the sum over
+    distinct a in M of ops[a] A(M - a), is memoized in sums on the sorted
+    letter tuple ({(): unit} to start), as in symmetrize."""
+    def arrangements(letters):
+        if letters not in sums:
+            total = PBWElement(algebra)
+            for s, a in enumerate(letters):
+                if s == 0 or letters[s - 1] != a:
+                    rest = arrangements(letters[:s] + letters[s + 1:])
+                    total = total + u_mul(ops[a], rest)
+            sums[letters] = total
+        return sums[letters]
+    return arrangements(word).scale(Fraction(1, _orderings(word)))
+
+
+def lift_casimir(algebra, spec, casimir):
+    """Substitute X_i -> X'_i into a Casimir element of the Levi part.
+
+    The input must be supported on Levi generators and commute with every
+    Levi generator inside the standalone Levi subalgebra; the output then
+    commutes with every generator of the full algebra.
+
+    The substitution is made through the symmetric presentation: the
+    input is peeled top degree first into symmetrizations of commutative
+    monomials, and each monomial is replaced by the equal-weight average
+    over the orderings of the matching X' product.  Substituting into an
+    arbitrary ordering would not be well defined, because normally
+    ordering an element uses [X_i, X_j] = C_ij^k X_k while the dressed
+    generators only satisfy the f-scaled version of that relation; the
+    completion terms then come out undressed and the result misses
+    centrality by terms proportional to 1 - f.  The symmetric average is
+    the ordering-free choice, and it commutes with the adjoint action
+    without ever invoking the bracket, so invariance survives the
+    dressing.  A Casimir written as an explicitly symmetric arrangement,
+    like the quadratic X_1,1^2 - (X_-1,1 X_1,-1 + X_1,-1 X_-1,1)/2, is
+    therefore reproduced with X' in place of X, term for term.
+    """
+    if casimir.algebra is not algebra:
+        raise MalformedInputError("element belongs to a different algebra")
+    require_verified(algebra, spec, "nothing can be lifted")
+    outside = casimir.support() - algebra.levi
+    if outside:
+        raise PreconditionError(
+            "element touches non-Levi generators %s"
+            % sorted(algebra.names[i] for i in outside))
+    sub = levi_subalgebra(algebra)
+    pos = {old: new for new, old in enumerate(sorted(algebra.levi))}
+    # index order is preserved, so words stay normally ordered
+    inside = PBWElement(sub, {tuple(pos[i] for i in w): c
+                              for w, c in casimir.terms.items()})
+    for t in range(sub.dim):
+        if u_commutator(inside, PBWElement.generator(sub, t)):
+            raise PreconditionError(
+                "element is not a Casimir of the Levi subalgebra "
+                "(fails against %s)" % sub.names[t])
+    ops = build_operators(algebra, spec)
+    out = PBWElement(algebra)
+    sums = {(): PBWElement.unit(algebra)}
+    remaining = casimir
+    while remaining:
+        d = remaining.degree()
+        layer = [(w, c) for w, c in remaining.terms.items() if len(w) == d]
+        for w, c in layer:
+            out = out + _symmetric_substitute(algebra, ops, w, sums).scale(c)
+            remaining = remaining - symmetrize(
+                algebra, CommPoly.monomial(algebra.dim, w, c))
+    return out
+
+
+def functionally_independent(algebra, polys, trials=3, seed=1729):
+    """Whether the Jacobian of the family reaches full row rank at one of
+    a few random integer points."""
+    polys = list(polys)
+    if not polys:
+        return True
+    for p in polys:
+        if p.nvars != algebra.dim:
+            raise MalformedInputError(
+                "polynomial in %d variables against a %d-dim algebra"
+                % (p.nvars, algebra.dim))
+    if trials < 1:
+        raise MalformedInputError("need at least one trial")
+    rng = random.Random(seed)
+    grads = [[p.partial(j) for j in range(algebra.dim)] for p in polys]
+    for _ in range(trials):
+        point = tuple(rng.randint(_LOW, _HIGH) for _ in range(algebra.dim))
+        jac = [[evaluate(d, point) for d in row] for row in grads]
+        if rank(jac) == len(polys):
+            return True
+    return False

@@ -9,12 +9,7 @@ import random
 from fractions import Fraction
 
 from liecas.casimir_gen import casimir_set
-from liecas.catalog import (
-    FAMILIES,
-    boson_algebra,
-    build,
-    levi_quadratic_casimir,
-)
+from liecas.catalog import FAMILIES, boson_algebra, build
 from liecas.contraction import (
     ContractionWeights,
     contract_copy,
@@ -22,13 +17,9 @@ from liecas.contraction import (
     weighted_leading_part,
 )
 from liecas.enveloping import PBWElement, u_commutator
-from liecas.invariants import (
-    functionally_independent,
-    invariant_count,
-    structure_matrix,
-)
+from liecas.invariants import invariant_count, structure_matrix
 from liecas.polynomial import CommPoly
-from liecas.virtual_copy import build_operators, lift_casimir, make_spec, verify
+from liecas.virtual_copy import build_operators, make_spec, verify
 
 from property_suites import ALL_SUITES, roster
 from table_oracles import (
@@ -36,8 +27,11 @@ from table_oracles import (
     boson_table,
     engine_bracket,
     environments,
+    functionally_independent,
     instantiate,
     is_invariant,
+    levi_quadratic_casimir,
+    lift_casimir,
     pencil_matrix,
     rhs_terms,
 )

@@ -21,13 +21,19 @@ from liecas.errors import (
     NotApplicableError,
     PreconditionError,
 )
-from liecas.invariants import functionally_independent
 from liecas.lie_core import LieAlgebra
 from liecas.polynomial import CommPoly
 from liecas.virtual_copy import make_spec
 
 from property_suites import normal_order_footprint
-from table_oracles import char_poly_cofactor, is_invariant
+from table_oracles import (
+    char_poly_cofactor,
+    evaluate,
+    functionally_independent,
+    is_invariant,
+    levi_quadratic_casimir,
+    lift_casimir,
+)
 
 
 def b(name, N=None):
@@ -155,10 +161,11 @@ def test_char_poly_at_random_points(name, N):
     for _ in range(5):
         point = [Fraction(rng.randint(-20, 20)) for _ in range(algebra.dim)]
         t0 = Fraction(rng.randint(-9, 9))
-        numeric = [[t0 - M[i][j].eval(point) if i == j else
-                    -M[i][j].eval(point) for j in range(N)] for i in range(N)]
+        numeric = [[t0 - evaluate(M[i][j], point) if i == j else
+                    -evaluate(M[i][j], point) for j in range(N)]
+                   for i in range(N)]
         det = fraction_det(numeric)
-        recomputed = t0 ** N + sum(p.eval(point) * t0 ** (N - 2 * l)
+        recomputed = t0 ** N + sum(evaluate(p, point) * t0 ** (N - 2 * l)
                                    for l, p in coeffs.items())
         assert det == recomputed
 
@@ -287,6 +294,21 @@ def test_oracle_finds_every_coefficient_invariant(name):
     assert coeffs
     for l, poly in coeffs.items():
         assert is_invariant(algebra, poly) == (True, []), (name, l)
+
+
+@pytest.mark.parametrize("name", ROTATION_FAMILIES)
+def test_lifted_levi_casimir_matches_the_symmetrized_c2(name):
+    # the paper's lift of sum J_ij^2 and casimirs' symmetrized C_2 are both
+    # central of degree 2k with one top symbol, so they differ by a central
+    # element of lower degree
+    algebra, spec = b(name, FAMILIES[name].least)
+    lifted = lift_casimir(algebra, spec, levi_quadratic_casimir(algebra))
+    assert lifted.degree() == 2 * spec.k
+    diff = lifted - casimir_set(algebra, spec).symmetrized[1]
+    assert diff.degree() < 2 * spec.k
+    for t in range(algebra.dim):
+        assert not u_commutator(diff, PBWElement.generator(algebra, t)), \
+            algebra.names[t]
 
 
 def test_build_so_matrix_shape():

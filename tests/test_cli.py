@@ -11,7 +11,7 @@ import liecas.casimir_gen
 import liecas.cli
 import liecas.contraction
 import liecas.virtual_copy
-from liecas.catalog import FAMILIES, FAMILY_NAMES, build
+from liecas.catalog import FAMILIES, build
 from liecas.cli import main
 from liecas.errors import (DegreeOverflowError, LiecasError,
                            LimitDoesNotExistError)
@@ -281,6 +281,46 @@ def test_boolean_coefficient_is_malformed_input(capsys, tmp_path):
                                    "detail": "bad rational True"})
 
 
+# a JSON number past Python's int-string limit (4,300 digits) makes the
+# parser raise a plain ValueError, not a JSONDecodeError
+HUGE_NUMBER = "1" * 5000
+
+
+def test_oversized_json_number_in_a_file_is_malformed_input(capsys,
+                                                            tmp_path):
+    doc = {"names": ["a", "b"],
+           "brackets": [{"i": "a", "j": "b", "terms": [{"k": "b",
+                                                        "c": "HUGE"}]}],
+           "levi": [], "radical": ["a", "b"]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc).replace('"HUGE"', HUGE_NUMBER),
+                    encoding="utf-8")
+    code, out = run(capsys, "validate", "--algebra", str(path),
+                    "--format", "json")
+    doc = json.loads(out)
+    assert (code, doc["error"]) == (2, "malformed-input")
+    assert doc["detail"].startswith("bad JSON in %s: " % path)
+
+
+def test_file_that_is_not_utf8_is_malformed_input(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'\xff{}')
+    code, out = run(capsys, "validate", "--algebra", str(path),
+                    "--format", "json")
+    doc = json.loads(out)
+    assert (code, doc["error"]) == (2, "malformed-input")
+    assert doc["detail"].startswith("bad JSON in %s: " % path)
+
+
+def test_oversized_json_number_in_inline_weights_is_malformed_input(capsys):
+    code, out = run(capsys, "contract", "--family", "Ha", "--N", "3",
+                    "--weights", '{"R": %s}' % HUGE_NUMBER,
+                    "--format", "json")
+    doc = json.loads(out)
+    assert (code, doc["error"]) == (2, "malformed-input")
+    assert doc["detail"].startswith("bad inline weights JSON: ")
+
+
 def test_bad_alpha_is_a_usage_error(capsys):
     # --alpha reads through sparse.exact; its refusal must reach argparse
     # as a usage error, not end the request in a traceback
@@ -433,7 +473,7 @@ def test_catalog_lists_every_family(capsys):
     code, out = run(capsys, "catalog", "--format", "json")
     assert code == 0
     rows = json.loads(out)["families"]
-    assert [row["name"] for row in rows] == list(FAMILY_NAMES)
+    assert [row["name"] for row in rows] == list(FAMILIES)
     assert all(set(row) >= {"name", "parameter", "carries_dressing", "about"}
                for row in rows)
 
@@ -619,7 +659,7 @@ def test_casimirs_off_a_rotation_block_is_not_applicable(capsys):
     assert json.loads(out)["error"] == "not-applicable"
 
 
-@pytest.mark.parametrize("family", FAMILY_NAMES)
+@pytest.mark.parametrize("family", FAMILIES)
 def test_catalog_dump_round_trips_through_validate(capsys, tmp_path, family):
     least = FAMILIES[family].least
     select = ["--family", family] + ([] if least is None

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from liecas.catalog import boson_algebra, build
-from liecas.enveloping import PBWElement, pbw_normalize, u_commutator
+from liecas.enveloping import PBWElement, u_commutator
 
 from table_oracles import (
     DEFECT_LABELS_BARE,
@@ -21,6 +21,7 @@ from table_oracles import (
     engine_bracket,
     environments,
     instantiate,
+    pbw_normalize,
     printed_defect_labels,
     rhs_terms,
 )

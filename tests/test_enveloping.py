@@ -7,7 +7,6 @@ from liecas.enveloping import (
     PBWElement,
     emit_pbw,
     parse_pbw,
-    pbw_normalize,
     symmetrize,
     u_commutator,
     u_mul,
@@ -28,7 +27,7 @@ from property_suites import (
     symmetrize_agreement,
     ug_jacobi,
 )
-from table_oracles import symmetrize_arrangements, u_product
+from table_oracles import pbw_normalize, symmetrize_arrangements, u_product
 
 F = Fraction
 

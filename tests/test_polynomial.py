@@ -7,6 +7,7 @@ import pytest
 from liecas.errors import MalformedInputError
 from liecas.polynomial import CommPoly
 from property_suites import random_poly
+from table_oracles import evaluate
 
 F = Fraction
 
@@ -21,7 +22,7 @@ def test_zero_and_constant():
     assert not z
     one = CommPoly.constant(3, 1)
     assert not one.is_zero()
-    assert one.eval((5, 6, 7)) == 1
+    assert evaluate(one, (5, 6, 7)) == 1
     assert CommPoly.constant(3, 0).is_zero()
 
 
@@ -37,13 +38,13 @@ def test_product_expands():
     x, y = xvar(0), xvar(1)
     p = (x + y) * (x - y)
     assert p == x * x - y * y
-    assert p.eval((3, 2, 0)) == 5
+    assert evaluate(p, (3, 2, 0)) == 5
 
 
 def test_scalar_arithmetic():
     x = xvar(0)
     p = F(1, 2) * x + 3
-    assert p.eval((4, 0, 0)) == 5
+    assert evaluate(p, (4, 0, 0)) == 5
     assert (p - 3) * 2 == x
 
 
@@ -59,13 +60,13 @@ def test_partial_derivative():
 def test_eval_is_exact():
     x, y = xvar(0), xvar(1)
     p = F(1, 3) * x * y - F(2, 7)
-    assert p.eval((F(3, 5), 7, 0)) == F(7, 5) - F(2, 7)
+    assert evaluate(p, (F(3, 5), 7, 0)) == F(7, 5) - F(2, 7)
     # the value follows sparse.exact: a Fraction when it is not integral,
     # else an int, also when fractional terms sum to an integer
-    value = p.eval((3, 7, 0))
+    value = evaluate(p, (3, 7, 0))
     assert value == 7 - F(2, 7) and type(value) is F
-    assert type(CommPoly.zero(3).eval((1, 2, 3))) is int
-    whole = (3 * x * y).eval((F(1, 3), 2, 0))
+    assert type(evaluate(CommPoly.zero(3), (1, 2, 3))) is int
+    whole = evaluate(3 * x * y, (F(1, 3), 2, 0))
     assert whole == 2 and type(whole) is int
 
 
@@ -119,7 +120,7 @@ def test_word_keys_match_a_dense_exponent_reference():
         assert _dense(p.partial(i)) == {e[:i] + (e[i] - 1,) + e[i + 1:]:
                                         c * e[i] for e, c in dp.items() if e[i]}
         point = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
-        assert p.eval(point) == sum(
+        assert evaluate(p, point) == sum(
             c * prod(x ** k for x, k in zip(point, e)) for e, c in dp.items())
         assert ([tuple(w.count(t) for t in range(n)) for w, _ in p.monomials()]
                 == sorted(dp, key=lambda e: (sum(e), e), reverse=True))

@@ -1,5 +1,7 @@
 """The package runs on the standard library alone: every absolute import
-in src/liecas names a standard-library module or liecas itself."""
+in src/liecas names a standard-library module or liecas itself.  And it
+imports nothing it does not use: every name an import binds is read
+somewhere in its module."""
 
 import ast
 import pathlib
@@ -28,3 +30,25 @@ def test_every_import_is_stdlib_or_liecas():
                for line, name in absolute_imports(path)
                if name.split(".")[0] not in allowed]
     assert not foreign, foreign
+
+
+def imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # import a.b binds a; from m import x as y binds y
+                yield node.lineno, (alias.asname
+                                    or alias.name.split(".")[0])
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        unused += ["%s:%d %s" % (path.name, line, name)
+                   for line, name in imported_names(tree)
+                   if name not in read]
+    assert not unused, unused

@@ -3,15 +3,10 @@ from fractions import Fraction
 import pytest
 
 import liecas.virtual_copy
-from liecas.catalog import (
-    build,
-    levi_quadratic_casimir,
-    so_algebra,
-)
+from liecas.catalog import build
 from liecas.enveloping import PBWElement, u_commutator, u_mul
 from liecas.errors import (
     MalformedInputError,
-    NotApplicableError,
     PreconditionError,
     VirtualCopySpecError,
 )
@@ -20,8 +15,6 @@ from liecas.virtual_copy import (
     CONDITIONS,
     build_operators,
     emit_spec,
-    feasibility,
-    lift_casimir,
     make_spec,
     parse_spec,
     verify,
@@ -32,6 +25,7 @@ from property_suites import (
     failing_specs,
     normal_order_footprint,
 )
+from table_oracles import levi_quadratic_casimir, lift_casimir
 
 
 def b(name, N=None):
@@ -49,26 +43,6 @@ def so3_with_center():
 
 def trivial_spec(algebra):
     return make_spec(algebra, PBWElement.generator(algebra, "Z"), {})
-
-
-def sl2_semidirect():
-    return LieAlgebra(
-        ["H", "E", "F", "v1", "v2"],
-        {(0, 1): {1: Fraction(2)}, (0, 2): {2: Fraction(-2)},
-         (1, 2): {0: Fraction(1)},
-         (0, 3): {3: Fraction(1)}, (0, 4): {4: Fraction(-1)},
-         (1, 4): {3: Fraction(1)}, (2, 3): {4: Fraction(1)}},
-        levi=[0, 1, 2])
-
-
-def euclidean3():
-    so3 = so_algebra(3)
-    rows = dict(so3.brackets)
-    rows.update({(0, 3): {4: Fraction(-1)}, (0, 4): {3: Fraction(1)},
-                 (1, 3): {5: Fraction(-1)}, (1, 5): {3: Fraction(1)},
-                 (2, 4): {5: Fraction(-1)}, (2, 5): {4: Fraction(1)}})
-    return LieAlgebra(["J_12", "J_13", "J_23", "v1", "v2", "v3"],
-                      rows, levi=[0, 1, 2])
 
 
 # ---- make_spec -----------------------------------------------------------------
@@ -259,34 +233,6 @@ def test_lift_preconditions():
         {i: PBWElement(algebra) for i in algebra.levi})
     with pytest.raises(PreconditionError):
         lift_casimir(algebra, broken, levi_quadratic_casimir(algebra))
-
-
-# ---- feasibility ---------------------------------------------------------------
-
-
-def test_feasibility_examples():
-    verdict = feasibility(b("IHa", 3)[0])
-    assert verdict.possible and verdict.reason is None
-    assert verdict.n_g == 2 and verdict.n_s == 1
-
-    verdict = feasibility(euclidean3())
-    assert not verdict.possible and verdict.reason == "abelian-radical"
-    assert verdict.n_g == 2 and verdict.n_s == 1
-
-    verdict = feasibility(sl2_semidirect())
-    assert not verdict.possible and verdict.reason == "count"
-    assert verdict.n_g == 1 and verdict.n_s == 1
-
-    verdict = feasibility(so3_with_center())
-    assert verdict.possible and verdict.reason is None
-    assert verdict.n_g == 2 and verdict.n_s == 1
-
-
-def test_feasibility_needs_both_parts():
-    with pytest.raises(NotApplicableError):
-        feasibility(so_algebra(3))
-    with pytest.raises(NotApplicableError):
-        feasibility(b("heisenberg", 1)[0])
 
 
 # ---- JSON round-trips ----------------------------------------------------------
