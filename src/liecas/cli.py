@@ -34,8 +34,8 @@ Each handler imports the modules it runs when it runs, so a request
 loads only its own layers.  validate needs lie_core alone; count adds
 invariants and linalg, mc adds exterior, and contract adds contraction.
 The catalog loads only for --family or the catalog command, enveloping
-and virtual_copy only for a dressing, and casimir_gen, invariants and
-linalg for casimirs.
+and virtual_copy only for a dressing, and casimir_gen only for casimirs,
+which loads neither invariants nor linalg.
 
 The output format is text unless --format names another.  Randomized
 rank probes (count) take --seed and --trials; one seed always reproduces
@@ -91,8 +91,8 @@ def _validated(algebra):
         return algebra
     payload = report.to_json()
     del payload["ok"]
-    _fail("bracket table fails validation: %s"
-          % report.describe().splitlines()[0], **payload)
+    _fail("bracket table fails validation: %s" % report.headline(),
+          **payload)
 
 
 def _read_algebra(path):

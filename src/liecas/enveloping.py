@@ -19,8 +19,9 @@ derivation it is: each letter of each word of b is replaced in turn by
 its bracket with X_t, one normal ordering per bracket term.  Symmetrizing
 a commutative polynomial sums the orderings of each group of mutually
 entangled letters once per call, memoized on the group's letters, merges
-the commuting groups of a word as sorted words, and divides by the
-number of orderings once per term.
+the commuting groups and free letters of a word as sorted words straight
+into one running total, and divides by the number of orderings once per
+term.
 
 Word lengths are capped in _normalize: any word longer than DEGREE_CAP,
 a raw product included, raises DegreeOverflowError rather than grinding;
@@ -29,7 +30,7 @@ no term of [X_t, w] is longer than w, so w may reach the cap.
 
 from fractions import Fraction
 from itertools import groupby
-from math import factorial, lcm, prod
+from math import factorial, prod
 
 from .errors import DegreeOverflowError, MalformedInputError
 from .naming import latex_name, render_words
@@ -211,21 +212,27 @@ def _letter_groups(word, neighbours):
     """Split a sorted word into the letters that commute with every other
     letter of it, as one sorted tuple, and the sorted letter tuples of the
     remaining connected components of the "does not commute with" graph;
-    neighbours[a] holds the letters whose bracket with a is nonzero."""
-    present = set(word)
-    free = tuple(a for a in word if not neighbours[a] & present)
-    left = present.difference(free)
+    bit b of neighbours[a] is set when [X_a, X_b] != 0."""
+    present = 0
+    for a in word:
+        present |= 1 << a
+    free, left = [], 0
+    for a in word:
+        if neighbours[a] & present:
+            left |= 1 << a
+        else:
+            free.append(a)
     groups = []
     while left:
-        component, frontier = set(), [min(left)]
+        component = frontier = left & -left
         while frontier:
-            a = frontier.pop()
-            if a not in component:
-                component.add(a)
-                frontier.extend(neighbours[a] & left)
-        left -= component
-        groups.append(tuple(a for a in word if a in component))
-    return free, groups
+            a = frontier.bit_length() - 1
+            new = neighbours[a] & left & ~component
+            component |= new
+            frontier = frontier & ~(1 << a) | new
+        left &= ~component
+        groups.append(tuple(a for a in word if component >> a & 1))
+    return tuple(free), groups
 
 
 def _orderings(letters):
@@ -245,84 +252,109 @@ def symmetrize(algebra, poly):
     not commute with" graph commute outright, so sym(M) is the product
     of the sym of its letter groups, and a letter commuting with every
     other letter is its own.  Within one call A of each multiset met is
-    memoized on its sorted letter tuple; a connected one goes through
+    memoized on its sorted letter tuple, and so is D; a connected one
+    goes through
 
         A(M) = sum over distinct a in M of X_a A(M - a)
 
     whose sub-multisets M - a split again, and a split one is
     D(M) / prod D(G) times the product of the A(G) of its groups G.  So
     every A has integer coefficients when the structure constants do.
-    A word of the polynomial is sym(free) times the A(G) of its groups
-    over prod D(G); the words are summed over the lcm of those
-    denominators, and the sum is divided once per term.
+    A word of the polynomial is its free letters times the A(G) of its
+    groups over prod D(G).  Every such denominator divides d!, d the
+    degree of the polynomial, so each word is added to one running total
+    over d!, its free letters merged straight in, and each term of the
+    total is divided once.
 
     The parts are combined by merging sorted words, coefficients
     multiplied, which is exact when every letter of the product so far
-    commutes with every letter of the next group's sum; a bracket term
-    can leave its group, so otherwise the two are multiplied out, through
-    the call's one memo.
+    commutes with every letter of the next part; a bracket term can
+    leave its group, so otherwise the two are multiplied out, through
+    the call's one memo.  The graph is held as int neighbour bitmasks.
     """
     if poly.nvars != algebra.dim:
         raise MalformedInputError(
             "polynomial in %d variables against a %d-dim algebra"
             % (poly.nvars, algebra.dim))
-    neighbours = [set() for _ in range(algebra.dim)]
+    neighbours = [0] * algebra.dim
     for i, j in algebra.brackets:
-        neighbours[i].add(j)
-        neighbours[j].add(i)
+        neighbours[i] |= 1 << j
+        neighbours[j] |= 1 << i
 
-    def reach(letters):
-        # every letter failing to commute with one of letters
-        return set().union(*(neighbours[a] for a in letters))
+    def span(terms):
+        # (bitmask of the letters of terms, bitmask of every letter failing
+        # to commute with one of them)
+        letters = reach = 0
+        for a in set().union(*terms):
+            letters |= 1 << a
+            reach |= neighbours[a]
+        return letters, reach
 
-    memo, sums = {}, {}
+    memo, sums, counts = {}, {}, {}
+
+    def orderings(letters):
+        if letters not in counts:
+            counts[letters] = _orderings(letters)
+        return counts[letters]
 
     def arrangements(letters):
-        # (terms of A(letters), the letters of its words); letters is sorted
+        # (terms of A(letters), *span of them); letters is sorted
         if letters not in sums:
             free, groups = _letter_groups(letters, neighbours)
             if free or len(groups) != 1:
-                terms = combine(free, groups, _orderings(letters)
-                                // prod(map(_orderings, groups)))
+                terms = {}
+                combine(terms, free, groups, orderings(letters)
+                        // prod(map(orderings, groups)))
             else:
                 terms = _normalize(algebra, steps(letters), memo)
-            sums[letters] = (terms, set().union(*terms))
+            sums[letters] = (terms, *span(terms))
         return sums[letters]
 
     def steps(letters):
         # (a w, c) over distinct a in M and terms c w of A(M - a)
         for s, a in enumerate(letters):
             if s == 0 or letters[s - 1] != a:
-                rest, _ = arrangements(letters[:s] + letters[s + 1:])
+                rest = arrangements(letters[:s] + letters[s + 1:])[0]
                 for w, c in rest.items():
                     yield (a,) + w, c
 
-    def combine(free, groups, c):
-        # terms of c * free * A(group_1) * ... * A(group_n)
-        product, support = {free: c}, set(free)
-        for group in groups:
-            terms, letters = arrangements(group)
-            pairs = _concatenations(product, terms)
-            if reach(support).isdisjoint(letters):
-                product = {}
-                accumulate(product, ((tuple(sorted(w)), v) for w, v in pairs))
+    def combine(into, free, groups, c):
+        # into += c * free * A(group_1) * ... * A(group_n), the last
+        # product added straight into into
+        product, reach = {free: c}, span((free,))[1]
+        last = len(groups) - 1
+        for n, group in enumerate(groups):
+            terms, more, further = arrangements(group)
+            factor, product = product, into if n == last else {}
+            if reach & more:
+                accumulate(product, _normalize(algebra, _concatenations(
+                    factor, terms), memo).items())
+                if n < last:
+                    reach = span(product)[1]
             else:
-                product = _normalize(algebra, pairs, memo)
-            support |= letters
-        return product
+                accumulate(product, (
+                    (tuple(sorted(w1 + w2)), c1 * c2)
+                    for w1, c1 in factor.items() for w2, c2 in terms.items()))
+                reach |= further
+        if not groups:
+            accumulate(into, product.items())
 
-    parts = []
+    common = factorial(max(poly.degree(), 0))
+    total = {}
     for word, c in poly.terms.items():
         if len(word) > DEGREE_CAP:
             raise DegreeOverflowError(len(word), DEGREE_CAP)
         free, groups = _letter_groups(word, neighbours)
-        parts.append((free, groups, c, prod(map(_orderings, groups))))
-    # every word over the common denominator, then one division per term
-    common = lcm(*(d for *_, d in parts))
-    total, out = {}, {}
-    for free, groups, c, d in parts:
-        accumulate(total, combine(free, groups, c * (common // d)).items())
-    accumulate(out, total.items(), Fraction(1, common))
+        combine(total, free, groups,
+                c * (common // prod(map(orderings, groups))))
+    out = {}
+    for w, v in total.items():
+        v = Fraction(v, common)
+        out[w] = v.numerator if v.denominator == 1 else v
+    # the helpers above refer to each other, so without this the memos
+    # would outlive the call until the cyclic collector ran
+    sums.clear()
+    memo.clear()
     return PBWElement(algebra, out)
 
 

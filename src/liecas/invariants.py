@@ -26,40 +26,8 @@ from collections import namedtuple
 
 from .errors import InternalConsistencyError, MalformedInputError
 from .linalg import rank
-from .sparse import accumulate
 
 _LOW, _HIGH = -10 ** 4, 10 ** 4
-
-
-def _applier(algebra, poly):
-    """i -> Xhat_i poly.  dF/dx_j is taken on first use and dropped after
-    last[j], the largest i with [X_i, X_j] != 0; a later call retakes it."""
-    if poly.nvars != algebra.dim:
-        raise MalformedInputError(
-            "polynomial in %d variables against a %d-dim algebra"
-            % (poly.nvars, algebra.dim))
-    last = {}
-    for i, j in algebra.brackets:
-        last[i] = max(last.get(i, j), j)
-        last[j] = max(last.get(j, i), i)
-    partials = {}
-
-    def apply(i):
-        algebra._check_index(i)
-        out = {}
-        for j in range(algebra.dim):
-            row = algebra.bracket_basis(i, j)
-            if not row:
-                continue
-            dF = partials.pop(j) if j in partials else poly.partial(j).terms
-            if i < last[j]:
-                partials[j] = dF
-            for k, c in row.items():
-                # c * x_k * dF/dx_j: x_k joins the word of each term
-                accumulate(out, ((tuple(sorted(w + (k,))), v)
-                                 for w, v in dF.items()), c)
-        return poly._new(out)
-    return apply
 
 
 # a namedtuple, as every record in the package is: a tuple's fields and ==

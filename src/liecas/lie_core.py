@@ -14,9 +14,13 @@ The constructor also builds the adjoint table ad[i] = {j: [X_i, X_j]} once,
 from the stored rows and their negations, so a bracket is one lookup and
 validate() reaches only the triples that a stored row touches.
 
+generating_set() picks a set of generators that generates the algebra as
+a Lie algebra, greedily in basis order.
+
 validate() returns a ValidationReport that carries the generator names:
-ok, to_json() (the validate document, generators by name) and describe()
-(one text line per violation) need nothing else.
+ok, to_json() (the validate document, generators by name), describe()
+(one text line per violation) and headline() (the first violation, by
+names alone) need nothing else.
 
 Vectors in the algebra are plain dicts index -> coefficient, an int when
 integral and a Fraction otherwise (sparse.exact).  The rows that
@@ -24,7 +28,11 @@ bracket_basis returns are the table's own, shared between callers: read
 them, never mutate them.
 """
 
+from bisect import insort
+from fractions import Fraction
+
 from .errors import MalformedInputError
+from .naming import plain_number
 from .sparse import accumulate, exact
 
 _NO_TERMS = {}      # the shared, read-only [X_i, X_j] = 0
@@ -75,15 +83,29 @@ class ValidationReport:
         names = self.names
         lines = []
         for i, j, k, res in self.jacobi:
-            body = " + ".join("%s*%s" % (c, names[t])
+            body = " + ".join("%s*%s" % (plain_number(c), names[t])
                               for t, c in sorted(res.items()))
             lines.append("jacobi (%s, %s, %s): residual %s"
                          % (names[i], names[j], names[k], body))
         for _key, label, entries in self._leaks():
             lines.extend("%s: [%s, %s] contains %s*%s"
-                         % (label, names[i], names[j], c, names[k])
+                         % (label, names[i], names[j], plain_number(c),
+                            names[k])
                          for i, j, k, c in entries)
         return "\n".join(lines)
+
+    def headline(self):
+        """The first violation by the names of its generators alone, with
+        no coefficient: "jacobi (a, b, c)" or "levi closure: [a, b]
+        contains c"; "valid" when there is none."""
+        names = self.names
+        for i, j, k, _res in self.jacobi:
+            return "jacobi (%s, %s, %s)" % (names[i], names[j], names[k])
+        for _key, label, entries in self._leaks():
+            for i, j, k, _c in entries:
+                return "%s: [%s, %s] contains %s" % (
+                    label, names[i], names[j], names[k])
+        return "valid"
 
 
 class LieAlgebra:
@@ -203,6 +225,49 @@ class LieAlgebra:
                 if has_radical and k not in self.radical:
                     radical_bad.append((i, j, k, c))
         return ValidationReport(self.names, jacobi, levi_bad, radical_bad)
+
+
+def generating_set(algebra):
+    """Indices of generators that generate the algebra as a Lie algebra,
+    picked in basis order: X_t is kept when it is not in the subalgebra
+    that the kept ones generate.
+
+    That subalgebra grows as an echelon basis of vector dicts, each row
+    with coefficient 1 at its least index, its pivot.  A vector is
+    reduced against the rows once, in pivot order; what is left joins
+    them and is bracketed with every row so far, until the span is
+    closed under the bracket."""
+    rows, pivots = {}, []
+
+    def reduce(v):
+        for p in pivots:
+            c = v.get(p)
+            if c:
+                accumulate(v, rows[p].items(), -c)
+        return v
+
+    def bracket(u, v):
+        out = {}
+        for a, ca in u.items():
+            for b, cb in v.items():
+                accumulate(out, algebra.bracket_basis(a, b).items(), ca * cb)
+        return out
+
+    kept = []
+    for t in range(algebra.dim):
+        pending, size = [{t: 1}], len(rows)
+        while pending:
+            v = reduce(pending.pop())
+            if v:
+                p = min(v)
+                row = {}
+                accumulate(row, v.items(), Fraction(1, v[p]))
+                pending.extend(bracket(row, u) for u in rows.values())
+                rows[p] = row
+                insort(pivots, p)
+        if len(rows) > size:
+            kept.append(t)
+    return kept
 
 
 def bracket_table(rows):

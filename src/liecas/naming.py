@@ -1,6 +1,7 @@
 """Name, coefficient and signed-sum formatting shared by the renderers."""
 
 from itertools import groupby
+from math import log10
 
 
 def latex_name(name):
@@ -18,6 +19,24 @@ def latex_name(name):
         head, sub = name.split("_", 1)
         return "%s_{%s}" % (head, sub)
     return name
+
+
+def plain_number(c):
+    """str(c) for an int or a Fraction; a part too long for Python's
+    int-string limit is shown by its digit count, as <5000-digit integer>."""
+    try:
+        return str(c)
+    except ValueError:
+        if c.denominator != 1:
+            return "%s/%s" % (plain_number(c.numerator),
+                              plain_number(c.denominator))
+        n = abs(c)
+        digits = int(log10(n)) + 1
+        if 10 ** (digits - 1) > n:
+            digits -= 1
+        elif 10 ** digits <= n:
+            digits += 1
+        return "%s<%d-digit integer>" % ("-" if c < 0 else "", digits)
 
 
 def latex_fraction(c):

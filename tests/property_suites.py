@@ -123,7 +123,7 @@ def exterior_leibniz(algebras, seed, cases):
 
 
 def derivation_law(algebras, seed, cases):
-    from liecas.invariants import _applier
+    from liecas.casimir_gen import _applier
     rng = random.Random(seed)
     for t in range(cases):
         g = algebras[t % len(algebras)]
@@ -137,7 +137,7 @@ def derivation_law(algebras, seed, cases):
 
 
 def representation_property(algebras, seed, cases):
-    from liecas.invariants import _applier
+    from liecas.casimir_gen import _applier
     from liecas.polynomial import CommPoly
     rng = random.Random(seed)
     for t in range(cases):

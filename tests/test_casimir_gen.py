@@ -205,13 +205,31 @@ def test_casimir_set_inhomogeneous_3():
 
 def test_casimir_set_footprint_on_qha3():
     # symmetrizing through per-group averages and checking each [X_t, C]
-    # as a derivation take about 21,000 _normal_word calls; two full
-    # products per check take about 91,000.  Normal forms live for one
-    # call: a per-algebra cache of them kept about 4.8 MB
+    # as a derivation against the 7 generators of a Lie generating set
+    # take about 10,600 _normal_word calls; against all 21 generators,
+    # about 20,700, and with two full products per check about 91,000.
+    # Normal forms live for one call: a per-algebra cache of them kept
+    # about 4.8 MB
     algebra, spec = b("QHa", 3)
     calls, retained = normal_order_footprint(lambda: casimir_set(algebra, spec))
-    assert calls < 30000
+    assert calls < 12000
     assert retained < 64 * 1024
+
+
+@pytest.mark.parametrize("name", ROTATION_FAMILIES)
+def test_casimir_set_refuses_a_symmetrization_that_is_not_central(
+        name, monkeypatch):
+    # F_1 added to the symmetrized C_2 fails to commute with J_12, the
+    # first generator of the generating set the check runs over
+    algebra, spec = b(name, FAMILIES[name].least)
+    symmetrize = liecas.casimir_gen.symmetrize
+    monkeypatch.setattr(
+        liecas.casimir_gen, "symmetrize",
+        lambda algebra, poly: (symmetrize(algebra, poly)
+                               + PBWElement.generator(algebra, "F_1")))
+    with pytest.raises(InternalConsistencyError) as err:
+        casimir_set(algebra, spec)
+    assert str(err.value) == "symmetrized C_2 fails to commute with J_12"
 
 
 def test_casimir_set_checks_the_spec_first():

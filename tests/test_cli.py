@@ -89,6 +89,39 @@ def test_validate_reports_violations_with_exit_1(capsys, tmp_path):
     assert json.loads(out)["ok"] is True
 
 
+def test_residual_past_the_int_string_limit_is_answered(tmp_path):
+    # [a, b] = N c and [c, d] = N a with N = 2,500 ones leave Jacobi
+    # residuals N^2 of 4,999 digits, past Python's default limit of 4,300
+    # for str(int): validate shows them by their digit count, and the
+    # refusal of every other request names the triple alone
+    big = "1" * 2500
+    path = write_json(tmp_path / "big.json", {
+        "names": ["a", "b", "c", "d"],
+        "brackets": [{"i": "a", "j": "b", "terms": [{"k": "c", "c": big}]},
+                     {"i": "c", "j": "d", "terms": [{"k": "a", "c": big}]}],
+        "levi": [], "radical": ["a", "b", "c", "d"]})
+
+    def answer(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "liecas.cli", *argv, "--algebra", path],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONINTMAXSTRDIGITS="4300"))
+        assert proc.stderr == ""
+        return proc.returncode, proc.stdout
+
+    assert answer("validate") == (1, "jacobi (a, b, d): residual "
+                                  "<4999-digit integer>*a\n"
+                                  "jacobi (b, c, d): residual "
+                                  "<4999-digit integer>*c\n")
+    refusal = {"error": "malformed-input",
+               "detail": "bracket table fails validation: jacobi (a, b, d)",
+               "jacobi_violations": [["a", "b", "d"], ["b", "c", "d"]],
+               "levi_closure": [], "radical_ideal": []}
+    for command in ("mc", "count"):
+        code, out = answer(command, "--format", "json")
+        assert (code, json.loads(out)) == (2, refusal)
+
+
 def test_failing_dressing_exits_1_with_residuals(capsys, tmp_path):
     algebra, spec = build("IHa", 3)
     apath = write_json(tmp_path / "iha3.json", algebra_to_json(algebra))
@@ -583,6 +616,15 @@ def test_dressed_requests_load_only_their_layers():
                       _RECORD_MACHINERY) == {"codes": [0], "loaded": []}
 
 
+def test_casimirs_loads_neither_invariants_nor_linalg():
+    # the covariance check and the analytic realization it applies live in
+    # casimir_gen, so no casimirs request counts invariants or ranks
+    assert _fresh_run([["casimirs", "--family", family, "--N", "3"]
+                       for family in ("Ha", "IHa", "QHa")],
+                      ["liecas.invariants", "liecas.linalg"]) == {
+        "codes": [0, 0, 0], "loaded": []}
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub
@@ -748,10 +790,11 @@ _GOLDEN = {
         (1, "fe3707893a548818d88420d60f3a7d64024a70f5c2b6f4e0c118b147db0c44d3"),
     ("contract-stripped", "text"):
         (1, "eb9d2774903a440b255beddfc0124f242c1078a57f879fae5c2233763d8f237f"),
+    # the refusal names the first violating triple and renders no residual
     ("load-non-lie", "json"):
-        (2, "b74dfd6e9a46410cb88ff5c344aa912e2e29526b91d914f7fcff24fe4131e53a"),
+        (2, "5daac74495f850065e4609cc83433c5db62a1ce5486a6a8643e774eadaa9b4ec"),
     ("load-non-lie", "text"):
-        (2, "7ba0419807c9a70f6ac76a6b00a4c64a5d2de64c0c59352c54aa5489a4ed79cb"),
+        (2, "234d167a15c6e5925000417691078905d357aa5102fcd926ceeed5fa8b28d75f"),
     ("validate-non-lie", "json"):
         (1, "04e0dca08b48dff22939ff9943a18e1464658cc056d837b5e5d7fa5b7e0d4447"),
     ("validate-non-lie", "text"):

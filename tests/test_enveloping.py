@@ -14,7 +14,7 @@ from liecas.enveloping import (
 from liecas.casimir_gen import build_so_matrix, char_poly_coefficients
 from liecas.catalog import build, heisenberg_algebra, so_algebra
 from liecas.errors import DegreeOverflowError, MalformedInputError
-from liecas.lie_core import LieAlgebra
+from liecas.lie_core import LieAlgebra, bracket_table
 from liecas.polynomial import CommPoly
 
 from property_suites import (
@@ -247,6 +247,32 @@ def test_symmetrize_matches_brute_force_average():
             assert poly.degree() <= 6
             assert symmetrize(algebra, poly) == \
                 symmetrize_arrangements(algebra, poly)
+
+
+# [b, c] = x1 + x2 commutes with a and with d, but x1 and x2 alone do not
+_FREE_LETTER_RELATIONS = [
+    ("b", "c", "x1", 1), ("b", "c", "x2", 1), ("a", "x1", "y", 1),
+    ("a", "x2", "y", -1), ("d", "x1", "w", 1), ("d", "x2", "w", -1),
+    ("d", "e", "z", 1)]
+
+
+@pytest.mark.parametrize("names", [
+    ["a", "b", "c", "d", "e", "x1", "x2", "y", "w", "z"],
+    ["b", "y", "a", "x2", "d", "x1", "w", "c", "z", "e"],
+    ["z", "a", "y", "b", "x1", "d", "e", "c", "w", "x2"],
+    ["w", "x1", "b", "d", "z", "e", "a", "x2", "y", "c"]])
+def test_symmetrize_multiplies_out_parts_whose_letters_meet(names):
+    # in the word a b c d e, a is free and {b, c}, {d, e} are the groups;
+    # the sum over {b, c} holds x1 and x2, which fail to commute with a and
+    # with d, so a times it is multiplied out, and so is that product
+    # times the sum over {d, e}, in every basis order
+    ix = {m: t for t, m in enumerate(names)}
+    g = LieAlgebra(names, bracket_table(
+        (ix[p], ix[q], ((ix[k], c),)) for p, q, k, c in _FREE_LETTER_RELATIONS),
+        levi=[])
+    assert g.validate().ok
+    p = CommPoly.monomial(g.dim, tuple(sorted(ix[m] for m in "abcde")))
+    assert symmetrize(g, p) == symmetrize_arrangements(g, p)
 
 
 def test_symmetrize_matches_its_definition():

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from liecas.casimir_gen import _applier
 from liecas.catalog import heisenberg_algebra
 from liecas.errors import MalformedInputError
-from liecas.invariants import _applier, invariant_count
+from liecas.invariants import invariant_count
 from liecas.lie_core import LieAlgebra
 from liecas.polynomial import CommPoly
 

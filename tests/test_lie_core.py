@@ -3,12 +3,13 @@ from fractions import Fraction
 import pytest
 
 from liecas import lie_core
-from liecas.catalog import build
+from liecas.catalog import FAMILIES, build
 from liecas.errors import MalformedInputError
 from liecas.lie_core import (LieAlgebra, algebra_from_json, algebra_to_json,
-                             bracket_table)
+                             bracket_table, generating_set)
+from liecas.naming import plain_number
 from property_suites import jacobi_agreement
-from table_oracles import levi_subalgebra, subalgebra
+from table_oracles import levi_subalgebra, rank_fraction, subalgebra
 
 F = Fraction
 
@@ -71,6 +72,17 @@ def test_validate_catches_jacobi_violation():
     (_, _, _, residual), = report.jacobi
     assert residual == {0: F(1)}
     assert "jacobi" in report.describe()
+    assert report.headline() == "jacobi (H, E, F)"
+    assert so3().validate().headline() == "valid"
+
+
+def test_plain_number_shows_long_parts_by_digit_count():
+    # str() refuses an int past Python's default limit of 4,300 digits
+    assert plain_number(10 ** 5000) == "<5001-digit integer>"
+    assert plain_number(1 - 10 ** 5000) == "-<5000-digit integer>"
+    assert plain_number(F(1, 10 ** 4400)) == "1/<4401-digit integer>"
+    assert plain_number(F(-3, 7)) == "-3/7"
+    assert plain_number(-12) == "-12"
 
 
 def test_validate_matches_direct_jacobi():
@@ -104,6 +116,7 @@ def test_validate_checks_declared_split():
     assert report.jacobi == []
     assert report.levi_closure == []  # (0,2) closes onto F, still declared Levi
     assert (1, 2, 0, F(1)) in report.radical_ideal
+    assert report.headline() == "radical ideal: [E, F] contains H"
 
     # and H,E declared Levi with F radical: [H,E]=2E is fine,
     # but the pair (E,F) hits H again, plus Levi closure is fine by itself
@@ -126,6 +139,54 @@ def test_levi_closure_violation():
         levi=[0, 1], radical=[2])
     report = g.validate()
     assert (0, 1, 2, F(1)) in report.levi_closure
+    assert report.headline() == "levi closure: [e1, e2] contains e3"
+
+
+# the generating set each dressed family picks at its least parameter
+_GENERATORS = {
+    "weyl_quesne": ["E_11", "bd_1", "b_1"],
+    "Ha": ["J_12", "J_13", "G_1", "F_1"],
+    "boson_example": ["X_1,1", "X_-1,1", "X_1,-1", "G_1", "Q_1", "E"],
+    "boson_example_contracted": ["X_1,1", "X_-1,1", "X_1,-1", "G_1", "Q_1",
+                                 "E"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(n for n, fam in FAMILIES.items()
+                                        if fam.dressed))
+def test_generating_set_generates_the_algebra(name):
+    # every IHa and QHa family adds Q_1, P_1 and E to the picks of Ha
+    fam = FAMILIES[name]
+    algebra, _spec = build(name, fam.least if fam.most is not None else None)
+    picked = generating_set(algebra)
+    assert [algebra.names[t] for t in picked] == _GENERATORS.get(
+        name, _GENERATORS["Ha"] + ["Q_1", "P_1", "E"])
+
+    # the oracle closes the picks under ad of each pick: a subspace that
+    # holds the generators and is stable under their brackets holds every
+    # nested bracket, so it is the subalgebra they generate
+    def unit(t):
+        return [1 if s == t else 0 for s in range(algebra.dim)]
+
+    def bracket(t, v):
+        out = [0] * algebra.dim
+        for s, c in enumerate(v):
+            for k, d in algebra.bracket_basis(t, s).items():
+                out[k] += c * d
+        return out
+
+    span = [unit(t) for t in picked]
+    frontier = list(span)
+    while frontier:
+        grown = []
+        for t in picked:
+            for v in frontier:
+                w = bracket(t, v)
+                if rank_fraction(span + [w]) > len(span):
+                    span.append(w)
+                    grown.append(w)
+        frontier = grown
+    assert len(span) == algebra.dim
 
 
 def test_subalgebra_extraction():
