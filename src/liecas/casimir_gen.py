@@ -19,7 +19,10 @@ operator
 
     Xhat_t F  =  sum_{j,k} C_tj^k  x_k  dF/dx_j,
 
-and the dressed generators transform like the generators of so(N), so A
+the derivation of S(g) with x_j -> [X_t, X_j].  xhat() applies it one
+letter of each word at a time, as enveloping.derivation does in U(g),
+and sorts each resulting word; no partial derivative is formed.  And
+the dressed generators transform like the generators of so(N), so A
 is covariant: each Xhat_t acts on its entries as the commutator with a
 constant so(N) matrix, and each C_2l is then an invariant of the whole
 algebra.  casimir_set() checks the covariance of the dressed matrix
@@ -39,7 +42,13 @@ the inhomogeneous ones.
 from collections import namedtuple
 from itertools import combinations
 
-from .enveloping import DEGREE_CAP, PBWElement, symmetrize, u_commutator
+from .enveloping import (
+    DEGREE_CAP,
+    ad_images,
+    derivation,
+    substituted,
+    symmetrize,
+)
 from .errors import (
     DegreeOverflowError,
     InternalConsistencyError,
@@ -98,35 +107,18 @@ def build_so_matrix(algebra, spec):
     return matrix
 
 
-def _applier(algebra, poly):
-    """i -> Xhat_i poly.  dF/dx_j is taken on first use and dropped after
-    last[j], the largest i with [X_i, X_j] != 0; a later call retakes it."""
+def xhat(algebra, poly, images):
+    """Xhat_t poly for images = ad_images(algebra, t): the derivation of
+    S(g) with x_y -> [X_t, X_y], applied one letter at a time, each word
+    then sorted."""
     if poly.nvars != algebra.dim:
         raise MalformedInputError(
             "polynomial in %d variables against a %d-dim algebra"
             % (poly.nvars, algebra.dim))
-    last = {}
-    for i, j in algebra.brackets:
-        last[i] = max(last.get(i, j), j)
-        last[j] = max(last.get(j, i), i)
-    partials = {}
-
-    def apply(i):
-        algebra._check_index(i)
-        out = {}
-        for j in range(algebra.dim):
-            row = algebra.bracket_basis(i, j)
-            if not row:
-                continue
-            dF = partials.pop(j) if j in partials else poly.partial(j).terms
-            if i < last[j]:
-                partials[j] = dF
-            for k, c in row.items():
-                # c * x_k * dF/dx_j: x_k joins the word of each term
-                accumulate(out, ((tuple(sorted(w + (k,))), v)
-                                 for w, v in dF.items()), c)
-        return poly._new(out)
-    return apply
+    out = {}
+    accumulate(out, ((tuple(sorted(w)), c)
+                     for w, c in substituted(poly.terms, images)))
+    return poly._new(out)
 
 
 def check_covariance(algebra, matrix):
@@ -143,9 +135,9 @@ def check_covariance(algebra, matrix):
     rotation = {algebra.index("J_%d%d" % (a + 1, b + 1)): (a, b)
                 for a in range(N) for b in range(a + 1, N)}
     zero = CommPoly.zero(algebra.dim)
+    images = [ad_images(algebra, t) for t in range(algebra.dim)]
     for i in range(N):
         for j in range(i + 1, N):
-            apply = _applier(algebra, matrix[i][j])
             for t in range(algebra.dim):
                 want = zero
                 if t in rotation:
@@ -155,7 +147,7 @@ def check_covariance(algebra, matrix):
                             - (matrix[b][j] if i == a else zero)
                             + (matrix[i][a] if j == b else zero)
                             - (matrix[i][b] if j == a else zero))
-                if apply(t) != want:
+                if xhat(algebra, matrix[i][j], images[t]) != want:
                     raise InternalConsistencyError(
                         "dressed matrix entry (%d, %d) fails covariance "
                         "against %s" % (i + 1, j + 1, algebra.names[t]))
@@ -239,14 +231,14 @@ def casimir_set(algebra, spec):
         raise DegreeOverflowError(top, DEGREE_CAP)
     check_covariance(algebra, matrix)
     coefficients = char_poly_coefficients(matrix)
-    generators = generating_set(algebra)
+    images = {t: ad_images(algebra, t) for t in generating_set(algebra)}
     symmetrized, checked = {}, {}
     for l, poly in sorted(coefficients.items()):
         sym = symmetrize(algebra, poly)
         checked[l] = poly.degree() <= UCHECK_DEGREE_CAP
         if checked[l]:
-            for t in generators:
-                if u_commutator(PBWElement.generator(algebra, t), sym):
+            for t, image in images.items():
+                if derivation(sym, image):
                     raise InternalConsistencyError(
                         "symmetrized C_%d fails to commute with %s"
                         % (2 * l, algebra.names[t]))

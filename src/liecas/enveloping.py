@@ -14,18 +14,23 @@ term shortens the word.  Products, brackets, sums and symmetrization all
 add up normal forms through _normalize, with one memo per top-level
 operation (a whole symmetrize call is one); nothing outlives the call.
 
-A commutator with one scaled generator, [c X_t, b], is taken as the
-derivation it is: each letter of each word of b is replaced in turn by
-its bracket with X_t, one normal ordering per bracket term.  Symmetrizing
-a commutative polynomial sums the orderings of each group of mutually
-entangled letters once per call, memoized on the group's letters, merges
-the commuting groups and free letters of a word as sorted words straight
-into one running total, and divides by the number of orderings once per
-term.
+A derivation D of U(g) is fixed by its images D(X_y), and D(b) replaces
+each letter of each word of b in turn by its image (substituted), one
+normal ordering per image term (derivation).  A bracket with a generator
+is one: [c X_t, b] takes the images c [X_t, X_y] of ad_images, and
+[b, X_t] takes c = -1.  casimir_gen reads the same letter stream in S(g),
+where a word needs only sorting.
+
+Symmetrizing a commutative polynomial sums the orderings of each group
+of mutually entangled letters once per call, memoized on the group's
+letters, merges the commuting groups and free letters of a word as
+sorted words straight into one running total, and divides by the number
+of orderings once per term.
 
 Word lengths are capped in _normalize: any word longer than DEGREE_CAP,
 a raw product included, raises DegreeOverflowError rather than grinding;
-no term of [X_t, w] is longer than w, so w may reach the cap.
+no term of [X_t, w] is longer than w, so a derivation by ad_images
+takes w at the cap.
 """
 
 from fractions import Fraction
@@ -33,7 +38,7 @@ from itertools import groupby
 from math import factorial, prod
 
 from .errors import DegreeOverflowError, MalformedInputError
-from .naming import latex_name, render_words
+from .naming import latex_name, plain_number, render_words
 from .polynomial import CommPoly
 from .sparse import SparseTerms, accumulate, exact
 
@@ -177,32 +182,38 @@ def u_mul(a, b):
         a.algebra, _concatenations(a.terms, b.terms), {}))
 
 
-def u_commutator(a, b):
-    """[a, b] = ab - ba in U(g).
-
-    When either factor is one scaled generator c X_t, [c X_t, b] is taken
-    as a derivation: c sum_w b_w sum_k NF(w[:k] [X_t, X_{w_k}] w[k+1:]),
-    one normal ordering per bracket term instead of two full products.
-    With the generator on the right the sign flips.  No term is longer
-    than its word w, so b may reach DEGREE_CAP.
-    """
-    if isinstance(a, PBWElement) and isinstance(b, PBWElement):
-        a._check_mate(b)
-        for gen, other, sign in ((a, b, 1), (b, a, -1)):
-            if len(gen.terms) == 1:
-                (word, c), = gen.terms.items()
-                if len(word) == 1:
-                    return _generator_bracket(word[0], other, sign * c)
-    return u_mul(a, b) - u_mul(b, a)
+def ad_images(algebra, t, c=1):
+    """{y: {(k,): c C_ty^k}}, the images c [X_t, X_y] of the derivation
+    c ad X_t over the generators y that fail to commute with X_t."""
+    algebra._check_index(t)
+    images = {}
+    for y in range(algebra.dim):
+        row = algebra.bracket_basis(t, y)
+        if row:
+            images[y] = {(k,): c * v for k, v in row.items()}
+    return images
 
 
-def _generator_bracket(t, elem, c):
-    """c [X_t, elem], one letter of each word at a time."""
+def substituted(terms, images):
+    """(w[:m] + u + w[m+1:], c v) over the words w of terms, with
+    coefficient c, each letter y = w[m] that images covers, and each term
+    v u of images[y]: a derivation with D(X_y) = images[y] applied to one
+    letter at a time, before any ordering."""
+    for w, c in terms.items():
+        for m, y in enumerate(w):
+            image = images.get(y)
+            if image:
+                for u, v in image.items():
+                    yield w[:m] + u + w[m + 1:], c * v
+
+
+def derivation(elem, images):
+    """D(elem) in U(g), D the derivation with D(X_y) = images[y], a term
+    dict (0 where images has no entry), normally ordered through one memo
+    that lives for this call."""
     algebra = elem.algebra
-    return PBWElement(algebra, _normalize(algebra, (
-        (w[:k] + (z,) + w[k + 1:], c * wc * bc)
-        for w, wc in elem.terms.items() for k, y in enumerate(w)
-        for z, bc in algebra.bracket_basis(t, y).items()), {}))
+    return PBWElement(algebra, _normalize(
+        algebra, substituted(elem.terms, images), {}))
 
 
 # ---- symmetrization --------------------------------------------------------
@@ -386,5 +397,5 @@ def parse_pbw(algebra, doc):
 
 def emit_pbw(elem):
     names = elem.algebra.names
-    return [{"word": [names[i] for i in w], "coeff": str(c)}
+    return [{"word": [names[i] for i in w], "coeff": plain_number(c)}
             for w, c in elem.ordered_terms()]

@@ -53,7 +53,7 @@ def signed_term(c, mono, latex=False):
 
     A unit magnitude is left out, an empty mono is the constant |c|, and
     in LaTeX a proper fraction is a \\frac."""
-    number = latex_fraction if latex else str
+    number = latex_fraction if latex else plain_number
     mag = abs(c)
     if not mono:
         return c < 0, number(mag)

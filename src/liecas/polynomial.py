@@ -102,20 +102,6 @@ class CommPoly(SparseTerms):
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    # ---- calculus -----------------------------------------------------
-
-    def partial(self, i):
-        """Formal derivative d/dx_i, so d(x_i^k)/dx_i = k x_i^(k-1)."""
-        if not 0 <= i < self.nvars:
-            raise MalformedInputError("variable index %d out of range" % i)
-        # dropping one letter i is injective, so no two terms collide
-        out = {}
-        for w, c in self.terms.items():
-            if i in w:
-                t = w.index(i)
-                out[w[:t] + w[t + 1:]] = exact(c * w.count(i))
-        return self._new(out)
-
     # ---- rendering --------------------------------------------------------
 
     def monomials(self):

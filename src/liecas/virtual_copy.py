@@ -19,20 +19,23 @@ came from.  It takes two commutator tables over every generator t,
 
     F_t = [f, X_t],    B_it = [P_i, X_t]  (Levi i),
 
-and derives each residual from them by an exact identity in U(g):
-[f, X_t] is F_t, the equivariance residual is E_ij = B_ij - sum over
-Levi k of C_ij^k P_k, [X'_i, Y_y] = [X_i, Y_y] f + X_i F_y + B_iy, and
-the adjoint residual is E_ij + X_i F_j + sum over non-Levi k of
-C_ij^k (X_k f - X_k).  The factor residuals follow from those through
+each the enveloping.derivation of f or P_i with the images -[X_t, X_y]
+of ad_images, one image table per generator.  It derives each residual
+from them by an exact identity in U(g): [f, X_t] is F_t, the
+equivariance residual is E_ij = B_ij - sum over Levi k of C_ij^k P_k,
+[X'_i, Y_y] = [X_i, Y_y] f + X_i F_y + B_iy, and the adjoint residual is
+E_ij + X_i F_j + sum over non-Levi k of C_ij^k (X_k f - X_k).  The
+factor residuals follow from those through
 
     [X'_i, X'_j] - f E'_ij = A_ij f + [E'_ij, f] + X_j [X'_i, f] + [X'_i, P_j]
 
 with E'_ij = sum_k C_ij^k image_k (image_k = X_k f + P_k for Levi k, the
 plain generator otherwise) and A_ij the adjoint residual.  As f and P_j
-are radical-supported, [X'_i, f] and [X'_i, P_j] expand letter by letter
-into sum w[:m] [X'_i, Y_{w_m}] w[m+1:] over their words w; likewise
-[X_k f, f] = -F_k f, [Y_k, f] = -F_k and [P_k, f] expands over the F_y.
-No dressed generator is formed, let alone a product of two.
+are radical-supported, [X'_i, f] and [X'_i, P_j] are the derivation
+with images [X'_i, Y_y], which replaces one letter of each word at a
+time; likewise [X_k f, f] = -F_k f, [Y_k, f] = -F_k and [P_k, f] is the
+derivation with images -F_y.  No dressed generator is formed, let alone
+a product of two.
 
 The report (CopyVerificationReport) holds the generator names and, for
 each condition of the ordered table CONDITIONS, a map from index key to
@@ -47,10 +50,10 @@ from collections import namedtuple
 from .enveloping import (
     DEGREE_CAP,
     PBWElement,
-    _normalize,
+    ad_images,
+    derivation,
     emit_pbw,
     parse_pbw,
-    u_commutator,
     u_mul,
 )
 from .errors import (
@@ -232,8 +235,10 @@ def verify(algebra, spec):
         if present and length > DEGREE_CAP:
             raise DegreeOverflowError(length, DEGREE_CAP)
     gens = {t: PBWElement.generator(algebra, t) for t in range(algebra.dim)}
-    F = {t: u_commutator(spec.f, x) for t, x in gens.items()}
-    B = {i: {t: u_commutator(spec.P[i], x) for t, x in gens.items()}
+    # [., X_t] is the derivation with images -[X_t, X_y]
+    against = {t: ad_images(algebra, t, -1) for t in gens}
+    F = {t: derivation(spec.f, against[t]) for t in gens}
+    B = {i: {t: derivation(spec.P[i], against[t]) for t in gens}
          for i in levi}
     # X_t f, of degree k, is formed only next to a Levi generator; a bracket
     # term leaking into the radical has no dressed image and is expected as
@@ -270,25 +275,21 @@ def verify(algebra, spec):
             keep("adjoint_residuals", (i, j), E + u_mul(gens[i], F[j])
                  + combination(i, j, leak))
 
-    def derive(elem, residual):
-        # the derivation D with D(Y_y) = residual[y] on radical-supported
-        # elem: sum over its words w of w[:m] D(Y_{w_m}) w[m+1:]
-        return PBWElement(algebra, _normalize(algebra, (
-            (w[:m] + u + w[m + 1:], c * v)
-            for w, c in elem.terms.items() for m, y in enumerate(w)
-            for u, v in residual.get(y, zero).terms.items()), {}))
-
-    # [image_k, f]: -[f, X_k] f - [f, P_k] for Levi k, -[f, Y_k] otherwise
-    against_f = {k: -(u_mul(F[k], spec.f) + derive(spec.P[k], F))
+    # [image_k, f]: -[f, X_k] f - [f, P_k] for Levi k, -[f, Y_k] otherwise;
+    # on radical-supported P_k, [f, .] is the derivation with images F
+    on_f = {y: r.terms for y, r in F.items()}
+    against_f = {k: -(u_mul(F[k], spec.f) + derivation(spec.P[k], on_f))
                  if k in algebra.levi else -F[k] for k in F}
     for i, j in pairs:
-        on_i = {y: r for (a, y), r in residuals["radical_residuals"].items()
+        # likewise [X'_i, .] on f and P_j, with images [X'_i, Y_y]
+        on_i = {y: r.terms
+                for (a, y), r in residuals["radical_residuals"].items()
                 if a == i}
         keep("factor_residuals", (i, j),
              u_mul(residuals["adjoint_residuals"].get((i, j), zero), spec.f)
              + combination(i, j, against_f)
-             + u_mul(gens[j], derive(spec.f, on_i))
-             + derive(spec.P[j], on_i))
+             + u_mul(gens[j], derivation(spec.f, on_i))
+             + derivation(spec.P[j], on_i))
     return report
 
 

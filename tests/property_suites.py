@@ -91,16 +91,15 @@ def pbw_associativity(algebras, seed, cases):
 
 
 def ug_jacobi(algebras, seed, cases):
-    from liecas.enveloping import u_commutator
+    from table_oracles import commutator_direct as bracket
     rng = random.Random(seed)
     for t in range(cases):
         g = algebras[t % len(algebras)]
         a = random_pbw(g, rng)
         b = random_pbw(g, rng)
         c = random_pbw(g, rng)
-        total = (u_commutator(u_commutator(a, b), c)
-                 + u_commutator(u_commutator(b, c), a)
-                 + u_commutator(u_commutator(c, a), b))
+        total = (bracket(bracket(a, b), c) + bracket(bracket(b, c), a)
+                 + bracket(bracket(c, a), b))
         assert total.is_zero(), "U(g) Jacobi failed in %r at case %d" % (g, t)
     return cases
 
@@ -123,21 +122,23 @@ def exterior_leibniz(algebras, seed, cases):
 
 
 def derivation_law(algebras, seed, cases):
-    from liecas.casimir_gen import _applier
+    from liecas.casimir_gen import xhat
+    from liecas.enveloping import ad_images
     rng = random.Random(seed)
     for t in range(cases):
         g = algebras[t % len(algebras)]
-        i = rng.randrange(g.dim)
+        images = ad_images(g, rng.randrange(g.dim))
         f = random_poly(g.dim, rng)
         h = random_poly(g.dim, rng)
-        lhs = _applier(g, f * h)(i)
-        rhs = _applier(g, f)(i) * h + f * _applier(g, h)(i)
+        lhs = xhat(g, f * h, images)
+        rhs = xhat(g, f, images) * h + f * xhat(g, h, images)
         assert lhs == rhs, "derivation law failed in %r at case %d" % (g, t)
     return cases
 
 
 def representation_property(algebras, seed, cases):
-    from liecas.casimir_gen import _applier
+    from liecas.casimir_gen import xhat
+    from liecas.enveloping import ad_images
     from liecas.polynomial import CommPoly
     rng = random.Random(seed)
     for t in range(cases):
@@ -145,11 +146,14 @@ def representation_property(algebras, seed, cases):
         i = rng.randrange(g.dim)
         j = rng.randrange(g.dim)
         f = random_poly(g.dim, rng)
-        apply_f = _applier(g, f)
-        lhs = (_applier(g, apply_f(j))(i) - _applier(g, apply_f(i))(j))
+
+        def apply(k, poly):
+            return xhat(g, poly, ad_images(g, k))
+
+        lhs = apply(i, apply(j, f)) - apply(j, apply(i, f))
         rhs = CommPoly.zero(g.dim)
         for k, c in g.bracket_basis(i, j).items():
-            rhs = rhs + c * apply_f(k)
+            rhs = rhs + c * apply(k, f)
         assert lhs == rhs, \
             "representation property failed in %r at case %d" % (g, t)
     return cases
@@ -411,14 +415,15 @@ def copy_residual_agreement(seed, cases):
 
 
 def derivation_agreement(seed, cases):
-    """u_commutator with a scaled generator c X_t (c not 0 or 1), on the
-    left and on the right, against the explicit ab - ba of
-    table_oracles.commutator_direct.  The other factor is a seeded random
-    element of degree at most 6 that is not itself a scaled generator;
-    the cases cycle through every catalog family at its least N.  Not in
-    ALL_SUITES: it takes no algebras."""
+    """enveloping.derivation by ad_images(g, t, c) (c not 0 or 1) against
+    the explicit ab - ba of table_oracles.commutator_direct, with the
+    generator c X_t on the left, and by ad_images(g, t, -c) with it on the
+    right.  The other factor is a seeded random element of degree at most
+    6 that is not itself a scaled generator; the cases cycle through
+    every catalog family at its least N.  Not in ALL_SUITES: it takes no
+    algebras."""
     from liecas.catalog import FAMILIES, build
-    from liecas.enveloping import PBWElement, u_commutator
+    from liecas.enveloping import PBWElement, ad_images, derivation
     from table_oracles import commutator_direct
     rng = random.Random(seed)
     algebras = [build(name, family.least)[0]
@@ -428,14 +433,51 @@ def derivation_agreement(seed, cases):
         c = random_fraction(rng)
         while c == 1:
             c = random_fraction(rng)
-        x = PBWElement.generator(g, rng.randrange(g.dim)).scale(c)
+        s = rng.randrange(g.dim)
+        x = PBWElement.generator(g, s).scale(c)
         b = random_pbw(g, rng, max_len=6, max_terms=4)
         while len(b.terms) == 1 and len(next(iter(b.terms))) == 1:
             b = random_pbw(g, rng, max_len=6, max_terms=4)
-        assert u_commutator(x, b) == commutator_direct(x, b), \
+        assert derivation(b, ad_images(g, s, c)) == commutator_direct(x, b), \
             "[c X_t, b] differs in %r at case %d" % (g, t)
-        assert u_commutator(b, x) == commutator_direct(b, x), \
+        assert derivation(b, ad_images(g, s, -c)) == \
+            commutator_direct(b, x), \
             "[b, c X_t] differs in %r at case %d" % (g, t)
+    return cases
+
+
+def xhat_agreement(seed, cases):
+    """casimir_gen.xhat by ad_images(g, t) against
+    table_oracles.xhat_direct, the sum of C_tj^k x_k dF/dx_j through
+    table_oracles.partial, on seeded random polynomials of degree at most
+    5 with 1-4 terms; the cases cycle through every catalog family at its
+    least N.  Each polynomial's letters come from two random generators
+    and two that fail to commute with X_t, so letters repeat and most
+    cases move.  Not in ALL_SUITES: it takes no algebras."""
+    from liecas.casimir_gen import xhat
+    from liecas.catalog import FAMILIES, build
+    from liecas.enveloping import ad_images
+    from liecas.polynomial import CommPoly
+    from table_oracles import xhat_direct
+    rng = random.Random(seed)
+    algebras = [build(name, family.least)[0]
+                for name, family in FAMILIES.items()]
+    moved = 0
+    for t in range(cases):
+        g = algebras[t % len(algebras)]
+        s = rng.randrange(g.dim)
+        images = ad_images(g, s)
+        pool = (rng.sample(range(g.dim), min(g.dim, 2))
+                + rng.sample(sorted(images), min(len(images), 2)))
+        p = CommPoly.zero(g.dim)
+        for _ in range(rng.randint(1, 4)):
+            word = [rng.choice(pool) for _ in range(rng.randint(0, 5))]
+            p = p + CommPoly.monomial(g.dim, word, random_fraction(rng))
+        want = xhat_direct(g, p, s)
+        assert xhat(g, p, images) == want, \
+            "Xhat_t differs in %r at case %d" % (g, t)
+        moved += bool(want)
+    assert moved > cases // 2, "too few cases with Xhat_t F != 0"
     return cases
 
 
@@ -488,13 +530,13 @@ def jacobi_agreement(seed, cases):
 
 def normal_order_agreement(seed, cases):
     """PBWElement.from_terms (through table_oracles.pbw_normalize), u_mul
-    and the [c X_t, .] derivation of u_commutator against
+    and the [c X_t, .] derivation by ad_images against
     table_oracles.normal_word_bubble, on seeded random words of length at
     most 6 over the roster algebras: NF(w) is the bubble of w,
     NF(u) NF(v) that of u v, and [c X_t, NF(w)] that of c (t w - w t),
     with the generator on either side.  Not in ALL_SUITES: it takes no
     algebras."""
-    from liecas.enveloping import PBWElement, u_commutator, u_mul
+    from liecas.enveloping import ad_images, derivation, u_mul
     from table_oracles import normal_word_bubble as bubble, pbw_normalize
     rng = random.Random(seed)
     algebras = roster()
@@ -509,11 +551,10 @@ def normal_order_agreement(seed, cases):
         assert u_mul(bubble(g, word[:cut], c), bubble(g, word[cut:])) == nf, \
             "product differs in %r at case %d" % (g, t)
         x, d = rng.randrange(g.dim), random_fraction(rng)
-        gen = PBWElement.generator(g, x).scale(d)
         want = bubble(g, (x,) + word, c * d) - bubble(g, word + (x,), c * d)
-        assert u_commutator(gen, nf) == want, \
+        assert derivation(nf, ad_images(g, x, d)) == want, \
             "[c X_t, b] differs in %r at case %d" % (g, t)
-        assert u_commutator(nf, gen) == -want, \
+        assert derivation(nf, ad_images(g, x, -d)) == -want, \
             "[b, c X_t] differs in %r at case %d" % (g, t)
     return cases
 

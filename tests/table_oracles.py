@@ -23,15 +23,15 @@ realization, with the deformation parameter alpha left symbolic.
 The last sections hold slow, independent references that the package
 itself does not need: the wedge product and the antiderivation d on the
 exterior algebra of the dual, the half-rank of a 2-form by wedge powers,
-the characteristic polynomial by cofactor expansion, the invariance of a
-polynomial under the coadjoint action by one product per bracket term,
-the rank over Q by Gaussian elimination over Fraction and by
-fraction-free (Bareiss) elimination, the normal form of a word in U(g)
-by unmemoized bubbling, the product of a sequence of elements of U(g)
-one factor at a time, the commutator in U(g) as two full products, the
-conditions of a virtual copy with every bracket of the dressed
-generators multiplied out in full, and the Jacobi sums of a bracket
-table over every index triple.
+the characteristic polynomial by cofactor expansion, the formal partial
+derivative, the coadjoint action Xhat_i on S(g) and the invariance of a
+polynomial under it by one product per bracket term, the rank over Q
+by Gaussian elimination over Fraction and by fraction-free (Bareiss)
+elimination, the normal form of a word in U(g) by unmemoized bubbling,
+the product of a sequence of elements of U(g) one factor at a time, the
+commutator in U(g) as two full products, the conditions of a virtual
+copy with every bracket of the dressed generators multiplied out in
+full, and the Jacobi sums of a bracket table over every index triple.
 
 The last section holds the paper's other route to the Casimirs of the
 full algebra, which no request takes: the quadratic Casimirs of the two
@@ -52,8 +52,9 @@ from math import lcm
 from liecas.enveloping import (
     PBWElement,
     _orderings,
+    ad_images,
+    derivation,
     symmetrize,
-    u_commutator,
     u_mul,
 )
 from liecas.errors import (
@@ -322,12 +323,18 @@ def lhs_factor_names(lhs, env):
 
 
 def engine_bracket(algebra, lhs, env):
-    """u_commutator of the row's two factors at concrete indices."""
+    """The engine's bracket of the row's two factors at concrete indices:
+    the derivation by ad_images when a factor is one generator, the two
+    products of commutator_direct otherwise."""
     ix = algebra.name_index
     left_names, right_names = lhs_factor_names(lhs, env)
     left = pbw_normalize(algebra, [ix[n] for n in left_names])
     right = pbw_normalize(algebra, [ix[n] for n in right_names])
-    return u_commutator(left, right)
+    if len(left_names) == 1:
+        return derivation(right, ad_images(algebra, ix[left_names[0]]))
+    if len(right_names) == 1:
+        return derivation(left, ad_images(algebra, ix[right_names[0]], -1))
+    return commutator_direct(left, right)
 
 
 def printed_matches_engine(algebra, N, row):
@@ -506,17 +513,37 @@ def char_poly_cofactor(matrix):
     return det(rows)
 
 
+def partial(poly, i):
+    """Formal derivative d/dx_i, so d(x_i^k)/dx_i = k x_i^(k-1)."""
+    if not 0 <= i < poly.nvars:
+        raise MalformedInputError("variable index %d out of range" % i)
+    # dropping one letter i is injective, so no two terms collide
+    out = {}
+    for w, c in poly.terms.items():
+        if i in w:
+            t = w.index(i)
+            out[w[:t] + w[t + 1:]] = exact(c * w.count(i))
+    return CommPoly(poly.nvars, out)
+
+
+def xhat_direct(algebra, poly, i):
+    """Xhat_i poly = sum_{j,k} C_ij^k x_k dF/dx_j, multiplied out term by
+    term through partial."""
+    res = CommPoly.zero(poly.nvars)
+    for j in range(algebra.dim):
+        for k, c in algebra.bracket_basis(i, j).items():
+            res = res + (CommPoly.variable(poly.nvars, k)
+                         * partial(poly, j)).scale(c)
+    return res
+
+
 def is_invariant(algebra, poly):
     """(flag, violations): violations lists (i, Xhat_i poly) for the
-    generators that fail to kill the polynomial, where
-    Xhat_i F = sum_{j,k} C_ij^k x_k dF/dx_j is multiplied out term by term."""
+    generators that fail to kill the polynomial, Xhat_i poly taken by
+    xhat_direct."""
     violations = []
     for i in range(algebra.dim):
-        res = CommPoly.zero(poly.nvars)
-        for j in range(algebra.dim):
-            for k, c in algebra.bracket_basis(i, j).items():
-                res = res + (CommPoly.variable(poly.nvars, k)
-                             * poly.partial(j)).scale(c)
+        res = xhat_direct(algebra, poly, i)
         if res:
             violations.append((i, res))
     return (not violations, violations)
@@ -852,7 +879,7 @@ def lift_casimir(algebra, spec, casimir):
     inside = PBWElement(sub, {tuple(pos[i] for i in w): c
                               for w, c in casimir.terms.items()})
     for t in range(sub.dim):
-        if u_commutator(inside, PBWElement.generator(sub, t)):
+        if derivation(inside, ad_images(sub, t)):
             raise PreconditionError(
                 "element is not a Casimir of the Levi subalgebra "
                 "(fails against %s)" % sub.names[t])
@@ -884,7 +911,7 @@ def functionally_independent(algebra, polys, trials=3, seed=1729):
     if trials < 1:
         raise MalformedInputError("need at least one trial")
     rng = random.Random(seed)
-    grads = [[p.partial(j) for j in range(algebra.dim)] for p in polys]
+    grads = [[partial(p, j) for j in range(algebra.dim)] for p in polys]
     for _ in range(trials):
         point = tuple(rng.randint(_LOW, _HIGH) for _ in range(algebra.dim))
         jac = [[evaluate(d, point) for d in row] for row in grads]

@@ -16,7 +16,7 @@ from liecas.contraction import (
     transplant,
     weighted_leading_part,
 )
-from liecas.enveloping import PBWElement, u_commutator
+from liecas.enveloping import PBWElement, ad_images, derivation
 from liecas.invariants import invariant_count, structure_matrix
 from liecas.polynomial import CommPoly
 from liecas.virtual_copy import build_operators, make_spec, verify
@@ -129,8 +129,8 @@ def test_criterion_4():
                 want = PBWElement(algebra)
                 for m, c in table.get((a, b), {}).items():
                     want = want + PBWElement.generator(algebra, m).scale(c)
-                got = u_commutator(PBWElement.generator(algebra, a),
-                                   PBWElement.generator(algebra, b))
+                got = derivation(PBWElement.generator(algebra, b),
+                                 ad_images(algebra, algebra.index(a)))
                 assert got == want, (alpha, a, b)
 
 
@@ -159,8 +159,8 @@ def test_criterion_5():
     lifted = lift_casimir(algebra, spec, levi_quadratic_casimir(algebra))
     assert algebra.dim == 10
     for i in range(algebra.dim):
-        gen = PBWElement.generator(algebra, i)
-        assert u_commutator(lifted, gen).is_zero(), algebra.names[i]
+        assert derivation(lifted, ad_images(algebra, i, -1)).is_zero(), \
+            algebra.names[i]
 
 
 def test_criterion_6():

@@ -122,6 +122,31 @@ def test_residual_past_the_int_string_limit_is_answered(tmp_path):
         assert (code, json.loads(out)) == (2, refusal)
 
 
+def test_copy_residual_past_the_int_string_limit_is_answered(tmp_path):
+    # P[J_12] = G_2 F_1 / (10^2200 + 1) + G_1 F_2 / (10^2200 + 3) on Ha(3)
+    # leaves residual coefficients with 4,401-digit denominators; both
+    # formats print them by their digit count instead of a traceback
+    algebra, spec = build("Ha", 3)
+    doc = emit_spec(spec)
+    for term, d in zip(doc["P"]["J_12"], (1, 3)):
+        term["coeff"] = "1/%d" % (10 ** 2200 + d)
+    argv = [sys.executable, "-m", "liecas.cli", "verify-copy",
+            "--algebra", write_json(tmp_path / "ha3.json",
+                                    algebra_to_json(algebra)),
+            "--spec", write_json(tmp_path / "big.json", doc)]
+    out = {}
+    for fmt in ("json", "text"):
+        proc = subprocess.run(
+            argv + ["--format", fmt], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONINTMAXSTRDIGITS="4300"))
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert "/<4401-digit integer>" in proc.stdout
+        out[fmt] = proc.stdout
+    report = json.loads(out["json"])
+    assert report["passed"] is False and report["factor_residuals"]
+    assert out["text"].startswith("[X'_J_12, G_1] = -")
+
+
 def test_failing_dressing_exits_1_with_residuals(capsys, tmp_path):
     algebra, spec = build("IHa", 3)
     apath = write_json(tmp_path / "iha3.json", algebra_to_json(algebra))

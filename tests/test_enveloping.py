@@ -5,10 +5,11 @@ import pytest
 from liecas.enveloping import (
     DEGREE_CAP,
     PBWElement,
+    ad_images,
+    derivation,
     emit_pbw,
     parse_pbw,
     symmetrize,
-    u_commutator,
     u_mul,
 )
 from liecas.casimir_gen import build_so_matrix, char_poly_coefficients
@@ -80,8 +81,8 @@ def test_u_mul_and_generator_commutator_matches_bracket():
     for g in (h1(), sl2()):
         for i in range(g.dim):
             for j in range(g.dim):
-                lhs = u_commutator(PBWElement.generator(g, i),
-                                   PBWElement.generator(g, j))
+                lhs = derivation(PBWElement.generator(g, j),
+                                 ad_images(g, i))
                 rhs = PBWElement.from_terms(
                     g, {(k,): c for k, c in g.bracket_basis(i, j).items()})
                 assert lhs == rhs
@@ -133,25 +134,38 @@ def test_generator_commutator_takes_elements_at_the_degree_cap():
     b = pbw_normalize(g, (1,) * DEGREE_CAP) + PBWElement.generator(g, 2)
     for t in range(g.dim):
         x = PBWElement.generator(g, t).scale(3)
-        for args in ((x, b), (b, x)):
-            assert u_commutator(*args).degree() <= DEGREE_CAP
+        for c, args in ((3, (x, b)), (-3, (b, x))):
+            assert derivation(b, ad_images(g, t, c)).degree() <= DEGREE_CAP
             with pytest.raises(DegreeOverflowError) as caught:
                 u_mul(*args)
             assert str(caught.value) == \
                 "word of length 13 exceeds the degree cap 12"
     for n in (DEGREE_CAP - 1, DEGREE_CAP):
-        assert u_commutator(PBWElement.generator(g, 0),
-                            pbw_normalize(g, (1,) * n)) == \
+        assert derivation(pbw_normalize(g, (1,) * n), ad_images(g, 0)) == \
             pbw_normalize(g, (1,) * (n - 1) + (2,), n)
     top = pbw_normalize(so_algebra(4), _SO4_REVERSED)
     for t in range(6):
-        x = PBWElement.generator(top.algebra, t)
-        assert top.degree() == u_commutator(x, top).degree() == DEGREE_CAP
+        images = ad_images(top.algebra, t)
+        assert top.degree() == derivation(top, images).degree() == DEGREE_CAP
     # only the raw constructor builds a word past the cap; the derivation
     # checks every word it orders, as a product does
     over = PBWElement(g, {(1,) * (DEGREE_CAP + 1): F(1)})
     with pytest.raises(DegreeOverflowError):
-        u_commutator(PBWElement.generator(g, 0), over)
+        derivation(over, ad_images(g, 0))
+
+
+def test_ad_images_are_the_bracket_rows():
+    g = sl2()
+    # [H, E] = 2E and [H, F] = -2F; H commutes with itself
+    assert ad_images(g, 0) == {1: {(1,): 2}, 2: {(2,): -2}}
+    assert ad_images(g, 0, F(-1, 2)) == {1: {(1,): -1}, 2: {(2,): 1}}
+    with pytest.raises(MalformedInputError):
+        ad_images(g, 3)
+    # a derivation may map a letter to any element: D(X_y) = X_y X_y
+    # doubles each word's letters one at a time
+    e = pbw_normalize(g, (1, 2))
+    assert derivation(e, {1: {(1, 1): 1}}) == pbw_normalize(g, (1, 1, 2))
+    assert derivation(e, {}).is_zero()
 
 
 def test_generator_commutator_matches_products():

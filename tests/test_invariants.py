@@ -2,14 +2,20 @@ from fractions import Fraction
 
 import pytest
 
-from liecas.casimir_gen import _applier
+from liecas.casimir_gen import xhat
 from liecas.catalog import heisenberg_algebra
+from liecas.enveloping import ad_images
 from liecas.errors import MalformedInputError
 from liecas.invariants import invariant_count
 from liecas.lie_core import LieAlgebra
 from liecas.polynomial import CommPoly
 
-from property_suites import derivation_law, representation_property, roster
+from property_suites import (
+    derivation_law,
+    representation_property,
+    roster,
+    xhat_agreement,
+)
 from table_oracles import functionally_independent, is_invariant
 
 F = Fraction
@@ -42,11 +48,15 @@ def test_analytic_apply_so3():
     g = so3()
     # Xhat_1 = x3 d/dx2 - x2 d/dx3
     x1, x2, x3 = (xv(3, i) for i in range(3))
-    assert _applier(g, x2)(0) == x3
-    assert _applier(g, x3)(0) == -x2
-    assert _applier(g, x1)(0).is_zero()
+    images = ad_images(g, 0)
+    assert xhat(g, x2, images) == x3
+    assert xhat(g, x3, images) == -x2
+    assert xhat(g, x1, images).is_zero()
+    # d(x2 x3)/dx2 and the two letters of x2^2 each pass through once
+    assert xhat(g, x2 * x3, images) == x3 * x3 - x2 * x2
+    assert xhat(g, x2 * x2, images) == 2 * x2 * x3
     with pytest.raises(MalformedInputError):
-        _applier(g, CommPoly.variable(2, 0))
+        xhat(g, CommPoly.variable(2, 0), images)
 
 
 def test_so3_casimir_is_invariant():
@@ -123,3 +133,7 @@ def test_derivation_law_suite():
 
 def test_representation_property_suite():
     assert representation_property(roster(), seed=17, cases=40) == 40
+
+
+def test_xhat_matches_the_partial_derivative_formula():
+    assert xhat_agreement(seed=18, cases=200) == 200

@@ -1,7 +1,8 @@
 """The package runs on the standard library alone: every absolute import
 in src/liecas names a standard-library module or liecas itself.  And it
 imports nothing it does not use: every name an import binds is read
-somewhere in its module."""
+somewhere in its module.  No module imports another's underscore-prefixed
+name."""
 
 import ast
 import pathlib
@@ -52,3 +53,18 @@ def test_every_imported_name_is_used():
                    for line, name in imported_names(tree)
                    if name not in read]
     assert not unused, unused
+
+
+def test_no_private_name_crosses_a_module():
+    # a name with a leading underscore stays in the module that defines it
+    crossing = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0]
+                    == "liecas"):
+                crossing += ["%s:%d %s" % (path.name, node.lineno, alias.name)
+                             for alias in node.names
+                             if alias.name.startswith("_")]
+    assert not crossing, crossing

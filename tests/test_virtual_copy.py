@@ -4,7 +4,7 @@ import pytest
 
 import liecas.virtual_copy
 from liecas.catalog import build
-from liecas.enveloping import PBWElement, u_commutator, u_mul
+from liecas.enveloping import PBWElement, ad_images, derivation, u_mul
 from liecas.errors import (
     MalformedInputError,
     PreconditionError,
@@ -25,7 +25,11 @@ from property_suites import (
     failing_specs,
     normal_order_footprint,
 )
-from table_oracles import levi_quadratic_casimir, lift_casimir
+from table_oracles import (
+    commutator_direct,
+    levi_quadratic_casimir,
+    lift_casimir,
+)
 
 
 def b(name, N=None):
@@ -122,7 +126,8 @@ def test_report_is_one_map_per_condition():
     assert list(report.residuals) == [name for name, _line in CONDITIONS]
     for name in ("f_radical_residuals", "f_levi_residuals"):
         for (y,), residual in report.residuals[name].items():
-            assert residual == u_commutator(f, PBWElement.generator(algebra, y))
+            assert residual == commutator_direct(
+                f, PBWElement.generator(algebra, y))
     assert report.residuals["f_radical_residuals"]
     assert report.residuals["f_levi_residuals"]
     assert not (report.passed or report.f_is_radical_invariant
@@ -189,7 +194,7 @@ def test_lift_through_trivial_dressing():
     z = algebra.index("Z")
     assert lifted.terms == {(t, t, z, z): Fraction(1) for t in range(3)}
     for t in range(algebra.dim):
-        assert not u_commutator(lifted, PBWElement.generator(algebra, t))
+        assert not derivation(lifted, ad_images(algebra, t, -1))
 
 
 def test_lift_keeps_scalar_layers():
@@ -204,7 +209,7 @@ def test_lifted_hamilton_casimir_is_central():
     algebra, spec = b("Ha", 3)
     lifted = lift_casimir(algebra, spec, levi_quadratic_casimir(algebra))
     for t in range(algebra.dim):
-        assert not u_commutator(lifted, PBWElement.generator(algebra, t))
+        assert not derivation(lifted, ad_images(algebra, t, -1))
 
 
 def test_su11_lift_matches_the_symmetric_arrangement():
@@ -215,7 +220,7 @@ def test_su11_lift_matches_the_symmetric_arrangement():
     direct = u_mul(h, h) - (u_mul(y, z) + u_mul(z, y)).scale(Fraction(1, 2))
     assert lifted == direct
     for t in range(algebra.dim):
-        assert not u_commutator(lifted, PBWElement.generator(algebra, t))
+        assert not derivation(lifted, ad_images(algebra, t, -1))
 
 
 def test_lift_preconditions():
@@ -273,22 +278,30 @@ def test_copy_residuals_match_direct_products():
 
 def test_verify_takes_two_commutator_tables(monkeypatch):
     # [f, X_t] and [P_i, X_t] once each over the 36 generators of QHa(5)
-    # and its 10 Levi generators: 36 * 11 = 396 brackets, where checking
-    # each condition on its own took 496; no dressed generator is built
+    # and its 10 Levi generators: 36 + 10 * 36 = 396 derivations by the
+    # images of [., X_t], where checking each condition on its own took
+    # 496 brackets.  Each image table is built once per generator, and no
+    # dressed generator is built
     algebra, spec = b("QHa", 5)
-    calls = []
+    tables, calls = [], []
 
-    def counted(x, y):
-        calls.append((x, y))
-        return u_commutator(x, y)
+    def built(*args):
+        tables.append(ad_images(*args))
+        return tables[-1]
+
+    def counted(elem, images):
+        calls.append(any(images is table for table in tables))
+        return derivation(elem, images)
 
     def no_operators(*args):
         raise AssertionError("verify built the dressed generators")
 
-    monkeypatch.setattr(liecas.virtual_copy, "u_commutator", counted)
+    monkeypatch.setattr(liecas.virtual_copy, "ad_images", built)
+    monkeypatch.setattr(liecas.virtual_copy, "derivation", counted)
     monkeypatch.setattr(liecas.virtual_copy, "build_operators", no_operators)
     assert verify(algebra, spec).passed
-    assert len(calls) == algebra.dim * (1 + len(algebra.levi)) == 396
+    assert len(tables) == algebra.dim
+    assert calls.count(True) == algebra.dim * (1 + len(algebra.levi)) == 396
 
 
 def test_verify_footprint_on_qha5():
