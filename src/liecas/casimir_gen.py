@@ -61,16 +61,15 @@ from .sparse import accumulate
 from .virtual_copy import build_operators, require_verified
 
 
-def rotation_block_size(algebra):
-    """N for a Levi part named exactly {J_ij : 1 <= i < j <= N}.
+def rotation_block(algebra):
+    """(N, {(a, b): t}) for a Levi part named exactly {J_ij : 1 <= i < j
+    <= N}, generator t being J_(a+1)(b+1) for 0-based a < b.
 
     An empty Levi part counts as N = 1 (a single rotation axis has no
     J generators at all).
     """
     names = sorted(algebra.names[t] for t in algebra.levi)
-    if not names:
-        return 1
-    top = 1
+    block = {}
     for name in names:
         if not (name.startswith("J_") and len(name) == 4
                 and name[2:].isdigit()):
@@ -79,13 +78,12 @@ def rotation_block_size(algebra):
         i, j = int(name[2]), int(name[3])
         if not 1 <= i < j:
             raise NotApplicableError("bad rotation label %r" % name)
-        top = max(top, j)
-    want = sorted("J_%d%d" % (i, j)
-                  for i in range(1, top + 1) for j in range(i + 1, top + 1))
-    if names != want:
+        block[(i - 1, j - 1)] = algebra.index(name)
+    N = max((b + 1 for _a, b in block), default=1)
+    if len(block) != N * (N - 1) // 2:
         raise NotApplicableError(
             "Levi part is not a full rotation block: have %s" % names)
-    return top
+    return N, block
 
 
 def build_so_matrix(algebra, spec):
@@ -93,17 +91,16 @@ def build_so_matrix(algebra, spec):
     images, N the size read off the Levi labels.  The spec must verify,
     which is checked first."""
     require_verified(algebra, spec, "the matrix entries would be meaningless")
-    N = rotation_block_size(algebra)
+    N, block = rotation_block(algebra)
     zero = CommPoly.zero(algebra.dim)
     matrix = [[zero for _ in range(N)] for _ in range(N)]
     if N == 1:
         return matrix
     ops = build_operators(algebra, spec)
-    for i in range(1, N + 1):
-        for j in range(i + 1, N + 1):
-            entry = ops[algebra.index("J_%d%d" % (i, j))].commutative_image()
-            matrix[i - 1][j - 1] = entry
-            matrix[j - 1][i - 1] = entry.scale(-1)
+    for (a, b), t in block.items():
+        entry = ops[t].commutative_image()
+        matrix[a][b] = entry
+        matrix[b][a] = entry.scale(-1)
     return matrix
 
 
@@ -132,8 +129,7 @@ def check_covariance(algebra, matrix):
     char-poly coefficient is invariant.  The argument reads nothing of
     the algebra's Levi rows beyond the J_ij names."""
     N = len(matrix)
-    rotation = {algebra.index("J_%d%d" % (a + 1, b + 1)): (a, b)
-                for a in range(N) for b in range(a + 1, N)}
+    rotation = {t: ab for ab, t in rotation_block(algebra)[1].items()}
     zero = CommPoly.zero(algebra.dim)
     images = [ad_images(algebra, t) for t in range(algebra.dim)]
     for i in range(N):

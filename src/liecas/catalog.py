@@ -30,8 +30,8 @@ Families:
                     parameterized by alpha (spec only at alpha = 1,
                     f = R^2 - T^2)
     boson_example_contracted
-                    its alpha = 0 contraction carrying the contracted
-                    spec f0 = -T^2
+                    its alpha = 0 contraction and contracted spec
+                    (f0 = -T^2), derived by contraction.contract_copy
 
 The Hamilton families need N >= 3 and all J_ij naming stops at N = 9.
 """
@@ -40,7 +40,7 @@ from collections import namedtuple
 from itertools import combinations, product
 
 from .enveloping import PBWElement, symmetrize
-from .errors import InternalConsistencyError, MalformedInputError
+from .errors import MalformedInputError
 from .lie_core import LieAlgebra, bracket_table
 from .polynomial import CommPoly
 from .sparse import exact
@@ -81,17 +81,12 @@ def build(name, N=None, alpha=None):
 # ---- named relations --------------------------------------------------------
 
 
-def _algebra(names, relations, levi, dim):
-    """The algebra on names with the given relations and Levi names; dim
-    is the family's count of generators, checked."""
+def _algebra(names, relations, levi):
+    """The algebra on names with the given relations and Levi names."""
     ix = {m: t for t, m in enumerate(names)}
-    algebra = LieAlgebra(names, bracket_table(
+    return LieAlgebra(names, bracket_table(
         (ix[a], ix[b], ((ix[k], c),)) for a, b, k, c in relations),
         levi=[ix[m] for m in levi])
-    if algebra.dim != dim:
-        raise InternalConsistencyError(
-            "built %d generators, the family has %d" % (algebra.dim, dim))
-    return algebra
 
 
 def _so_pairs(N):
@@ -119,7 +114,7 @@ def _vector_relations(N, letter):
 
 def so_algebra(N):
     names = [_j_name(i, j) for (i, j) in _so_pairs(N)]
-    return _algebra(names, _rotation_relations(N), names, N * (N - 1) // 2)
+    return _algebra(names, _rotation_relations(N), names)
 
 
 # ---- Heisenberg and the Quesne boson family -----------------------------------
@@ -129,7 +124,7 @@ def heisenberg_algebra(N):
     P = ["P_%d" % k for k in range(1, N + 1)]
     Q = ["Q_%d" % k for k in range(1, N + 1)]
     return _algebra(P + Q + ["Z"], [(p, q, "Z", 1) for p, q in zip(P, Q)],
-                    [], 2 * N + 1)
+                    [])
 
 
 def weyl_quesne(n):
@@ -154,7 +149,7 @@ def weyl_quesne(n):
     e_names = [E(i, j) for i in ns for j in ns]
     names = (e_names + ["bd_%d" % k for k in ns] + ["b_%d" % k for k in ns]
              + ["I"])
-    algebra = _algebra(names, relations(), e_names, n * n + 2 * n + 1)
+    algebra = _algebra(names, relations(), e_names)
     f = PBWElement.generator(algebra, "I")
     ix = algebra.name_index
     P = {E(i, j): PBWElement.from_terms(
@@ -200,10 +195,7 @@ def hamilton(N, inhomogeneous=False, extension=""):
         names += ["%s_%d" % (letter, k) for k in range(1, N + 1)]
     names += ["R", "E", "T"] if inhomogeneous else ["R"]
     names += [letter for letter in "LAM" if letter in ext]
-    # rotations, two N-vectors and R; IHa adds two more vectors, E and T
-    algebra = _algebra(names, relations(), rotations, N * (N - 1) // 2
-                       + (4 * N + 3 if inhomogeneous else 2 * N + 1)
-                       + len(ext))
+    algebra = _algebra(names, relations(), rotations)
     return algebra, _hamilton_spec(algebra, N, inhomogeneous, ext)
 
 
@@ -259,7 +251,7 @@ _SU11_RELATIONS = [("X_1,1", "X_-1,1", "X_-1,1", -2),
 
 
 def su11_algebra():
-    return _algebra(_SU11_NAMES, _SU11_RELATIONS, _SU11_NAMES, 3)
+    return _algebra(_SU11_NAMES, _SU11_RELATIONS, _SU11_NAMES)
 
 
 def boson_algebra(alpha):
@@ -276,7 +268,7 @@ def boson_algebra(alpha):
         (Q, P, "R", alpha), (Q, "E", G, alpha), (P, "E", F, alpha),
         ("E", "T", "R", -2 * alpha)]
     names = _SU11_NAMES + [G, F, Q, P, "R", "E", "T"]
-    return _algebra(names, relations, _SU11_NAMES, 10)
+    return _algebra(names, relations, _SU11_NAMES)
 
 
 def _sym_words(algebra, terms):
@@ -317,22 +309,14 @@ def boson_example(alpha=1):
 
 
 def boson_example_contracted():
-    algebra = boson_algebra(0)
-    ix = algebra.name_index
-    G, F, Q, P, R, T = (ix[m] for m in ("G_1", "F_1", "Q_1", "P_1", "R", "T"))
-    f0 = PBWElement.from_terms(algebra, {(T, T): -1})
-    P_map = {
-        # T(Q_1 F_1 + G_1 P_1) - R Q_1 P_1
-        "X_1,1": _sym_words(algebra, {
-            (T, Q, F): 1, (T, G, P): 1, (R, Q, P): -1}),
-        # 2 T G_1 Q_1 - R Q_1^2
-        "X_-1,1": _sym_words(algebra, {
-            (T, G, Q): 2, (R, Q, Q): -1}),
-        # 2 T F_1 P_1 - R P_1^2
-        "X_1,-1": _sym_words(algebra, {
-            (T, F, P): 2, (R, P, P): -1}),
-    }
-    return algebra, make_spec(algebra, f0, P_map)
+    """boson_example's alpha = 0 limit and its dressing, as contract_copy
+    derives them from the weighting Q_1 = P_1 = E = T = 1."""
+    from .contraction import ContractionWeights, contract_copy
+    algebra, spec = boson_example(1)
+    weights = ContractionWeights(algebra,
+                                 {"Q_1": 1, "P_1": 1, "E": 1, "T": 1})
+    outcome = contract_copy(algebra, spec, weights)
+    return outcome.algebra_prime, outcome.spec_prime
 
 
 # ---- the family registry -------------------------------------------------------

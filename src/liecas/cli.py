@@ -51,7 +51,7 @@ from .errors import (DegreeOverflowError, InternalConsistencyError,
                      LiecasError, LimitDoesNotExistError, MalformedInputError,
                      NotApplicableError, PreconditionError)
 from .lie_core import algebra_from_json, algebra_to_json
-from .naming import latex_name, signed_join, signed_term
+from .naming import latex_name, plain_number, signed_join, signed_term
 from .sparse import exact
 
 FORMATS = ("json", "text", "latex")
@@ -182,7 +182,7 @@ def _poly_json(poly):
         exps = [0] * poly.nvars
         for t in w:
             exps[t] += 1
-        out.append({"exps": exps, "coeff": str(c)})
+        out.append({"exps": exps, "coeff": plain_number(c)})
     return out
 
 
@@ -235,7 +235,7 @@ def _cmd_mc(args, fmt):
     if fmt == "json":
         return 0, {"forms": [
             {"k": names[k],
-             "terms": [{"i": names[i], "j": names[j], "c": str(c)}
+             "terms": [{"i": names[i], "j": names[j], "c": plain_number(c)}
                        for (i, j), c in forms[k].ordered_terms()]}
             for k in range(algebra.dim)]}
     if fmt == "latex":
@@ -314,14 +314,6 @@ def _cmd_contract(args, fmt):
     from .enveloping import emit_pbw
     from .virtual_copy import emit_spec
     outcome = contract_copy(algebra, spec, weights)
-    if outcome.limit_error is not None:
-        err = outcome.limit_error
-        err.payload = {"f_top_weight": outcome.M0,
-                       "p_top_weights": {names[i]: m
-                                         for i, m in outcome.Mi.items()},
-                       "copy_compatible": outcome.copy_compatible}
-        raise err
-
     prime = outcome.algebra_prime
     code = 0
     if outcome.verify_report is not None and not outcome.verify_report.passed:

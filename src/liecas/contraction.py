@@ -10,19 +10,25 @@ exists.
 
 The same weighting filters the enveloping algebra by word weight, and
 the leading (maximal-weight) part of a dressing spec is the natural
-candidate spec for the contracted algebra.  contract_copy() does the
-bookkeeping: the top weight M0 of f, the top weight M_i of each P_i, and
-their per-generator maxima N_i, which are the normalizations that keep
-the dressed generators finite in the limit.  When every M_i agrees with
-M0 the leading parts assemble into a dressing of the contracted algebra
-(X''_i = X_i f_0 + P_i,0) and it is verified on the spot; when they
-disagree the limit operators lose one of their two halves and no longer
-have the dressed shape, which is reported as copy_compatible = False.
+candidate spec for the contracted algebra.  contract_copy() owns every
+fact of a dressed contraction: the top weight M0 of f, the top weight
+M_i of each P_i, and their per-generator maxima N_i, which are the
+normalizations that keep the dressed generators finite in the limit.
+When the limit does not exist it raises LimitDoesNotExistError with
+these top weights and copy_compatible attached as its payload.  When
+every M_i agrees with M0 the leading parts assemble into a dressing of
+the contracted algebra (X''_i = X_i f_0 + P_i,0) and it is verified on
+the spot; when they disagree the limit operators lose one of their two
+halves and no longer have the dressed shape, which is reported as
+copy_compatible = False.  The catalog's boson_example_contracted is
+this function's answer on boson_example, not a table of its own.
 
 A generator with P_i = 0 puts no constraint of its own on the limit, so
 its M_i is taken to be M0 (the f half is still there) and its leading
 part stays zero.
 """
+
+from collections import namedtuple
 
 from .errors import (
     InternalConsistencyError,
@@ -119,30 +125,23 @@ def transplant(elem, target):
     return PBWElement(target, dict(elem.terms))
 
 
-class ContractionOutcome:
-    """Everything contract_copy() learns.
-
-    Weight bookkeeping (M0, Mi, Ni, f0, P0, copy_compatible) is always
-    filled in, with f0/P0 over the source algebra.  algebra_prime is the
-    contracted algebra, or None when the limit does not exist
-    (limit_error then holds the failure).  When the contraction exists,
-    operators_prime holds the limits of the dressed generators; when it
-    is also copy-compatible, spec_prime is the contracted dressing and
-    verify_report its verification.
-    """
-
-    algebra_prime = limit_error = None
-    spec_prime = operators_prime = verify_report = None
-
-    def __init__(self, M0, Mi, Ni, f0, P0, copy_compatible):
-        self.M0, self.Mi, self.Ni = M0, Mi, Ni
-        self.f0, self.P0 = f0, P0
-        self.copy_compatible = copy_compatible
+# Everything contract_copy() learns, over a weighting whose limit exists.
+# The weight bookkeeping M0, Mi, Ni, f0, P0 and copy_compatible has f0 and
+# P0 over the source algebra; algebra_prime is the contracted algebra and
+# operators_prime the limits of the dressed generators over it.  A
+# copy-compatible contraction also has spec_prime, the contracted
+# dressing, and verify_report, its verification; both are None otherwise.
+ContractionOutcome = namedtuple(
+    "ContractionOutcome",
+    "M0 Mi Ni f0 P0 copy_compatible algebra_prime operators_prime "
+    "spec_prime verify_report")
 
 
 def contract_copy(algebra, spec, weights):
     """Contract a dressing along a weighting; the dressing is verified
-    here, and a copy-compatible limit dressing is verified in turn."""
+    here, and a copy-compatible limit dressing is verified in turn.  A
+    weighting with no limit raises LimitDoesNotExistError carrying the
+    top weights as its payload."""
     from .enveloping import PBWElement, u_mul
     from .virtual_copy import make_spec, require_verified, verify
     if spec.algebra is not algebra:
@@ -159,17 +158,16 @@ def contract_copy(algebra, spec, weights):
             P0[i] = PBWElement(algebra)
         else:
             Mi[i], P0[i] = weighted_leading_part(spec.P[i], weights)
-    Ni = {i: max(M0, Mi[i]) for i in Mi}
     compatible = all(m == M0 for m in Mi.values())
-    outcome = ContractionOutcome(M0=M0, Mi=Mi, Ni=Ni, f0=f0, P0=P0,
-                                 copy_compatible=compatible)
 
     try:
         prime = contract_algebra(algebra, weights)
     except LimitDoesNotExistError as err:
-        outcome.limit_error = err
-        return outcome
-    outcome.algebra_prime = prime
+        err.payload = {"f_top_weight": M0,
+                       "p_top_weights": {algebra.names[i]: m
+                                         for i, m in Mi.items()},
+                       "copy_compatible": compatible}
+        raise
 
     f0p = transplant(f0, prime)
     P0p = {i: transplant(P0[i], prime) for i in P0}
@@ -182,9 +180,12 @@ def contract_copy(algebra, spec, weights):
             ops[i] = P0p[i]
         else:
             ops[i] = u_mul(gen, f0p) + P0p[i]
-    outcome.operators_prime = ops
 
+    spec_prime = report = None
     if compatible:
-        outcome.spec_prime = make_spec(prime, f0p, P0p)
-        outcome.verify_report = verify(prime, outcome.spec_prime)
-    return outcome
+        spec_prime = make_spec(prime, f0p, P0p)
+        report = verify(prime, spec_prime)
+    return ContractionOutcome(
+        M0=M0, Mi=Mi, Ni={i: max(M0, m) for i, m in Mi.items()}, f0=f0,
+        P0=P0, copy_compatible=compatible, algebra_prime=prime,
+        operators_prime=ops, spec_prime=spec_prime, verify_report=report)

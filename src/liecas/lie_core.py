@@ -73,7 +73,7 @@ class ValidationReport:
                "jacobi_violations": [[names[i], names[j], names[k]]
                                      for i, j, k, _res in self.jacobi]}
         for key, _label, entries in self._leaks():
-            doc[key] = [[names[i], names[j], names[k], str(c)]
+            doc[key] = [[names[i], names[j], names[k], plain_number(c)]
                         for i, j, k, c in entries]
         return doc
 
@@ -298,7 +298,7 @@ def algebra_to_json(algebra):
     doc = {"names": list(algebra.names)}
     rows = []
     for (i, j) in sorted(algebra.brackets):
-        terms = [{"k": algebra.names[k], "c": str(c)}
+        terms = [{"k": algebra.names[k], "c": plain_number(c)}
                  for k, c in sorted(algebra.brackets[(i, j)].items())]
         rows.append({"i": algebra.names[i], "j": algebra.names[j], "terms": terms})
     doc["brackets"] = rows

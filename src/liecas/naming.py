@@ -40,12 +40,13 @@ def plain_number(c):
 
 
 def latex_fraction(c):
-    """Render an int or a Fraction for LaTeX, \\frac for a proper one."""
+    """Render an int or a Fraction for LaTeX, \\frac for a proper one;
+    each part goes through plain_number."""
     if c.denominator == 1:
-        return str(c.numerator)
-    if c.numerator < 0:
-        return r"-\frac{%d}{%d}" % (-c.numerator, c.denominator)
-    return r"\frac{%d}{%d}" % (c.numerator, c.denominator)
+        return plain_number(c.numerator)
+    sign = "-" if c.numerator < 0 else ""
+    return r"%s\frac{%s}{%s}" % (sign, plain_number(abs(c.numerator)),
+                                  plain_number(c.denominator))
 
 
 def signed_term(c, mono, latex=False):

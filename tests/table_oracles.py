@@ -17,8 +17,9 @@ is the product as written, token "Gi" for an indexed letter and "T" for
 a bare one.  One printed row uses the index letter v that the left side
 never binds; instantiating it returns None by design.
 
-BOSON_TABLE_* give the full bracket table of the ten-generator boson
-realization, with the deformation parameter alpha left symbolic.
+boson_table gives the full bracket table of the ten-generator boson
+realization, with the deformation parameter alpha left symbolic, and
+contracted_boson_dressing the dressing of its alpha = 0 contraction.
 
 The last sections hold slow, independent references that the package
 itself does not need: the wedge product and the antiderivation d on the
@@ -68,7 +69,12 @@ from liecas.lie_core import LieAlgebra
 from liecas.linalg import rank
 from liecas.polynomial import CommPoly
 from liecas.sparse import accumulate, exact
-from liecas.virtual_copy import CONDITIONS, build_operators, require_verified
+from liecas.virtual_copy import (
+    CONDITIONS,
+    build_operators,
+    make_spec,
+    require_verified,
+)
 
 _VECTOR_LETTERS = "GFQP"
 _INDEX_SLOTS = "ijklv"
@@ -385,6 +391,32 @@ def boson_table(alpha):
     }
     return {pair: {m: c for m, c in rhs.items() if c}
             for pair, rhs in rows.items()}
+
+
+def contracted_boson_dressing(algebra):
+    """The alpha = 0 dressing of the boson realization, written out by
+    hand over the contracted algebra: f0 = -T^2, and each P is the
+    symmetrized product of its letters.
+
+        P[X_1,1]  = T(Q_1 F_1 + G_1 P_1) - R Q_1 P_1
+        P[X_-1,1] = 2 T G_1 Q_1 - R Q_1^2
+        P[X_1,-1] = 2 T F_1 P_1 - R P_1^2
+    """
+    ix = algebra.name_index
+    G, F, Q, P, R, T = (ix[m] for m in ("G_1", "F_1", "Q_1", "P_1", "R", "T"))
+
+    def sym(terms):
+        return symmetrize(algebra, sum((CommPoly.monomial(algebra.dim, w, c)
+                                        for w, c in terms.items()),
+                                       CommPoly.zero(algebra.dim)))
+
+    f0 = PBWElement.from_terms(algebra, {(T, T): -1})
+    P_map = {
+        "X_1,1": sym({(T, Q, F): 1, (T, G, P): 1, (R, Q, P): -1}),
+        "X_-1,1": sym({(T, G, Q): 2, (R, Q, Q): -1}),
+        "X_1,-1": sym({(T, F, P): 2, (R, P, P): -1}),
+    }
+    return make_spec(algebra, f0, P_map)
 
 
 # ---- exterior algebra on the dual -------------------------------------------

@@ -8,6 +8,8 @@ outcomes into one pass/fail line per criterion at the end of the run.
 import random
 from fractions import Fraction
 
+import pytest
+
 from liecas.casimir_gen import casimir_set
 from liecas.catalog import FAMILIES, boson_algebra, build
 from liecas.contraction import (
@@ -17,6 +19,7 @@ from liecas.contraction import (
     weighted_leading_part,
 )
 from liecas.enveloping import PBWElement, ad_images, derivation
+from liecas.errors import LimitDoesNotExistError
 from liecas.invariants import invariant_count, structure_matrix
 from liecas.polynomial import CommPoly
 from liecas.virtual_copy import build_operators, make_spec, verify
@@ -25,6 +28,7 @@ from property_suites import ALL_SUITES, roster
 from table_oracles import (
     QUADRATIC_ROWS,
     boson_table,
+    contracted_boson_dressing,
     engine_bracket,
     environments,
     functionally_independent,
@@ -178,18 +182,20 @@ def test_criterion_6():
 
 def test_criterion_7():
     # end to end: weighting the oscillator pair by one carries algebra,
-    # dressing, operators, and Casimir onto the contracted member
+    # dressing, operators, and Casimir onto the alpha = 0 member, whose
+    # brackets and dressing are written out by hand
     algebra, spec = build("boson_example")
     w = ContractionWeights(algebra, {"Q_1": 1, "P_1": 1, "E": 1, "T": 1})
     outcome = contract_copy(algebra, spec, w)
 
     assert outcome.copy_compatible
-    assert outcome.limit_error is None
 
-    target, target_spec = build("boson_example_contracted")
+    target = boson_algebra(0)
+    target_spec = contracted_boson_dressing(target)
     prime = outcome.algebra_prime
     assert prime.names == target.names
     assert prime.brackets == target.brackets
+    assert prime.levi == target.levi
 
     assert outcome.spec_prime.f.terms == target_spec.f.terms
     displayed = build_operators(target, target_spec)
@@ -210,17 +216,18 @@ def test_criterion_7():
 
 def test_criterion_8():
     # a weighting that skews the dressing against its completions is
-    # flagged, and forcing it anyway breaks the radical commutation
+    # refused with its top weights, and forcing it anyway breaks the
+    # radical commutation
     algebra, spec = build("IHa", 3)
-    outcome = contract_copy(algebra, spec, ContractionWeights(algebra, {"T": 3}))
+    with pytest.raises(LimitDoesNotExistError) as err:
+        contract_copy(algebra, spec, ContractionWeights(algebra, {"T": 3}))
 
-    assert outcome.M0 == 6
-    assert set(outcome.Mi.values()) == {3}
-    assert not outcome.copy_compatible
-    assert outcome.algebra_prime is None
-    assert outcome.limit_error is not None
-    assert outcome.limit_error.triple[2] == "T"
-    assert outcome.limit_error.weight == -3
+    assert err.value.triple == ("G_1", "Q_1", "T")
+    assert err.value.weight == -3
+    assert err.value.payload == {
+        "f_top_weight": 6,
+        "p_top_weights": {"J_12": 3, "J_13": 3, "J_23": 3},
+        "copy_compatible": False}
 
     naive = make_spec(algebra, spec.f, {})
     report = verify(algebra, naive)

@@ -10,7 +10,7 @@ from liecas.casimir_gen import (
     casimir_set,
     char_poly_coefficients,
     check_covariance,
-    rotation_block_size,
+    rotation_block,
 )
 from liecas.catalog import FAMILIES, build, so_algebra
 from liecas.enveloping import (
@@ -89,15 +89,24 @@ def fraction_det(rows):
 
 
 def test_rotation_block_size():
-    assert rotation_block_size(so_algebra(2)) == 2
-    assert rotation_block_size(so_algebra(5)) == 5
-    assert rotation_block_size(b("Ha", 4)[0]) == 4
-    assert rotation_block_size(b("heisenberg", 2)[0]) == 1
-    with pytest.raises(NotApplicableError):
-        rotation_block_size(b("su11")[0])
+    assert rotation_block(so_algebra(2)) == (2, {(0, 1): 0})
+    assert rotation_block(so_algebra(5))[0] == 5
+    ha4 = b("Ha", 4)[0]
+    N, block = rotation_block(ha4)
+    assert N == 4
+    assert block == {(a, b): ha4.index("J_%d%d" % (a + 1, b + 1))
+                     for a in range(4) for b in range(a + 1, 4)}
+    assert rotation_block(b("heisenberg", 2)[0]) == (1, {})
+    with pytest.raises(NotApplicableError,
+                       match="'X_-1,1' is not of the J_ij form"):
+        rotation_block(b("su11")[0])
     gappy = LieAlgebra(["J_12", "J_13"], {}, levi=[0, 1])
-    with pytest.raises(NotApplicableError):
-        rotation_block_size(gappy)
+    with pytest.raises(NotApplicableError,
+                       match="not a full rotation block"):
+        rotation_block(gappy)
+    backwards = LieAlgebra(["J_21"], {}, levi=[0])
+    with pytest.raises(NotApplicableError, match="bad rotation label"):
+        rotation_block(backwards)
 
 
 # ---- closed forms --------------------------------------------------------------

@@ -5,9 +5,14 @@ import pytest
 from liecas.catalog import FAMILIES, boson_algebra, build, so_algebra
 from liecas.enveloping import ad_images, derivation
 from liecas.errors import MalformedInputError
-from liecas.lie_core import LieAlgebra
+from liecas.lie_core import LieAlgebra, algebra_to_json
+from liecas.virtual_copy import emit_spec
 from property_suites import roster
-from table_oracles import levi_quadratic_casimir, su11_quadratic_casimir
+from table_oracles import (
+    contracted_boson_dressing,
+    levi_quadratic_casimir,
+    su11_quadratic_casimir,
+)
 
 
 def b(name, N=None):
@@ -173,6 +178,15 @@ def test_boson_alpha_dependence():
     half = boson_algebra(Fraction(1, 2))
     assert half.validate().ok
     assert bracket(half, "Q_1", "P_1") == {"R": Fraction(1, 2)}
+
+
+def test_contracted_boson_family_is_the_hand_written_one():
+    # the family is derived by contract_copy; its bytes match the alpha = 0
+    # algebra and the dressing written out by hand
+    algebra, spec = b("boson_example_contracted")
+    target = boson_algebra(0)
+    assert algebra_to_json(algebra) == algebra_to_json(target)
+    assert emit_spec(spec) == emit_spec(contracted_boson_dressing(target))
 
 
 def test_bad_family_ids():

@@ -147,6 +147,36 @@ def test_copy_residual_past_the_int_string_limit_is_answered(tmp_path):
     assert out["text"].startswith("[X'_J_12, G_1] = -")
 
 
+@pytest.mark.parametrize("command,fmt", [
+    (command, fmt) for command in ("catalog", "mc", "casimirs")
+    for fmt in ("json", "latex")])
+def test_coefficient_past_the_int_string_limit_is_answered(tmp_path, command,
+                                                           fmt):
+    # alpha = 10^5000 puts a 5,001-digit integer in the boson brackets; an
+    # Ha(3) dressing with f and every P term times 10^2200 still verifies,
+    # and its C_2 has coefficients of 4,401 digits.  Each is shown by its
+    # digit count instead of a traceback
+    if command == "casimirs":
+        algebra, spec = build("Ha", 3)
+        doc = emit_spec(spec)
+        for terms in [doc["f"], *doc["P"].values()]:
+            for term in terms:
+                term["coeff"] = str(int(term["coeff"]) * 10 ** 2200)
+        select = ["--algebra", write_json(tmp_path / "ha3.json",
+                                          algebra_to_json(algebra)),
+                  "--spec", write_json(tmp_path / "big.json", doc)]
+    else:
+        select = ["--family", "boson_example", "--alpha", "1e5000"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "liecas.cli", command, *select,
+         "--format", fmt], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONINTMAXSTRDIGITS="4300"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "-digit integer>" in proc.stdout
+    if fmt == "json":
+        json.loads(proc.stdout)
+
+
 def test_failing_dressing_exits_1_with_residuals(capsys, tmp_path):
     algebra, spec = build("IHa", 3)
     apath = write_json(tmp_path / "iha3.json", algebra_to_json(algebra))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from liecas.catalog import build
+from liecas.catalog import boson_algebra, build
 from liecas.contraction import (
     ContractionWeights,
     contract_algebra,
@@ -19,7 +19,11 @@ from liecas.errors import (
 from liecas.lie_core import LieAlgebra
 from liecas.virtual_copy import build_operators, make_spec, verify
 
-from table_oracles import levi_quadratic_casimir, lift_casimir
+from table_oracles import (
+    contracted_boson_dressing,
+    levi_quadratic_casimir,
+    lift_casimir,
+)
 
 
 def b(name, N=None):
@@ -113,10 +117,11 @@ def test_contract_algebra_rejects_foreign_weights():
 
 
 def test_oscillator_pair_contraction_matches_catalog():
+    # the weighting turns off exactly the alpha brackets
     algebra, _ = b("boson_example")
     w = ContractionWeights(algebra, {"Q_1": 1, "P_1": 1, "E": 1, "T": 1})
     prime = contract_algebra(algebra, w)
-    target, _ = b("boson_example_contracted")
+    target = boson_algebra(0)
     assert prime.names == target.names
     assert prime.brackets == target.brackets
     assert prime.levi == target.levi
@@ -170,9 +175,9 @@ def test_oscillator_pair_copy_contraction_end_to_end():
     assert set(outcome.Mi.values()) == {2}
     assert set(outcome.Ni.values()) == {2}
     assert outcome.copy_compatible
-    assert outcome.limit_error is None
 
-    target, target_spec = b("boson_example_contracted")
+    target = boson_algebra(0)
+    target_spec = contracted_boson_dressing(target)
     prime = outcome.algebra_prime
     assert prime.brackets == target.brackets
 
@@ -206,17 +211,15 @@ def test_contracted_casimir_is_the_leading_part():
 def test_skew_weighting_is_reported_incompatible():
     algebra, spec = b("IHa", 3)
     w = ContractionWeights(algebra, {"T": 3})
-    outcome = contract_copy(algebra, spec, w)
+    with pytest.raises(LimitDoesNotExistError) as err:
+        contract_copy(algebra, spec, w)
 
-    assert outcome.M0 == 6
-    assert set(outcome.Mi.values()) == {3}
-    assert not outcome.copy_compatible
-    assert outcome.algebra_prime is None
-    assert outcome.spec_prime is None
-    assert outcome.operators_prime is None
-    assert outcome.limit_error is not None
-    assert outcome.limit_error.triple[2] == "T"
-    assert outcome.limit_error.weight == -3
+    assert err.value.triple == ("G_1", "Q_1", "T")
+    assert err.value.weight == -3
+    assert err.value.payload == {
+        "f_top_weight": 6,
+        "p_top_weights": {"J_12": 3, "J_13": 3, "J_23": 3},
+        "copy_compatible": False}
 
     # dropping the completion terms, as the skew scaling would, breaks
     # the commutation with the radical
