@@ -162,8 +162,6 @@ def char_poly_coefficients(matrix):
     nvars = matrix[0][0].nvars
     for i in range(n):
         for j in range(n):
-            if matrix[i][j].nvars != nvars:
-                raise MalformedInputError("matrix entries disagree on nvars")
             if not (matrix[i][j] + matrix[j][i]).is_zero():
                 raise MalformedInputError("matrix is not antisymmetric")
     zero = CommPoly.zero(nvars)

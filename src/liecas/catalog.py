@@ -164,11 +164,7 @@ def weyl_quesne(n):
 def hamilton(N, inhomogeneous=False, extension=""):
     """Ha(N) (rotations over {G, F, R}), IHa(N) (adds Q, P, E, T), and the
     central extensions of IHa(N) by any subset of {L, A, M}."""
-    if extension and not inhomogeneous:
-        raise MalformedInputError("central extensions live over IHa")
     ext = set(extension)
-    if not ext <= {"L", "A", "M"}:
-        raise MalformedInputError("unknown extension letters %r" % (extension,))
     vectors = "GFQP" if inhomogeneous else "GF"
 
     def relations():

@@ -169,8 +169,6 @@ def _spec_lines(spec, latex=False):
     names = spec.algebra.names
     lines = ["f = %s" % spec.f.render(latex=latex)]
     for i in sorted(spec.P):
-        if spec.P[i].is_zero():
-            continue
         lines.append("P[%s] = %s" % (names[i], spec.P[i].render(latex=latex)))
     return lines
 

@@ -114,11 +114,6 @@ class PBWElement(SparseTerms):
     # ---- constructors ------------------------------------------------------
 
     @classmethod
-    def unit(cls, algebra, coeff=1):
-        coeff = exact(coeff)
-        return cls(algebra, {(): coeff} if coeff else {})
-
-    @classmethod
     def generator(cls, algebra, ref):
         i = algebra.index(ref) if isinstance(ref, str) else ref
         algebra._check_index(i)
@@ -132,28 +127,18 @@ class PBWElement(SparseTerms):
 
     # ---- structure ---------------------------------------------------------
 
-    def __repr__(self):
-        return "PBWElement(%s)" % self.render()
-
     def support(self):
         """Set of generator indices appearing in any word."""
         return set().union(*self.terms)
 
     # ---- products ------------------------------------------------------------
 
+    # elem * elem is the product in U(g); a scalar multiplies from the left
     def __mul__(self, other):
-        if isinstance(other, PBWElement):
-            return u_mul(self, other)
-        try:
-            return self.scale(other)
-        except (TypeError, ValueError):
-            return NotImplemented
+        return u_mul(self, other)
 
     def __rmul__(self, other):
-        try:
-            return self.scale(other)
-        except (TypeError, ValueError):
-            return NotImplemented
+        return self.scale(other)
 
     # ---- views ----------------------------------------------------------------
 
@@ -175,8 +160,6 @@ class PBWElement(SparseTerms):
 def u_mul(a, b):
     """Product in U(g): every concatenation of a term of a with a term of
     b, normally ordered through one memo that lives for this call."""
-    if not isinstance(a, PBWElement) or not isinstance(b, PBWElement):
-        raise MalformedInputError("u_mul needs two enveloping elements")
     a._check_mate(b)
     return PBWElement(a.algebra, _normalize(
         a.algebra, _concatenations(a.terms, b.terms), {}))
@@ -282,11 +265,10 @@ def symmetrize(algebra, poly):
     commutes with every letter of the next part; a bracket term can
     leave its group, so otherwise the two are multiplied out, through
     the call's one memo.  The graph is held as int neighbour bitmasks.
+
+    poly lives over the algebra's dim variables, with degree at most
+    DEGREE_CAP: casimir_set refuses a larger degree before it calls.
     """
-    if poly.nvars != algebra.dim:
-        raise MalformedInputError(
-            "polynomial in %d variables against a %d-dim algebra"
-            % (poly.nvars, algebra.dim))
     neighbours = [0] * algebra.dim
     for i, j in algebra.brackets:
         neighbours[i] |= 1 << j
@@ -353,8 +335,6 @@ def symmetrize(algebra, poly):
     common = factorial(max(poly.degree(), 0))
     total = {}
     for word, c in poly.terms.items():
-        if len(word) > DEGREE_CAP:
-            raise DegreeOverflowError(len(word), DEGREE_CAP)
         free, groups = _letter_groups(word, neighbours)
         combine(total, free, groups,
                 c * (common // prod(map(orderings, groups))))

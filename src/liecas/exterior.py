@@ -48,17 +48,11 @@ class ExteriorElement(SparseTerms):
                     clean[idx] = c
         self.terms = clean
 
-    def __repr__(self):
-        return "ExteriorElement(%d, %r)" % (self.n, self.terms)
-
     def ordered_terms(self):
         return [(idx, self.terms[idx])
                 for idx in sorted(self.terms, key=lambda t: (len(t), t))]
 
     def render(self, names, latex=False):
-        if len(names) != self.n:
-            raise MalformedInputError(
-                "%d names for %d dual directions" % (len(names), self.n))
         if latex:
             return signed_join(
                 signed_term(c, " \\wedge ".join(

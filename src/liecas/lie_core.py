@@ -164,10 +164,6 @@ class LieAlgebra:
         if not isinstance(i, int) or not 0 <= i < self.dim:
             raise MalformedInputError("generator index %r out of range" % (i,))
 
-    def __repr__(self):
-        return "LieAlgebra(dim=%d, levi=%d, radical=%d)" % (
-            self.dim, len(self.levi), len(self.radical))
-
     def index(self, name):
         if isinstance(name, str) and name in self.name_index:
             return self.name_index[name]

@@ -36,8 +36,6 @@ class CommPoly(SparseTerms):
     _mismatch = "polynomials live in different variable universes ({} vs {})"
 
     def __init__(self, nvars, terms=None):
-        if nvars < 0:
-            raise MalformedInputError("negative variable count %d" % nvars)
         self.nvars = nvars
         clean = {}
         if terms:
@@ -63,19 +61,9 @@ class CommPoly(SparseTerms):
         return cls(nvars, {(): c})
 
     @classmethod
-    def variable(cls, nvars, i):
-        return cls(nvars, {(i,): 1})
-
-    @classmethod
     def monomial(cls, nvars, word, c=1):
         """c times the product of the word's letters, in any order."""
         return cls(nvars, {tuple(sorted(word)): c})
-
-    def __repr__(self):
-        if not self.terms:
-            return "CommPoly(0)"
-        return "CommPoly(%s)" % self.render(
-            ["x%d" % i for i in range(self.nvars)])
 
     # ---- ring operations ----------------------------------------------
 
@@ -85,9 +73,6 @@ class CommPoly(SparseTerms):
         return SparseTerms.__add__(self, other)
 
     __radd__ = __add__
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -111,8 +96,5 @@ class CommPoly(SparseTerms):
     def render(self, names, latex=False):
         """Deterministic text like "2*x_{J_12}^2 + x_{R}", or LaTeX with
         latex=True (variable x_i prints as x_{<name>})."""
-        if len(names) != self.nvars:
-            raise MalformedInputError(
-                "%d names for %d variables" % (len(names), self.nvars))
         return render_words(self.monomials(), [
             "x_{%s}" % (latex_name(n) if latex else n) for n in names], latex)

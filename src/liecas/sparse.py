@@ -11,7 +11,8 @@ its universe and the error text for a mismatch.
 
 Public constructors validate outside input through exact, and so does
 the catalog for the boson example's alpha; results of arithmetic are
-built with _new() from terms that are already clean.
+built with _new() from terms that are already clean.  The two operands
+of == and + are always of one class.
 """
 
 from fractions import Fraction
@@ -82,14 +83,10 @@ class SparseTerms:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
         return (getattr(self, self._universe) == getattr(other, self._universe)
                 and self.terms == other.terms)
 
     def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
         self._check_mate(other)
         terms = dict(self.terms)
         accumulate(terms, other.terms.items())

@@ -527,7 +527,7 @@ def char_poly_cofactor(matrix):
     if n > 4:
         raise MalformedInputError("cofactor reference is for n <= 4")
     nvars = matrix[0][0].nvars
-    t_var = CommPoly.variable(nvars + 1, nvars)
+    t_var = CommPoly.monomial(nvars + 1, (nvars,))
     rows = [[(t_var if i == j else CommPoly.zero(nvars + 1))
              - CommPoly(nvars + 1, matrix[i][j].terms)
              for j in range(n)] for i in range(n)]
@@ -564,7 +564,7 @@ def xhat_direct(algebra, poly, i):
     res = CommPoly.zero(poly.nvars)
     for j in range(algebra.dim):
         for k, c in algebra.bracket_basis(i, j).items():
-            res = res + (CommPoly.variable(poly.nvars, k)
+            res = res + (CommPoly.monomial(poly.nvars, (k,))
                          * partial(poly, j)).scale(c)
     return res
 
@@ -666,7 +666,7 @@ def normal_word_bubble(algebra, word, coeff=1):
 
 def u_product(algebra, factors):
     """Left-to-right product of a sequence of elements (unit when empty)."""
-    return reduce(u_mul, factors, PBWElement.unit(algebra))
+    return reduce(u_mul, factors, PBWElement.from_terms(algebra, {(): 1}))
 
 
 def commutator_direct(a, b):
@@ -917,7 +917,7 @@ def lift_casimir(algebra, spec, casimir):
                 "(fails against %s)" % sub.names[t])
     ops = build_operators(algebra, spec)
     out = PBWElement(algebra)
-    sums = {(): PBWElement.unit(algebra)}
+    sums = {(): PBWElement.from_terms(algebra, {(): 1})}
     remaining = casimir
     while remaining:
         d = remaining.degree()

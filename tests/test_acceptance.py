@@ -51,7 +51,7 @@ def _algebra(name, N=None):
 
 
 def _variable(algebra, name):
-    return CommPoly.variable(algebra.dim, algebra.name_index[name])
+    return CommPoly.monomial(algebra.dim, (algebra.name_index[name],))
 
 
 def test_criterion_1():

@@ -61,7 +61,7 @@ def antisym(nvars, n, entries):
 
 
 def x(nvars, i):
-    return CommPoly.variable(nvars, i)
+    return CommPoly.monomial(nvars, (i,))
 
 
 def fraction_det(rows):

@@ -38,6 +38,8 @@ def test_count_example_is_byte_exact(capsys):
                     "--format", "json")
     assert code == 0
     assert out == '{"count": 3}\n'
+    code, out = run(capsys, "count", "--family", "IHa", "--N", "4")
+    assert (code, out) == (0, "count: 3\n")
 
 
 def test_verify_copy_example_is_byte_exact(capsys):
@@ -300,18 +302,25 @@ def test_a_nonzero_levi_weight_is_refused(capsys):
                                           "G_3": 1}
 
 
-def _ha3_answer(capsys, tmp_path, algebra_edit=None, spec_edit=None):
-    """verify-copy --format json on Ha(3)'s dump after an edit of the
-    algebra or spec document; (exit status, parsed stdout)."""
+def _ha3_files(tmp_path, algebra_edit=None, spec_edit=None):
+    """--algebra and --spec flags naming files of Ha(3)'s algebra and
+    dressing documents, each after its in-place edit."""
     algebra, spec = build("Ha", 3)
     docs = {"algebra": algebra_to_json(algebra), "spec": emit_spec(spec)}
+    flags = []
     for key, edit in (("algebra", algebra_edit), ("spec", spec_edit)):
         if edit is not None:
             edit(docs[key])
+        flags += ["--" + key, write_json(tmp_path / (key + ".json"),
+                                         docs[key])]
+    return flags
+
+
+def _ha3_answer(capsys, tmp_path, algebra_edit=None, spec_edit=None):
+    """verify-copy --format json on Ha(3)'s dump after an edit of the
+    algebra or spec document; (exit status, parsed stdout)."""
     code, out = run(capsys, "verify-copy",
-                    "--algebra", write_json(tmp_path / "a.json",
-                                            docs["algebra"]),
-                    "--spec", write_json(tmp_path / "s.json", docs["spec"]),
+                    *_ha3_files(tmp_path, algebra_edit, spec_edit),
                     "--format", "json")
     return code, json.loads(out)
 
@@ -367,6 +376,70 @@ def test_boolean_coefficient_is_malformed_input(capsys, tmp_path):
         code, doc = _ha3_answer(capsys, tmp_path, **edits)
         assert (code, doc) == (2, {"error": "malformed-input",
                                    "detail": "bad rational True"})
+
+
+def _setting(value, *keys):
+    """An in-place edit of a JSON document: doc[keys[0]]...[keys[-1]] =
+    value."""
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return edit
+
+
+def _edited_ha3(**edits):
+    """verify-copy on edited Ha(3) files in a scratch folder, as argv."""
+    return lambda folder: ["verify-copy"] + _ha3_files(folder, **edits)
+
+
+# request (in a scratch folder) -> detail of its malformed-input refusal;
+# each reaches one check of outside input through cli.main
+_OUTSIDE_INPUT = {
+    "algebra-is-a-list": (
+        lambda p: ["verify-copy", "--algebra", write_json(p / "a.json", [])],
+        "algebra document must be a JSON object"),
+    "name-is-no-string": (
+        _edited_ha3(algebra_edit=lambda d: d["names"].append(7)),
+        "names must be a list of strings"),
+    "name-is-empty": (
+        _edited_ha3(algebra_edit=lambda d: d["names"].append("")),
+        "generator names must be nonempty strings"),
+    "bad-bracket-term": (
+        _edited_ha3(algebra_edit=_setting("x", "brackets", 0, "terms", 0)),
+        "bad bracket term 'x'"),
+    "bad-bracket-row": (
+        _edited_ha3(algebra_edit=_setting("x", "brackets", 0)),
+        "bad bracket row 'x'"),
+    "terms-are-no-list": (
+        _edited_ha3(algebra_edit=_setting({}, "brackets", 0, "terms")),
+        "bracket terms must be a list"),
+    "brackets-are-no-list": (
+        _edited_ha3(algebra_edit=_setting({}, "brackets")),
+        "brackets must be a list"),
+    "spec-term-is-no-object": (
+        _edited_ha3(spec_edit=_setting("x", "f", 0)),
+        "bad enveloping term 'x'"),
+    "spec-word-is-no-list": (
+        _edited_ha3(spec_edit=_setting("R", "f", 0, "word")),
+        "term word must be a list of names"),
+    "weights-file-holds-a-list": (
+        lambda p: ["contract", "--family", "Ha", "--N", "3", "--weights",
+                   write_json(p / "w.json", [1, 2])],
+        "weights must be a JSON object mapping names to integers"),
+    "spec-with-a-family": (
+        lambda p: ["verify-copy", "--family", "Ha", "--N", "3",
+                   "--spec", "x.json"],
+        "--spec only combines with --algebra"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUTSIDE_INPUT))
+def test_outside_input_is_refused_as_malformed(capsys, tmp_path, case):
+    argv, detail = _OUTSIDE_INPUT[case]
+    code, out = run(capsys, *argv(tmp_path), "--format", "json")
+    assert (code, json.loads(out)) == (2, {"error": "malformed-input",
+                                           "detail": detail})
 
 
 # a JSON number past Python's int-string limit (4,300 digits) makes the
@@ -450,6 +523,16 @@ def test_usage_errors_answer_in_json(capsys):
     assert capsys.readouterr().out.startswith("usage: liecas count")
 
 
+def test_format_without_a_value_is_a_text_usage_error(capsys):
+    # no format can be read off the request, so argparse answers in text
+    code = main(["validate", "--format"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage: liecas validate")
+    assert captured.err.endswith("liecas validate: error: argument --format: "
+                                 "expected one argument\n")
+
+
 # ---- determinism and format selection ---------------------------------------------
 
 
@@ -523,6 +606,22 @@ def test_casimirs_document(capsys):
     assert row["checked"] is True
 
 
+def test_casimirs_without_a_rotation_pair(capsys, tmp_path):
+    # h_1 dressed by f = Z alone has no Levi part: a rotation block of
+    # size 1 and no even char-poly coefficient
+    algebra, _spec = build("heisenberg", 1)
+    flags = ["--algebra", write_json(tmp_path / "h1.json",
+                                     algebra_to_json(algebra)),
+             "--spec", write_json(tmp_path / "f.json", {
+                 "f": [{"word": ["Z"], "coeff": "1"}], "P": {}})]
+    code, out = run(capsys, "casimirs", *flags, "--format", "json")
+    assert (code, out) == (0, '{"N": 1, "casimirs": []}\n')
+    for fmt in ("text", "latex"):
+        code, out = run(capsys, "casimirs", *flags, "--format", fmt)
+        assert (code, out) == (0, "N = 1\n(no even coefficients: rotation "
+                                  "block below 2)\n")
+
+
 def test_casimirs_report_a_skipped_centrality_check(capsys, monkeypatch):
     # the one patch reaches both the check and the text note, which the
     # handler reads from casimir_gen when it runs
@@ -548,6 +647,37 @@ def test_contract_document(capsys):
     assert set(doc["operators"]) == {"X_1,1", "X_-1,1", "X_1,-1"}
 
 
+def test_a_lighter_p_half_leaves_the_f_half_alone(capsys, tmp_path):
+    # [H, A] = B and [A, B] = Z, dressed by f = Z and P_H = B^2 / 2: the
+    # weighting puts P_H at 0 below f at 1, so the limit operator of H
+    # keeps only its f half and is no longer of the dressed shape
+    apath = write_json(tmp_path / "a.json", {
+        "names": ["H", "A", "B", "Z"],
+        "brackets": [{"i": "H", "j": "A", "terms": [{"k": "B", "c": "1"}]},
+                     {"i": "A", "j": "B", "terms": [{"k": "Z", "c": "1"}]}],
+        "levi": ["H"], "radical": ["A", "B", "Z"]})
+    spath = write_json(tmp_path / "s.json", {
+        "f": [{"word": ["Z"], "coeff": "1"}],
+        "P": {"H": [{"word": ["B", "B"], "coeff": "1/2"}]}})
+    argv = ["contract", "--algebra", apath, "--spec", spath,
+            "--weights", '{"A": 2, "Z": 1}']
+    code, out = run(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["f_top_weight"] == 1
+    assert doc["p_top_weights"] == {"H": 0}
+    assert doc["copy_compatible"] is False
+    assert doc["contracted_dressing"] is None
+    code, out = run(capsys, *argv)
+    assert (code, out) == (0, "weights: A=2, Z=1\n"
+                              "top weight of f: 1\n"
+                              "top weight of P[H]: 0\n"
+                              "copy compatible: no\n"
+                              "contracted bracket table:\n"
+                              "limit operators:\n"
+                              "H'' = H*Z\n")
+
+
 def test_contract_weights_from_file(capsys, tmp_path):
     wpath = write_json(tmp_path / "w.json", {"Z": -1})
     code, out = run(capsys, "contract", "--family", "heisenberg", "--N", "2",
@@ -564,6 +694,19 @@ def test_catalog_lists_every_family(capsys):
     assert [row["name"] for row in rows] == list(FAMILIES)
     assert all(set(row) >= {"name", "parameter", "carries_dressing", "about"}
                for row in rows)
+    code, out = run(capsys, "catalog")
+    lines = out.splitlines()
+    assert code == 0
+    assert [line.split(":")[0] for line in lines] == list(FAMILIES)
+    for line in ("so: N in 2..9; no dressing; the rotation block so(N) alone",
+                 "su11: fixed; no dressing; the three-generator split real "
+                 "rank-one algebra",
+                 "weyl_quesne: n in 1..9; with dressing; gl(n) over n boson "
+                 "pairs and a unit",
+                 "boson_example: alpha rational, default 1; with dressing; "
+                 "rank-one Levi over two oscillator pairs and three more "
+                 "directions; dressing at alpha = 1"):
+        assert line in lines
 
 
 def test_catalog_dump_round_trips(capsys, tmp_path):

@@ -103,7 +103,7 @@ def test_u_product():
     g = h1()
     gens = [PBWElement.generator(g, i) for i in (1, 0)]
     assert u_product(g, gens) == pbw_normalize(g, (1, 0))
-    assert u_product(g, []) == PBWElement.unit(g)
+    assert u_product(g, []) == PBWElement.from_terms(g, {(): 1})
 
 
 def test_algebra_mismatch_rejected():
@@ -200,21 +200,22 @@ def test_commutative_image():
     g = h1()
     e = pbw_normalize(g, (1, 0))  # PQ - Z
     img = e.commutative_image()
-    x = CommPoly.variable(3, 0)
-    y = CommPoly.variable(3, 1)
-    z = CommPoly.variable(3, 2)
+    x = CommPoly.monomial(3, (0,))
+    y = CommPoly.monomial(3, (1,))
+    z = CommPoly.monomial(3, (2,))
     assert img == x * y - z
 
 
 def test_symmetrize_degree_two():
     g = h1()
-    xp = CommPoly.variable(3, 0)
-    xq = CommPoly.variable(3, 1)
+    xp = CommPoly.monomial(3, (0,))
+    xq = CommPoly.monomial(3, (1,))
     # Sym(x_P x_Q) = (PQ + QP)/2 = PQ - Z/2
     e = symmetrize(g, xp * xq)
     assert e.terms == {(0, 1): F(1), (2,): F(-1, 2)}
     assert symmetrize(g, xp) == PBWElement.generator(g, 0)
-    assert symmetrize(g, CommPoly.constant(3, 5)) == PBWElement.unit(g, 5)
+    assert (symmetrize(g, CommPoly.constant(3, 5))
+            == PBWElement.from_terms(g, {(): 5}))
     assert symmetrize(g, CommPoly.zero(3)).is_zero()
 
 
@@ -243,12 +244,12 @@ def test_symmetrize_matches_brute_force_average():
     for g in rosters:
         q = CommPoly.constant(g.dim, 1)
         for i in range(g.dim):
-            q = q + CommPoly.variable(g.dim, i).scale(i + 2)
+            q = q + CommPoly.monomial(g.dim, (i,)).scale(i + 2)
         p = q * q * q * q
         assert symmetrize(g, p) == symmetrize_arrangements(g, p)
     # groups whose averages do not commute: the merge must multiply
     g = entangled_nilpotent()
-    x = [CommPoly.variable(g.dim, i) for i in range(g.dim)]
+    x = [CommPoly.monomial(g.dim, (i,)) for i in range(g.dim)]
     a, b, k1, c, k2, z = x
     for p in (a * b * c, a * b * c * c + a * a * b * c * z,
               (a + c) * (b + c) * (k1 + k2) * c, a * b * c * k1 * k2):
@@ -306,9 +307,9 @@ def test_symmetrize_footprint_on_iha4_c4():
 def test_symmetrize_leading_part_is_identity():
     # commutative image of Sym(p) is p plus lower-degree corrections
     g = sl2()
-    x0 = CommPoly.variable(3, 0)
-    x1 = CommPoly.variable(3, 1)
-    x2 = CommPoly.variable(3, 2)
+    x0 = CommPoly.monomial(3, (0,))
+    x1 = CommPoly.monomial(3, (1,))
+    x2 = CommPoly.monomial(3, (2,))
     p = x0 * x1 * x2
     img = symmetrize(g, p).commutative_image()
     top = CommPoly(3, {w: c for w, c in img.terms.items() if len(w) == 3})
@@ -326,7 +327,8 @@ def test_round_trip_beyond_sixty_four_variables():
 
 def test_render_words():
     g = h1()
-    e = pbw_normalize(g, (0, 0, 1)).scale(2) - PBWElement.unit(g, F(1, 2))
+    e = (pbw_normalize(g, (0, 0, 1)).scale(2)
+         - PBWElement.from_terms(g, {(): F(1, 2)}))
     assert e.render() == "2*P^2*Q - 1/2"
     assert e.render(latex=True) == "2 P^{2} Q - \\frac{1}{2}"
     assert PBWElement(g).render() == "0"

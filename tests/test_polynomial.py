@@ -13,7 +13,7 @@ F = Fraction
 
 
 def xvar(i, n=3):
-    return CommPoly.variable(n, i)
+    return CommPoly.monomial(n, (i,))
 
 
 def test_zero_and_constant():
@@ -88,7 +88,7 @@ def test_degree_and_homogeneity():
 
 def test_universe_mismatch_rejected():
     with pytest.raises(MalformedInputError):
-        CommPoly.variable(2, 0) + CommPoly.variable(3, 0)
+        CommPoly.monomial(2, (0,)) + CommPoly.monomial(3, (0,))
 
 
 def test_words_are_validated():
@@ -97,7 +97,7 @@ def test_words_are_validated():
         with pytest.raises(MalformedInputError):
             CommPoly(3, {word: 1})
     with pytest.raises(MalformedInputError):
-        CommPoly.variable(3, 3)
+        CommPoly.monomial(3, (3,))
 
 
 def _dense(p):

@@ -106,7 +106,6 @@ def test_a_float_coefficient_is_refused():
                       lambda: ExteriorElement(2, {(0,): 2.0}),
                       lambda: LieAlgebra(["a", "b"], {(0, 1): {0: 0.5}},
                                          levi=[]),
-                      lambda: PBWElement.unit(so3(), 0.5),
                       lambda: PBWElement.from_terms(so3(), {(1, 0): 0.5}),
                       lambda: build("boson_example", alpha=0.1),
                       lambda: boson_algebra(0.5)):
@@ -127,7 +126,7 @@ def test_every_stored_coefficient_is_canonical(name):
     their symmetrizations."""
     algebra, spec = build(name, FAMILIES[name].least)
     stores = list(algebra.brackets.values())
-    stores += [PBWElement.unit(algebra).terms]
+    stores += [PBWElement.from_terms(algebra, {(): 1}).terms]
     stores += [PBWElement.generator(algebra, t).terms
                for t in range(algebra.dim)]
     stores += [spec.f.terms] + [p.terms for p in spec.P.values()]

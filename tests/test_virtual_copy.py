@@ -201,8 +201,9 @@ def test_lift_keeps_scalar_layers():
     algebra = so3_with_center()
     spec = trivial_spec(algebra)
     C = PBWElement(algebra, {(t, t): Fraction(1) for t in range(3)})
-    shifted = lift_casimir(algebra, spec, C + PBWElement.unit(algebra, 5))
-    assert shifted == lift_casimir(algebra, spec, C) + PBWElement.unit(algebra, 5)
+    five = PBWElement.from_terms(algebra, {(): 5})
+    shifted = lift_casimir(algebra, spec, C + five)
+    assert shifted == lift_casimir(algebra, spec, C) + five
 
 
 def test_lifted_hamilton_casimir_is_central():
