@@ -35,9 +35,6 @@ _CLOSED_STDOUT = (
 _NOT_JACOBI = (
     "internal-consistency guard: the weight-zero part of a Lie bracket "
     "table is the limit of tables isomorphic to it, so it satisfies Jacobi")
-_ODD_RANK = (
-    "internal-consistency guard: an alternating matrix has even rank over "
-    "any field, so only a fault in linalg.rank could trip it")
 
 # (module, stripped text of the line) -> why no tier-1 test and no sweep
 # request runs it; one entry covers every line of the module with that text
@@ -58,9 +55,6 @@ UNREACHED = {
     ("contraction.py", '"contracted bracket table is not a Lie algebra: %s"'):
         _NOT_JACOBI,
     ("contraction.py", "% report.describe())"): _NOT_JACOBI,
-    ("invariants.py", "raise InternalConsistencyError("): _ODD_RANK,
-    ("invariants.py", '"alternating matrix with odd rank %d" % r)'):
-        _ODD_RANK,
     ("naming.py", "digits += 1"): (
         "guards a log10 that rounds an integer at or above 10**k down "
         "below k; CPython 3.11 on x86-64 Linux rounds no 10**k, 10**k + 1 "

@@ -172,78 +172,106 @@ def d_squared_zero(algebras, seed, cases):
 
 def wedge_rank_agreement(algebras, seed, cases):
     from liecas.linalg import rank
-    from table_oracles import alternating_matrix, wedge_rank_slow
+    from table_oracles import (alternating_matrix, upper_entries,
+                               wedge_rank_slow)
     rng = random.Random(seed)
     for t in range(cases):
         g = algebras[t % len(algebras)]
         omega = random_form(g, rng, 2)
-        assert rank(alternating_matrix(omega)) == 2 * wedge_rank_slow(omega), \
+        assert rank(upper_entries(alternating_matrix(omega))) \
+            == 2 * wedge_rank_slow(omega), \
             "wedge rank mismatch in %r at case %d" % (g, t)
     return cases
 
 
-def random_matrix(rng, nrows, ncols):
-    """Rationals with mixed denominators; about a third of them zero."""
-    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 12))
-             if rng.random() < 0.7 else Fraction(0)
-             for _ in range(ncols)] for _ in range(nrows)]
+def mixed_denominators(rng):
+    """A small rational whose denominator is any of 1..12."""
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
 
 
-def sparse_matrix(rng, nrows, ncols, density):
-    """Small integers and halves at about `density` of the places."""
-    return [[Fraction(rng.randint(-5, 5), rng.choice((1, 2)))
-             if rng.random() < density else Fraction(0)
-             for _ in range(ncols)] for _ in range(nrows)]
+def halves(rng):
+    """A small integer or half."""
+    return Fraction(rng.randint(-5, 5), rng.choice((1, 2)))
 
 
-def permuted(rng, m):
-    """m with its rows and its columns shuffled, which keeps the rank."""
-    m = rng.sample(m, len(m))
-    cols = rng.sample(range(len(m[0])), len(m[0])) if m else []
-    return [[row[j] for j in cols] for row in m]
+def prime_power_denominators(rng):
+    """A rational over a product of a small prime and a prime square, so
+    one matrix mixes denominators whose lcm is large."""
+    return Fraction(rng.randint(-99, 99), rng.choice((1, 2, 3, 5, 7, 11, 13))
+                    * rng.choice((1, 4, 9, 25, 49, 121)))
+
+
+def random_alternating(rng, n, density, entry):
+    """An n x n alternating matrix with entry(rng) at about `density` of
+    the places above the diagonal."""
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                m[i][j] = entry(rng)
+                m[j][i] = -m[i][j]
+    return m
+
+
+def congruent(m, b):
+    """B M B^T: alternating when M is, of rank at most that of M and at
+    most the number of columns of B."""
+    bm = [[sum((x * m[k][j] for k, x in enumerate(row)), Fraction(0))
+           for j in range(len(m))] for row in b]
+    return [[sum((x * y for x, y in zip(left, right)), Fraction(0))
+             for right in b] for left in bm]
+
+
+def shuffled(rng, m):
+    """m with one permutation applied to its rows and to its columns, which
+    keeps it alternating and keeps its rank."""
+    order = rng.sample(range(len(m)), len(m))
+    return [[m[i][j] for j in order] for i in order]
 
 
 def rank_agreement(seed, cases):
-    """linalg.rank against the rank over Q by Gaussian elimination over
-    Fraction and by Bareiss elimination.  The cases cycle through: a
-    random tall, wide or square matrix; a product of inner size below
-    both sides, so rank deficient; such a product with rows and columns
-    zeroed; 1x1, empty or zero-column matrices; a sparse alternating
-    matrix up to 20 x 20 with a null vector hidden by congruences; a
-    block-diagonal matrix; and a sparse tall or wide matrix with a row
-    that combines two others.  The last three have their rows and
-    columns shuffled, so no zero pattern lines up with the column order.
-    Not in ALL_SUITES: it takes no algebras."""
+    """linalg.rank, on the entries above the diagonal, against the rank
+    over Q of the dense matrix by Gaussian elimination over Fraction and
+    by Bareiss elimination.  The matrices are alternating, and the cases
+    cycle through: a dense one with mixed denominators; a congruence
+    B J B^T of the standard symplectic J of size 2k below n, so rank
+    deficient; either of those with row-and-column pairs zeroed; a sparse
+    one up to 20 x 20 with a null vector hidden by congruences; a
+    block-diagonal one; a 0 x 0, 1 x 1 or 2 x 2 one; a denser one whose
+    denominators have a large lcm; and a sparse one extended by a row and
+    column that combine two others.  All but the first and the smallest
+    have one shuffle applied to their rows and their columns, so no zero
+    pattern lines up with the index order.  Not in ALL_SUITES: it takes
+    no algebras."""
     from liecas.linalg import rank
-    from table_oracles import rank_bareiss, rank_fraction
+    from table_oracles import (alternating_from_upper, rank_bareiss,
+                               rank_fraction, upper_entries)
     rng = random.Random(seed)
     for t in range(cases):
-        kind = t % 7
-        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        kind = t % 8
+        n = rng.randint(2, 10)
         if kind == 0:
-            m = random_matrix(rng, nrows, ncols)
+            m = random_alternating(rng, n - 1, 0.8, mixed_denominators)
         elif kind in (1, 2):
-            nrows, ncols = nrows + 1, ncols + 1
-            inner = rng.randint(1, min(nrows, ncols) - 1)
-            left = random_matrix(rng, nrows, inner)
-            right = random_matrix(rng, inner, ncols)
-            m = [[sum((a * right[k][j] for k, a in enumerate(row)), Fraction(0))
-                  for j in range(ncols)] for row in left]
+            k = rng.randint(1, (n - 1) // 2 or 1)
+            j = [[Fraction(0)] * (2 * k) for _ in range(2 * k)]
+            for s in range(0, 2 * k, 2):
+                j[s][s + 1], j[s + 1][s] = Fraction(1), Fraction(-1)
+            b = [[mixed_denominators(rng) for _ in range(2 * k)]
+                 for _ in range(n)]
+            m = congruent(j, b)
             if kind == 2:
-                for i in rng.sample(range(nrows), rng.randint(1, nrows - 1)):
-                    m[i] = [Fraction(0)] * ncols
-                for j in rng.sample(range(ncols), rng.randint(1, ncols - 1)):
+                if rng.random() < 0.5:
+                    m = random_alternating(rng, n, 0.8, mixed_denominators)
+                for i in rng.sample(range(n), rng.randint(1, n - 1)):
+                    m[i] = [Fraction(0)] * n
                     for row in m:
-                        row[j] = Fraction(0)
+                        row[i] = Fraction(0)
+            m = shuffled(rng, m)
         elif kind == 3:
-            m = rng.choice(([], [[]] * nrows, random_matrix(rng, 1, 1)))
-        elif kind == 4:
             n = rng.randint(2, 20)
-            m = sparse_matrix(rng, n, n, 0.15)
-            for i in range(n):
-                m[i][i] = m[i][n - 1] = m[n - 1][i] = Fraction(0)
-                for j in range(i):
-                    m[i][j] = -m[j][i]
+            m = random_alternating(rng, n - 1, 0.15, halves)
+            m = [row + [Fraction(0)] for row in m] + [[Fraction(0)] * n]
             # X -> E^T X E with E = 1 + c e_i e_j^T keeps X alternating and
             # its rank, and moves the null vector e_n off the basis
             for _ in range(rng.randint(1, 3)):
@@ -252,28 +280,39 @@ def rank_agreement(seed, cases):
                 for row in m:
                     row[j] += c * row[i]
                 m[j] = [a + c * b for a, b in zip(m[j], m[i])]
-            m = permuted(rng, m)
-        elif kind == 5:
-            blocks = [sparse_matrix(rng, rng.randint(1, 5), rng.randint(1, 5),
-                                    rng.choice((0.3, 0.7)))
+            m = shuffled(rng, m)
+        elif kind == 4:
+            blocks = [random_alternating(rng, rng.randint(1, 6),
+                                         rng.choice((0.3, 0.7)), halves)
                       for _ in range(rng.randint(2, 4))]
-            ncols = sum(len(b[0]) for b in blocks)
+            n = sum(len(b) for b in blocks)
             m, left = [], 0
             for b in blocks:
-                right = ncols - left - len(b[0])
+                right = n - left - len(b)
                 m += [[Fraction(0)] * left + row + [Fraction(0)] * right
                       for row in b]
-                left += len(b[0])
-            m = permuted(rng, m)
+                left += len(b)
+            m = shuffled(rng, m)
+        elif kind == 5:
+            m = random_alternating(rng, rng.randint(0, 2), 0.7,
+                                   mixed_denominators)
+        elif kind == 6:
+            m = random_alternating(rng, n + 2, 0.6, prime_power_denominators)
+            m = shuffled(rng, m)
         else:
-            short, long = rng.randint(1, 6), rng.randint(8, 20)
-            shape = rng.choice(((short, long), (long, short)))
-            m = sparse_matrix(rng, *shape, 0.2)
-            m.append([a + 2 * b for a, b in zip(m[0], m[-1])])
-            m = permuted(rng, m)
+            n = rng.randint(8, 20)
+            m = random_alternating(rng, n, 0.2, halves)
+            i, j = rng.sample(range(n), 2)
+            b = [[Fraction(int(c == r)) for c in range(n)] for r in range(n)]
+            b.append([Fraction((c == i) + 2 * (c == j)) for c in range(n)])
+            m = shuffled(rng, congruent(m, b))
+        upper = upper_entries(m)
+        assert alternating_from_upper(upper, len(m)) == m, \
+            "case %d is not alternating: %r" % (t, m)
         want = rank_fraction(m)
         assert rank_bareiss(m) == want, "Bareiss rank of %r is not %d" % (m, want)
-        assert rank(m) == want, "rank of %r is %d, got %d" % (m, want, rank(m))
+        assert rank(upper) == want, \
+            "rank of %r is %d, got %d" % (upper, want, rank(upper))
     return cases
 
 
@@ -295,22 +334,23 @@ def catalog_algebras(every_n=False):
 
 
 def structure_rank_agreement(algebras, seed, points):
-    """linalg.rank against table_oracles.rank_bareiss on
-    invariants.structure_matrix at `points` seeded integer points per
-    algebra, drawn from the range invariant_count samples; returns the
-    number of matrices ranked.  Not in ALL_SUITES: it ranks whole
-    catalog algebras, which is slow."""
+    """linalg.rank on invariants.structure_matrix against
+    table_oracles.rank_bareiss on the dense matrix built from the same
+    entries, at `points` seeded integer points per algebra, drawn from the
+    range invariant_count samples; returns the number of matrices ranked.
+    Not in ALL_SUITES: it ranks whole catalog algebras, which is slow."""
     from liecas.invariants import _HIGH, _LOW, structure_matrix
     from liecas.linalg import rank
-    from table_oracles import rank_bareiss
+    from table_oracles import alternating_from_upper, rank_bareiss
     rng = random.Random(seed)
     for a, g in enumerate(algebras):
         for t in range(points):
             point = [rng.randint(_LOW, _HIGH) for _ in range(g.dim)]
-            m = structure_matrix(g, point)
-            want = rank_bareiss(m)
-            assert rank(m) == want, "algebra %d %r, point %d: rank %d, got %d" \
-                % (a, g, t, want, rank(m))
+            upper = structure_matrix(g, point)
+            want = rank_bareiss(alternating_from_upper(upper, g.dim))
+            assert rank(upper) == want, \
+                "algebra %d %r, point %d: rank %d, got %d" \
+                % (a, g, t, want, rank(upper))
     return len(algebras) * points
 
 

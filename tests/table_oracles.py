@@ -28,11 +28,13 @@ the characteristic polynomial by cofactor expansion, the formal partial
 derivative, the coadjoint action Xhat_i on S(g) and the invariance of a
 polynomial under it by one product per bracket term, the rank over Q
 by Gaussian elimination over Fraction and by fraction-free (Bareiss)
-elimination, the normal form of a word in U(g) by unmemoized bubbling,
-the product of a sequence of elements of U(g) one factor at a time, the
-commutator in U(g) as two full products, the conditions of a virtual
-copy with every bracket of the dressed generators multiplied out in
-full, and the Jacobi sums of a bracket table over every index triple.
+elimination, the passage between a dense alternating matrix and its
+entries above the diagonal, which linalg.rank takes, the normal form of
+a word in U(g) by unmemoized bubbling, the product of a sequence of
+elements of U(g) one factor at a time, the commutator in U(g) as two
+full products, the conditions of a virtual copy with every bracket of
+the dressed generators multiplied out in full, and the Jacobi sums of a
+bracket table over every index triple.
 
 The last section holds the paper's other route to the Casimirs of the
 full algebra, which no request takes: the quadratic Casimirs of the two
@@ -66,7 +68,6 @@ from liecas.errors import (
 from liecas.exterior import ExteriorElement, mc_differential
 from liecas.invariants import _HIGH, _LOW
 from liecas.lie_core import LieAlgebra
-from liecas.linalg import rank
 from liecas.polynomial import CommPoly
 from liecas.sparse import accumulate, exact
 from liecas.virtual_copy import (
@@ -581,6 +582,22 @@ def is_invariant(algebra, poly):
     return (not violations, violations)
 
 
+def upper_entries(m):
+    """{(i, j): m[i][j]} for i < j: an alternating matrix as linalg.rank
+    takes it."""
+    return {(i, j): row[j] for i, row in enumerate(m)
+            for j in range(i + 1, len(row))}
+
+
+def alternating_from_upper(upper, n):
+    """The dense n x n alternating matrix with the entries `upper` above
+    the diagonal and zero at every place above it that `upper` lacks."""
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), v in upper.items():
+        m[i][j], m[j][i] = v, -v
+    return m
+
+
 def rank_fraction(rows):
     """Rank by Gaussian elimination with Fraction arithmetic."""
     m = [[Fraction(v) for v in row] for row in rows]
@@ -947,6 +964,6 @@ def functionally_independent(algebra, polys, trials=3, seed=1729):
     for _ in range(trials):
         point = tuple(rng.randint(_LOW, _HIGH) for _ in range(algebra.dim))
         jac = [[evaluate(d, point) for d in row] for row in grads]
-        if rank(jac) == len(polys):
+        if rank_bareiss(jac) == len(polys):
             return True
     return False

@@ -17,6 +17,7 @@ from property_suites import (
 from table_oracles import (
     alternating_matrix,
     differential,
+    upper_entries,
     wedge,
     wedge_rank_slow,
 )
@@ -70,7 +71,7 @@ def test_wedge_power_of_symplectic_form():
     crossed = ExteriorElement(4, {(0, 2): 1, (1, 3): 1})
     assert wedge(crossed, crossed).terms == {(0, 1, 2, 3): F(-2)}
     assert wedge(sq, omega).is_zero()
-    assert rank(alternating_matrix(omega)) == 4
+    assert rank(upper_entries(alternating_matrix(omega))) == 4
     assert wedge_rank_slow(omega) == 2
 
 
@@ -98,7 +99,7 @@ def test_wedge_rank_checks_grade():
         alternating_matrix(ExteriorElement(4, {(0,): 1}))
     with pytest.raises(MalformedInputError):
         wedge_rank_slow(ExteriorElement(4, {(0,): 1}))
-    assert rank(alternating_matrix(ExteriorElement(4))) == 0
+    assert rank(upper_entries(alternating_matrix(ExteriorElement(4)))) == 0
     assert wedge_rank_slow(ExteriorElement(4)) == 0
 
 

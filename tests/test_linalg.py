@@ -1,37 +1,10 @@
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
-import pytest
-
-import liecas
-from liecas.errors import MalformedInputError
 from liecas.linalg import P, rank
 
 from property_suites import (catalog_algebras, rank_agreement,
                              structure_rank_agreement)
-
-
-def test_ragged_rank_rejected():
-    with pytest.raises(MalformedInputError):
-        rank([[1, 2], [3]])
-
-
-def test_ragged_rank_rejected_under_optimize():
-    # the check must not be an assert, which python -O strips
-    src = os.path.dirname(os.path.dirname(liecas.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = ("from liecas.errors import MalformedInputError\n"
-            "from liecas.linalg import rank\n"
-            "try:\n"
-            "    rank([[1, 2], [3]])\n"
-            "except MalformedInputError as err:\n"
-            "    print(err)\n")
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "ragged matrix\n"
+from table_oracles import alternating_from_upper, rank_bareiss
 
 
 def test_rank_matches_fraction_elimination():
@@ -39,20 +12,36 @@ def test_rank_matches_fraction_elimination():
 
 
 def test_rank_leaves_mixed_int_and_fraction_rows_unchanged():
-    rows = [[0, Fraction(1, 2), 3],
-            [Fraction(2, 3), 0, 1],
-            [Fraction(2, 3), Fraction(1, 2), 4]]
-    before = [list(row) for row in rows]
-    assert rank(rows) == 2
-    assert rows == before
-    assert [type(v) for row in rows for v in row] \
-        == [type(v) for row in before for v in row]
+    upper = {(0, 1): Fraction(1, 2), (0, 2): 3, (1, 2): Fraction(2, 3),
+             (2, 3): 1}
+    before = dict(upper)
+    assert rank(upper) == 4
+    assert upper == before
+    assert [type(v) for v in upper.values()] \
+        == [type(v) for v in before.values()]
+
+
+def test_rank_scales_mixed_denominators_by_one_lcm():
+    upper = {(0, 1): Fraction(1, 2), (0, 2): Fraction(1, 3),
+             (1, 2): Fraction(1, 5), (2, 3): Fraction(7, 6)}
+    want = rank_bareiss(alternating_from_upper(upper, 4))
+    assert want == 4
+    assert rank(upper) == want
+    # Pfaffian a_01 a_23 - a_02 a_13 = 1/3 - 1/3 = 0, so rank 2; on the
+    # numerators alone it would be 2 - 1 = 1, and the rank would read 4
+    singular = {(0, 1): Fraction(1, 2), (2, 3): Fraction(2, 3),
+                (0, 2): Fraction(1, 3), (1, 3): 1}
+    assert rank_bareiss(alternating_from_upper(singular, 4)) == 2
+    assert rank(singular) == 2
 
 
 def test_entries_that_p_divides_only_lower_the_rank():
     # 1/P scales to 1, and P itself reduces to 0: at most the rank over Q
-    assert rank([[Fraction(1, P)]]) == 1
-    assert rank([[P]]) == 0
+    assert rank({(0, 1): Fraction(1, P)}) == 2
+    assert rank({(0, 1): P}) == 0
+    # the one global scale then holds the factor P, which zeroes the
+    # entries that P does not divide: rank 2 mod p against 4 over Q
+    assert rank({(0, 1): Fraction(1, P), (2, 3): 1}) == 2
 
 
 def test_structure_ranks_match_bareiss():
