@@ -4,7 +4,10 @@ rotation matrix.
 For an algebra whose Levi part is a rotation block J_ij (1 <= i < j <= N)
 carrying a verified virtual-copy spec, the commutative images of the
 dressed generators J'_ij assemble into an antisymmetric N x N polynomial
-matrix A.  The characteristic polynomial
+matrix A, held as its entries above the diagonal {(a, b): A_ab}, as
+linalg.rank holds A(g).  rotation_block() refuses, as not applicable, a
+Levi part whose brackets are not naming.rotation_relations.  The
+characteristic polynomial
 
     (-1)^N det(A - T id)  =  T^N + C_2 T^(N-2) + C_4 T^(N-4) + ...
 
@@ -52,10 +55,10 @@ from .enveloping import (
 from .errors import (
     DegreeOverflowError,
     InternalConsistencyError,
-    MalformedInputError,
     NotApplicableError,
 )
-from .lie_core import generating_set
+from .lie_core import bracket_table, generating_set
+from .naming import j_name, rotation_relations
 from .polynomial import CommPoly
 from .sparse import accumulate
 from .virtual_copy import build_operators, require_verified
@@ -63,10 +66,12 @@ from .virtual_copy import build_operators, require_verified
 
 def rotation_block(algebra):
     """(N, {(a, b): t}) for a Levi part named exactly {J_ij : 1 <= i < j
-    <= N}, generator t being J_(a+1)(b+1) for 0-based a < b.
+    <= N}, generator t being J_(a+1)(b+1) for 0-based a < b, whose
+    brackets are those of so(N) in naming.rotation_relations.
 
     An empty Levi part counts as N = 1 (a single rotation axis has no
-    J generators at all).
+    J generators at all).  Other labels, a partial block, and Levi
+    brackets in another sign convention are refused as not applicable.
     """
     names = sorted(algebra.names[t] for t in algebra.levi)
     block = {}
@@ -83,87 +88,87 @@ def rotation_block(algebra):
     if len(block) != N * (N - 1) // 2:
         raise NotApplicableError(
             "Levi part is not a full rotation block: have %s" % names)
+    ix = algebra.name_index
+    so_n = bracket_table((ix[a], ix[b], ((ix[k], c),))
+                         for a, b, k, c in rotation_relations(N))
+    for s, t in combinations(sorted(block.values()), 2):
+        if algebra.bracket_basis(s, t) != so_n.get((s, t), {}):
+            raise NotApplicableError(
+                "Levi bracket [%s, %s] is not the so(%d) bracket of its "
+                "labels, [J_ij, J_jk] = J_ik, [J_ij, J_ik] = -J_jk and "
+                "[J_ik, J_jk] = -J_ij for i < j < k"
+                % (algebra.names[s], algebra.names[t], N))
     return N, block
 
 
 def build_so_matrix(algebra, spec):
-    """Antisymmetric N x N matrix of the dressed generators' commutative
-    images, N the size read off the Levi labels.  The spec must verify,
+    """(N, {(a, b): A_ab}): the size N read off the Levi labels, and the
+    entries above the diagonal, one for every a < b, of the antisymmetric
+    N x N matrix A of the dressed generators' commutative images, A_ab
+    the image of J'_(a+1)(b+1) and A_ba = -A_ab.  The spec must verify,
     which is checked first."""
     require_verified(algebra, spec, "the matrix entries would be meaningless")
     N, block = rotation_block(algebra)
-    zero = CommPoly.zero(algebra.dim)
-    matrix = [[zero for _ in range(N)] for _ in range(N)]
-    if N == 1:
-        return matrix
     ops = build_operators(algebra, spec)
-    for (a, b), t in block.items():
-        entry = ops[t].commutative_image()
-        matrix[a][b] = entry
-        matrix[b][a] = entry.scale(-1)
-    return matrix
+    return N, {ab: ops[t].commutative_image() for ab, t in block.items()}
 
 
 def xhat(algebra, poly, images):
     """Xhat_t poly for images = ad_images(algebra, t): the derivation of
     S(g) with x_y -> [X_t, X_y], applied one letter at a time, each word
-    then sorted."""
-    if poly.nvars != algebra.dim:
-        raise MalformedInputError(
-            "polynomial in %d variables against a %d-dim algebra"
-            % (poly.nvars, algebra.dim))
+    then sorted; poly lives over the algebra's dim variables."""
     out = {}
     accumulate(out, ((tuple(sorted(w)), c)
                      for w, c in substituted(poly.terms, images)))
     return poly._new(out)
 
 
-def check_covariance(algebra, matrix):
-    """Refuse a dressed matrix A that does not transform like so(N): for
-    every generator t and entry i < j, Xhat_t A_ij must equal [K_t, A]_ij,
-    where K_t = E_ba - E_ab when t is J_(a+1)(b+1) (0-based a < b) and
-    K_t = 0 for every other generator.
+def check_covariance(algebra, upper, images):
+    """Refuse a dressed matrix A, given by its entries above the diagonal
+    as build_so_matrix returns them, that does not transform like so(N):
+    for every generator t and entry i < j, Xhat_t A_ij must equal
+    [K_t, A]_ij, where K_t = E_ba - E_ab when t is J_(a+1)(b+1) (0-based
+    a < b) and K_t = 0 for every other generator.  images[t] is
+    ad_images(algebra, t), for every t.
 
     Xhat_t is a derivation of S(g) that kills constants, so then
     Xhat_t det(A - T id) = tr(adj(A - T id) [K_t, A - T id]) = 0 and every
-    char-poly coefficient is invariant.  The argument reads nothing of
-    the algebra's Levi rows beyond the J_ij names."""
-    N = len(matrix)
-    rotation = {t: ab for ab, t in rotation_block(algebra)[1].items()}
+    char-poly coefficient is invariant."""
     zero = CommPoly.zero(algebra.dim)
-    images = [ad_images(algebra, t) for t in range(algebra.dim)]
-    for i in range(N):
-        for j in range(i + 1, N):
-            for t in range(algebra.dim):
-                want = zero
-                if t in rotation:
-                    # [E_ba - E_ab, A]_ij
-                    a, b = rotation[t]
-                    want = ((matrix[a][j] if i == b else zero)
-                            - (matrix[b][j] if i == a else zero)
-                            + (matrix[i][a] if j == b else zero)
-                            - (matrix[i][b] if j == a else zero))
-                if xhat(algebra, matrix[i][j], images[t]) != want:
-                    raise InternalConsistencyError(
-                        "dressed matrix entry (%d, %d) fails covariance "
-                        "against %s" % (i + 1, j + 1, algebra.names[t]))
+
+    def entry(p, q):
+        # A_pq of the whole matrix
+        if p == q:
+            return zero
+        return upper[(p, q)] if p < q else -upper[(q, p)]
+
+    rotation = {algebra.name_index[j_name(a + 1, b + 1)]: (a, b)
+                for a, b in upper}
+    for i, j in sorted(upper):
+        for t in range(algebra.dim):
+            want = zero
+            if t in rotation:
+                # [E_ba - E_ab, A]_ij
+                a, b = rotation[t]
+                want = ((entry(a, j) if i == b else zero)
+                        - (entry(b, j) if i == a else zero)
+                        + (entry(i, a) if j == b else zero)
+                        - (entry(i, b) if j == a else zero))
+            if xhat(algebra, upper[(i, j)], images[t]) != want:
+                raise InternalConsistencyError(
+                    "dressed matrix entry (%d, %d) fails covariance "
+                    "against %s" % (i + 1, j + 1, algebra.names[t]))
 
 
-def char_poly_coefficients(matrix):
+def char_poly_coefficients(N, upper, nvars):
     """{l: C_2l} from the monic characteristic polynomial of an
-    antisymmetric polynomial matrix, C_2l sitting at T^(N-2l).
+    antisymmetric N x N matrix of polynomials in nvars variables, given by
+    its entries above the diagonal {(a, b): A_ab} (a < b; an entry left
+    out is zero), C_2l sitting at T^(N-2l).
 
     C_2l is the sum of Pf(A_S)^2 over the 2l-subsets S of the rows; each
-    principal Pfaffian is expanded along its first row and memoized on
-    its index tuple."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise MalformedInputError("matrix is not square")
-    nvars = matrix[0][0].nvars
-    for i in range(n):
-        for j in range(n):
-            if not (matrix[i][j] + matrix[j][i]).is_zero():
-                raise MalformedInputError("matrix is not antisymmetric")
+    principal Pfaffian is expanded along its first row, which reads only
+    entries above the diagonal, and memoized on its index tuple."""
     zero = CommPoly.zero(nvars)
     pfaffians = {(): CommPoly.constant(nvars, 1)}
 
@@ -173,7 +178,7 @@ def char_poly_coefficients(matrix):
             first, rest = rows[0], rows[1:]
             total = zero
             for k, row in enumerate(rest):
-                entry = matrix[first][row]
+                entry = upper.get((first, row))
                 if entry:
                     minor = pfaffian(rest[:k] + rest[k + 1:])
                     if minor:
@@ -183,9 +188,9 @@ def char_poly_coefficients(matrix):
         return pfaffians[rows]
 
     out = {}
-    for l in range(1, n // 2 + 1):
+    for l in range(1, N // 2 + 1):
         total = zero
-        for rows in combinations(range(n), 2 * l):
+        for rows in combinations(range(N), 2 * l):
             pf = pfaffian(rows)
             if pf:
                 total = total + pf * pf
@@ -216,26 +221,29 @@ def casimir_set(algebra, spec):
     the dressed matrix, checked once before any char-poly work; the
     symmetrized element is checked central in U(g) up to
     UCHECK_DEGREE_CAP, against the generating set picked once here.  The
-    spec is verified once, by build_so_matrix."""
-    matrix = build_so_matrix(algebra, spec)
+    spec is verified once and the rotation block read once, both by
+    build_so_matrix, and the ad_images tables are built once, for the
+    covariance check and the centrality check alike."""
+    N, upper = build_so_matrix(algebra, spec)
     # the degree-k parts x_{J_ij} f + P_ij of the entries have full generic
     # rank, so each C_2l has degree exactly 2lk: refuse before any char-poly
-    top = 2 * (len(matrix) // 2) * spec.k
+    top = 2 * (N // 2) * spec.k
     if top > DEGREE_CAP:
         raise DegreeOverflowError(top, DEGREE_CAP)
-    check_covariance(algebra, matrix)
-    coefficients = char_poly_coefficients(matrix)
-    images = {t: ad_images(algebra, t) for t in generating_set(algebra)}
+    images = [ad_images(algebra, t) for t in range(algebra.dim)]
+    check_covariance(algebra, upper, images)
+    coefficients = char_poly_coefficients(N, upper, algebra.dim)
+    generators = generating_set(algebra)
     symmetrized, checked = {}, {}
     for l, poly in sorted(coefficients.items()):
         sym = symmetrize(algebra, poly)
         checked[l] = poly.degree() <= UCHECK_DEGREE_CAP
         if checked[l]:
-            for t, image in images.items():
-                if derivation(sym, image):
+            for t in generators:
+                if derivation(sym, images[t]):
                     raise InternalConsistencyError(
                         "symmetrized C_%d fails to commute with %s"
                         % (2 * l, algebra.names[t]))
         symmetrized[l] = sym
-    return CasimirSet(N=len(matrix), coefficients=coefficients,
+    return CasimirSet(N=N, coefficients=coefficients,
                       symmetrized=symmetrized, checked=checked)

@@ -37,11 +37,12 @@ The Hamilton families need N >= 3 and all J_ij naming stops at N = 9.
 """
 
 from collections import namedtuple
-from itertools import combinations, product
+from itertools import product
 
 from .enveloping import PBWElement, symmetrize
 from .errors import MalformedInputError
 from .lie_core import LieAlgebra, bracket_table
+from .naming import j_name, rotation_relations
 from .polynomial import CommPoly
 from .sparse import exact
 from .virtual_copy import make_spec
@@ -93,28 +94,16 @@ def _so_pairs(N):
     return [(i, j) for i in range(1, N + 1) for j in range(i + 1, N + 1)]
 
 
-def _j_name(i, j):
-    return "J_%d%d" % (i, j)
-
-
-def _rotation_relations(N):
-    """[J_ij, J_jk] = J_ik, [J_ij, J_ik] = -J_jk, [J_ik, J_jk] = -J_ij for
-    i < j < k: two rotations commute unless they share one index."""
-    for i, j, k in combinations(range(1, N + 1), 3):
-        ij, ik, jk = _j_name(i, j), _j_name(i, k), _j_name(j, k)
-        yield from ((ij, jk, ik, 1), (ij, ik, jk, -1), (ik, jk, ij, -1))
-
-
 def _vector_relations(N, letter):
     """[J_ij, V_i] = -V_j and [J_ij, V_j] = V_i for a vector V_1..V_N."""
     for i, j in _so_pairs(N):
         vi, vj = "%s_%d" % (letter, i), "%s_%d" % (letter, j)
-        yield from ((_j_name(i, j), vi, vj, -1), (_j_name(i, j), vj, vi, 1))
+        yield from ((j_name(i, j), vi, vj, -1), (j_name(i, j), vj, vi, 1))
 
 
 def so_algebra(N):
-    names = [_j_name(i, j) for (i, j) in _so_pairs(N)]
-    return _algebra(names, _rotation_relations(N), names)
+    names = [j_name(i, j) for (i, j) in _so_pairs(N)]
+    return _algebra(names, rotation_relations(N), names)
 
 
 # ---- Heisenberg and the Quesne boson family -----------------------------------
@@ -168,7 +157,7 @@ def hamilton(N, inhomogeneous=False, extension=""):
     vectors = "GFQP" if inhomogeneous else "GF"
 
     def relations():
-        yield from _rotation_relations(N)
+        yield from rotation_relations(N)
         for letter in vectors:
             yield from _vector_relations(N, letter)
         for k in range(1, N + 1):
@@ -185,7 +174,7 @@ def hamilton(N, inhomogeneous=False, extension=""):
         if "L" in ext:
             yield "E", "T", "L", -1
 
-    rotations = [_j_name(i, j) for (i, j) in _so_pairs(N)]
+    rotations = [j_name(i, j) for (i, j) in _so_pairs(N)]
     names = list(rotations)
     for letter in vectors:
         names += ["%s_%d" % (letter, k) for k in range(1, N + 1)]
@@ -233,7 +222,7 @@ def _hamilton_spec(algebra, N, inhomogeneous, ext):
 
 
 def _collect(algebra, words):
-    return {_j_name(i, j): PBWElement.from_terms(algebra, terms)
+    return {j_name(i, j): PBWElement.from_terms(algebra, terms)
             for (i, j), terms in words.items()}
 
 

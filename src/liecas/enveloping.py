@@ -89,15 +89,11 @@ def _concatenations(a, b):
 
 
 def _normal_sum(algebra, pairs):
-    """sum of c * NF(word) over (word, c) pairs of outside input, whose
-    indices and coefficients are checked here."""
-    def checked():
-        for word, coeff in pairs:
-            word = tuple(word)
-            for i in word:
-                algebra._check_index(i)
-            yield word, exact(coeff)
-    return PBWElement(algebra, _normalize(algebra, checked(), {}))
+    """sum of c * NF(word) over (word, c) pairs whose coefficients are
+    outside input, read here through exact; the words' indices come from
+    algebra.index (parse_pbw) or from the package itself."""
+    return PBWElement(algebra, _normalize(
+        algebra, ((tuple(word), exact(c)) for word, c in pairs), {}))
 
 
 class PBWElement(SparseTerms):
@@ -105,18 +101,12 @@ class PBWElement(SparseTerms):
 
     __slots__ = ("algebra",)
     _universe = "algebra"
-    _mismatch = "elements live in different algebras"
-
-    def __init__(self, algebra, terms=None):
-        self.algebra = algebra
-        self.terms = {} if terms is None else terms
 
     # ---- constructors ------------------------------------------------------
 
     @classmethod
     def generator(cls, algebra, ref):
         i = algebra.index(ref) if isinstance(ref, str) else ref
-        algebra._check_index(i)
         return cls(algebra, {(i,): 1})
 
     @classmethod
@@ -150,7 +140,7 @@ class PBWElement(SparseTerms):
     def commutative_image(self):
         """Project onto the symmetric algebra: each normal word is
         already the key of the monomial with its letters."""
-        return CommPoly.zero(self.algebra.dim)._new(dict(self.terms))
+        return CommPoly(self.algebra.dim, dict(self.terms))
 
     def render(self, latex=False):
         return render_words(self.ordered_terms(), [
@@ -160,7 +150,6 @@ class PBWElement(SparseTerms):
 def u_mul(a, b):
     """Product in U(g): every concatenation of a term of a with a term of
     b, normally ordered through one memo that lives for this call."""
-    a._check_mate(b)
     return PBWElement(a.algebra, _normalize(
         a.algebra, _concatenations(a.terms, b.terms), {}))
 
@@ -168,7 +157,6 @@ def u_mul(a, b):
 def ad_images(algebra, t, c=1):
     """{y: {(k,): c C_ty^k}}, the images c [X_t, X_y] of the derivation
     c ad X_t over the generators y that fail to commute with X_t."""
-    algebra._check_index(t)
     images = {}
     for y in range(algebra.dim):
         row = algebra.bracket_basis(t, y)

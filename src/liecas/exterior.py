@@ -21,32 +21,14 @@ invariant count, so the half-rank route of `count --method bb1` never
 builds a form (see invariants.invariant_count).
 """
 
-from .errors import MalformedInputError
 from .naming import latex_name, signed_join, signed_term
-from .sparse import SparseTerms, exact
+from .sparse import SparseTerms
 
 
 class ExteriorElement(SparseTerms):
 
     __slots__ = ("n",)
     _universe = "n"
-    _mismatch = "forms over different spaces"
-
-    def __init__(self, n, terms=None):
-        self.n = n
-        clean = {}
-        if terms:
-            for idx, c in terms.items():
-                idx = tuple(idx)
-                if any(not 0 <= i < n for i in idx):
-                    raise MalformedInputError("form index %r out of range" % (idx,))
-                if list(idx) != sorted(set(idx)):
-                    raise MalformedInputError(
-                        "form indices must be strictly increasing, got %r" % (idx,))
-                c = exact(c)
-                if c:
-                    clean[idx] = c
-        self.terms = clean
 
     def ordered_terms(self):
         return [(idx, self.terms[idx])

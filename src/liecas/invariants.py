@@ -57,10 +57,9 @@ def invariant_count(algebra, trials=None, seed=1729, method="bb"):
 
     Both methods rank A(g) at random integer points drawn from one rng
     sequence: "bb" reads the point as coordinates (default 3 trials),
-    "bb1" as the coefficients of the 2-form pencil (default 5 trials).
+    "bb1" as the coefficients of the 2-form pencil (default 5 trials);
+    the CLI's --method choices are the two keys of _TRIALS.
     """
-    if method not in _TRIALS:
-        raise MalformedInputError("unknown method %r" % (method,))
     if trials is None:
         trials = _TRIALS[method]
     if trials < 1:

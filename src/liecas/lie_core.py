@@ -8,7 +8,12 @@ catalog and only checked for closure (Levi a subalgebra, radical an ideal);
 no decomposition algorithm is run.
 
 bracket_table builds that table from rows stated in either order, the
-one reader of rows for the JSON loader and the catalog.
+one reader of rows for the JSON loader and the catalog.  The constructor
+stores the table as given, keys i < j with nonempty canonical rows, as
+bracket_table and contraction.contract_algebra build it.  It checks only
+what outside input reaches nowhere else: no names, a name that is no
+nonempty string, levi and radical not partitioning the index set;
+algebra_from_json checks the rest of a file where it reads it.
 
 The constructor also builds the adjoint table ad[i] = {j: [X_i, X_j]} once,
 from the stored rows and their negations, so a bracket is one lookup and
@@ -114,55 +119,27 @@ class LieAlgebra:
         names = list(names)
         if not names:
             raise MalformedInputError("algebra needs at least one generator")
-        if len(set(names)) != len(names):
-            raise MalformedInputError("duplicate generator names")
         for name in names:
             if not isinstance(name, str) or not name:
                 raise MalformedInputError("generator names must be nonempty strings")
         self.names = names
         self.dim = len(names)
         self.name_index = {name: i for i, name in enumerate(names)}
-
-        table = {}
-        for (i, j), terms in brackets.items():
-            self._check_index(i)
-            self._check_index(j)
-            if i >= j:
-                raise MalformedInputError(
-                    "bracket key (%d, %d) must satisfy i < j" % (i, j))
-            row = {}
-            for k, c in terms.items():
-                self._check_index(k)
-                c = exact(c)
-                if c:
-                    row[k] = c
-            if row:
-                table[(i, j)] = row
-        self.brackets = table
+        self.brackets = brackets
         ad = [{} for _ in names]
-        for (i, j), row in table.items():
+        for (i, j), row in brackets.items():
             ad[i][j] = row
             ad[j][i] = {k: -c for k, c in row.items()}
         self._ad = ad
 
+        every = frozenset(range(self.dim))
         levi = frozenset(levi)
-        for i in levi:
-            self._check_index(i)
-        if radical is None:
-            radical = frozenset(range(self.dim)) - levi
-        else:
-            radical = frozenset(radical)
-            for i in radical:
-                self._check_index(i)
-            if levi & radical or (levi | radical) != frozenset(range(self.dim)):
-                raise MalformedInputError(
-                    "levi and radical must partition the index set")
+        radical = every - levi if radical is None else frozenset(radical)
+        if levi & radical or levi | radical != every:
+            raise MalformedInputError(
+                "levi and radical must partition the index set")
         self.levi = levi
         self.radical = radical
-
-    def _check_index(self, i):
-        if not isinstance(i, int) or not 0 <= i < self.dim:
-            raise MalformedInputError("generator index %r out of range" % (i,))
 
     def index(self, name):
         if isinstance(name, str) and name in self.name_index:
@@ -270,13 +247,12 @@ def bracket_table(rows):
     """The i < j table of LieAlgebra from rows (i, j, terms) in either
     order of i and j, terms being (k, c) pairs with [X_i, X_j] = sum of
     c X_k: a row with i > j enters (j, i) negated.  Rows of one pair add
-    up, and a term that cancels is dropped (LieAlgebra drops the rows
-    left empty)."""
+    up, a term that cancels is dropped, and so is a row left empty."""
     table = {}
     for i, j, terms in rows:
         accumulate(table.setdefault((min(i, j), max(i, j)), {}), terms,
                    1 if i < j else -1)
-    return table
+    return {ij: row for ij, row in table.items() if row}
 
 
 # ---- JSON schema ------------------------------------------------------------

@@ -1,7 +1,23 @@
-"""Name, coefficient and signed-sum formatting shared by the renderers."""
+"""Name, coefficient and signed-sum formatting shared by the renderers,
+and the naming convention of a rotation block: its generators J_ij and
+their so(N) brackets, which catalog builds and casimir_gen checks."""
 
-from itertools import groupby
+from itertools import combinations, groupby
 from math import log10
+
+
+def j_name(i, j):
+    """The rotation generator J_ij, for 1 <= i < j <= 9."""
+    return "J_%d%d" % (i, j)
+
+
+def rotation_relations(N):
+    """The so(N) brackets by name, as (a, b, k, c) adding c k to [a, b]:
+    [J_ij, J_jk] = J_ik, [J_ij, J_ik] = -J_jk, [J_ik, J_jk] = -J_ij for
+    i < j < k.  Two rotations commute unless they share one index."""
+    for i, j, k in combinations(range(1, N + 1), 3):
+        ij, ik, jk = j_name(i, j), j_name(i, k), j_name(j, k)
+        yield from ((ij, jk, ik, 1), (ij, ik, jk, -1), (ik, jk, ij, -1))
 
 
 def latex_name(name):

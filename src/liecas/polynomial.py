@@ -19,7 +19,6 @@ is the smaller word.
 
 from fractions import Fraction
 
-from .errors import MalformedInputError
 from .naming import latex_name, render_words
 from .sparse import SparseTerms, accumulate, exact
 
@@ -33,22 +32,6 @@ class CommPoly(SparseTerms):
 
     __slots__ = ("nvars",)
     _universe = "nvars"
-    _mismatch = "polynomials live in different variable universes ({} vs {})"
-
-    def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        clean = {}
-        if terms:
-            for word, c in terms.items():
-                word = tuple(word)
-                if word and (list(word) != sorted(word)
-                             or word[0] < 0 or word[-1] >= nvars):
-                    raise MalformedInputError(
-                        "bad monomial word %r for %d variables" % (word, nvars))
-                c = exact(c)
-                if c:
-                    clean[word] = c
-        self.terms = clean
 
     # ---- constructors -------------------------------------------------
 
@@ -58,12 +41,14 @@ class CommPoly(SparseTerms):
 
     @classmethod
     def constant(cls, nvars, c):
-        return cls(nvars, {(): c})
+        return cls.monomial(nvars, (), c)
 
     @classmethod
     def monomial(cls, nvars, word, c=1):
-        """c times the product of the word's letters, in any order."""
-        return cls(nvars, {tuple(sorted(word)): c})
+        """c times the product of the word's letters, in any order; c is
+        read through sparse.exact, and c = 0 gives the zero polynomial."""
+        c = exact(c)
+        return cls(nvars, {tuple(sorted(word)): c} if c else {})
 
     # ---- ring operations ----------------------------------------------
 
@@ -77,7 +62,6 @@ class CommPoly(SparseTerms):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._check_mate(other)
         out = {}
         for w1, c1 in self.terms.items():
             accumulate(out, ((tuple(sorted(w1 + w2)), c2)

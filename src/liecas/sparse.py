@@ -6,13 +6,16 @@ a fixed universe: a variable count, an algebra, a dual dimension.  A
 coefficient is an int when it is integral, else a Fraction (see exact);
 int and Fraction mix exactly, and both print alike.  Zero coefficients
 are never stored, so equality is structural equality of the maps.  The
-linear operations live here once; a subclass names the attribute holding
-its universe and the error text for a mismatch.
+linear operations and the one constructor live here; a subclass names
+the attribute holding its universe.
 
-Public constructors validate outside input through exact, and so does
-the catalog for the boson example's alpha; results of arithmetic are
-built with _new() from terms that are already clean.  The two operands
-of == and + are always of one class.
+Outside input is checked once, by the reader that takes it in:
+enveloping.parse_pbw and PBWElement.from_terms read each coefficient
+through exact, and so does the catalog for the boson example's alpha.
+The constructor stores the terms it is given, which its callers in the
+package build clean (canonical nonzero coefficients, keys in the
+universe), and results of arithmetic are built with _new().  The two
+operands of == and + are always of one class over one universe.
 """
 
 from fractions import Fraction
@@ -57,20 +60,15 @@ class SparseTerms:
 
     __slots__ = ("terms",)
     _universe = None       # attribute name: "nvars", "algebra" or "n"
-    _mismatch = None       # error text, formatted with both universes
+
+    def __init__(self, universe, terms=None):
+        """terms as given: nonzero, canonical coefficients (see exact)."""
+        setattr(self, self._universe, universe)
+        self.terms = {} if terms is None else terms
 
     def _new(self, terms):
         """Same universe, terms already free of zero coefficients."""
-        out = object.__new__(type(self))
-        setattr(out, self._universe, getattr(self, self._universe))
-        out.terms = terms
-        return out
-
-    def _check_mate(self, other):
-        mine = getattr(self, self._universe)
-        theirs = getattr(other, self._universe)
-        if mine != theirs:
-            raise MalformedInputError(self._mismatch.format(mine, theirs))
+        return type(self)(getattr(self, self._universe), terms)
 
     def is_zero(self):
         return not self.terms
@@ -87,7 +85,6 @@ class SparseTerms:
                 and self.terms == other.terms)
 
     def __add__(self, other):
-        self._check_mate(other)
         terms = dict(self.terms)
         accumulate(terms, other.terms.items())
         return self._new(terms)

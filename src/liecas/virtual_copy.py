@@ -84,9 +84,8 @@ def _check_radical_support(algebra, elem, what):
 
 def make_spec(algebra, f, P):
     """Validated VirtualCopySpec from f and a (possibly partial) map of
-    P components keyed by Levi index or generator name."""
-    if not isinstance(f, PBWElement) or f.algebra is not algebra:
-        raise VirtualCopySpecError("f must be an element over the same algebra")
+    P components keyed by Levi index or generator name, all PBWElements
+    over algebra; the structural rules on them are checked here."""
     if f.is_zero():
         raise VirtualCopySpecError("f must be nonzero")
     _check_radical_support(algebra, f, "f")
@@ -135,8 +134,6 @@ def emit_spec(spec):
 
 def build_operators(algebra, spec):
     """The dressed generators X'_i = X_i f + P_i, keyed by Levi index."""
-    if spec.algebra is not algebra:
-        raise MalformedInputError("spec belongs to a different algebra")
     return {i: u_mul(PBWElement.generator(algebra, i), spec.f) + spec.P[i]
             for i in sorted(algebra.levi)}
 

@@ -442,7 +442,8 @@ def _merge_sign(idx1, idx2):
 def wedge(a, b):
     if not isinstance(a, ExteriorElement) or not isinstance(b, ExteriorElement):
         raise MalformedInputError("wedge needs two exterior elements")
-    a._check_mate(b)
+    if a.n != b.n:
+        raise MalformedInputError("forms over different spaces")
     terms = {}
     for idx1, c1 in a.terms.items():
         row = []
@@ -507,7 +508,7 @@ def wedge_rank_slow(omega):
     """The largest j with omega^j != 0, by brute force on wedge powers."""
     _require_two_form(omega)
     j = 0
-    power = ExteriorElement(omega.n, {(): Fraction(1)})
+    power = ExteriorElement(omega.n, {(): 1})
     while True:
         power = wedge(power, omega)
         if power.is_zero():
@@ -521,16 +522,22 @@ def wedge_rank_slow(omega):
 # ---- characteristic polynomial, invariance and rank -------------------------
 
 
-def char_poly_cofactor(matrix):
+def char_poly_cofactor(n, upper, nvars):
     """Reference characteristic polynomial (monic, in the appended last
-    variable) by cofactor expansion; intended for small n."""
-    n = len(matrix)
+    variable) by cofactor expansion of the dense n x n antisymmetric
+    matrix with the entries `upper` above the diagonal, as
+    casimir_gen.char_poly_coefficients takes it; intended for small n."""
     if n > 4:
         raise MalformedInputError("cofactor reference is for n <= 4")
-    nvars = matrix[0][0].nvars
+    if any(not 0 <= a < b < n for a, b in upper):
+        raise MalformedInputError("entry outside the upper triangle")
     t_var = CommPoly.monomial(nvars + 1, (nvars,))
-    rows = [[(t_var if i == j else CommPoly.zero(nvars + 1))
-             - CommPoly(nvars + 1, matrix[i][j].terms)
+    zero = CommPoly.zero(nvars + 1)
+    dense = [[zero] * n for _ in range(n)]
+    for (a, b), entry in upper.items():
+        lifted = CommPoly(nvars + 1, dict(entry.terms))
+        dense[a][b], dense[b][a] = lifted, -lifted
+    rows = [[(t_var if i == j else zero) - dense[i][j]
              for j in range(n)] for i in range(n)]
 
     def det(sub):
@@ -820,7 +827,8 @@ def subalgebra(algebra, indices):
     """
     indices = sorted(set(indices))
     for i in indices:
-        algebra._check_index(i)
+        if not 0 <= i < algebra.dim:
+            raise MalformedInputError("generator index %r out of range" % (i,))
     pos = {old: new for new, old in enumerate(indices)}
     table = {}
     for (i, j), row in sorted(algebra.brackets.items()):

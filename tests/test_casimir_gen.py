@@ -22,7 +22,6 @@ from liecas.enveloping import (
 from liecas.errors import (
     DegreeOverflowError,
     InternalConsistencyError,
-    MalformedInputError,
     NotApplicableError,
     PreconditionError,
 )
@@ -49,15 +48,6 @@ def b(name, N=None):
 # the families whose Levi part is a dressed rotation block J_ij
 ROTATION_FAMILIES = tuple(name for name, fam in FAMILIES.items()
                           if fam.dressed and fam.parameter == "N")
-
-
-def antisym(nvars, n, entries):
-    zero = CommPoly.zero(nvars)
-    M = [[zero for _ in range(n)] for _ in range(n)]
-    for (i, j), v in entries.items():
-        M[i][j] = v
-        M[j][i] = v.scale(-1)
-    return M
 
 
 def x(nvars, i):
@@ -109,40 +99,61 @@ def test_rotation_block_size():
         rotation_block(backwards)
 
 
+def test_rotation_block_refuses_another_sign_convention():
+    # so(3) with every J_ij negated: [J_12, J_13] = +J_23 where so(3) in
+    # naming.rotation_relations has -J_23, and the first pair is named
+    so3 = so_algebra(3)
+    negated = LieAlgebra(so3.names, {ij: {k: -c for k, c in row.items()}
+                                     for ij, row in so3.brackets.items()},
+                         levi=sorted(so3.levi))
+    with pytest.raises(NotApplicableError) as err:
+        rotation_block(negated)
+    assert str(err.value) == (
+        "Levi bracket [J_12, J_13] is not the so(3) bracket of its labels, "
+        "[J_ij, J_jk] = J_ik, [J_ij, J_ik] = -J_jk and [J_ik, J_jk] = -J_ij "
+        "for i < j < k")
+    # so(2) has no bracket to compare, and commuting rotations are not so(3)
+    assert rotation_block(LieAlgebra(["J_12"], {}, levi=[0])) == (
+        2, {(0, 1): 0})
+    with pytest.raises(NotApplicableError, match=r"\[J_12, J_13\]"):
+        rotation_block(LieAlgebra(so3.names, {}, levi=[0, 1, 2]))
+
+
 # ---- closed forms --------------------------------------------------------------
 
 
 def test_char_poly_2x2():
-    M = antisym(1, 2, {(0, 1): x(1, 0)})
-    coeffs = char_poly_coefficients(M)
+    coeffs = char_poly_coefficients(2, {(0, 1): x(1, 0)}, 1)
     assert coeffs == {1: x(1, 0) * x(1, 0)}
 
 
 def test_char_poly_3x3():
     a, bb, c = x(3, 0), x(3, 1), x(3, 2)
-    M = antisym(3, 3, {(0, 1): a, (0, 2): bb, (1, 2): c})
-    coeffs = char_poly_coefficients(M)
+    coeffs = char_poly_coefficients(3, {(0, 1): a, (0, 2): bb, (1, 2): c}, 3)
     assert coeffs == {1: a * a + bb * bb + c * c}
 
 
 def test_char_poly_4x4_pfaffian():
     a12, a13, a14 = x(6, 0), x(6, 1), x(6, 2)
     a23, a24, a34 = x(6, 3), x(6, 4), x(6, 5)
-    M = antisym(6, 4, {(0, 1): a12, (0, 2): a13, (0, 3): a14,
-                       (1, 2): a23, (1, 3): a24, (2, 3): a34})
-    coeffs = char_poly_coefficients(M)
+    coeffs = char_poly_coefficients(4, {
+        (0, 1): a12, (0, 2): a13, (0, 3): a14,
+        (1, 2): a23, (1, 3): a24, (2, 3): a34}, 6)
     assert coeffs[1] == (a12 * a12 + a13 * a13 + a14 * a14
                          + a23 * a23 + a24 * a24 + a34 * a34)
     pf = a12 * a34 - a13 * a24 + a14 * a23
     assert coeffs[2] == pf * pf
 
 
-def test_char_poly_rejects_nonantisymmetric():
-    one = CommPoly.constant(1, 1)
-    with pytest.raises(MalformedInputError):
-        char_poly_coefficients([[one, one], [one.scale(-1), one]])
-    with pytest.raises(MalformedInputError):
-        char_poly_coefficients([[one.scale(0)], [one.scale(0)]])
+def test_char_poly_reads_the_entries_above_the_diagonal_alone():
+    # an entry left out is zero, and a key below the diagonal is never read
+    a, bb = x(2, 0), x(2, 1)
+    zero = CommPoly.zero(2)
+    assert char_poly_coefficients(3, {(1, 2): a}, 2) == {1: a * a}
+    assert char_poly_coefficients(4, {(0, 1): a, (2, 3): bb}, 2) == {
+        1: a * a + bb * bb, 2: a * a * bb * bb}
+    assert char_poly_coefficients(2, {(1, 0): a}, 2) == {1: zero}
+    assert char_poly_coefficients(1, {}, 2) == {}
 
 
 # ---- Pfaffian expansion against independent references --------------------------
@@ -152,9 +163,9 @@ def test_char_poly_rejects_nonantisymmetric():
                                     ("QHa", 3)])
 def test_pfaffian_matches_cofactor_expansion(name, N):
     algebra, spec = b(name, N)
-    M = build_so_matrix(algebra, spec)
-    coeffs = char_poly_coefficients(M)
-    reference = char_poly_cofactor(M)
+    size, upper = build_so_matrix(algebra, spec)
+    coeffs = char_poly_coefficients(size, upper, algebra.dim)
+    reference = char_poly_cofactor(size, upper, algebra.dim)
     by_power = {}
     for w, c in reference.terms.items():
         # T is the last variable, so its letters close each sorted word
@@ -168,17 +179,18 @@ def test_pfaffian_matches_cofactor_expansion(name, N):
                                     ("IHa", 4), ("QHa", 4)])
 def test_char_poly_at_random_points(name, N):
     algebra, spec = b(name, N)
-    M = build_so_matrix(algebra, spec)
-    coeffs = char_poly_coefficients(M)
+    size, upper = build_so_matrix(algebra, spec)
+    assert size == N
+    coeffs = char_poly_coefficients(N, upper, algebra.dim)
     # the premise of the up-front degree-cap refusal in casimir_set
     assert all(p.degree() == 2 * l * spec.k for l, p in coeffs.items())
     rng = random.Random(99)
     for _ in range(5):
         point = [Fraction(rng.randint(-20, 20)) for _ in range(algebra.dim)]
         t0 = Fraction(rng.randint(-9, 9))
-        numeric = [[t0 - evaluate(M[i][j], point) if i == j else
-                    -evaluate(M[i][j], point) for j in range(N)]
-                   for i in range(N)]
+        a = {ij: evaluate(entry, point) for ij, entry in upper.items()}
+        numeric = [[t0 if i == j else -a[(i, j)] if i < j else a[(j, i)]
+                    for j in range(N)] for i in range(N)]
         det = fraction_det(numeric)
         recomputed = t0 ** N + sum(evaluate(p, point) * t0 ** (N - 2 * l)
                                    for l, p in coeffs.items())
@@ -255,6 +267,12 @@ def test_casimir_set_checks_the_spec_first():
         casimir_set(algebra, hollow)
     with pytest.raises(PreconditionError):
         build_so_matrix(algebra, hollow)
+    # a failing dressing keeps its answer where the Levi part is not a
+    # rotation block at all
+    boson, boson_spec = b("boson_example")
+    hollow = make_spec(boson, boson_spec.f, {})
+    with pytest.raises(PreconditionError):
+        casimir_set(boson, hollow)
 
 
 def test_casimir_set_refuses_an_over_cap_rotation_block(monkeypatch):
@@ -262,7 +280,7 @@ def test_casimir_set_refuses_an_over_cap_rotation_block(monkeypatch):
     # the refusal comes before any char-poly work
     algebra, spec = b("IHa", 6)
 
-    def no_char_poly(matrix):
+    def no_char_poly(*matrix):
         raise AssertionError("char-poly computed for an over-cap block")
 
     monkeypatch.setattr(liecas.casimir_gen, "char_poly_coefficients",
@@ -278,18 +296,17 @@ def test_casimir_set_refuses_a_matrix_that_fails_covariance(name, monkeypatch):
     # was for every t, so entry (1, 2) fails first, at the first generator
     # that moves x_r; the refusal comes before any char-poly work
     algebra, spec = b(name, FAMILIES[name].least)
-    matrix = build_so_matrix(algebra, spec)
+    N, upper = build_so_matrix(algebra, spec)
     r = min(r for r in algebra.radical
             if any(algebra.bracket_basis(t, r) for t in range(algebra.dim)))
-    bump = CommPoly.monomial(algebra.dim, (r,) * spec.k)
-    matrix[0][1] = matrix[0][1] + bump
-    matrix[1][0] = matrix[1][0] - bump
+    upper[(0, 1)] = upper[(0, 1)] + CommPoly.monomial(algebra.dim,
+                                                      (r,) * spec.k)
 
-    def no_char_poly(matrix):
+    def no_char_poly(*matrix):
         raise AssertionError("char-poly computed before the covariance check")
 
     monkeypatch.setattr(liecas.casimir_gen, "build_so_matrix",
-                        lambda algebra, spec: matrix)
+                        lambda algebra, spec: (N, upper))
     monkeypatch.setattr(liecas.casimir_gen, "char_poly_coefficients",
                         no_char_poly)
     with pytest.raises(InternalConsistencyError) as err:
@@ -311,7 +328,9 @@ def test_every_dressed_matrix_casimirs_accepts_is_covariant():
             algebra, spec = b(name, N)
             if 2 * (N // 2) * spec.k > DEGREE_CAP:
                 break
-            check_covariance(algebra, build_so_matrix(algebra, spec))
+            images = [ad_images(algebra, t) for t in range(algebra.dim)]
+            check_covariance(algebra, build_so_matrix(algebra, spec)[1],
+                             images)
             certified.append((name, N))
             N += 1
     assert len(certified) == 29
@@ -323,7 +342,8 @@ def test_oracle_finds_every_coefficient_invariant(name):
     # the covariance check replaces differentiating each C_2l; the slow
     # oracle still agrees at each family's least N
     algebra, spec = b(name, FAMILIES[name].least)
-    coeffs = char_poly_coefficients(build_so_matrix(algebra, spec))
+    coeffs = char_poly_coefficients(*build_so_matrix(algebra, spec),
+                                    algebra.dim)
     assert coeffs
     for l, poly in coeffs.items():
         assert is_invariant(algebra, poly) == (True, []), (name, l)
@@ -346,22 +366,18 @@ def test_lifted_levi_casimir_matches_the_symmetrized_c2(name):
 
 def test_build_so_matrix_shape():
     algebra, spec = b("Ha", 3)
-    M = build_so_matrix(algebra, spec)
-    assert len(M) == 3 and all(len(row) == 3 for row in M)
-    for i in range(3):
-        assert M[i][i].is_zero()
-        for j in range(3):
-            assert (M[i][j] + M[j][i]).is_zero()
-    ops_image = (PBWElement.generator(algebra, "J_12") * spec.f
-                 + spec.P[algebra.index("J_12")]).commutative_image()
-    assert M[0][1] == ops_image
+    N, upper = build_so_matrix(algebra, spec)
+    assert N == 3 and sorted(upper) == [(0, 1), (0, 2), (1, 2)]
+    for (a, bb), entry in upper.items():
+        name = "J_%d%d" % (a + 1, bb + 1)
+        assert entry == (PBWElement.generator(algebra, name) * spec.f
+                         + spec.P[algebra.index(name)]).commutative_image()
 
 
 def test_one_by_one_block_is_trivial():
     algebra, _ = b("heisenberg", 1)
     spec = make_spec(algebra, PBWElement.generator(algebra, "Z"), {})
-    M = build_so_matrix(algebra, spec)
-    assert len(M) == 1 and M[0][0].is_zero()
+    assert build_so_matrix(algebra, spec) == (1, {})
     cs = casimir_set(algebra, spec)
     assert cs.coefficients == {} and cs.symmetrized == {} and cs.checked == {}
 
@@ -369,6 +385,7 @@ def test_one_by_one_block_is_trivial():
 @pytest.mark.parametrize("name,N", [("Ha", 3), ("Ha", 4), ("IHa", 3), ("IHa", 4)])
 def test_f_image_and_coefficients_independent(name, N):
     algebra, spec = b(name, N)
-    coeffs = char_poly_coefficients(build_so_matrix(algebra, spec))
+    coeffs = char_poly_coefficients(*build_so_matrix(algebra, spec),
+                                    algebra.dim)
     polys = [spec.f.commutative_image()] + [coeffs[l] for l in sorted(coeffs)]
     assert functionally_independent(algebra, polys)

@@ -442,6 +442,119 @@ def test_outside_input_is_refused_as_malformed(capsys, tmp_path, case):
                                            "detail": detail})
 
 
+def _ha3_with_spec(spec_doc):
+    """verify-copy on Ha(3)'s algebra file and a spec file holding
+    spec_doc, as argv in a scratch folder."""
+    return lambda folder: (["verify-copy"] + _ha3_files(folder)[:2]
+                           + ["--spec", write_json(folder / "s.json",
+                                                   spec_doc)])
+
+
+def _small_files(command, names, levi, brackets=(), f=None):
+    """command on an algebra file over names, levi named and the rest
+    radical, with brackets (i, j, k, c) by name, and a spec file with f
+    (a generator name) and no P when f is given; argv in a folder."""
+    doc = {"names": names, "levi": levi,
+           "radical": [m for m in names if m not in levi],
+           "brackets": [{"i": i, "j": j, "terms": [{"k": k, "c": c}]}
+                        for i, j, k, c in brackets]}
+
+    def argv(folder):
+        flags = ["--algebra", write_json(folder / "a.json", doc)]
+        if f is not None:
+            flags += ["--spec", write_json(folder / "s.json", {
+                "f": [{"word": [f], "coeff": "1"}], "P": {}})]
+        return [command] + flags
+    return argv
+
+
+def _p_entry(name, words):
+    """An in-place edit of a spec document: P[name] = the words, each with
+    coefficient 1."""
+    def edit(doc):
+        doc["P"][name] = [{"word": w, "coeff": "1"} for w in words]
+    return edit
+
+
+# request (in a scratch folder) -> (error tag, exit status, detail) of a
+# check of outside input that reaches it only here, through cli.main
+_KEPT_CHECKS = {
+    "spec-is-no-object": (
+        _ha3_with_spec([]), "malformed-input", 2,
+        "spec document must be an object with f"),
+    "spec-without-f": (
+        _ha3_with_spec({"P": {}}), "malformed-input", 2,
+        "spec document must be an object with f"),
+    "P-is-no-object": (
+        _edited_ha3(spec_edit=_setting([], "P")), "malformed-input", 2,
+        "P must map generator names to elements"),
+    "f-is-zero": (
+        _edited_ha3(spec_edit=_setting([], "f")), "malformed-input", 2,
+        "f must be nonzero"),
+    "f-is-not-homogeneous": (
+        _edited_ha3(spec_edit=lambda d: d["f"].append(
+            {"word": ["R", "R"], "coeff": "1"})), "malformed-input", 2,
+        "f is not homogeneous (word lengths [1, 2])"),
+    "f-is-off-the-radical": (
+        _edited_ha3(spec_edit=_setting(["J_12"], "f", 0, "word")),
+        "malformed-input", 2, "f touches non-radical generators ['J_12']"),
+    "P-keyed-by-a-radical-name": (
+        _edited_ha3(spec_edit=_p_entry("R", [["R", "R"]])),
+        "malformed-input", 2,
+        "P is keyed by 'R', which is not a Levi generator"),
+    "P-of-the-wrong-top-degree": (
+        _edited_ha3(spec_edit=_p_entry("J_12", [["R"]])),
+        "malformed-input", 2, "P[J_12] has top degree 1, expected 2"),
+    "element-is-no-list": (
+        _edited_ha3(spec_edit=_setting({}, "f")), "malformed-input", 2,
+        "enveloping element must be a list of terms"),
+    "algebra-lacks-a-key": (
+        _edited_ha3(algebra_edit=lambda d: d.pop("levi")),
+        "malformed-input", 2, "algebra document lacks 'levi'"),
+    "bracket-row-with-i-equal-j": (
+        _edited_ha3(algebra_edit=_setting("J_12", "brackets", 0, "j")),
+        "malformed-input", 2, "bracket row with i = j = 'J_12'"),
+    "no-names": (
+        _small_files("count", [], []), "malformed-input", 2,
+        "algebra needs at least one generator"),
+    "levi-and-radical-overlap": (
+        _edited_ha3(algebra_edit=lambda d: d["radical"].append("J_12")),
+        "malformed-input", 2, "levi and radical must partition the index set"),
+    "levi-closure-violation": (
+        _small_files("count", ["J_12", "J_13", "R"], ["J_12", "J_13"],
+                     [("J_12", "J_13", "R", "1")]),
+        "malformed-input", 2,
+        "bracket table fails validation: levi closure: [J_12, J_13] "
+        "contains R"),
+    "rotation-label-J_21": (
+        _small_files("casimirs", ["J_21", "R"], ["J_21"], f="R"),
+        "not-applicable", 2, "bad rotation label 'J_21'"),
+    "partial-rotation-block": (
+        _small_files("casimirs", ["J_12", "J_13", "R"], ["J_12", "J_13"],
+                     f="R"),
+        "not-applicable", 2,
+        "Levi part is not a full rotation block: have ['J_12', 'J_13']"),
+    "family-without-N": (
+        lambda folder: ["catalog", "--family", "Ha"], "malformed-input", 2,
+        "family 'Ha' needs N"),
+    "N-out-of-range": (
+        lambda folder: ["catalog", "--family", "Ha", "--N", "2"],
+        "malformed-input", 2, "family 'Ha' supports N in 3..9, got 2"),
+    "weight-is-no-integer": (
+        lambda folder: ["contract", "--family", "Ha", "--N", "3",
+                        "--weights", '{"R": 1.5}'],
+        "malformed-input", 2, "weight of 'R' must be an integer, got 1.5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KEPT_CHECKS))
+def test_kept_input_checks_answer_through_the_cli(capsys, tmp_path, case):
+    argv, tag, status, detail = _KEPT_CHECKS[case]
+    code, out = run(capsys, *argv(tmp_path), "--format", "json")
+    doc = json.loads(out)
+    assert (code, doc["error"], doc["detail"]) == (status, tag, detail)
+
+
 # a JSON number past Python's int-string limit (4,300 digits) makes the
 # parser raise a plain ValueError, not a JSONDecodeError
 HUGE_NUMBER = "1" * 5000
@@ -897,6 +1010,39 @@ def test_casimirs_off_a_rotation_block_is_not_applicable(capsys):
                     "--format", "json")
     assert code == 2
     assert json.loads(out)["error"] == "not-applicable"
+
+
+def test_casimirs_refuses_another_rotation_sign_convention(capsys,
+                                                           tmp_path):
+    # Ha(3) with every J_ij negated: each stored coefficient times
+    # s_i s_j s_k, s = -1 on a J, and P -> -P.  The file validates and the
+    # dressing verifies, but [J_12, J_13] = +J_23 is not the so(3) bracket
+    # its labels name, so casimirs does not apply; it is no internal fault
+    def sign(name):
+        return -1 if name.startswith("J_") else 1
+
+    def negate(doc):
+        for row in doc["brackets"]:
+            for term in row["terms"]:
+                c = Fraction(term["c"]) * sign(row["i"]) * sign(row["j"])
+                term["c"] = str(c * sign(term["k"]))
+
+    def negate_p(doc):
+        for terms in doc["P"].values():
+            for term in terms:
+                term["coeff"] = str(-Fraction(term["coeff"]))
+
+    flags = _ha3_files(tmp_path, algebra_edit=negate, spec_edit=negate_p)
+    assert run(capsys, "validate", *flags[:2], "--format", "json")[0] == 0
+    assert run(capsys, "verify-copy", *flags, "--format", "json") == (
+        0, '{"passed": true}\n')
+    detail = ("Levi bracket [J_12, J_13] is not the so(3) bracket of its "
+              "labels, [J_ij, J_jk] = J_ik, [J_ij, J_ik] = -J_jk and "
+              "[J_ik, J_jk] = -J_ij for i < j < k")
+    code, out = run(capsys, "casimirs", *flags, "--format", "json")
+    assert (code, json.loads(out)) == (2, {"error": "not-applicable",
+                                           "detail": detail})
+    assert run(capsys, "casimirs", *flags) == (2, "error: %s\n" % detail)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -39,17 +39,6 @@ def h2():
         levi=[])
 
 
-def test_constructor_checks():
-    ExteriorElement(3, {(0, 2): 1})
-    with pytest.raises(MalformedInputError):
-        ExteriorElement(3, {(2, 0): 1})
-    with pytest.raises(MalformedInputError):
-        ExteriorElement(3, {(0, 0): 1})
-    with pytest.raises(MalformedInputError):
-        ExteriorElement(3, {(0, 5): 1})
-    assert ExteriorElement(3, {(0, 1): 0}).is_zero()
-
-
 def test_wedge_signs():
     w0, w1, w2 = (ExteriorElement(4, {(i,): 1}) for i in range(3))
     assert wedge(w0, w1).terms == {(0, 1): F(1)}
