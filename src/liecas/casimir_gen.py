@@ -76,8 +76,9 @@ def rotation_block(algebra):
     names = sorted(algebra.names[t] for t in algebra.levi)
     block = {}
     for name in names:
+        # isdigit and int alone also take digits outside 0-9, like ² or ١
         if not (name.startswith("J_") and len(name) == 4
-                and name[2:].isdigit()):
+                and name[2:].isascii() and name[2:].isdigit()):
             raise NotApplicableError(
                 "Levi generator %r is not of the J_ij form" % name)
         i, j = int(name[2]), int(name[3])
@@ -134,7 +135,7 @@ def check_covariance(algebra, upper, images):
     Xhat_t is a derivation of S(g) that kills constants, so then
     Xhat_t det(A - T id) = tr(adj(A - T id) [K_t, A - T id]) = 0 and every
     char-poly coefficient is invariant."""
-    zero = CommPoly.zero(algebra.dim)
+    zero = CommPoly(algebra.dim)
 
     def entry(p, q):
         # A_pq of the whole matrix
@@ -169,7 +170,7 @@ def char_poly_coefficients(N, upper, nvars):
     C_2l is the sum of Pf(A_S)^2 over the 2l-subsets S of the rows; each
     principal Pfaffian is expanded along its first row, which reads only
     entries above the diagonal, and memoized on its index tuple."""
-    zero = CommPoly.zero(nvars)
+    zero = CommPoly(nvars)
     pfaffians = {(): CommPoly.constant(nvars, 1)}
 
     def pfaffian(rows):

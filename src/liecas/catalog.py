@@ -268,7 +268,7 @@ def _sym_words(algebra, terms):
     """
     return symmetrize(algebra, sum((CommPoly.monomial(algebra.dim, w, c)
                                     for w, c in terms.items()),
-                                   CommPoly.zero(algebra.dim)))
+                                   CommPoly(algebra.dim)))
 
 
 def boson_example(alpha=1):

@@ -24,9 +24,10 @@ its check before casimirs or contract run, a derived result fails an
 internal check); 2 on input the command cannot take, including bracket
 tables that violate Jacobi, contractions whose limit does not exist and
 algebras the operation does not apply to; BROKEN_PIPE when stdout is
-closed early (a pipe into head), with empty stderr.  _ERRORS maps every
-error to its kind and status.  All documents, error documents included,
-go to stdout; with --format json they are machine-readable, errors as
+closed early (a pipe into head), with empty stderr.  Each error class
+declares its kind and status, and its payload is the rest of its
+document (see errors).  All documents, error documents included, go to
+stdout; with --format json they are machine-readable, errors as
 {"error": <kind>, ...}.  That holds for flags argparse rejects too; in
 text or latex format those keep argparse's usage message on stderr.
 
@@ -47,22 +48,13 @@ import json
 import os
 import sys
 
-from .errors import (DegreeOverflowError, InternalConsistencyError,
-                     LiecasError, LimitDoesNotExistError, MalformedInputError,
-                     NotApplicableError, PreconditionError)
+from .errors import LiecasError, MalformedInputError
 from .lie_core import algebra_from_json, algebra_to_json
 from .naming import latex_name, plain_number, signed_join, signed_term
 from .sparse import exact
 
 FORMATS = ("json", "text", "latex")
 BROKEN_PIPE = 141     # 128 + SIGPIPE, as a shell reports the signal
-
-def _fail(message, **payload):
-    err = MalformedInputError(message)
-    if payload:
-        err.payload = payload
-    raise err
-
 
 def _rational(text):
     # argparse answers an ArgumentTypeError as a usage error; a
@@ -73,16 +65,25 @@ def _rational(text):
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
+def _decode(text, what):
+    """The one json.loads of outside input, a str or a file's UTF-8 bytes.
+    Bytes that are not UTF-8, bad JSON, a number past the int-string limit
+    and nesting past the recursion limit are malformed input under what."""
+    try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        return json.loads(text)
+    except (ValueError, RecursionError) as err:
+        raise MalformedInputError("%s: %s" % (what, err)) from None
+
+
 def _load_json(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as err:
-        _fail("cannot read %s: %s" % (path, err))
-    except ValueError as err:
-        # JSONDecodeError, a file that is not UTF-8, and a JSON number
-        # past the int-string limit all raise a ValueError
-        _fail("bad JSON in %s: %s" % (path, err))
+        raise MalformedInputError("cannot read %s: %s" % (path, err)) from None
+    return _decode(raw, "bad JSON in %s" % path)
 
 
 def _validated(algebra):
@@ -91,8 +92,8 @@ def _validated(algebra):
         return algebra
     payload = report.to_json()
     del payload["ok"]
-    _fail("bracket table fails validation: %s" % report.headline(),
-          **payload)
+    raise MalformedInputError(
+        "bracket table fails validation: %s" % report.headline(), **payload)
 
 
 def _read_algebra(path):
@@ -113,12 +114,12 @@ def _select(args, want_spec=False, raw=False):
     family, path = args.family, getattr(args, "algebra", None)
     spec_path = getattr(args, "spec", None)
     if family is not None and path is not None:
-        _fail("give --family or --algebra, not both")
+        raise MalformedInputError("give --family or --algebra, not both")
     if family is None and (args.N is not None or args.alpha is not None):
-        _fail("--N and --alpha only combine with --family")
+        raise MalformedInputError("--N and --alpha only combine with --family")
     if family is not None:
         if spec_path is not None:
-            _fail("--spec only combines with --algebra")
+            raise MalformedInputError("--spec only combines with --algebra")
         from .catalog import build
         algebra, spec = build(family, args.N, args.alpha)
     elif path is not None:
@@ -133,23 +134,22 @@ def _select(args, want_spec=False, raw=False):
             from .virtual_copy import parse_spec
             spec = parse_spec(algebra, doc)
     else:
-        _fail("need --family or --algebra")
+        raise MalformedInputError("need --family or --algebra")
     if want_spec and spec is None:
-        _fail("no dressing: give --spec with --algebra, or pick a family "
-              "that carries one (see catalog)")
+        raise MalformedInputError(
+            "no dressing: give --spec with --algebra, or pick a family "
+            "that carries one (see catalog)")
     return algebra, spec
 
 
 def _parse_weights(raw):
     if raw.lstrip().startswith("{"):
-        try:
-            table = json.loads(raw)
-        except ValueError as err:   # as in _load_json
-            _fail("bad inline weights JSON: %s" % err)
+        table = _decode(raw, "bad inline weights JSON")
     else:
         table = _load_json(raw)
     if not isinstance(table, dict):
-        _fail("weights must be a JSON object mapping names to integers")
+        raise MalformedInputError(
+            "weights must be a JSON object mapping names to integers")
     return table
 
 
@@ -498,18 +498,6 @@ def _build_parser():
     return parser
 
 
-# every LiecasError subclass -> (JSON "error" tag, exit status); an error
-# takes the row of the nearest class in its MRO
-_ERRORS = {
-    MalformedInputError: ("malformed-input", 2),
-    LimitDoesNotExistError: ("limit-does-not-exist", 2),
-    DegreeOverflowError: ("degree-overflow", 2),
-    NotApplicableError: ("not-applicable", 2),
-    PreconditionError: ("precondition", 1),
-    InternalConsistencyError: ("internal-consistency", 1),
-}
-
-
 def _emit(fmt, out):
     print(json.dumps(out, sort_keys=True) if fmt == "json" else out)
 
@@ -548,16 +536,9 @@ def _answer(argv):
             # a dressing that fails its check prints the whole report
             _emit(fmt, _report_out(fmt, report))
             return 1
-        tag, code = next(_ERRORS[cls] for cls in type(err).__mro__
-                         if cls in _ERRORS)
-        if isinstance(err, LimitDoesNotExistError):
-            doc = {"error": tag, "triple": list(err.triple),
-                   "weight": err.weight}
-        else:
-            doc = {"error": tag, "detail": str(err)}
-        doc.update(getattr(err, "payload", {}))
-        _emit(fmt, doc if fmt == "json" else "error: %s" % err)
-        return code
+        _emit(fmt, {"error": err.kind, **err.payload} if fmt == "json"
+              else "error: %s" % err)
+        return err.status
     _emit(fmt, out)
     return code
 

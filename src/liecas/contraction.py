@@ -15,7 +15,7 @@ fact of a dressed contraction: the top weight M0 of f, the top weight
 M_i of each P_i, and their per-generator maxima N_i, which are the
 normalizations that keep the dressed generators finite in the limit.
 When the limit does not exist it raises LimitDoesNotExistError with
-these top weights and copy_compatible attached as its payload.  When
+these top weights and copy_compatible added to its payload.  When
 every M_i agrees with M0 the leading parts assemble into a dressing of
 the contracted algebra (X''_i = X_i f_0 + P_i,0) and it is verified on
 the spot; when they disagree the limit operators lose one of their two
@@ -125,8 +125,8 @@ ContractionOutcome = namedtuple(
 def contract_copy(algebra, spec, weights):
     """Contract a dressing along a weighting; the dressing is verified
     here, and a copy-compatible limit dressing is verified in turn.  A
-    weighting with no limit raises LimitDoesNotExistError carrying the
-    top weights as its payload."""
+    weighting with no limit raises LimitDoesNotExistError with the top
+    weights added to its payload."""
     from .enveloping import PBWElement, u_mul
     from .virtual_copy import make_spec, require_verified, verify
     require_verified(algebra, spec, "contract the raw algebra instead")
@@ -144,10 +144,10 @@ def contract_copy(algebra, spec, weights):
     try:
         prime = contract_algebra(algebra, weights)
     except LimitDoesNotExistError as err:
-        err.payload = {"f_top_weight": M0,
-                       "p_top_weights": {algebra.names[i]: m
-                                         for i, m in Mi.items()},
-                       "copy_compatible": compatible}
+        err.payload.update(f_top_weight=M0,
+                           p_top_weights={algebra.names[i]: m
+                                          for i, m in Mi.items()},
+                           copy_compatible=compatible)
         raise
 
     # prime keeps the index order, so the leading words stay normal there

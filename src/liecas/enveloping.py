@@ -121,15 +121,6 @@ class PBWElement(SparseTerms):
         """Set of generator indices appearing in any word."""
         return set().union(*self.terms)
 
-    # ---- products ------------------------------------------------------------
-
-    # elem * elem is the product in U(g); a scalar multiplies from the left
-    def __mul__(self, other):
-        return u_mul(self, other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
     # ---- views ----------------------------------------------------------------
 
     def ordered_terms(self):

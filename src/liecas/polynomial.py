@@ -17,8 +17,6 @@ lexicographically; among words of one length the larger exponent vector
 is the smaller word.
 """
 
-from fractions import Fraction
-
 from .naming import latex_name, render_words
 from .sparse import SparseTerms, accumulate, exact
 
@@ -36,10 +34,6 @@ class CommPoly(SparseTerms):
     # ---- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
-
-    @classmethod
     def constant(cls, nvars, c):
         return cls.monomial(nvars, (), c)
 
@@ -52,24 +46,12 @@ class CommPoly(SparseTerms):
 
     # ---- ring operations ----------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CommPoly.constant(self.nvars, other)
-        return SparseTerms.__add__(self, other)
-
-    __radd__ = __add__
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         out = {}
         for w1, c1 in self.terms.items():
             accumulate(out, ((tuple(sorted(w1 + w2)), c2)
                              for w2, c2 in other.terms.items()), c1)
         return self._new(out)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     # ---- rendering --------------------------------------------------------
 

@@ -53,7 +53,7 @@ def random_pbw(algebra, rng, max_len=2, max_terms=3):
 
 def random_poly(nvars, rng, max_deg=3, max_terms=4):
     from liecas.polynomial import CommPoly
-    p = CommPoly.zero(nvars)
+    p = CommPoly(nvars)
     for _ in range(rng.randint(1, max_terms)):
         word = [rng.randrange(nvars) for _ in range(rng.randint(0, max_deg))]
         mono = CommPoly.monomial(nvars, word, random_fraction(rng))
@@ -151,9 +151,9 @@ def representation_property(algebras, seed, cases):
             return xhat(g, poly, ad_images(g, k))
 
         lhs = apply(i, apply(j, f)) - apply(j, apply(i, f))
-        rhs = CommPoly.zero(g.dim)
+        rhs = CommPoly(g.dim)
         for k, c in g.bracket_basis(i, j).items():
-            rhs = rhs + c * apply(k, f)
+            rhs = rhs + apply(k, f).scale(c)
         assert lhs == rhs, \
             "representation property failed in %r at case %d" % (g, t)
     return cases
@@ -509,7 +509,7 @@ def xhat_agreement(seed, cases):
         images = ad_images(g, s)
         pool = (rng.sample(range(g.dim), min(g.dim, 2))
                 + rng.sample(sorted(images), min(len(images), 2)))
-        p = CommPoly.zero(g.dim)
+        p = CommPoly(g.dim)
         for _ in range(rng.randint(1, 4)):
             word = [rng.choice(pool) for _ in range(rng.randint(0, 5))]
             p = p + CommPoly.monomial(g.dim, word, random_fraction(rng))

@@ -409,7 +409,7 @@ def contracted_boson_dressing(algebra):
     def sym(terms):
         return symmetrize(algebra, sum((CommPoly.monomial(algebra.dim, w, c)
                                         for w, c in terms.items()),
-                                       CommPoly.zero(algebra.dim)))
+                                       CommPoly(algebra.dim)))
 
     f0 = PBWElement.from_terms(algebra, {(T, T): -1})
     P_map = {
@@ -532,7 +532,7 @@ def char_poly_cofactor(n, upper, nvars):
     if any(not 0 <= a < b < n for a, b in upper):
         raise MalformedInputError("entry outside the upper triangle")
     t_var = CommPoly.monomial(nvars + 1, (nvars,))
-    zero = CommPoly.zero(nvars + 1)
+    zero = CommPoly(nvars + 1)
     dense = [[zero] * n for _ in range(n)]
     for (a, b), entry in upper.items():
         lifted = CommPoly(nvars + 1, dict(entry.terms))
@@ -543,7 +543,7 @@ def char_poly_cofactor(n, upper, nvars):
     def det(sub):
         if len(sub) == 1:
             return sub[0][0]
-        total = CommPoly.zero(nvars + 1)
+        total = CommPoly(nvars + 1)
         for col in range(len(sub)):
             minor = [row[:col] + row[col + 1:] for row in sub[1:]]
             piece = sub[0][col] * det(minor)
@@ -569,7 +569,7 @@ def partial(poly, i):
 def xhat_direct(algebra, poly, i):
     """Xhat_i poly = sum_{j,k} C_ij^k x_k dF/dx_j, multiplied out term by
     term through partial."""
-    res = CommPoly.zero(poly.nvars)
+    res = CommPoly(poly.nvars)
     for j in range(algebra.dim):
         for k, c in algebra.bracket_basis(i, j).items():
             res = res + (CommPoly.monomial(poly.nvars, (k,))

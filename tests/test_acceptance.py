@@ -224,10 +224,8 @@ def test_criterion_8():
     with pytest.raises(LimitDoesNotExistError) as err:
         contract_copy(algebra, spec, ContractionWeights(algebra, {"T": 3}))
 
-    assert err.value.triple == ("G_1", "Q_1", "T")
-    assert err.value.weight == -3
     assert err.value.payload == {
-        "f_top_weight": 6,
+        "triple": ["G_1", "Q_1", "T"], "weight": -3, "f_top_weight": 6,
         "p_top_weights": {"J_12": 3, "J_13": 3, "J_23": 3},
         "copy_compatible": False}
 

@@ -529,6 +529,18 @@ _KEPT_CHECKS = {
     "rotation-label-J_21": (
         _small_files("casimirs", ["J_21", "R"], ["J_21"], f="R"),
         "not-applicable", 2, "bad rotation label 'J_21'"),
+    # str.isdigit takes other digits too: int refuses a superscript ², and
+    # reads the Arabic-Indic ١٢ as 12, here with so(3)'s brackets
+    "rotation-label-superscript-digits": (
+        _small_files("casimirs", ["J_²³", "R"], ["J_²³"], f="R"),
+        "not-applicable", 2, "Levi generator 'J_²³' is not of the J_ij form"),
+    "rotation-labels-arabic-indic-digits": (
+        _small_files("casimirs", ["J_١٢", "J_١٣", "J_٢٣", "R"],
+                     ["J_١٢", "J_١٣", "J_٢٣"],
+                     [("J_١٢", "J_٢٣", "J_١٣", "1"),
+                      ("J_١٢", "J_١٣", "J_٢٣", "-1"),
+                      ("J_١٣", "J_٢٣", "J_١٢", "-1")], f="R"),
+        "not-applicable", 2, "Levi generator 'J_١٢' is not of the J_ij form"),
     "partial-rotation-block": (
         _small_files("casimirs", ["J_12", "J_13", "R"], ["J_12", "J_13"],
                      f="R"),
@@ -555,9 +567,35 @@ def test_kept_input_checks_answer_through_the_cli(capsys, tmp_path, case):
     assert (code, doc["error"], doc["detail"]) == (status, tag, detail)
 
 
-# a JSON number past Python's int-string limit (4,300 digits) makes the
-# parser raise a plain ValueError, not a JSONDecodeError
+# outside JSON that the decoder refuses: a number past Python's int-string
+# limit (4,300 digits) raises a plain ValueError, not a JSONDecodeError,
+# and nesting past the recursion limit raises a RecursionError
 HUGE_NUMBER = "1" * 5000
+DEEP_NESTING = "[" * 100000
+
+
+def _refuses_bad_json(capsys, argv, detail):
+    """argv answers malformed-input with exit 2 and a detail that starts
+    with detail, in json and in text."""
+    code, out = run(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    assert (code, doc["error"]) == (2, "malformed-input")
+    assert doc["detail"].startswith(detail)
+    code, out = run(capsys, *argv, "--format", "text")
+    assert code == 2 and out.startswith("error: " + detail)
+
+
+def _refuses_bad_json_files(capsys, tmp_path, raw):
+    """A file of the bytes raw is refused as bad JSON wherever a flag
+    names a file: --algebra, --spec and --weights."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    for argv in (["validate", "--algebra", str(path)],
+                 ["verify-copy", *_ha3_files(tmp_path)[:2],
+                  "--spec", str(path)],
+                 ["contract", "--family", "Ha", "--N", "3",
+                  "--weights", str(path)]):
+        _refuses_bad_json(capsys, argv, "bad JSON in %s: " % path)
 
 
 def test_oversized_json_number_in_a_file_is_malformed_input(capsys,
@@ -566,33 +604,28 @@ def test_oversized_json_number_in_a_file_is_malformed_input(capsys,
            "brackets": [{"i": "a", "j": "b", "terms": [{"k": "b",
                                                         "c": "HUGE"}]}],
            "levi": [], "radical": ["a", "b"]}
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps(doc).replace('"HUGE"', HUGE_NUMBER),
-                    encoding="utf-8")
-    code, out = run(capsys, "validate", "--algebra", str(path),
-                    "--format", "json")
-    doc = json.loads(out)
-    assert (code, doc["error"]) == (2, "malformed-input")
-    assert doc["detail"].startswith("bad JSON in %s: " % path)
+    _refuses_bad_json_files(capsys, tmp_path, json.dumps(doc).replace(
+        '"HUGE"', HUGE_NUMBER).encode("utf-8"))
 
 
 def test_file_that_is_not_utf8_is_malformed_input(capsys, tmp_path):
-    path = tmp_path / "latin1.json"
-    path.write_bytes(b'\xff{}')
-    code, out = run(capsys, "validate", "--algebra", str(path),
-                    "--format", "json")
-    doc = json.loads(out)
-    assert (code, doc["error"]) == (2, "malformed-input")
-    assert doc["detail"].startswith("bad JSON in %s: " % path)
+    _refuses_bad_json_files(capsys, tmp_path, b'\xff{}')
+
+
+def test_deeply_nested_json_in_a_file_is_malformed_input(capsys, tmp_path):
+    _refuses_bad_json_files(capsys, tmp_path, DEEP_NESTING.encode("ascii"))
 
 
 def test_oversized_json_number_in_inline_weights_is_malformed_input(capsys):
-    code, out = run(capsys, "contract", "--family", "Ha", "--N", "3",
-                    "--weights", '{"R": %s}' % HUGE_NUMBER,
-                    "--format", "json")
-    doc = json.loads(out)
-    assert (code, doc["error"]) == (2, "malformed-input")
-    assert doc["detail"].startswith("bad inline weights JSON: ")
+    _refuses_bad_json(capsys, ["contract", "--family", "Ha", "--N", "3",
+                               "--weights", '{"R": %s}' % HUGE_NUMBER],
+                      "bad inline weights JSON: ")
+
+
+def test_deeply_nested_inline_weights_are_malformed_input(capsys):
+    _refuses_bad_json(capsys, ["contract", "--family", "Ha", "--N", "3",
+                               "--weights", '{"R": %s}' % DEEP_NESTING],
+                      "bad inline weights JSON: ")
 
 
 def test_bad_alpha_is_a_usage_error(capsys):
@@ -954,9 +987,39 @@ def test_every_error_becomes_a_json_document(capsys, monkeypatch, cls):
 
     monkeypatch.setitem(liecas.cli._HANDLERS, "catalog", handler)
     code, out = run(capsys, "catalog", "--format", "json")
-    assert code in (1, 2)
-    doc = json.loads(out)
-    assert isinstance(doc["error"], str) and doc["error"]
+    assert (code, json.loads(out)["error"]) == (cls.status, cls.kind)
+
+
+def _readme_error_table():
+    """{kind: exit} from README's | error | exit | when | table; the row
+    that names no kind is keyed None."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        rows = fh.read().split("| `error` | exit | when |\n", 1)[1]
+    table = {}
+    for row in rows.splitlines()[1:]:
+        if not row.startswith("|"):
+            break
+        kind, status = (cell.strip() for cell in row.split("|")[1:3])
+        table[kind.strip("`") if kind.startswith("`") else None] = int(status)
+    return table
+
+
+def test_readme_error_table_lists_what_the_error_classes_declare():
+    folder = os.path.dirname(liecas.cli.__file__)
+    source = ""
+    for name in sorted(os.listdir(folder)):
+        if name.endswith(".py") and name != "errors.py":
+            with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                source += fh.read()
+    raised = [cls for cls in _subclasses(LiecasError)
+              if "%s(" % cls.__name__ in source]
+    assert raised
+    for cls in raised:
+        assert isinstance(cls.kind, str) and type(cls.status) is int, cls
+    assert _readme_error_table() == {
+        None: liecas.cli.BROKEN_PIPE,
+        **{cls.kind: cls.status for cls in raised}}
 
 
 # ---- one verify per request ------------------------------------------------------

@@ -104,8 +104,7 @@ def test_negative_weight_has_no_limit():
     w = ContractionWeights(algebra, {"P_1": 1, "Q_1": 1, "Z": 3})
     with pytest.raises(LimitDoesNotExistError) as err:
         contract_algebra(algebra, w)
-    assert err.value.triple == ("P_1", "Q_1", "Z")
-    assert err.value.weight == -1
+    assert err.value.payload == {"triple": ["P_1", "Q_1", "Z"], "weight": -1}
 
 
 def test_oscillator_pair_contraction_matches_catalog():
@@ -185,10 +184,8 @@ def test_skew_weighting_is_reported_incompatible():
     with pytest.raises(LimitDoesNotExistError) as err:
         contract_copy(algebra, spec, w)
 
-    assert err.value.triple == ("G_1", "Q_1", "T")
-    assert err.value.weight == -3
     assert err.value.payload == {
-        "f_top_weight": 6,
+        "triple": ["G_1", "Q_1", "T"], "weight": -3, "f_top_weight": 6,
         "p_top_weights": {"J_12": 3, "J_13": 3, "J_23": 3},
         "copy_compatible": False}
 

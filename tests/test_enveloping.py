@@ -179,7 +179,7 @@ def test_scale_and_linear_ops():
     g = h1()
     x = PBWElement.generator(g, 0)
     y = PBWElement.generator(g, 1)
-    e = 2 * x - y.scale(F(1, 3))
+    e = x.scale(2) - y.scale(F(1, 3))
     assert e.terms == {(0,): F(2), (1,): F(-1, 3)}
     assert (e - e).is_zero()
     assert (-e).terms[(0,)] == F(-2)
@@ -207,7 +207,7 @@ def test_symmetrize_degree_two():
     assert symmetrize(g, xp) == PBWElement.generator(g, 0)
     assert (symmetrize(g, CommPoly.constant(3, 5))
             == PBWElement.from_terms(g, {(): 5}))
-    assert symmetrize(g, CommPoly.zero(3)).is_zero()
+    assert symmetrize(g, CommPoly(3)).is_zero()
 
 
 def entangled_nilpotent():
