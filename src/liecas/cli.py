@@ -22,21 +22,22 @@ Exit status: 0 on success; 1 when the requested verification fails
 (validate finds violations, verify-copy does not pass, a dressing fails
 its check before casimirs or contract run, a derived result fails an
 internal check); 2 on input the command cannot take, including bracket
-tables that violate Jacobi, contractions whose limit does not exist and
-algebras the operation does not apply to; BROKEN_PIPE when stdout is
-closed early (a pipe into head), with empty stderr.  Each error class
-declares its kind and status, and its payload is the rest of its
-document (see errors).  All documents, error documents included, go to
-stdout; with --format json they are machine-readable, errors as
-{"error": <kind>, ...}.  That holds for flags argparse rejects too; in
-text or latex format those keep argparse's usage message on stderr.
+tables that violate Jacobi, contractions whose limit does not exist,
+algebras the operation does not apply to and requests that run out of
+memory; BROKEN_PIPE when stdout is closed early (a pipe into head), with
+empty stderr.  Each error class declares its kind and status, and its
+payload is the rest of its document (see errors).  All documents, error
+documents included, go to stdout; with --format json they are
+machine-readable, errors as {"error": <kind>, ...}.  That holds for
+flags argparse rejects too; in text or latex format those keep
+argparse's usage message on stderr.
 
 Each handler imports the modules it runs when it runs, so a request
-loads only its own layers.  validate needs lie_core alone; count adds
-invariants and linalg, mc adds exterior, and contract adds contraction.
-The catalog loads only for --family or the catalog command, enveloping
-and virtual_copy only for a dressing, and casimir_gen only for casimirs,
-which loads neither invariants nor linalg.
+loads only its own layers.  validate and mc need lie_core alone, mc
+reading the stored bracket rows; count adds invariants and linalg, and
+contract adds contraction.  The catalog loads only for --family or the
+catalog command, enveloping and virtual_copy only for a dressing, and
+casimir_gen only for casimirs, which loads neither invariants nor linalg.
 
 The output format is text unless --format names another.  Randomized
 rank probes (count) take --seed and --trials; one seed always reproduces
@@ -48,7 +49,7 @@ import json
 import os
 import sys
 
-from .errors import LiecasError, MalformedInputError
+from .errors import LiecasError, MalformedInputError, OutOfMemoryError
 from .lie_core import algebra_from_json, algebra_to_json
 from .naming import latex_name, plain_number, signed_join, signed_term
 from .sparse import exact
@@ -143,7 +144,8 @@ def _select(args, want_spec=False, raw=False):
 
 
 def _parse_weights(raw):
-    if raw.lstrip().startswith("{"):
+    # inline when it opens as an object, list, string or number would
+    if raw.lstrip().startswith(tuple('{["-0123456789')):
         table = _decode(raw, "bad inline weights JSON")
     else:
         table = _load_json(raw)
@@ -226,23 +228,27 @@ def _cmd_count(args, fmt):
 
 
 def _cmd_mc(args, fmt):
-    from .exterior import mc_differential
     algebra, _spec = _select(args)
     names = algebra.names
-    forms = mc_differential(algebra)
+    # d w_k = sum_{i<j} C_ij^k w_i ^ w_j: the bracket rows grouped by k
+    forms = [[] for _ in names]
+    for i, j in sorted(algebra.brackets):
+        for k, c in algebra.brackets[(i, j)].items():
+            forms[k].append((i, j, c))
     if fmt == "json":
         return 0, {"forms": [
             {"k": names[k],
              "terms": [{"i": names[i], "j": names[j], "c": plain_number(c)}
-                       for (i, j), c in forms[k].ordered_terms()]}
-            for k in range(algebra.dim)]}
-    if fmt == "latex":
-        return 0, "\n".join(
-            "d\\omega_{%s} = %s" % (latex_name(names[k]),
-                                    forms[k].render(names, latex=True))
-            for k in range(algebra.dim))
-    return 0, "\n".join("d w_{%s} = %s" % (names[k], forms[k].render(names))
-                        for k in range(algebra.dim))
+                       for i, j, c in form]}
+            for k, form in enumerate(forms)]}
+    latex = fmt == "latex"
+    w = (["\\omega_{%s}" % latex_name(m) for m in names] if latex
+         else ["w_{%s}" % m for m in names])
+    head, wedge = ("d%s = %s", " \\wedge ") if latex else ("d %s = %s", "^")
+    return 0, "\n".join(
+        head % (w[k], signed_join(
+            signed_term(c, w[i] + wedge + w[j], latex) for i, j, c in form))
+        for k, form in enumerate(forms))
 
 
 def _cmd_verify_copy(args, fmt):
@@ -426,7 +432,7 @@ def _add_selection(sub, with_spec=False, with_algebra=True):
                      help="output format (default text)")
 
 
-class _UsageError(Exception):
+class _UsageError(MalformedInputError):
     def __init__(self, parser, message):
         super().__init__(message)
         self.parser = parser
@@ -498,8 +504,20 @@ def _build_parser():
     return parser
 
 
-def _emit(fmt, out):
-    print(json.dumps(out, sort_keys=True) if fmt == "json" else out)
+def _render(fmt, out):
+    return json.dumps(out, sort_keys=True) if fmt == "json" else out
+
+
+def _refuse(fmt, err):
+    """Print the answer to a LiecasError; return its exit status."""
+    report = getattr(err, "report", None)
+    if report is not None:
+        # a dressing that fails its check prints the whole report
+        print(_render(fmt, _report_out(fmt, report)))
+        return 1
+    print(_render(fmt, {"error": err.kind, **err.payload} if fmt == "json"
+                  else "error: %s" % err))
+    return err.status
 
 
 def main(argv=None):
@@ -521,25 +539,23 @@ def _answer(argv):
         return exc.code if isinstance(exc.code, int) else 2
     except _UsageError as err:
         if _usage_format(argv) == "json":
-            _emit("json", {"error": "malformed-input", "detail": str(err)})
-            return 2
+            return _refuse("json", err)
         # argparse's own answer: usage and message on stderr
         err.parser.print_usage(sys.stderr)
         sys.stderr.write("%s: error: %s\n" % (err.parser.prog, err))
-        return 2
+        return err.status
     fmt = args.format
     try:
         code, out = _HANDLERS[args.subcommand](args, fmt)
+        text = _render(fmt, out)
     except LiecasError as err:
-        report = getattr(err, "report", None)
-        if report is not None:
-            # a dressing that fails its check prints the whole report
-            _emit(fmt, _report_out(fmt, report))
-            return 1
-        _emit(fmt, {"error": err.kind, **err.payload} if fmt == "json"
-              else "error: %s" % err)
-        return err.status
-    _emit(fmt, out)
+        return _refuse(fmt, err)
+    except MemoryError:
+        # the request's data and frames go when this clause ends
+        code = out = None
+    if code is None:
+        return _refuse(fmt, OutOfMemoryError("out of memory"))
+    print(text)
     return code
 
 

@@ -37,6 +37,12 @@ class DegreeOverflowError(LiecasError):
             "word of length %d exceeds the degree cap %d" % (length, cap))
 
 
+class OutOfMemoryError(LiecasError):
+    """A request needed more memory than the process may use."""
+
+    kind, status = "out-of-memory", 2
+
+
 class PreconditionError(LiecasError):
     """An operation was called on data that fails its stated precondition,
     e.g. casimirs or a copy contraction given a dressing that does not

@@ -11,9 +11,10 @@ of functionally independent invariants is
     N(g) = dim g - generic rank of A(g),   A(g)[i][j] = sum_k C_ij^k x_k,
 
 with the generic rank witnessed at random integer points.  The 2-form
-pencil sum_k a_k d w_k of the structure equations has exactly A(a) as
-its alternating matrix, so method "bb1" (dim g - 2*j0, j0 the pencil's
-generic half-rank) is the same sampling loop with more default trials.
+pencil sum_k a_k d w_k of the structure equations (which `mc` prints
+from the bracket table) has exactly A(a) as its alternating matrix, so
+method "bb1" (dim g - 2*j0, j0 the pencil's generic half-rank) is the
+same sampling loop with more default trials, and builds no form.
 Ranks can only be underestimated, never overestimated, and the max over
 a few trials of a dense-open condition is stable in practice.  That
 guarantee is the same with linalg.rank taken mod p: the rank mod p at a

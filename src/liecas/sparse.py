@@ -1,13 +1,13 @@
 """Sparse exact linear combinations, the shared core of the term classes.
 
-CommPoly and PBWElement (sorted index words) and ExteriorElement
-(increasing index tuples) all store a map key -> nonzero coefficient over
-a fixed universe: a variable count, an algebra, a dual dimension.  A
+CommPoly and PBWElement, the engine's two term classes, map a sorted
+index word to a nonzero coefficient over a fixed universe: a variable
+count or an algebra (the test oracles' forms subclass it too).  A
 coefficient is an int when it is integral, else a Fraction (see exact);
 int and Fraction mix exactly, and both print alike.  Zero coefficients
 are never stored, so equality is structural equality of the maps.  The
-linear operations and the one constructor live here; a subclass names
-the attribute holding its universe.
+linear operations and the one constructor live here; a subclass names the
+attribute holding its universe.
 
 Outside input is checked once, by the reader that takes it in:
 enveloping.parse_pbw and PBWElement.from_terms read each coefficient
@@ -59,7 +59,7 @@ def accumulate(terms, items, c=1):
 class SparseTerms:
 
     __slots__ = ("terms",)
-    _universe = None       # attribute name: "nvars", "algebra" or "n"
+    _universe = None       # attribute name: "nvars" or "algebra"
 
     def __init__(self, universe, terms=None):
         """terms as given: nonzero, canonical coefficients (see exact)."""

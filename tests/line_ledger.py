@@ -32,6 +32,10 @@ _CLOSED_STDOUT = (
     "runs only when stdout closes before the answer is written, in a "
     "subprocess: test_cli.py::test_closed_stdout_exits_quietly and the CI "
     "step 'a closed stdout ends the request without a traceback'")
+_OUT_OF_MEMORY = (
+    "runs only when a request raises MemoryError, in a subprocess that "
+    "caps its own address space: "
+    "test_cli.py::test_running_out_of_memory_answers_an_error")
 _NOT_JACOBI = (
     "internal-consistency guard: the weight-zero part of a Lie bracket "
     "table is the limit of tables isomorphic to it, so it satisfies Jacobi")
@@ -48,6 +52,10 @@ UNREACHED = {
     ("cli.py", "os.dup2(devnull.fileno(), sys.stdout.fileno())"):
         _CLOSED_STDOUT,
     ("cli.py", "return BROKEN_PIPE"): _CLOSED_STDOUT,
+    ("cli.py", "except MemoryError:"): _OUT_OF_MEMORY,
+    ("cli.py", "code = out = None"): _OUT_OF_MEMORY,
+    ("cli.py", 'return _refuse(fmt, OutOfMemoryError("out of memory"))'):
+        _OUT_OF_MEMORY,
     ("cli.py", "sys.exit(main())"): (
         "runs only under python -m liecas.cli, in a subprocess: "
         "test_cli.py::test_module_entry_point"),

@@ -62,7 +62,7 @@ def random_poly(nvars, rng, max_deg=3, max_terms=4):
 
 
 def random_form(algebra, rng, grade, max_terms=4):
-    from liecas.exterior import ExteriorElement
+    from table_oracles import ExteriorElement
     n = algebra.dim
     if grade > n:
         grade = n

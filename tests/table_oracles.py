@@ -22,19 +22,21 @@ realization, with the deformation parameter alpha left symbolic, and
 contracted_boson_dressing the dressing of its alpha = 0 contraction.
 
 The last sections hold slow, independent references that the package
-itself does not need: the wedge product and the antiderivation d on the
-exterior algebra of the dual, the half-rank of a 2-form by wedge powers,
-the characteristic polynomial by cofactor expansion, the formal partial
-derivative, the coadjoint action Xhat_i on S(g) and the invariance of a
-polynomial under it by one product per bracket term, the rank over Q
-by Gaussian elimination over Fraction and by fraction-free (Bareiss)
-elimination, the passage between a dense alternating matrix and its
-entries above the diagonal, which linalg.rank takes, the normal form of
-a word in U(g) by unmemoized bubbling, the product of a sequence of
-elements of U(g) one factor at a time, the commutator in U(g) as two
-full products, the conditions of a virtual copy with every bracket of
-the dressed generators multiplied out in full, and the Jacobi sums of a
-bracket table over every index triple.
+itself does not need: the forms on the dual (a SparseTerms subclass)
+and the structure equations as 2-forms, the wedge product and the
+antiderivation d on the exterior algebra of the dual, the half-rank of
+a 2-form by wedge powers, the characteristic polynomial by cofactor
+expansion, the formal partial derivative, the coadjoint action Xhat_i
+on S(g) and the invariance of a polynomial under it by one product per
+bracket term, the rank over Q by Gaussian elimination over Fraction and
+by fraction-free (Bareiss) elimination, the passage between a dense
+alternating matrix and its entries above the diagonal, which
+linalg.rank takes, the normal form of a word in U(g) by unmemoized
+bubbling, the product of a sequence of elements of U(g) one factor at a
+time, the commutator in U(g) as two full products, the conditions of a
+virtual copy with every bracket of the dressed generators multiplied
+out in full, and the Jacobi sums of a bracket table over every index
+triple.
 
 The last section holds the paper's other route to the Casimirs of the
 full algebra, which no request takes: the quadratic Casimirs of the two
@@ -65,11 +67,10 @@ from liecas.errors import (
     MalformedInputError,
     PreconditionError,
 )
-from liecas.exterior import ExteriorElement, mc_differential
 from liecas.invariants import _HIGH, _LOW
 from liecas.lie_core import LieAlgebra
 from liecas.polynomial import CommPoly
-from liecas.sparse import accumulate, exact
+from liecas.sparse import SparseTerms, accumulate, exact
 from liecas.virtual_copy import (
     CONDITIONS,
     build_operators,
@@ -421,6 +422,27 @@ def contracted_boson_dressing(algebra):
 
 
 # ---- exterior algebra on the dual -------------------------------------------
+
+
+# a form on the dual of an n-dimensional algebra: strictly increasing index
+# tuples (the wedge monomials of the dual basis) -> coefficient
+class ExteriorElement(SparseTerms):
+    __slots__ = ("n",)
+    _universe = "n"
+
+
+def mc_differential(algebra):
+    """The structure equations d w_k = sum_{i<j} C_ij^k w_i ^ w_j as a
+    list of 2-forms, entry k holding d w_k, so that d^2 = 0 is exactly
+    the Jacobi identity: the coefficient of w_i ^ w_j ^ w_l in d(d w_k)
+    is the cyclic Jacobi sum.  The opposite overall sign would also
+    square to zero; this one matches the structure-equation tables of
+    the catalog algebras and the forms `mc` prints."""
+    out = [ExteriorElement(algebra.dim) for _ in range(algebra.dim)]
+    for (i, j), terms in algebra.brackets.items():
+        for k, c in terms.items():
+            out[k].terms[(i, j)] = c
+    return out
 
 
 def _merge_sign(idx1, idx2):

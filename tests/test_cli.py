@@ -221,16 +221,19 @@ def test_casimirs_over_the_degree_cap_exits_2(capsys):
 
 
 def test_verify_copy_over_the_degree_cap_exits_2(capsys, tmp_path):
-    # f = R^6 makes [X'_i, X'_j] a degree-13 element: refused, not reported
+    # f = R^6 makes [X'_i, X'_j] a degree-13 element: refused, not
+    # reported; f = R^13 is refused as the spec is read
     algebra, _spec = build("Ha", 3)
     doc = algebra_to_json(algebra)
-    spec = {"f": [{"word": ["R"] * 6, "coeff": "1"}]}
-    code, out = run(capsys, "verify-copy",
-                    "--algebra", write_json(tmp_path / "ha3.json", doc),
-                    "--spec", write_json(tmp_path / "r6.json", spec),
-                    "--format", "json")
-    assert (code, out) == (2, '{"detail": "word of length 13 exceeds the '
-                              'degree cap 12", "error": "degree-overflow"}\n')
+    for length in (6, 13):
+        spec = {"f": [{"word": ["R"] * length, "coeff": "1"}]}
+        code, out = run(capsys, "verify-copy",
+                        "--algebra", write_json(tmp_path / "ha3.json", doc),
+                        "--spec", write_json(tmp_path / "r.json", spec),
+                        "--format", "json")
+        assert (code, out) == (2, '{"detail": "word of length 13 exceeds '
+                                  'the degree cap 12", "error": '
+                                  '"degree-overflow"}\n')
 
 
 def test_malformed_flags_exit_2(capsys, tmp_path):
@@ -427,6 +430,14 @@ _OUTSIDE_INPUT = {
         lambda p: ["contract", "--family", "Ha", "--N", "3", "--weights",
                    write_json(p / "w.json", [1, 2])],
         "weights must be a JSON object mapping names to integers"),
+    "inline-weights-are-a-list": (
+        lambda p: ["contract", "--family", "Ha", "--N", "3",
+                   "--weights", "[1]"],
+        "weights must be a JSON object mapping names to integers"),
+    "inline-weights-are-a-number": (
+        lambda p: ["contract", "--family", "Ha", "--N", "3",
+                   "--weights", " 5"],
+        "weights must be a JSON object mapping names to integers"),
     "spec-with-a-family": (
         lambda p: ["verify-copy", "--family", "Ha", "--N", "3",
                    "--spec", "x.json"],
@@ -517,6 +528,9 @@ _KEPT_CHECKS = {
     "no-names": (
         _small_files("count", [], []), "malformed-input", 2,
         "algebra needs at least one generator"),
+    "duplicate-generator-name": (
+        _small_files("count", ["a", "a"], []), "malformed-input", 2,
+        "duplicate generator name 'a'"),
     "levi-and-radical-overlap": (
         _edited_ha3(algebra_edit=lambda d: d["radical"].append("J_12")),
         "malformed-input", 2, "levi and radical must partition the index set"),
@@ -906,6 +920,33 @@ def test_closed_stdout_exits_quietly():
     assert proc.stderr == b""
 
 
+# a child that caps its own address space 20 MB above what it has mapped
+# (read from Linux's /proc), with the casimirs layers already loaded, then
+# runs the request
+_OUT_OF_MEMORY = """
+import resource, sys
+import liecas.casimir_gen, liecas.catalog, liecas.cli, liecas.enveloping
+with open("/proc/self/statm") as fh:
+    mapped = int(fh.read().split()[0]) * resource.getpagesize()
+_soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (mapped + 20 * 2 ** 20, hard))
+sys.exit(liecas.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("fmt,answer", [
+    ("json", '{"detail": "out of memory", "error": "out-of-memory"}\n'),
+    ("text", "error: out of memory\n")])
+def test_running_out_of_memory_answers_an_error(fmt, answer):
+    # QHa(4)'s casimirs need about 65 MB more than the child has mapped:
+    # the MemoryError is answered in the requested format, with no
+    # traceback on stderr
+    proc = subprocess.run(
+        [sys.executable, "-c", _OUT_OF_MEMORY, "casimirs", "--family", "QHa",
+         "--N", "4", "--format", fmt], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, answer, "")
+
+
 # ---- each request loads only what it runs ---------------------------------------
 
 _LOADED = """
@@ -976,7 +1017,8 @@ def _subclasses(cls):
 
 
 _ERROR_ARGS = {DegreeOverflowError: (9, 8),
-               LimitDoesNotExistError: ("P_1", "Q_1", "Z", -3)}
+               LimitDoesNotExistError: ("P_1", "Q_1", "Z", -3),
+               liecas.cli._UsageError: (None, "boom")}
 
 
 @pytest.mark.parametrize("cls", sorted(_subclasses(LiecasError),

@@ -1,9 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from liecas.cli import main
 from liecas.errors import MalformedInputError
-from liecas.exterior import ExteriorElement, mc_differential
 from liecas.invariants import invariant_count
 from liecas.lie_core import LieAlgebra
 from liecas.linalg import rank
@@ -15,8 +16,10 @@ from property_suites import (
     wedge_rank_agreement,
 )
 from table_oracles import (
+    ExteriorElement,
     alternating_matrix,
     differential,
+    mc_differential,
     upper_entries,
     wedge,
     wedge_rank_slow,
@@ -114,16 +117,24 @@ def test_j0_deterministic_in_seed():
     assert a == b
 
 
-def test_render():
-    g = so3()
-    mc = mc_differential(g)
-    assert mc[0].render(g.names) == "w_{e2}^w_{e3}"
-    assert mc[1].render(g.names) == "-w_{e1}^w_{e3}"
-    two = mc[0].scale(2) + mc[1]
-    assert two.render(g.names) == "-w_{e1}^w_{e3} + 2*w_{e2}^w_{e3}"
-    assert mc[1].render(g.names, latex=True) == \
-        "-\\omega_{e1} \\wedge \\omega_{e3}"
-    assert ExteriorElement(3).render(g.names) == "0"
+def test_render(capsys, tmp_path):
+    # mc prints each d w_k from the bracket rows: d w_{e4} has the two
+    # terms -1 and 2, and the other three forms have none
+    names = ["e1", "e2", "e3", "e4"]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({
+        "names": names, "levi": [], "radical": names,
+        "brackets": [{"i": i, "j": "e3", "terms": [{"k": "e4", "c": c}]}
+                     for i, c in (("e1", "-1"), ("e2", "2"))]}))
+    assert main(["mc", "--algebra", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "d w_{e1} = 0\nd w_{e2} = 0\nd w_{e3} = 0\n"
+        "d w_{e4} = -w_{e1}^w_{e3} + 2*w_{e2}^w_{e3}\n")
+    assert main(["mc", "--algebra", str(path), "--format", "latex"]) == 0
+    assert capsys.readouterr().out == (
+        "d\\omega_{e1} = 0\nd\\omega_{e2} = 0\nd\\omega_{e3} = 0\n"
+        "d\\omega_{e4} = -\\omega_{e1} \\wedge \\omega_{e3} "
+        "+ 2 \\omega_{e2} \\wedge \\omega_{e3}\n")
 
 
 def test_leibniz_suite():

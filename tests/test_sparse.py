@@ -6,10 +6,11 @@ from liecas.casimir_gen import casimir_set
 from liecas.catalog import FAMILIES, boson_algebra, build
 from liecas.enveloping import PBWElement
 from liecas.errors import MalformedInputError, NotApplicableError
-from liecas.exterior import ExteriorElement
 from liecas.lie_core import LieAlgebra, algebra_from_json
 from liecas.polynomial import CommPoly
 from liecas.sparse import accumulate, exact
+
+from table_oracles import ExteriorElement
 
 F = Fraction
 
