@@ -171,7 +171,7 @@ def char_poly_coefficients(N, upper, nvars):
     principal Pfaffian is expanded along its first row, which reads only
     entries above the diagonal, and memoized on its index tuple."""
     zero = CommPoly(nvars)
-    pfaffians = {(): CommPoly.constant(nvars, 1)}
+    pfaffians = {(): CommPoly.monomial(nvars, ())}
 
     def pfaffian(rows):
         # Pf(A_S) = sum_k (-1)^k a_{s0,sk} Pf(A_{S - {s0, sk}})

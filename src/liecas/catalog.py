@@ -139,8 +139,8 @@ def weyl_quesne(n):
     names = (e_names + ["bd_%d" % k for k in ns] + ["b_%d" % k for k in ns]
              + ["I"])
     algebra = _algebra(names, relations(), e_names)
-    f = PBWElement.generator(algebra, "I")
     ix = algebra.name_index
+    f = PBWElement.generator(algebra, ix["I"])
     P = {E(i, j): PBWElement.from_terms(
             algebra, {(ix["bd_%d" % i], ix["b_%d" % j]): -1})
          for i in ns for j in ns}
@@ -197,7 +197,7 @@ def _hamilton_spec(algebra, N, inhomogeneous, ext):
 
     if not inhomogeneous:
         # f = R, P_{J_ij} = G_i F_j - G_j F_i
-        f = PBWElement.generator(algebra, "R")
+        f = PBWElement.generator(algebra, ix["R"])
         words = {(i, j): _antisym(ix, i, j, "G", "F") for (i, j) in pairs}
         return make_spec(algebra, f, _collect(algebra, words))
 

@@ -65,9 +65,6 @@ class ContractionWeights:
         self.algebra = algebra
         self.by_index = tuple(weights)
 
-    def of(self, t):
-        return self.by_index[t]
-
     def word_weight(self, word):
         return sum(self.by_index[t] for t in word)
 
@@ -79,11 +76,12 @@ class ContractionWeights:
 def contract_algebra(algebra, weights):
     """The weight-zero part of the bracket table, as a new algebra over
     the same named basis and the same declared split."""
+    n = weights.by_index
     rows = {}
     for (i, j), terms in algebra.brackets.items():
         kept = {}
         for k, c in terms.items():
-            s = weights.of(i) + weights.of(j) - weights.of(k)
+            s = n[i] + n[j] - n[k]
             if s < 0:
                 raise LimitDoesNotExistError(algebra.names[i],
                                              algebra.names[j],
@@ -134,7 +132,7 @@ def contract_copy(algebra, spec, weights):
     M0, f0 = weighted_leading_part(spec.f, weights)
     Mi, P0 = {}, {}
     for i in sorted(algebra.levi):
-        if spec.P[i].is_zero():
+        if not spec.P[i]:
             Mi[i] = M0
             P0[i] = PBWElement(algebra)
         else:

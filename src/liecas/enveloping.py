@@ -105,8 +105,7 @@ class PBWElement(SparseTerms):
     # ---- constructors ------------------------------------------------------
 
     @classmethod
-    def generator(cls, algebra, ref):
-        i = algebra.index(ref) if isinstance(ref, str) else ref
+    def generator(cls, algebra, i):
         return cls(algebra, {(i,): 1})
 
     @classmethod
@@ -225,8 +224,7 @@ def symmetrize(algebra, poly):
     not commute with" graph commute outright, so sym(M) is the product
     of the sym of its letter groups, and a letter commuting with every
     other letter is its own.  Within one call A of each multiset met is
-    memoized on its sorted letter tuple, and so is D; a connected one
-    goes through
+    memoized on its sorted letter tuple; a connected one goes through
 
         A(M) = sum over distinct a in M of X_a A(M - a)
 
@@ -262,12 +260,7 @@ def symmetrize(algebra, poly):
             reach |= neighbours[a]
         return letters, reach
 
-    memo, sums, counts = {}, {}, {}
-
-    def orderings(letters):
-        if letters not in counts:
-            counts[letters] = _orderings(letters)
-        return counts[letters]
+    memo, sums = {}, {}
 
     def arrangements(letters):
         # (terms of A(letters), *span of them); letters is sorted
@@ -275,8 +268,8 @@ def symmetrize(algebra, poly):
             free, groups = _letter_groups(letters, neighbours)
             if free or len(groups) != 1:
                 terms = {}
-                combine(terms, free, groups, orderings(letters)
-                        // prod(map(orderings, groups)))
+                combine(terms, free, groups, _orderings(letters)
+                        // prod(map(_orderings, groups)))
             else:
                 terms = _normalize(algebra, steps(letters), memo)
             sums[letters] = (terms, *span(terms))
@@ -316,7 +309,7 @@ def symmetrize(algebra, poly):
     for word, c in poly.terms.items():
         free, groups = _letter_groups(word, neighbours)
         combine(total, free, groups,
-                c * (common // prod(map(orderings, groups))))
+                c * (common // prod(map(_orderings, groups))))
     out = {}
     for w, v in total.items():
         v = Fraction(v, common)

@@ -22,11 +22,6 @@ class MalformedInputError(LiecasError):
     kind, status = "malformed-input", 2
 
 
-class VirtualCopySpecError(MalformedInputError):
-    """A candidate (f, P_i) spec that breaks the structural rules
-    (support outside the radical, wrong homogeneity, zero f)."""
-
-
 class DegreeOverflowError(LiecasError):
     """A normal-ordering word exceeded the degree cap."""
 

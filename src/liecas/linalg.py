@@ -1,4 +1,4 @@
-"""Rank of a rational alternating matrix, taken mod the prime p = 2^61 - 1.
+"""Rank of a rational alternating matrix, taken mod a prime p.
 
 The matrix comes as its entries above the diagonal, {(i, j): A_ij} for
 i < j; A_ji = -A_ij and A_ii = 0 are implied.  Every entry is scaled by
@@ -36,43 +36,41 @@ lower bound on a generic rank as a rank over Q (Schwartz, J. ACM 27,
 
 from math import lcm
 
-P = 2 ** 61 - 1
 
-
-def rank(upper):
-    """Rank mod p of the alternating matrix whose entries above the
-    diagonal are `upper`, {(i, j): int or Fraction} with i < j; never
+def rank(upper, p):
+    """Rank mod the prime p of the alternating matrix whose entries above
+    the diagonal are `upper`, {(i, j): int or Fraction} with i < j; never
     above the rank over Q."""
     scale = lcm(*(v.denominator for v in upper.values()))
     rows = {}
     for (i, j), v in upper.items():
-        a = v.numerator * (scale // v.denominator) % P
+        a = v.numerator * (scale // v.denominator) % p
         if a:
             rows.setdefault(i, {})[j] = a
-            rows.setdefault(j, {})[i] = P - a
+            rows.setdefault(j, {})[i] = p - a
     steps = 0
     while rows:
         k = min(rows, key=lambda i: len(rows[i]))
         u = rows.pop(k)
         m = min(u, key=lambda j: len(rows[j]))
         w = rows.pop(m)
-        inv = pow(u.pop(m), -1, P)
+        inv = pow(u.pop(m), -1, p)
         del w[k]
         for i in u:
             del rows[i][k]
         for i in w:
             del rows[i][m]
         # (w_i u_j - u_i w_j) / a, with u divided by a up front
-        u = {j: t * inv % P for j, t in u.items()}
+        u = {j: t * inv % p for j, t in u.items()}
         support = [(i, u.get(i, 0), w.get(i, 0)) for i in u.keys() | w.keys()]
         for n, (i, ui, wi) in enumerate(support, 1):
             row = rows[i]
             for j, uj, wj in support[n:]:
                 d = wi * uj - ui * wj
-                if d % P:
-                    v = (row.get(j, 0) + d) % P
+                if d % p:
+                    v = (row.get(j, 0) + d) % p
                     if v:
-                        row[j], rows[j][i] = v, P - v
+                        row[j], rows[j][i] = v, p - v
                     else:
                         del row[j], rows[j][i]
         for i, _, _ in support:

@@ -34,10 +34,6 @@ class CommPoly(SparseTerms):
     # ---- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, nvars, c):
-        return cls.monomial(nvars, (), c)
-
-    @classmethod
     def monomial(cls, nvars, word, c=1):
         """c times the product of the word's letters, in any order; c is
         read through sparse.exact, and c = 0 gives the zero polynomial."""

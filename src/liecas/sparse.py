@@ -70,9 +70,6 @@ class SparseTerms:
         """Same universe, terms already free of zero coefficients."""
         return type(self)(getattr(self, self._universe), terms)
 
-    def is_zero(self):
-        return not self.terms
-
     def degree(self):
         """Length of the longest key; -1 when there are no terms."""
         return max(map(len, self.terms), default=-1)

@@ -60,7 +60,6 @@ from .errors import (
     DegreeOverflowError,
     MalformedInputError,
     PreconditionError,
-    VirtualCopySpecError,
 )
 
 
@@ -77,7 +76,7 @@ class VirtualCopySpec(namedtuple("VirtualCopySpec", "f P k")):
 def _check_radical_support(algebra, elem, what):
     bad = elem.support() - algebra.radical
     if bad:
-        raise VirtualCopySpecError(
+        raise MalformedInputError(
             "%s touches non-radical generators %s"
             % (what, sorted(algebra.names[i] for i in bad)))
 
@@ -86,11 +85,11 @@ def make_spec(algebra, f, P):
     """Validated VirtualCopySpec from f and a (possibly partial) map of
     P components keyed by Levi index or generator name, all PBWElements
     over algebra; the structural rules on them are checked here."""
-    if f.is_zero():
-        raise VirtualCopySpecError("f must be nonzero")
+    if not f:
+        raise MalformedInputError("f must be nonzero")
     _check_radical_support(algebra, f, "f")
     if len({len(w) for w in f.terms}) > 1:
-        raise VirtualCopySpecError(
+        raise MalformedInputError(
             "f is not homogeneous (word lengths %s)"
             % sorted({len(w) for w in f.terms}))
     k = f.degree() + 1
@@ -98,14 +97,14 @@ def make_spec(algebra, f, P):
     for key, elem in P.items():
         i = algebra.index(key) if isinstance(key, str) else key
         if i not in algebra.levi:
-            raise VirtualCopySpecError(
+            raise MalformedInputError(
                 "P is keyed by %r, which is not a Levi generator" % (key,))
         _check_radical_support(algebra, elem, "P[%s]" % algebra.names[i])
         # normal ordering of a degree-k expression may leave shorter
         # completion words behind, so the bound is on the filtration
         # degree: nothing longer than k, and the top layer is exactly k
         if elem and elem.degree() != k:
-            raise VirtualCopySpecError(
+            raise MalformedInputError(
                 "P[%s] has top degree %d, expected %d"
                 % (algebra.names[i], elem.degree(), k))
         full[i] = elem
@@ -128,7 +127,7 @@ def emit_spec(spec):
     return {
         "f": emit_pbw(spec.f),
         "P": {names[i]: emit_pbw(p)
-              for i, p in sorted(spec.P.items()) if not p.is_zero()},
+              for i, p in sorted(spec.P.items()) if p},
     }
 
 

@@ -100,7 +100,7 @@ def ug_jacobi(algebras, seed, cases):
         c = random_pbw(g, rng)
         total = (bracket(bracket(a, b), c) + bracket(bracket(b, c), a)
                  + bracket(bracket(c, a), b))
-        assert total.is_zero(), "U(g) Jacobi failed in %r at case %d" % (g, t)
+        assert not total, "U(g) Jacobi failed in %r at case %d" % (g, t)
     return cases
 
 
@@ -166,19 +166,19 @@ def d_squared_zero(algebras, seed, cases):
         g = algebras[t % len(algebras)]
         omega = random_form(g, rng, rng.choice((1, 2)))
         dd = differential(g, differential(g, omega))
-        assert dd.is_zero(), "d^2 != 0 in %r at case %d" % (g, t)
+        assert not dd, "d^2 != 0 in %r at case %d" % (g, t)
     return cases
 
 
 def wedge_rank_agreement(algebras, seed, cases):
     from liecas.linalg import rank
-    from table_oracles import (alternating_matrix, upper_entries,
+    from table_oracles import (P61, alternating_matrix, upper_entries,
                                wedge_rank_slow)
     rng = random.Random(seed)
     for t in range(cases):
         g = algebras[t % len(algebras)]
         omega = random_form(g, rng, 2)
-        assert rank(upper_entries(alternating_matrix(omega))) \
+        assert rank(upper_entries(alternating_matrix(omega)), P61) \
             == 2 * wedge_rank_slow(omega), \
             "wedge rank mismatch in %r at case %d" % (g, t)
     return cases
@@ -242,11 +242,13 @@ def rank_agreement(seed, cases):
     column that combine two others.  All but the first and the smallest
     have one shuffle applied to their rows and their columns, so no zero
     pattern lines up with the index order.  Not in ALL_SUITES: it takes
-    no algebras."""
+    no algebras.  Each case is ranked mod its own random 61-bit prime,
+    drawn as invariant_count draws them."""
+    from liecas.invariants import _prime
     from liecas.linalg import rank
     from table_oracles import (alternating_from_upper, rank_bareiss,
                                rank_fraction, upper_entries)
-    rng = random.Random(seed)
+    rng, primes = random.Random(seed), random.Random("%d:p" % seed)
     for t in range(cases):
         kind = t % 8
         n = rng.randint(2, 10)
@@ -311,8 +313,10 @@ def rank_agreement(seed, cases):
             "case %d is not alternating: %r" % (t, m)
         want = rank_fraction(m)
         assert rank_bareiss(m) == want, "Bareiss rank of %r is not %d" % (m, want)
-        assert rank(upper) == want, \
-            "rank of %r is %d, got %d" % (upper, want, rank(upper))
+        p = _prime(primes)
+        assert rank(upper, p) == want, \
+            "rank of %r mod %d is %d, got %d" \
+            % (upper, p, want, rank(upper, p))
     return cases
 
 
@@ -337,20 +341,22 @@ def structure_rank_agreement(algebras, seed, points):
     """linalg.rank on invariants.structure_matrix against
     table_oracles.rank_bareiss on the dense matrix built from the same
     entries, at `points` seeded integer points per algebra, drawn from the
-    range invariant_count samples; returns the number of matrices ranked.
+    range invariant_count samples, each ranked mod a random prime drawn as
+    invariant_count draws them; returns the number of matrices ranked.
     Not in ALL_SUITES: it ranks whole catalog algebras, which is slow."""
-    from liecas.invariants import _HIGH, _LOW, structure_matrix
+    from liecas.invariants import _HIGH, _LOW, _prime, structure_matrix
     from liecas.linalg import rank
     from table_oracles import alternating_from_upper, rank_bareiss
-    rng = random.Random(seed)
+    rng, primes = random.Random(seed), random.Random("%d:p" % seed)
     for a, g in enumerate(algebras):
         for t in range(points):
             point = [rng.randint(_LOW, _HIGH) for _ in range(g.dim)]
             upper = structure_matrix(g, point)
             want = rank_bareiss(alternating_from_upper(upper, g.dim))
-            assert rank(upper) == want, \
-                "algebra %d %r, point %d: rank %d, got %d" \
-                % (a, g, t, want, rank(upper))
+            p = _prime(primes)
+            assert rank(upper, p) == want, \
+                "algebra %d %r, point %d, mod %d: rank %d, got %d" \
+                % (a, g, t, p, want, rank(upper, p))
     return len(algebras) * points
 
 
@@ -434,8 +440,8 @@ def copy_residual_agreement(seed, cases):
         {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}, (0, 3): {3: 1},
          (0, 4): {4: -1}, (1, 4): {3: 1}, (2, 3): {4: 1}},
         levi=[1, 2])
-    specs.append(("leaky-sl2", leaky,
-                  make_spec(leaky, PBWElement.generator(leaky, "v1"), {})))
+    v1 = PBWElement.generator(leaky, leaky.index("v1"))
+    specs.append(("leaky-sl2", leaky, make_spec(leaky, v1, {})))
     bases = [("Ha", 3), ("IHa", 3), ("QHa", 3),
              ("boson_example", None), ("weyl_quesne", 2)]
     for t in range(cases):

@@ -533,7 +533,7 @@ def wedge_rank_slow(omega):
     power = ExteriorElement(omega.n, {(): 1})
     while True:
         power = wedge(power, omega)
-        if power.is_zero():
+        if not power:
             return j
         j += 1
         if 2 * j > omega.n:
@@ -609,6 +609,10 @@ def is_invariant(algebra, poly):
         if res:
             violations.append((i, res))
     return (not violations, violations)
+
+
+# the Mersenne prime 2^61 - 1: the fixed prime that tests hand linalg.rank
+P61 = 2 ** 61 - 1
 
 
 def upper_entries(m):
@@ -887,9 +891,9 @@ def so_quadratic_casimir(algebra):
 
 def su11_quadratic_casimir(algebra):
     """X_1,1^2 - (X_-1,1 X_1,-1 + X_1,-1 X_-1,1)/2 over the X-named Levi."""
-    a = PBWElement.generator(algebra, "X_1,1")
-    b = PBWElement.generator(algebra, "X_-1,1")
-    c = PBWElement.generator(algebra, "X_1,-1")
+    a = PBWElement.generator(algebra, algebra.index("X_1,1"))
+    b = PBWElement.generator(algebra, algebra.index("X_-1,1"))
+    c = PBWElement.generator(algebra, algebra.index("X_1,-1"))
     return (u_mul(a, a)
             - (u_mul(b, c) + u_mul(c, b)).scale(Fraction(1, 2)))
 

@@ -69,7 +69,7 @@ def test_criterion_1():
             cases.append((fam, N, N // 2 + 3))
     assert len(cases) == 23
     for fam, N, expected in cases:
-        report = invariant_count(_algebra(fam, N), method="bb")
+        report = invariant_count(_algebra(fam, N))
         assert report.count == expected, (fam, N, report.count)
 
 
@@ -83,13 +83,13 @@ def test_criterion_2():
                 ("boson_example_contracted", None)]
     for fid in targets:
         algebra, _ = build(*fid)
-        bb = invariant_count(algebra, method="bb")
-        bb1 = invariant_count(algebra, method="bb1")
+        bb = invariant_count(algebra)
+        bb1 = invariant_count(algebra, trials=5)
         assert bb1.count == algebra.dim - bb1.generic_rank
         assert bb1.count == bb.count, (fid, bb.count, bb1.count)
     # pinned pairing half-ranks: j0 = 8 for both 3-dimensional members
     for fam in ("IHa", "QHa"):
-        report = invariant_count(_algebra(fam, 3), method="bb1")
+        report = invariant_count(_algebra(fam, 3), trials=5)
         assert report.generic_rank == 16, (fam, report.generic_rank)
     # both routes rank one matrix: at seeded a, the alternating matrix of
     # sum_k a_k d w_k, read off the structure 2-forms through the wedge
@@ -128,14 +128,14 @@ def test_criterion_4():
     for alpha in (0, 1):
         algebra = boson_algebra(Fraction(alpha))
         table = boson_table(Fraction(alpha))
-        names = algebra.names
+        names, ix = algebra.names, algebra.name_index
         for s, a in enumerate(names):
             for b in names[s + 1:]:
                 want = PBWElement(algebra)
                 for m, c in table.get((a, b), {}).items():
-                    want = want + PBWElement.generator(algebra, m).scale(c)
-                got = derivation(PBWElement.generator(algebra, b),
-                                 ad_images(algebra, algebra.index(a)))
+                    want = want + PBWElement.generator(algebra, ix[m]).scale(c)
+                got = derivation(PBWElement.generator(algebra, ix[b]),
+                                 ad_images(algebra, ix[a]))
                 assert got == want, (alpha, a, b)
 
 
@@ -157,14 +157,14 @@ def test_criterion_5():
             polys.append(_variable(algebra, name))
         if fam == "QHa":
             polys.append(spec.f.commutative_image())
-        assert len(polys) == invariant_count(algebra, method="bb").count
+        assert len(polys) == invariant_count(algebra).count
         assert functionally_independent(algebra, polys), fam
     # the symmetrized quadratic lift is central in the enveloping algebra
     algebra, spec = build("Ha", 3)
     lifted = lift_casimir(algebra, spec, levi_quadratic_casimir(algebra))
     assert algebra.dim == 10
     for i in range(algebra.dim):
-        assert derivation(lifted, ad_images(algebra, i, -1)).is_zero(), \
+        assert not derivation(lifted, ad_images(algebra, i, -1)), \
             algebra.names[i]
 
 
@@ -234,7 +234,7 @@ def test_criterion_8():
     assert not report.passed
     radical = report.residuals["radical_residuals"]
     assert radical
-    assert all(not r.is_zero() for r in radical.values())
+    assert all(radical.values())
 
 
 def test_criterion_9():

@@ -253,8 +253,8 @@ def test_casimir_set_refuses_a_symmetrization_that_is_not_central(
     symmetrize = liecas.casimir_gen.symmetrize
     monkeypatch.setattr(
         liecas.casimir_gen, "symmetrize",
-        lambda algebra, poly: (symmetrize(algebra, poly)
-                               + PBWElement.generator(algebra, "F_1")))
+        lambda algebra, poly: (symmetrize(algebra, poly) + PBWElement.generator(
+            algebra, algebra.index("F_1"))))
     with pytest.raises(InternalConsistencyError) as err:
         casimir_set(algebra, spec)
     assert str(err.value) == "symmetrized C_2 fails to commute with J_12"
@@ -370,14 +370,15 @@ def test_build_so_matrix_shape():
     N, upper = build_so_matrix(algebra, spec)
     assert N == 3 and sorted(upper) == [(0, 1), (0, 2), (1, 2)]
     for (a, bb), entry in upper.items():
-        name = "J_%d%d" % (a + 1, bb + 1)
-        assert entry == (u_mul(PBWElement.generator(algebra, name), spec.f)
-                         + spec.P[algebra.index(name)]).commutative_image()
+        t = algebra.index("J_%d%d" % (a + 1, bb + 1))
+        assert entry == (u_mul(PBWElement.generator(algebra, t), spec.f)
+                         + spec.P[t]).commutative_image()
 
 
 def test_one_by_one_block_is_trivial():
     algebra, _ = b("heisenberg", 1)
-    spec = make_spec(algebra, PBWElement.generator(algebra, "Z"), {})
+    z = PBWElement.generator(algebra, algebra.index("Z"))
+    spec = make_spec(algebra, z, {})
     assert build_so_matrix(algebra, spec) == (1, {})
     cs = casimir_set(algebra, spec)
     assert cs.coefficients == {} and cs.symmetrized == {} and cs.checked == {}

@@ -742,6 +742,46 @@ def test_count_methods_agree(capsys):
         assert len(counts) == 1
 
 
+@pytest.mark.parametrize("factor", [2 ** 61 - 1, 7 * (2 ** 61 - 1)])
+def test_count_ranks_so3_scaled_by_a_61_bit_prime(capsys, tmp_path, factor):
+    # so(3) with every constant times p = 2^61 - 1 (or 7p) is still so(3);
+    # ranked mod p alone, A(g) would read 0 at every point and count 3
+    doc = algebra_to_json(build("so", 3)[0])
+    for row in doc["brackets"]:
+        for term in row["terms"]:
+            term["c"] = str(factor * int(term["c"]))
+    path = write_json(tmp_path / "so3_scaled.json", doc)
+    for method in ("bb", "bb1"):
+        for seed in range(1, 6):
+            code, out = run(capsys, "count", "--algebra", path, "--method",
+                            method, "--seed", str(seed), "--verbose",
+                            "--format", "json")
+            assert code == 0
+            answer = json.loads(out)
+            assert (answer["count"], answer["generic_rank"]) == (1, 2), \
+                (method, seed)
+
+
+@pytest.mark.parametrize("method, trials", [("bb", 3), ("bb1", 5)])
+def test_count_verbose_echoes_the_method_and_samples_its_trials(
+        capsys, method, trials):
+    from liecas.invariants import invariant_count
+    report = invariant_count(build("QHa", 3)[0], trials=trials, seed=11)
+    code, out = run(capsys, "count", "--family", "QHa", "--N", "3",
+                    "--method", method, "--seed", "11", "--verbose",
+                    "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "count": report.count, "generic_rank": report.generic_rank,
+        "method": method, "seed": 11,
+        "witness_point": [str(x) for x in report.witness_point]}
+    code, out = run(capsys, "count", "--family", "QHa", "--N", "3",
+                    "--method", method, "--seed", "11", "--verbose")
+    assert code == 0
+    assert out.splitlines()[:2] == ["count: %d" % report.count,
+                                    "method: %s" % method]
+
+
 def test_mc_document_shape(capsys):
     code, out = run(capsys, "mc", "--family", "heisenberg", "--N", "1",
                     "--format", "json")

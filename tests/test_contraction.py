@@ -44,7 +44,7 @@ def so3_with_center():
 def test_weights_default_to_zero():
     algebra, _ = b("Ha", 3)
     w = ContractionWeights(algebra)
-    assert all(w.of(t) == 0 for t in range(algebra.dim))
+    assert w.by_index == (0,) * algebra.dim
     assert w.describe() == {}
 
 
@@ -54,8 +54,8 @@ def test_weights_refuse_a_nonzero_levi_weight():
         with pytest.raises(MalformedInputError, match="'J_12'"):
             ContractionWeights(algebra, {"J_12": n, "R": 2})
     w = ContractionWeights(algebra, {"J_12": 0, "R": 2})
-    assert w.of(algebra.index("J_12")) == 0
-    assert w.of(algebra.index("R")) == 2
+    assert w.by_index[algebra.index("J_12")] == 0
+    assert w.by_index[algebra.index("R")] == 2
     assert w.describe() == {"R": 2}
 
 
@@ -124,8 +124,8 @@ def test_oscillator_pair_contraction_matches_catalog():
 def test_weighted_leading_part_slices_top_weight():
     algebra = b("heisenberg", 1)[0]
     w = ContractionWeights(algebra, {"P_1": 1, "Q_1": 1})
-    p = PBWElement.generator(algebra, "P_1")
-    q = PBWElement.generator(algebra, "Q_1")
+    p = PBWElement.generator(algebra, algebra.index("P_1"))
+    q = PBWElement.generator(algebra, algebra.index("Q_1"))
     elem = p + u_mul(p, q).scale(Fraction(3))
     top, lead = weighted_leading_part(elem, w)
     assert top == 2
@@ -196,7 +196,7 @@ def test_skew_weighting_is_reported_incompatible():
     assert not report.passed
     radical = report.residuals["radical_residuals"]
     assert radical
-    assert all(not r.is_zero() for r in radical.values())
+    assert all(radical.values())
 
 
 def test_incompatible_copy_with_a_limit_keeps_the_leading_parts():
@@ -232,12 +232,13 @@ def test_all_zero_weights_change_nothing():
 
 def test_zero_completion_rides_along_with_f():
     algebra = so3_with_center()
-    spec = make_spec(algebra, PBWElement.generator(algebra, "Z"), {})
+    z = PBWElement.generator(algebra, algebra.index("Z"))
+    spec = make_spec(algebra, z, {})
     w = ContractionWeights(algebra, {"Z": 1})
     outcome = contract_copy(algebra, spec, w)
     assert outcome.M0 == 1
     assert outcome.Mi == {0: 1, 1: 1, 2: 1}
-    assert all(p.is_zero() for p in outcome.P0.values())
+    assert not any(outcome.P0.values())
     assert outcome.copy_compatible
     z = algebra.index("Z")
     for i in sorted(algebra.levi):
@@ -247,7 +248,7 @@ def test_zero_completion_rides_along_with_f():
 
 def test_contract_copy_preconditions():
     algebra = so3_with_center()
-    z = PBWElement.generator(algebra, "Z")
+    z = PBWElement.generator(algebra, algebra.index("Z"))
     broken = make_spec(algebra, z, {0: u_mul(z, z)})
     w = ContractionWeights(algebra, {"Z": 1})
     with pytest.raises(PreconditionError):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from liecas.casimir_gen import xhat
 from liecas.catalog import heisenberg_algebra
 from liecas.enveloping import ad_images
 from liecas.errors import MalformedInputError
-from liecas.invariants import invariant_count
+from liecas.invariants import _is_prime, _prime, invariant_count
 from liecas.lie_core import LieAlgebra
 from liecas.polynomial import CommPoly
 
@@ -39,8 +40,8 @@ def xv(n, i):
 def test_bb_matches_bb1_beyond_the_variable_cap():
     # dim 81 exceeds polynomial.MAX_VARIABLES; bb reads the bracket table
     g = heisenberg_algebra(40)
-    bb = invariant_count(g, method="bb")
-    assert bb.count == invariant_count(g, method="bb1").count == 1
+    bb = invariant_count(g)
+    assert bb.count == invariant_count(g, trials=5).count == 1
     assert bb.generic_rank == 80
 
 
@@ -51,7 +52,7 @@ def test_analytic_apply_so3():
     images = ad_images(g, 0)
     assert xhat(g, x2, images) == x3
     assert xhat(g, x3, images) == -x2
-    assert xhat(g, x1, images).is_zero()
+    assert not xhat(g, x1, images)
     # d(x2 x3)/dx2 and the two letters of x2^2 each pass through once
     assert xhat(g, x2 * x3, images) == x3 * x3 - x2 * x2
     assert xhat(g, x2 * x2, images) == (x2 * x3).scale(2)
@@ -73,7 +74,7 @@ def test_h1_center_is_invariant():
     g = h1()
     z = xv(3, 2)
     assert is_invariant(g, z)[0]
-    assert is_invariant(g, z * z + CommPoly.constant(3, 7))[0]
+    assert is_invariant(g, z * z + CommPoly.monomial(3, (), 7))[0]
     assert not is_invariant(g, xv(3, 0))[0]
 
 
@@ -81,7 +82,8 @@ def test_invariant_count_bb():
     rep = invariant_count(so3(), seed=3)
     assert rep.count == 1
     assert rep.generic_rank == 2
-    assert rep.method == "bb"
+    # three points by default, as count --method bb samples
+    assert rep == invariant_count(so3(), trials=3, seed=3)
     assert len(rep.witness_point) == 3
     rep_h = invariant_count(h1(), seed=3)
     assert rep_h.count == 1 and rep_h.generic_rank == 2
@@ -92,9 +94,10 @@ def test_invariant_count_bb():
 def test_invariant_count_bb1_agrees():
     for g in (so3(), h1()):
         bb = invariant_count(g, seed=7)
-        bb1 = invariant_count(g, seed=7, method="bb1")
+        bb1 = invariant_count(g, seed=7, trials=5)
         assert bb.count == bb1.count
-        assert bb1.method == "bb1"
+        # the first three points of five are the three of the default
+        assert bb1.generic_rank >= bb.generic_rank
         assert bb1.generic_rank % 2 == 0
     with pytest.raises(MalformedInputError):
         invariant_count(so3(), trials=0)
@@ -107,6 +110,30 @@ def test_invariant_count_deterministic():
     assert (a.count, a.witness_point) == (b.count, b.witness_point)
 
 
+def test_miller_rabin_on_the_first_12_prime_bases():
+    def by_division(n):
+        return all(n % d for d in range(3, int(n ** 0.5) + 1, 2))
+    odd = range(39, 40001, 2)
+    assert [n for n in odd if _is_prime(n)] == [n for n in odd
+                                                 if by_division(n)]
+    assert _is_prime(2 ** 61 - 1) and _is_prime(2 ** 89 - 1)
+    # strong pseudoprime to every prime base up to 31, caught by 37
+    assert not _is_prime(3825123056546413051)
+    # the least odd composite that all 12 bases pass, far above 2^61
+    # (Sorenson and Webster, Math. Comp. 86, 2017)
+    assert _is_prime(318665857834031151167461)
+
+
+def test_each_trial_prime_is_an_odd_61_bit_prime_from_its_seed():
+    primes = [_prime(random.Random("7:p")) for _ in range(2)]
+    assert primes[0] == primes[1]
+    rng = random.Random("7:p")
+    drawn = [_prime(rng) for _ in range(20)]
+    assert len(set(drawn)) == 20
+    for p in drawn:
+        assert p.bit_length() == 61 and p % 2 and _is_prime(p)
+
+
 def test_functionally_independent():
     g = so3()
     x1, x2, x3 = (xv(3, i) for i in range(3))
@@ -116,7 +143,7 @@ def test_functionally_independent():
         functionally_independent(g, [x1], trials=0)
     # x1^2 and x1^2 + 1 are dependent
     assert not functionally_independent(
-        g, [x1 * x1, x1 * x1 + CommPoly.constant(3, 1)], seed=2)
+        g, [x1 * x1, x1 * x1 + CommPoly.monomial(3, (), 1)], seed=2)
     # r^2 and its square are dependent
     r2 = x1 * x1 + x2 * x2 + x3 * x3
     assert not functionally_independent(g, [r2, r2 * r2], seed=2)
