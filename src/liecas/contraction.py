@@ -9,25 +9,25 @@ contracted bracket table is a Lie algebra again whenever the limit
 exists.
 
 The same weighting filters the enveloping algebra by word weight, and
-the leading (maximal-weight) part of a dressing spec is the natural
-candidate spec for the contracted algebra.  contract_copy() owns every
-fact of a dressed contraction: the top weight M0 of f, the top weight
-M_i of each P_i, and their per-generator maxima N_i, which are the
-normalizations that keep the dressed generators finite in the limit.
-When the limit does not exist it raises LimitDoesNotExistError with
-these top weights and copy_compatible added to its payload.  When
-every M_i agrees with M0 the leading parts assemble into a dressing of
-the contracted algebra (X''_i = X_i f_0 + P_i,0) and it is verified on
-the spot; when they disagree the limit operators lose one of their two
-halves and no longer have the dressed shape, which is reported as
-copy_compatible = False.  The catalog's boson_example_contracted is
-this function's answer on boson_example, not a table of its own.
-
-A generator with P_i = 0 puts no constraint of its own on the limit, so
-its M_i is taken to be M0 (the f half is still there) and its leading
-part stays zero.  The leading parts keep their terms over the contracted
-algebra, whose index order, all that makes a word normal, is the
-source's.  Weights and dressings come over the algebra passed with them.
+every dressed limit is a top-weight slice: the slice of a normal form
+over g at its top weight is the normal form over the contracted algebra
+g', which keeps the source's index order, all that makes a word normal.
+When the limit exists every bracket term has n_k <= n_i + n_j, so normal
+ordering never raises a word's weight and the terms g' drops land
+strictly below the top.  contract_copy() owns every fact of a dressed
+contraction: the top weight M0 and slice f0 of f, the top weight M_i and
+slice P_i,0 of each P_i (M0 and 0 for a zero P_i), and the limit of each
+dressed generator X'_i = X_i f + P_i, its slice at top weight
+N_i = max(M0, M_i) (the slice is never 0: X_i f0 holds the Levi letter
+X_i, which P_i,0 lacks).  When the limit does not exist it raises
+LimitDoesNotExistError with these top weights and copy_compatible added
+to its payload.  When every M_i agrees with M0 the slices assemble into
+a dressing of g' (X''_i = X_i f0 + P_i,0) and it is verified on the
+spot; otherwise a limit operator is X_i f0 alone or P_i,0 alone, not of
+the dressed shape, which is reported as copy_compatible = False.  The
+catalog's boson_example_contracted is this function's answer on
+boson_example, not a table of its own.  Weights and dressings come over
+the algebra passed with them.
 """
 
 from collections import namedtuple
@@ -50,9 +50,9 @@ class ContractionWeights:
     given weight 0 alone, and any other weight on it is refused.
     """
 
-    def __init__(self, algebra, table=None):
+    def __init__(self, algebra, table):
         weights = [0] * algebra.dim
-        for name, n in (table or {}).items():
+        for name, n in table.items():
             t = algebra.index(name)
             if isinstance(n, bool) or not isinstance(n, int):
                 raise MalformedInputError(
@@ -99,21 +99,23 @@ def contract_algebra(algebra, weights):
     return out
 
 
-def weighted_leading_part(elem, weights):
-    """(top weight, top-weight slice) of a nonzero enveloping element."""
+def weighted_leading_part(elem, weights, onto, zero_top=None):
+    """(top weight, top-weight slice) of an element of U(weights.algebra),
+    the slice's normal words read over onto, an algebra on the same
+    ordered basis; a zero element has top weight zero_top and slice 0."""
     from .enveloping import PBWElement
-    top = max(weights.word_weight(w) for w in elem.terms)
-    kept = {w: c for w, c in elem.terms.items()
-            if weights.word_weight(w) == top}
-    return top, PBWElement(elem.algebra, kept)
+    top = max(map(weights.word_weight, elem.terms), default=zero_top)
+    return top, PBWElement(onto, {w: c for w, c in elem.terms.items()
+                                  if weights.word_weight(w) == top})
 
 
-# Everything contract_copy() learns, over a weighting whose limit exists.
-# The weight bookkeeping M0, Mi, Ni, f0, P0 and copy_compatible has f0 and
-# P0 over the source algebra; algebra_prime is the contracted algebra and
-# operators_prime the limits of the dressed generators over it.  A
-# copy-compatible contraction also has spec_prime, the contracted
-# dressing, and verify_report, its verification; both are None otherwise.
+# Everything contract_copy() learns, over a weighting whose limit exists:
+# algebra_prime is the contracted algebra, and f0, P0 and operators_prime
+# are the top-weight slices over it of f, of each P_i and of each dressed
+# generator, at top weights M0, Mi and Ni; operators_prime holds the
+# limits of the dressed generators.  A copy-compatible contraction also
+# has spec_prime, the contracted dressing, and verify_report, its
+# verification; both are None otherwise.
 ContractionOutcome = namedtuple(
     "ContractionOutcome",
     "M0 Mi Ni f0 P0 copy_compatible algebra_prime operators_prime "
@@ -125,47 +127,35 @@ def contract_copy(algebra, spec, weights):
     here, and a copy-compatible limit dressing is verified in turn.  A
     weighting with no limit raises LimitDoesNotExistError with the top
     weights added to its payload."""
-    from .enveloping import PBWElement, u_mul
-    from .virtual_copy import make_spec, require_verified, verify
+    from .virtual_copy import (build_operators, make_spec,
+                               require_verified, verify)
     require_verified(algebra, spec, "contract the raw algebra instead")
+    try:
+        prime, no_limit = contract_algebra(algebra, weights), None
+    except LimitDoesNotExistError as err:
+        # the payload wants the top weights alone: slice onto the source
+        prime, no_limit = algebra, err
 
-    M0, f0 = weighted_leading_part(spec.f, weights)
+    M0, f0 = weighted_leading_part(spec.f, weights, prime)
     Mi, P0 = {}, {}
     for i in sorted(algebra.levi):
-        if not spec.P[i]:
-            Mi[i] = M0
-            P0[i] = PBWElement(algebra)
-        else:
-            Mi[i], P0[i] = weighted_leading_part(spec.P[i], weights)
+        Mi[i], P0[i] = weighted_leading_part(spec.P[i], weights, prime, M0)
     compatible = all(m == M0 for m in Mi.values())
+    if no_limit is not None:
+        no_limit.payload.update(f_top_weight=M0,
+                                p_top_weights={algebra.names[i]: m
+                                               for i, m in Mi.items()},
+                                copy_compatible=compatible)
+        raise no_limit
 
-    try:
-        prime = contract_algebra(algebra, weights)
-    except LimitDoesNotExistError as err:
-        err.payload.update(f_top_weight=M0,
-                           p_top_weights={algebra.names[i]: m
-                                          for i, m in Mi.items()},
-                           copy_compatible=compatible)
-        raise
-
-    # prime keeps the index order, so the leading words stay normal there
-    f0p = PBWElement(prime, dict(f0.terms))
-    P0p = {i: PBWElement(prime, dict(p.terms)) for i, p in P0.items()}
-    ops = {}
-    for i in sorted(algebra.levi):
-        gen = PBWElement.generator(prime, i)
-        if Mi[i] < M0:
-            ops[i] = u_mul(gen, f0p)
-        elif Mi[i] > M0:
-            ops[i] = P0p[i]
-        else:
-            ops[i] = u_mul(gen, f0p) + P0p[i]
-
+    Ni, ops = {}, {}
+    for i, op in build_operators(algebra, spec).items():
+        Ni[i], ops[i] = weighted_leading_part(op, weights, prime)
     spec_prime = report = None
     if compatible:
-        spec_prime = make_spec(prime, f0p, P0p)
+        spec_prime = make_spec(prime, f0, P0)
         report = verify(prime, spec_prime)
     return ContractionOutcome(
-        M0=M0, Mi=Mi, Ni={i: max(M0, m) for i, m in Mi.items()}, f0=f0,
-        P0=P0, copy_compatible=compatible, algebra_prime=prime,
-        operators_prime=ops, spec_prime=spec_prime, verify_report=report)
+        M0=M0, Mi=Mi, Ni=Ni, f0=f0, P0=P0, copy_compatible=compatible,
+        algebra_prime=prime, operators_prime=ops, spec_prime=spec_prime,
+        verify_report=report)

@@ -88,7 +88,7 @@ def structure_matrix(algebra, point):
             for ij, terms in algebra.brackets.items()}
 
 
-def invariant_count(algebra, trials=3, seed=1729):
+def invariant_count(algebra, trials, seed):
     """Number of functionally independent invariants: dim g less the
     largest rank of A(g) over trials random integer points, drawn from
     one rng sequence, each ranked mod its own random prime."""

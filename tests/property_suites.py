@@ -653,6 +653,105 @@ def normal_order_footprint(call):
     return calls[0], retained
 
 
+def _levi_blocks(algebra):
+    """The radical generators as blocks joined by the Levi brackets: Y and
+    Y' share a block when [X_i, Y] has a Y' term for some Levi i."""
+    block = {y: frozenset([y]) for y in algebra.radical}
+    for (i, j), terms in algebra.brackets.items():
+        if (i in algebra.levi) != (j in algebra.levi):
+            for k in terms:
+                merged = block[i if j in algebra.levi else j] | block[k]
+                block.update(dict.fromkeys(merged, merged))
+    return sorted(set(block.values()), key=min)
+
+
+def _plain(value):
+    """value with every PBWElement, also inside a dict, replaced by its
+    terms, so two results over different algebra objects compare."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return getattr(value, "terms", value)
+
+
+def contraction_agreement(seed, cases):
+    """contraction.contract_copy, which reads every limit as a top-weight
+    slice, against table_oracles.contraction_by_cases, the case-by-case
+    formula it replaced.  Two fixed cases that no catalog dressing
+    reaches come first: M_i < M0, on [H, A] = B and [A, B] = Z over the
+    abelian Levi part {H}, dressed by f = Z and P_H = B^2 / 2 and
+    weighted A = 2, Z = 1; and a zero P_i, on roster's so(3) + Z dressed
+    by f = Z alone and weighted Z = 1.  Then `cases` cases cycle through
+    every dressed catalog family at its least N and least N + 1 (once
+    when it takes no N); each draws seeded weightings, one weight in
+    -2..3 per block of _levi_blocks, until one has a limit, and a draw
+    with none must raise the oracle's payload.  Every slice must live on
+    the contracted algebra, and every copy-compatible limit dressing must
+    verify.  Returns the counts {"limits", "no_limit", "below", "above",
+    "compatible"}: the weightings with and without a limit, and among
+    those with one, the weightings with some M_i < M0, with some
+    M_i > M0, and copy-compatible.  Not in ALL_SUITES: it takes no
+    algebras."""
+    from liecas.catalog import FAMILIES, build
+    from liecas.contraction import ContractionWeights, contract_copy
+    from liecas.enveloping import PBWElement
+    from liecas.errors import LimitDoesNotExistError
+    from liecas.virtual_copy import make_spec
+    from table_oracles import contraction_by_cases
+    counts = dict.fromkeys(
+        ("limits", "no_limit", "below", "above", "compatible"), 0)
+
+    def has_limit(algebra, spec, table):
+        weights = ContractionWeights(algebra, table)
+        try:
+            want = contraction_by_cases(algebra, spec, weights)
+        except LimitDoesNotExistError as err:
+            try:
+                contract_copy(algebra, spec, weights)
+            except LimitDoesNotExistError as got:
+                assert got.payload == err.payload, (table, got.payload)
+                counts["no_limit"] += 1
+                return False
+            raise AssertionError("%r has no limit, yet contract_copy "
+                                 "answered" % table)
+        got = contract_copy(algebra, spec, weights)
+        assert {name: _plain(getattr(got, name)) for name in want} \
+            == _plain(want), table
+        prime = got.algebra_prime
+        assert all(p.algebra is prime for p in (
+            got.f0, *got.P0.values(), *got.operators_prime.values()))
+        assert not got.copy_compatible or got.verify_report.passed, table
+        counts["limits"] += 1
+        counts["below"] += any(m < got.M0 for m in got.Mi.values())
+        counts["above"] += any(m > got.M0 for m in got.Mi.values())
+        counts["compatible"] += got.copy_compatible
+        return True
+
+    abelian_h = LieAlgebra(["H", "A", "B", "Z"],
+                           {(0, 1): {2: 1}, (1, 2): {3: 1}}, levi=[0])
+    spec = make_spec(abelian_h, PBWElement.generator(abelian_h, 3),
+                     {0: PBWElement(abelian_h, {(2, 2): Fraction(1, 2)})})
+    assert has_limit(abelian_h, spec, {"A": 2, "Z": 1})
+    so3_z = roster()[2]
+    spec = make_spec(so3_z, PBWElement.generator(so3_z, 3), {})
+    assert has_limit(so3_z, spec, {"Z": 1})
+    dressed = []
+    for name, family in FAMILIES.items():
+        if family.dressed:
+            for n in ([None] if family.least is None
+                      else [family.least, family.least + 1]):
+                algebra, spec = build(name, n)
+                dressed.append((algebra, spec, _levi_blocks(algebra)))
+    rng = random.Random(seed)
+    for t in range(cases):
+        algebra, spec, blocks = dressed[t % len(dressed)]
+        while True:
+            table = {algebra.names[y]: n for block in blocks
+                     for n in [rng.randint(-2, 3)] for y in block}
+            if has_limit(algebra, spec, table):
+                break
+    return counts
+
+
 ALL_SUITES = (
     pbw_associativity,
     ug_jacobi,

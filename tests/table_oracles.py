@@ -20,6 +20,8 @@ never binds; instantiating it returns None by design.
 boson_table gives the full bracket table of the ten-generator boson
 realization, with the deformation parameter alpha left symbolic, and
 contracted_boson_dressing the dressing of its alpha = 0 contraction.
+contraction_by_cases is the case-by-case formula for a dressed
+contraction, the reference for contract_copy's top-weight slices.
 
 The last sections hold slow, independent references that the package
 itself does not need: the forms on the dual (a SparseTerms subclass)
@@ -62,8 +64,10 @@ from liecas.enveloping import (
     symmetrize,
     u_mul,
 )
+from liecas.contraction import contract_algebra
 from liecas.errors import (
     InternalConsistencyError,
+    LimitDoesNotExistError,
     MalformedInputError,
     PreconditionError,
 )
@@ -419,6 +423,55 @@ def contracted_boson_dressing(algebra):
         "X_1,-1": sym({(T, F, P): 2, (R, P, P): -1}),
     }
     return make_spec(algebra, f0, P_map)
+
+
+# ---- dressed contractions, case by case -------------------------------------
+
+
+def contraction_by_cases(algebra, spec, weights):
+    """The facts of a dressed contraction by the case-by-case formula that
+    contraction.contract_copy replaced with its one slicing rule:
+    {M0, Mi, Ni, f0, P0, copy_compatible, operators_prime} as
+    ContractionOutcome names them.  f0 and P0 are the top-weight parts of
+    f and of each P_i, copied onto the contracted algebra; a zero P_i is
+    taken at M0 and stays zero.  The limit operator of X_i is X_i f0
+    multiplied out over the contracted algebra when M_i < M0, P_i,0 when
+    M_i > M0 and their sum when the two agree, and N_i = max(M0, M_i).
+    With no limit it raises LimitDoesNotExistError with the top weights
+    in its payload, as contract_copy does."""
+    def top(elem):
+        return max(weights.word_weight(w) for w in elem.terms)
+
+    M0 = top(spec.f)
+    Mi = {i: top(p) if p else M0 for i, p in sorted(spec.P.items())}
+    compatible = all(m == M0 for m in Mi.values())
+    try:
+        prime = contract_algebra(algebra, weights)
+    except LimitDoesNotExistError as err:
+        err.payload.update(f_top_weight=M0,
+                           p_top_weights={algebra.names[i]: m
+                                          for i, m in Mi.items()},
+                           copy_compatible=compatible)
+        raise
+
+    def leading(elem, at):
+        return PBWElement(prime, {w: c for w, c in elem.terms.items()
+                                  if weights.word_weight(w) == at})
+
+    f0 = leading(spec.f, M0)
+    P0 = {i: leading(spec.P[i], m) for i, m in Mi.items()}
+    ops = {}
+    for i, m in Mi.items():
+        gen_f0 = u_mul(PBWElement.generator(prime, i), f0)
+        if m < M0:
+            ops[i] = gen_f0
+        elif m > M0:
+            ops[i] = P0[i]
+        else:
+            ops[i] = gen_f0 + P0[i]
+    return {"M0": M0, "Mi": Mi, "Ni": {i: max(M0, m) for i, m in Mi.items()},
+            "f0": f0, "P0": P0, "copy_compatible": compatible,
+            "operators_prime": ops}
 
 
 # ---- exterior algebra on the dual -------------------------------------------

@@ -69,7 +69,7 @@ def test_criterion_1():
             cases.append((fam, N, N // 2 + 3))
     assert len(cases) == 23
     for fam, N, expected in cases:
-        report = invariant_count(_algebra(fam, N))
+        report = invariant_count(_algebra(fam, N), trials=3, seed=1729)
         assert report.count == expected, (fam, N, report.count)
 
 
@@ -83,13 +83,13 @@ def test_criterion_2():
                 ("boson_example_contracted", None)]
     for fid in targets:
         algebra, _ = build(*fid)
-        bb = invariant_count(algebra)
-        bb1 = invariant_count(algebra, trials=5)
+        bb = invariant_count(algebra, trials=3, seed=1729)
+        bb1 = invariant_count(algebra, trials=5, seed=1729)
         assert bb1.count == algebra.dim - bb1.generic_rank
         assert bb1.count == bb.count, (fid, bb.count, bb1.count)
     # pinned pairing half-ranks: j0 = 8 for both 3-dimensional members
     for fam in ("IHa", "QHa"):
-        report = invariant_count(_algebra(fam, 3), trials=5)
+        report = invariant_count(_algebra(fam, 3), trials=5, seed=1729)
         assert report.generic_rank == 16, (fam, report.generic_rank)
     # both routes rank one matrix: at seeded a, the alternating matrix of
     # sum_k a_k d w_k, read off the structure 2-forms through the wedge
@@ -157,7 +157,8 @@ def test_criterion_5():
             polys.append(_variable(algebra, name))
         if fam == "QHa":
             polys.append(spec.f.commutative_image())
-        assert len(polys) == invariant_count(algebra).count
+        assert len(polys) == invariant_count(algebra, trials=3,
+                                             seed=1729).count
         assert functionally_independent(algebra, polys), fam
     # the symmetrized quadratic lift is central in the enveloping algebra
     algebra, spec = build("Ha", 3)
@@ -208,7 +209,7 @@ def test_criterion_7():
     assert outcome.verify_report.passed
 
     lifted = lift_casimir(algebra, spec, levi_quadratic_casimir(algebra))
-    top, lead = weighted_leading_part(lifted, w)
+    top, lead = weighted_leading_part(lifted, w, prime)
     assert top == 4
     lifted_prime = lift_casimir(prime, outcome.spec_prime,
                                 levi_quadratic_casimir(prime))

@@ -18,6 +18,7 @@ from liecas.errors import (
 from liecas.lie_core import LieAlgebra
 from liecas.virtual_copy import build_operators, make_spec, verify
 
+from property_suites import contraction_agreement
 from table_oracles import (
     contracted_boson_dressing,
     levi_quadratic_casimir,
@@ -43,7 +44,7 @@ def so3_with_center():
 
 def test_weights_default_to_zero():
     algebra, _ = b("Ha", 3)
-    w = ContractionWeights(algebra)
+    w = ContractionWeights(algebra, {})
     assert w.by_index == (0,) * algebra.dim
     assert w.describe() == {}
 
@@ -127,7 +128,7 @@ def test_weighted_leading_part_slices_top_weight():
     p = PBWElement.generator(algebra, algebra.index("P_1"))
     q = PBWElement.generator(algebra, algebra.index("Q_1"))
     elem = p + u_mul(p, q).scale(Fraction(3))
-    top, lead = weighted_leading_part(elem, w)
+    top, lead = weighted_leading_part(elem, w, algebra)
     assert top == 2
     assert lead.terms == {(0, 1): Fraction(3)}
 
@@ -167,11 +168,11 @@ def test_contracted_casimir_is_the_leading_part():
     w = ContractionWeights(algebra, {"Q_1": 1, "P_1": 1, "E": 1, "T": 1})
     outcome = contract_copy(algebra, spec, w)
 
+    prime = outcome.algebra_prime
     lifted = lift_casimir(algebra, spec, levi_quadratic_casimir(algebra))
-    top, lead = weighted_leading_part(lifted, w)
+    top, lead = weighted_leading_part(lifted, w, prime)
     assert top == 4
 
-    prime = outcome.algebra_prime
     lifted_prime = lift_casimir(prime, outcome.spec_prime,
                                 levi_quadratic_casimir(prime))
     # the contracted algebra keeps the index order, so the words match
@@ -201,7 +202,7 @@ def test_skew_weighting_is_reported_incompatible():
 
 def test_incompatible_copy_with_a_limit_keeps_the_leading_parts():
     # M0 = 0 while every P_ij is G_i F_j - G_j F_i of weight 1, so each
-    # contracted operator is P0 alone, its terms read over the contraction
+    # contracted operator is P0 alone
     algebra, spec = b("Ha", 3)
     w = ContractionWeights(algebra, {"G_1": 1, "G_2": 1, "G_3": 1})
     outcome = contract_copy(algebra, spec, w)
@@ -212,14 +213,13 @@ def test_incompatible_copy_with_a_limit_keeps_the_leading_parts():
     prime = outcome.algebra_prime
     assert prime is not None
     for i in sorted(algebra.levi):
-        assert outcome.operators_prime[i] == PBWElement(prime,
-                                                        outcome.P0[i].terms)
+        assert outcome.operators_prime[i] == outcome.P0[i]
     assert outcome.spec_prime is None and outcome.verify_report is None
 
 
 def test_all_zero_weights_change_nothing():
     algebra, spec = b("Ha", 3)
-    outcome = contract_copy(algebra, spec, ContractionWeights(algebra))
+    outcome = contract_copy(algebra, spec, ContractionWeights(algebra, {}))
     assert outcome.M0 == 0
     assert set(outcome.Mi.values()) == {0}
     assert outcome.copy_compatible
@@ -253,3 +253,11 @@ def test_contract_copy_preconditions():
     w = ContractionWeights(algebra, {"Z": 1})
     with pytest.raises(PreconditionError):
         contract_copy(algebra, broken, w)
+
+
+def test_top_weight_slices_agree_with_the_case_by_case_formula():
+    # two weightings with a limit per dressed family and N, and the two
+    # fixed cases; the CI step runs a larger sample
+    counts = contraction_agreement(seed=3, cases=44)
+    assert counts["limits"] == 46
+    assert counts["below"] and counts["above"] and counts["compatible"]
