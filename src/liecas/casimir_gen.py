@@ -1,13 +1,13 @@
 """Casimir invariants from the characteristic polynomial of the dressed
 rotation matrix.
 
-For an algebra whose Levi part is a rotation block J_ij (1 <= i < j <= N)
-carrying a verified virtual-copy spec, the commutative images of the
-dressed generators J'_ij assemble into an antisymmetric N x N polynomial
-matrix A, held as its entries above the diagonal {(a, b): A_ab}, as
-linalg.rank holds A(g).  rotation_block() refuses, as not applicable, a
-Levi part whose brackets are not naming.rotation_relations.  The
-characteristic polynomial
+A verified virtual-copy spec carries its algebra.  When that algebra's
+Levi part is a rotation block J_ij (1 <= i < j <= N), the commutative
+images of the dressed generators J'_ij assemble into an antisymmetric
+N x N polynomial matrix A, held as its entries above the diagonal
+{(a, b): A_ab}, as linalg.rank holds A(g).  rotation_block() refuses,
+as not applicable, a Levi part whose brackets are not
+naming.rotation_relations.  The characteristic polynomial
 
     (-1)^N det(A - T id)  =  T^N + C_2 T^(N-2) + C_4 T^(N-4) + ...
 
@@ -102,19 +102,19 @@ def rotation_block(algebra):
     return N, block
 
 
-def build_so_matrix(algebra, spec):
+def build_so_matrix(spec):
     """(N, {(a, b): A_ab}): the size N read off the Levi labels, and the
     entries above the diagonal, one for every a < b, of the antisymmetric
     N x N matrix A of the dressed generators' commutative images, A_ab
     the image of J'_(a+1)(b+1) and A_ba = -A_ab.  The spec must verify,
     which is checked first."""
-    require_verified(algebra, spec, "the matrix entries would be meaningless")
-    N, block = rotation_block(algebra)
-    ops = build_operators(algebra, spec)
+    require_verified(spec, "the matrix entries would be meaningless")
+    N, block = rotation_block(spec.algebra)
+    ops = build_operators(spec)
     return N, {ab: ops[t].commutative_image() for ab, t in block.items()}
 
 
-def xhat(algebra, poly, images):
+def xhat(poly, images):
     """Xhat_t poly for images = ad_images(algebra, t): the derivation of
     S(g) with x_y -> [X_t, X_y], applied one letter at a time, each word
     then sorted; poly lives over the algebra's dim variables."""
@@ -155,7 +155,7 @@ def check_covariance(algebra, upper, images):
                         - (entry(b, j) if i == a else zero)
                         + (entry(i, a) if j == b else zero)
                         - (entry(i, b) if j == a else zero))
-            if xhat(algebra, upper[(i, j)], images[t]) != want:
+            if xhat(upper[(i, j)], images[t]) != want:
                 raise InternalConsistencyError(
                     "dressed matrix entry (%d, %d) fails covariance "
                     "against %s" % (i + 1, j + 1, algebra.names[t]))
@@ -216,7 +216,7 @@ CasimirSet = namedtuple("CasimirSet", "N coefficients symmetrized checked")
 UCHECK_DEGREE_CAP = 6
 
 
-def casimir_set(algebra, spec):
+def casimir_set(spec):
     """Every C_2l of the dressed rotation matrix, symmetrized into the
     enveloping algebra.  Their invariance follows from the covariance of
     the dressed matrix, checked once before any char-poly work; the
@@ -225,7 +225,8 @@ def casimir_set(algebra, spec):
     spec is verified once and the rotation block read once, both by
     build_so_matrix, and the ad_images tables are built once, for the
     covariance check and the centrality check alike."""
-    N, upper = build_so_matrix(algebra, spec)
+    algebra = spec.algebra
+    N, upper = build_so_matrix(spec)
     # the degree-k parts x_{J_ij} f + P_ij of the entries have full generic
     # rank, so each C_2l has degree exactly 2lk: refuse before any char-poly
     top = 2 * (N // 2) * spec.k

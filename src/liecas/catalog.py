@@ -144,7 +144,7 @@ def weyl_quesne(n):
     P = {E(i, j): PBWElement.from_terms(
             algebra, {(ix["bd_%d" % i], ix["b_%d" % j]): -1})
          for i in ns for j in ns}
-    return algebra, make_spec(algebra, f, P)
+    return algebra, make_spec(f, P)
 
 
 # ---- Hamilton families ---------------------------------------------------------
@@ -199,7 +199,7 @@ def _hamilton_spec(algebra, N, inhomogeneous, ext):
         # f = R, P_{J_ij} = G_i F_j - G_j F_i
         f = PBWElement.generator(algebra, ix["R"])
         words = {(i, j): _antisym(ix, i, j, "G", "F") for (i, j) in pairs}
-        return make_spec(algebra, f, _collect(algebra, words))
+        return make_spec(f, _collect(algebra, words))
 
     # f = T^2, P_{J_ij} = T(G_i Q_j - G_j Q_i) + T(F_i P_j - F_j P_i)
     #                  + R(P_i Q_j - P_j Q_i)
@@ -217,7 +217,7 @@ def _hamilton_spec(algebra, N, inhomogeneous, ext):
         f_words[(ix["R"], ix["L"])] = 1
     if {"A", "M"} <= ext:
         f_words[(ix["A"], ix["M"])] = -1
-    return make_spec(algebra, PBWElement.from_terms(algebra, f_words),
+    return make_spec(PBWElement.from_terms(algebra, f_words),
                      _collect(algebra, words))
 
 
@@ -290,7 +290,7 @@ def boson_example(alpha=1):
         "X_1,-1": _sym_words(algebra, {
             (T, F, P): 2, (R, F, F): -1, (R, P, P): -1}),
     }
-    return algebra, make_spec(algebra, f, P_map)
+    return algebra, make_spec(f, P_map)
 
 
 def boson_example_contracted():
@@ -300,7 +300,7 @@ def boson_example_contracted():
     algebra, spec = boson_example(1)
     weights = ContractionWeights(algebra,
                                  {"Q_1": 1, "P_1": 1, "E": 1, "T": 1})
-    outcome = contract_copy(algebra, spec, weights)
+    outcome = contract_copy(spec, weights)
     return outcome.algebra_prime, outcome.spec_prime
 
 

@@ -259,8 +259,8 @@ def _cmd_mc(args, fmt):
 
 def _cmd_verify_copy(args, fmt):
     from .virtual_copy import require_verified
-    algebra, spec = _select(args, want_spec=True)
-    require_verified(algebra, spec, "it is no virtual copy")
+    _algebra, spec = _select(args, want_spec=True)
+    require_verified(spec, "it is no virtual copy")
     return 0, {"passed": True} if fmt == "json" else "passed"
 
 
@@ -268,7 +268,7 @@ def _cmd_casimirs(args, fmt):
     from .casimir_gen import UCHECK_DEGREE_CAP, casimir_set
     from .enveloping import emit_pbw
     algebra, spec = _select(args, want_spec=True)
-    cs = casimir_set(algebra, spec)
+    cs = casimir_set(spec)
     names = algebra.names
     ls = sorted(cs.coefficients)
     if fmt == "json":
@@ -310,7 +310,7 @@ def _cmd_contract(args, fmt):
         if shown else "all zero")
 
     if spec is None:
-        prime = contract_algebra(algebra, weights)
+        prime = contract_algebra(weights)
         if fmt == "json":
             return 0, {"weights": shown,
                        "contracted_algebra": algebra_to_json(prime)}
@@ -321,7 +321,7 @@ def _cmd_contract(args, fmt):
 
     from .enveloping import emit_pbw
     from .virtual_copy import emit_spec
-    outcome = contract_copy(algebra, spec, weights)
+    outcome = contract_copy(spec, weights)
     prime = outcome.algebra_prime
     code = 0
     if outcome.verify_report is not None and not outcome.verify_report.passed:
@@ -518,7 +518,7 @@ def _refuse(fmt, err):
     if report is not None:
         # a dressing that fails its check prints the whole report
         print(_render(fmt, _report_out(fmt, report)))
-        return 1
+        return err.status
     print(_render(fmt, {"error": err.kind, **err.payload} if fmt == "json"
                   else "error: %s" % err))
     return err.status

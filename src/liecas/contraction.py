@@ -26,8 +26,8 @@ a dressing of g' (X''_i = X_i f0 + P_i,0) and it is verified on the
 spot; otherwise a limit operator is X_i f0 alone or P_i,0 alone, not of
 the dressed shape, which is reported as copy_compatible = False.  The
 catalog's boson_example_contracted is this function's answer on
-boson_example, not a table of its own.  Weights and dressings come over
-the algebra passed with them.
+boson_example, not a table of its own.  A weighting and a dressing each
+carry their algebra; contract_copy() takes the two over one algebra.
 """
 
 from collections import namedtuple
@@ -73,10 +73,10 @@ class ContractionWeights:
                 for t, n in enumerate(self.by_index) if n}
 
 
-def contract_algebra(algebra, weights):
+def contract_algebra(weights):
     """The weight-zero part of the bracket table, as a new algebra over
     the same named basis and the same declared split."""
-    n = weights.by_index
+    algebra, n = weights.algebra, weights.by_index
     rows = {}
     for (i, j), terms in algebra.brackets.items():
         kept = {}
@@ -122,39 +122,39 @@ ContractionOutcome = namedtuple(
     "spec_prime verify_report")
 
 
-def contract_copy(algebra, spec, weights):
+def contract_copy(spec, weights):
     """Contract a dressing along a weighting; the dressing is verified
     here, and a copy-compatible limit dressing is verified in turn.  A
     weighting with no limit raises LimitDoesNotExistError with the top
     weights added to its payload."""
     from .virtual_copy import (build_operators, make_spec,
                                require_verified, verify)
-    require_verified(algebra, spec, "contract the raw algebra instead")
+    require_verified(spec, "contract the raw algebra instead")
     try:
-        prime, no_limit = contract_algebra(algebra, weights), None
+        prime, no_limit = contract_algebra(weights), None
     except LimitDoesNotExistError as err:
         # the payload wants the top weights alone: slice onto the source
-        prime, no_limit = algebra, err
+        prime, no_limit = spec.algebra, err
 
     M0, f0 = weighted_leading_part(spec.f, weights, prime)
     Mi, P0 = {}, {}
-    for i in sorted(algebra.levi):
+    for i in sorted(spec.algebra.levi):
         Mi[i], P0[i] = weighted_leading_part(spec.P[i], weights, prime, M0)
     compatible = all(m == M0 for m in Mi.values())
     if no_limit is not None:
         no_limit.payload.update(f_top_weight=M0,
-                                p_top_weights={algebra.names[i]: m
+                                p_top_weights={spec.algebra.names[i]: m
                                                for i, m in Mi.items()},
                                 copy_compatible=compatible)
         raise no_limit
 
     Ni, ops = {}, {}
-    for i, op in build_operators(algebra, spec).items():
+    for i, op in build_operators(spec).items():
         Ni[i], ops[i] = weighted_leading_part(op, weights, prime)
     spec_prime = report = None
     if compatible:
-        spec_prime = make_spec(prime, f0, P0)
-        report = verify(prime, spec_prime)
+        spec_prime = make_spec(f0, P0)
+        report = verify(spec_prime)
     return ContractionOutcome(
         M0=M0, Mi=Mi, Ni=Ni, f0=f0, P0=P0, copy_compatible=compatible,
         algebra_prime=prime, operators_prime=ops, spec_prime=spec_prime,

@@ -310,10 +310,7 @@ def symmetrize(algebra, poly):
         free, groups = _letter_groups(word, neighbours)
         combine(total, free, groups,
                 c * (common // prod(map(_orderings, groups))))
-    out = {}
-    for w, v in total.items():
-        v = Fraction(v, common)
-        out[w] = v.numerator if v.denominator == 1 else v
+    out = {w: exact(Fraction(v, common)) for w, v in total.items()}
     # the helpers above refer to each other, so without this the memos
     # would outlive the call until the cyclic collector ran
     sums.clear()

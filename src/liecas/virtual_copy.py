@@ -35,7 +35,7 @@ are radical-supported, [X'_i, f] and [X'_i, P_j] are the derivation
 with images [X'_i, Y_y], which replaces one letter of each word at a
 time; likewise [X_k f, f] = -F_k f, [Y_k, f] = -F_k and [P_k, f] is the
 derivation with images -F_y.  No dressed generator is formed, let alone
-a product of two.
+a product of two.  A spec carries its algebra, the one f lives over.
 
 The report (CopyVerificationReport) holds the generator names and, for
 each condition of the ordered table CONDITIONS, a map from index key to
@@ -73,21 +73,22 @@ class VirtualCopySpec(namedtuple("VirtualCopySpec", "f P k")):
         return self.f.algebra
 
 
-def _check_radical_support(algebra, elem, what):
-    bad = elem.support() - algebra.radical
+def _check_radical_support(elem, what):
+    bad = elem.support() - elem.algebra.radical
     if bad:
         raise MalformedInputError(
             "%s touches non-radical generators %s"
-            % (what, sorted(algebra.names[i] for i in bad)))
+            % (what, sorted(elem.algebra.names[i] for i in bad)))
 
 
-def make_spec(algebra, f, P):
+def make_spec(f, P):
     """Validated VirtualCopySpec from f and a (possibly partial) map of
     P components keyed by Levi index or generator name, all PBWElements
-    over algebra; the structural rules on them are checked here."""
+    over f's algebra; the structural rules on them are checked here."""
     if not f:
         raise MalformedInputError("f must be nonzero")
-    _check_radical_support(algebra, f, "f")
+    algebra = f.algebra
+    _check_radical_support(f, "f")
     if len({len(w) for w in f.terms}) > 1:
         raise MalformedInputError(
             "f is not homogeneous (word lengths %s)"
@@ -99,7 +100,7 @@ def make_spec(algebra, f, P):
         if i not in algebra.levi:
             raise MalformedInputError(
                 "P is keyed by %r, which is not a Levi generator" % (key,))
-        _check_radical_support(algebra, elem, "P[%s]" % algebra.names[i])
+        _check_radical_support(elem, "P[%s]" % algebra.names[i])
         # normal ordering of a degree-k expression may leave shorter
         # completion words behind, so the bound is on the filtration
         # degree: nothing longer than k, and the top layer is exactly k
@@ -118,8 +119,8 @@ def parse_spec(algebra, doc):
     raw = doc.get("P", {})
     if not isinstance(raw, dict):
         raise MalformedInputError("P must map generator names to elements")
-    return make_spec(algebra, f, {name: parse_pbw(algebra, e)
-                                  for name, e in raw.items()})
+    return make_spec(f, {name: parse_pbw(algebra, e)
+                         for name, e in raw.items()})
 
 
 def emit_spec(spec):
@@ -131,10 +132,10 @@ def emit_spec(spec):
     }
 
 
-def build_operators(algebra, spec):
+def build_operators(spec):
     """The dressed generators X'_i = X_i f + P_i, keyed by Levi index."""
-    return {i: u_mul(PBWElement.generator(algebra, i), spec.f) + spec.P[i]
-            for i in sorted(algebra.levi)}
+    return {i: u_mul(PBWElement.generator(spec.algebra, i), spec.f)
+            + spec.P[i] for i in sorted(spec.algebra.levi)}
 
 
 # the copy conditions in report order: JSON key, then the text line of one
@@ -208,7 +209,7 @@ class CopyVerificationReport:
                          for at, residual in self._entries(name))
 
 
-def verify(algebra, spec):
+def verify(spec):
     """Evaluate every copy condition exactly; collect nonzero residuals.
 
     Each residual is derived from the tables F and B of the module
@@ -216,6 +217,7 @@ def verify(algebra, spec):
     degree k and [X'_i, X'_j] degree 2k - 1, so a spec with k > DEGREE_CAP,
     or 2k - 1 > DEGREE_CAP and two Levi generators, raises
     DegreeOverflowError first."""
+    algebra = spec.algebra
     levi = sorted(algebra.levi)
     radical = sorted(algebra.radical)
     pairs = [(i, j) for a_pos, i in enumerate(levi) for j in levi[a_pos + 1:]]
@@ -283,10 +285,10 @@ def verify(algebra, spec):
     return report
 
 
-def require_verified(algebra, spec, consequence):
+def require_verified(spec, consequence):
     """verify() once; a failing report travels as PreconditionError.report,
     the message ending in what the failure means to the caller."""
-    report = verify(algebra, spec)
+    report = verify(spec)
     if not report.passed:
         err = PreconditionError("spec does not verify; " + consequence)
         err.report = report

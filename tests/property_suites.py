@@ -8,6 +8,7 @@ functions so this file can be imported before the whole package exists
 at collection time.
 """
 
+import copy
 import random
 from fractions import Fraction
 
@@ -130,8 +131,8 @@ def derivation_law(algebras, seed, cases):
         images = ad_images(g, rng.randrange(g.dim))
         f = random_poly(g.dim, rng)
         h = random_poly(g.dim, rng)
-        lhs = xhat(g, f * h, images)
-        rhs = xhat(g, f, images) * h + f * xhat(g, h, images)
+        lhs = xhat(f * h, images)
+        rhs = xhat(f, images) * h + f * xhat(h, images)
         assert lhs == rhs, "derivation law failed in %r at case %d" % (g, t)
     return cases
 
@@ -148,7 +149,7 @@ def representation_property(algebras, seed, cases):
         f = random_poly(g.dim, rng)
 
         def apply(k, poly):
-            return xhat(g, poly, ad_images(g, k))
+            return xhat(poly, ad_images(g, k))
 
         lhs = apply(i, apply(j, f)) - apply(j, apply(i, f))
         rhs = CommPoly(g.dim)
@@ -373,7 +374,7 @@ def failing_specs():
     stripped = {i: PBWElement(algebra, {w: c for w, c in p.terms.items()
                                         if r not in w})
                 for i, p in good.P.items()}
-    out = {"stripped-IHa3": (algebra, make_spec(algebra, good.f, stripped))}
+    out = {"stripped-IHa3": (algebra, make_spec(good.f, stripped))}
     algebra, good = build("boson_example")
     G, F, Q, P, R, T = (algebra.index(m)
                         for m in ("G_1", "F_1", "Q_1", "P_1", "R", "T"))
@@ -381,9 +382,9 @@ def failing_specs():
     literal[algebra.index("X_1,1")] = PBWElement.from_terms(algebra, {
         (T, Q, F): Fraction(1), (T, G, P): Fraction(1),
         (R, G, F): Fraction(-1), (R, Q, P): Fraction(-1)})
-    out["literal-boson"] = (algebra, make_spec(algebra, good.f, literal))
+    out["literal-boson"] = (algebra, make_spec(good.f, literal))
     out["f=G_1-boson"] = (
-        algebra, make_spec(algebra, PBWElement.generator(algebra, G), {}))
+        algebra, make_spec(PBWElement.generator(algebra, G), {}))
     return out
 
 
@@ -407,8 +408,8 @@ def perturbed_spec(algebra, spec, rng):
         terms[word] = old + random_fraction(rng)
     elem = PBWElement(algebra, terms)
     if target is None:
-        return make_spec(algebra, elem, spec.P)
-    return make_spec(algebra, spec.f, {**spec.P, target: elem})
+        return make_spec(elem, spec.P)
+    return make_spec(spec.f, {**spec.P, target: elem})
 
 
 def copy_residual_agreement(seed, cases):
@@ -441,7 +442,7 @@ def copy_residual_agreement(seed, cases):
          (0, 4): {4: -1}, (1, 4): {3: 1}, (2, 3): {4: 1}},
         levi=[1, 2])
     v1 = PBWElement.generator(leaky, leaky.index("v1"))
-    specs.append(("leaky-sl2", leaky, make_spec(leaky, v1, {})))
+    specs.append(("leaky-sl2", leaky, make_spec(v1, {})))
     bases = [("Ha", 3), ("IHa", 3), ("QHa", 3),
              ("boson_example", None), ("weyl_quesne", 2)]
     for t in range(cases):
@@ -452,7 +453,7 @@ def copy_residual_agreement(seed, cases):
     nonzero = dict.fromkeys((name for name, _line in CONDITIONS), 0)
     for label, algebra, spec in specs:
         want = residuals_direct(algebra, spec)
-        assert verify(algebra, spec).residuals == want, \
+        assert verify(spec).residuals == want, \
             "residuals differ on %s" % label
         for name, found in want.items():
             nonzero[name] += bool(found)
@@ -520,7 +521,7 @@ def xhat_agreement(seed, cases):
             word = [rng.choice(pool) for _ in range(rng.randint(0, 5))]
             p = p + CommPoly.monomial(g.dim, word, random_fraction(rng))
         want = xhat_direct(g, p, s)
-        assert xhat(g, p, images) == want, \
+        assert xhat(p, images) == want, \
             "Xhat_t differs in %r at case %d" % (g, t)
         moved += bool(want)
     assert moved > cases // 2, "too few cases with Xhat_t F != 0"
@@ -706,14 +707,14 @@ def contraction_agreement(seed, cases):
             want = contraction_by_cases(algebra, spec, weights)
         except LimitDoesNotExistError as err:
             try:
-                contract_copy(algebra, spec, weights)
+                contract_copy(spec, weights)
             except LimitDoesNotExistError as got:
                 assert got.payload == err.payload, (table, got.payload)
                 counts["no_limit"] += 1
                 return False
             raise AssertionError("%r has no limit, yet contract_copy "
                                  "answered" % table)
-        got = contract_copy(algebra, spec, weights)
+        got = contract_copy(spec, weights)
         assert {name: _plain(getattr(got, name)) for name in want} \
             == _plain(want), table
         prime = got.algebra_prime
@@ -728,11 +729,11 @@ def contraction_agreement(seed, cases):
 
     abelian_h = LieAlgebra(["H", "A", "B", "Z"],
                            {(0, 1): {2: 1}, (1, 2): {3: 1}}, levi=[0])
-    spec = make_spec(abelian_h, PBWElement.generator(abelian_h, 3),
+    spec = make_spec(PBWElement.generator(abelian_h, 3),
                      {0: PBWElement(abelian_h, {(2, 2): Fraction(1, 2)})})
     assert has_limit(abelian_h, spec, {"A": 2, "Z": 1})
     so3_z = roster()[2]
-    spec = make_spec(so3_z, PBWElement.generator(so3_z, 3), {})
+    spec = make_spec(PBWElement.generator(so3_z, 3), {})
     assert has_limit(so3_z, spec, {"Z": 1})
     dressed = []
     for name, family in FAMILIES.items():
@@ -749,6 +750,167 @@ def contraction_agreement(seed, cases):
                      for n in [rng.randint(-2, 3)] for y in block}
             if has_limit(algebra, spec, table):
                 break
+    return counts
+
+
+def _mutated(doc, rng):
+    """(label, path, copy of doc with one seeded mutation at path): drop a
+    key, rename a key to an unknown name, retype a value, swap an unknown
+    name in for a string, zero or scale a coefficient (an int, or a
+    string that reads as a rational), or truncate a list.  The label is
+    drawn first, then a depth among its sites, so the few shallow sites
+    weigh as much as the many deep ones, then a site; the root itself may
+    be retyped."""
+    box = [copy.deepcopy(doc)]
+    sites = []
+
+    def walk(parent, key, path):
+        node = parent[key]
+        sites.append(("retype", path, parent, key))
+        if isinstance(node, dict):
+            for k in list(node):
+                sites.append(("drop-key", path + (k,), node, k))
+                sites.append(("unknown-key", path + (k,), node, k))
+                walk(node, k, path + (k,))
+        elif isinstance(node, list):
+            if node:
+                sites.append(("truncate", path, parent, key))
+            for k in range(len(node)):
+                walk(node, k, path + (k,))
+        elif isinstance(node, str):
+            sites.append(("unknown-name", path, parent, key))
+            try:
+                Fraction(node)
+            except ValueError:
+                pass
+            else:
+                sites.append(("coefficient", path, parent, key))
+        elif type(node) is int:
+            sites.append(("coefficient", path, parent, key))
+
+    walk(box, 0, ())
+    label = rng.choice(sorted({site[0] for site in sites}))
+    sites = [site for site in sites if site[0] == label]
+    depth = rng.choice(sorted({len(site[1]) for site in sites}))
+    _label, path, parent, key = rng.choice(
+        [site for site in sites if len(site[1]) == depth])
+    node = parent[key]
+    if label == "drop-key":
+        del parent[key]
+    elif label == "unknown-key":
+        parent["nope"] = parent.pop(key)
+    elif label == "unknown-name":
+        parent[key] = "nope"
+    elif label == "retype":
+        parent[key] = rng.choice([v for v in (None, True, 1.5, "x", [], {}, 7)
+                                  if type(v) is not type(node)])
+    elif label == "coefficient":
+        integral = type(node) is int
+        value = Fraction(node) * rng.choice(
+            (0, -1, 2, 3) if integral else (0, -1, 2, Fraction(1, 2)))
+        parent[key] = int(value) if integral else str(value)
+    else:
+        parent[key] = node[:rng.randrange(len(node))]
+    return label, path, box[0]
+
+
+def cli_fuzz(seed, cases):
+    """The command line on seeded mutations of its inputs.  Each case
+    takes a base in turn, the catalog dump {"algebra", "spec"} of Ha(3),
+    IHa(3), boson_example or weyl_quesne(2) with its limit weights from
+    output_sweep.limit_weights, and a seeded command among validate,
+    count, mc, verify-copy, casimirs and contract.  One _mutated mutation
+    goes into the algebra, the spec or, for contract, the --weights
+    table; the spec rides in the dump or, on a coin flip, in its own
+    --spec file.  The request runs in this process through cli.main with
+    --format json, stdout and stderr captured.  No exception may escape
+    main, stderr must stay empty and stdout must be one JSON document,
+    exiting 0, or 1 with a failing validate or verify report, or with
+    exactly the status that the class of its error kind declares.
+    Returns the count of each outcome, "ok", "failing-report" or the
+    error kind, and asserts that successes and refusals both occur.  Not
+    in ALL_SUITES: it takes no algebras."""
+    import contextlib
+    import io
+    import json
+    import os
+    import tempfile
+
+    from liecas import errors
+    from liecas.catalog import build
+    from liecas.cli import main
+    from liecas.lie_core import algebra_to_json
+    from liecas.virtual_copy import emit_spec
+    from output_sweep import limit_weights
+    status = {cls.kind: cls.status for cls in vars(errors).values()
+              if isinstance(cls, type) and hasattr(cls, "kind")}
+    bases = []
+    for name, n in (("Ha", 3), ("IHa", 3), ("boson_example", None),
+                    ("weyl_quesne", 2)):
+        algebra, spec = build(name, n)
+        bases.append({"algebra": algebra_to_json(algebra),
+                      "spec": emit_spec(spec),
+                      "weights": json.loads(limit_weights(name, n))})
+    commands = ("validate", "count", "mc", "verify-copy", "casimirs",
+                "contract")
+    rng = random.Random(seed)
+    counts = {}
+    with tempfile.TemporaryDirectory() as folder:
+        for case in range(cases):
+            # fresh files each case: truncating a file just written can
+            # wait on the disk
+            dump = os.path.join(folder, "dump%d.json" % case)
+            spec_file = os.path.join(folder, "spec%d.json" % case)
+            parts = dict(bases[case % len(bases)])
+            command = rng.choice(commands)
+            target = rng.choice(("algebra", "spec", "weights")
+                                if command == "contract"
+                                else ("algebra", "spec"))
+            label, path, parts[target] = _mutated(parts[target], rng)
+            argv = [command, "--algebra", dump, "--format", "json"]
+            if command in ("verify-copy", "casimirs", "contract") \
+                    and rng.random() < 0.5:
+                files = {dump: parts["algebra"], spec_file: parts["spec"]}
+                argv += ["--spec", spec_file]
+            else:
+                files = {dump: {"algebra": parts["algebra"],
+                                "spec": parts["spec"]}}
+            if command == "contract":
+                argv += ["--weights", json.dumps(parts["weights"])]
+            for file, doc in files.items():
+                with open(file, "w") as fh:
+                    json.dump(doc, fh)
+            where = "case %d: %s at %s %r, %s" % (
+                case, label, target, path, command)
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    code = main(argv)
+            except Exception as exc:
+                raise AssertionError("%s raised %r" % (where, exc)) from exc
+            assert not err.getvalue(), (where, err.getvalue())
+            try:
+                doc = json.loads(out.getvalue())
+            except ValueError as exc:
+                raise AssertionError("%s printed no single JSON document: "
+                                     "%r" % (where, out.getvalue())) from exc
+            assert isinstance(doc, dict), (where, doc)
+            if "error" in doc:
+                outcome = doc["error"]
+                assert code == status.get(outcome), (where, code, doc)
+            elif code == 0:
+                outcome = "ok"
+            else:
+                # a failing validate or verify report, alone or as the
+                # check of contract's contracted dressing
+                outcome = "failing-report"
+                assert code == 1 and False in (
+                    doc.get("ok"), doc.get("passed"),
+                    (doc.get("verify") or {}).get("passed")), (where, doc)
+            counts[outcome] = counts.get(outcome, 0) + 1
+    assert counts.get("ok") and set(counts) - {"ok", "failing-report"}, \
+        counts
     return counts
 
 

@@ -422,7 +422,7 @@ def contracted_boson_dressing(algebra):
         "X_-1,1": sym({(T, G, Q): 2, (R, Q, Q): -1}),
         "X_1,-1": sym({(T, F, P): 2, (R, P, P): -1}),
     }
-    return make_spec(algebra, f0, P_map)
+    return make_spec(f0, P_map)
 
 
 # ---- dressed contractions, case by case -------------------------------------
@@ -446,7 +446,7 @@ def contraction_by_cases(algebra, spec, weights):
     Mi = {i: top(p) if p else M0 for i, p in sorted(spec.P.items())}
     compatible = all(m == M0 for m in Mi.values())
     try:
-        prime = contract_algebra(algebra, weights)
+        prime = contract_algebra(weights)
     except LimitDoesNotExistError as err:
         err.payload.update(f_top_weight=M0,
                            p_top_weights={algebra.names[i]: m
@@ -807,7 +807,7 @@ def residuals_direct(algebra, spec):
     where X'_i = X_i f + P_i comes from build_operators and E_ij is
     sum_k C_ij^k image_k, image_k being X'_k for Levi k and the plain
     generator otherwise."""
-    ops = build_operators(algebra, spec)
+    ops = build_operators(spec)
     gens = {t: PBWElement.generator(algebra, t) for t in range(algebra.dim)}
     image = {**gens, **ops}
     levi, radical = sorted(algebra.levi), sorted(algebra.radical)
@@ -1003,7 +1003,7 @@ def lift_casimir(algebra, spec, casimir):
     """
     if casimir.algebra is not algebra:
         raise MalformedInputError("element belongs to a different algebra")
-    require_verified(algebra, spec, "nothing can be lifted")
+    require_verified(spec, "nothing can be lifted")
     outside = casimir.support() - algebra.levi
     if outside:
         raise PreconditionError(
@@ -1019,7 +1019,7 @@ def lift_casimir(algebra, spec, casimir):
             raise PreconditionError(
                 "element is not a Casimir of the Levi subalgebra "
                 "(fails against %s)" % sub.names[t])
-    ops = build_operators(algebra, spec)
+    ops = build_operators(spec)
     out = PBWElement(algebra)
     sums = {(): PBWElement.from_terms(algebra, {(): 1})}
     remaining = casimir

@@ -110,7 +110,7 @@ def test_criterion_3():
     for fid in fids:
         algebra, spec = build(*fid)
         assert spec is not None, fid
-        report = verify(algebra, spec)
+        report = verify(spec)
         assert report.passed, (fid, report.describe())
 
 
@@ -146,7 +146,7 @@ def test_criterion_5():
     central = {"Ha": ("R",), "IHa": ("T",), "QHa": ("L", "A", "M")}
     for fam in ("Ha", "IHa", "QHa"):
         algebra, spec = build(fam, 3)
-        cs = casimir_set(algebra, spec)
+        cs = casimir_set(spec)
         polys = []
         for l in sorted(cs.coefficients):
             poly = cs.coefficients[l]
@@ -172,7 +172,7 @@ def test_criterion_5():
 def test_criterion_6():
     # no generated invariant of the full extension involves x_E
     algebra, spec = build("QHa", 3)
-    cs = casimir_set(algebra, spec)
+    cs = casimir_set(spec)
     polys = [cs.coefficients[l] for l in sorted(cs.coefficients)]
     polys.append(spec.f.commutative_image())
     for name in ("L", "A", "M"):
@@ -188,7 +188,7 @@ def test_criterion_7():
     # brackets and dressing are written out by hand
     algebra, spec = build("boson_example")
     w = ContractionWeights(algebra, {"Q_1": 1, "P_1": 1, "E": 1, "T": 1})
-    outcome = contract_copy(algebra, spec, w)
+    outcome = contract_copy(spec, w)
 
     assert outcome.copy_compatible
 
@@ -200,7 +200,7 @@ def test_criterion_7():
     assert prime.levi == target.levi
 
     assert outcome.spec_prime.f.terms == target_spec.f.terms
-    displayed = build_operators(target, target_spec)
+    displayed = build_operators(target_spec)
     for i in sorted(prime.levi):
         assert outcome.spec_prime.P[i].terms == target_spec.P[i].terms
         assert outcome.operators_prime[i].terms == displayed[i].terms
@@ -223,15 +223,15 @@ def test_criterion_8():
     # radical commutation
     algebra, spec = build("IHa", 3)
     with pytest.raises(LimitDoesNotExistError) as err:
-        contract_copy(algebra, spec, ContractionWeights(algebra, {"T": 3}))
+        contract_copy(spec, ContractionWeights(algebra, {"T": 3}))
 
     assert err.value.payload == {
         "triple": ["G_1", "Q_1", "T"], "weight": -3, "f_top_weight": 6,
         "p_top_weights": {"J_12": 3, "J_13": 3, "J_23": 3},
         "copy_compatible": False}
 
-    naive = make_spec(algebra, spec.f, {})
-    report = verify(algebra, naive)
+    naive = make_spec(spec.f, {})
+    report = verify(naive)
     assert not report.passed
     radical = report.residuals["radical_residuals"]
     assert radical

@@ -164,7 +164,7 @@ def test_char_poly_reads_the_entries_above_the_diagonal_alone():
                                     ("QHa", 3)])
 def test_pfaffian_matches_cofactor_expansion(name, N):
     algebra, spec = b(name, N)
-    size, upper = build_so_matrix(algebra, spec)
+    size, upper = build_so_matrix(spec)
     coeffs = char_poly_coefficients(size, upper, algebra.dim)
     reference = char_poly_cofactor(size, upper, algebra.dim)
     by_power = {}
@@ -180,7 +180,7 @@ def test_pfaffian_matches_cofactor_expansion(name, N):
                                     ("IHa", 4), ("QHa", 4)])
 def test_char_poly_at_random_points(name, N):
     algebra, spec = b(name, N)
-    size, upper = build_so_matrix(algebra, spec)
+    size, upper = build_so_matrix(spec)
     assert size == N
     coeffs = char_poly_coefficients(N, upper, algebra.dim)
     # the premise of the up-front degree-cap refusal in casimir_set
@@ -203,7 +203,7 @@ def test_char_poly_at_random_points(name, N):
 
 def test_casimir_set_hamilton_3():
     algebra, spec = b("Ha", 3)
-    cs = casimir_set(algebra, spec)
+    cs = casimir_set(spec)
     assert isinstance(cs, CasimirSet)
     assert cs.N == 3
     assert {l: p.degree() for l, p in cs.coefficients.items()} == {1: 4}
@@ -219,7 +219,7 @@ def test_casimir_set_hamilton_3():
 
 def test_casimir_set_inhomogeneous_3():
     algebra, spec = b("IHa", 3)
-    cs = casimir_set(algebra, spec)
+    cs = casimir_set(spec)
     assert {l: p.degree() for l, p in cs.coefficients.items()} == {1: 6}
     # degree 6 is exactly UCHECK_DEGREE_CAP, so the centrality check runs
     assert cs.checked == {1: True}
@@ -239,7 +239,7 @@ def test_casimir_set_footprint_on_qha3():
     # Normal forms live for one call: a per-algebra cache of them kept
     # about 4.8 MB
     algebra, spec = b("QHa", 3)
-    calls, retained = normal_order_footprint(lambda: casimir_set(algebra, spec))
+    calls, retained = normal_order_footprint(lambda: casimir_set(spec))
     assert calls < 12000
     assert retained < 64 * 1024
 
@@ -256,24 +256,24 @@ def test_casimir_set_refuses_a_symmetrization_that_is_not_central(
         lambda algebra, poly: (symmetrize(algebra, poly) + PBWElement.generator(
             algebra, algebra.index("F_1"))))
     with pytest.raises(InternalConsistencyError) as err:
-        casimir_set(algebra, spec)
+        casimir_set(spec)
     assert str(err.value) == "symmetrized C_2 fails to commute with J_12"
 
 
 def test_casimir_set_checks_the_spec_first():
     algebra, spec = b("Ha", 3)
-    hollow = make_spec(algebra, spec.f,
+    hollow = make_spec(spec.f,
                        {i: PBWElement(algebra) for i in algebra.levi})
     with pytest.raises(PreconditionError):
-        casimir_set(algebra, hollow)
+        casimir_set(hollow)
     with pytest.raises(PreconditionError):
-        build_so_matrix(algebra, hollow)
+        build_so_matrix(hollow)
     # a failing dressing keeps its answer where the Levi part is not a
     # rotation block at all
     boson, boson_spec = b("boson_example")
-    hollow = make_spec(boson, boson_spec.f, {})
+    hollow = make_spec(boson_spec.f, {})
     with pytest.raises(PreconditionError):
-        casimir_set(boson, hollow)
+        casimir_set(hollow)
 
 
 def test_casimir_set_refuses_an_over_cap_rotation_block(monkeypatch):
@@ -287,7 +287,7 @@ def test_casimir_set_refuses_an_over_cap_rotation_block(monkeypatch):
     monkeypatch.setattr(liecas.casimir_gen, "char_poly_coefficients",
                         no_char_poly)
     with pytest.raises(DegreeOverflowError) as err:
-        casimir_set(algebra, spec)
+        casimir_set(spec)
     assert str(err.value) == "word of length 18 exceeds the degree cap 12"
 
 
@@ -297,7 +297,7 @@ def test_casimir_set_refuses_a_matrix_that_fails_covariance(name, monkeypatch):
     # was for every t, so entry (1, 2) fails first, at the first generator
     # that moves x_r; the refusal comes before any char-poly work
     algebra, spec = b(name, FAMILIES[name].least)
-    N, upper = build_so_matrix(algebra, spec)
+    N, upper = build_so_matrix(spec)
     r = min(r for r in algebra.radical
             if any(algebra.bracket_basis(t, r) for t in range(algebra.dim)))
     upper[(0, 1)] = upper[(0, 1)] + CommPoly.monomial(algebra.dim,
@@ -307,11 +307,11 @@ def test_casimir_set_refuses_a_matrix_that_fails_covariance(name, monkeypatch):
         raise AssertionError("char-poly computed before the covariance check")
 
     monkeypatch.setattr(liecas.casimir_gen, "build_so_matrix",
-                        lambda algebra, spec: (N, upper))
+                        lambda spec: (N, upper))
     monkeypatch.setattr(liecas.casimir_gen, "char_poly_coefficients",
                         no_char_poly)
     with pytest.raises(InternalConsistencyError) as err:
-        casimir_set(algebra, spec)
+        casimir_set(spec)
     mover = next(t for t in range(algebra.dim) if algebra.bracket_basis(t, r))
     assert str(err.value) == (
         "dressed matrix entry (1, 2) fails covariance against %s"
@@ -330,8 +330,7 @@ def test_every_dressed_matrix_casimirs_accepts_is_covariant():
             if 2 * (N // 2) * spec.k > DEGREE_CAP:
                 break
             images = [ad_images(algebra, t) for t in range(algebra.dim)]
-            check_covariance(algebra, build_so_matrix(algebra, spec)[1],
-                             images)
+            check_covariance(algebra, build_so_matrix(spec)[1], images)
             certified.append((name, N))
             N += 1
     assert len(certified) == 29
@@ -343,8 +342,7 @@ def test_oracle_finds_every_coefficient_invariant(name):
     # the covariance check replaces differentiating each C_2l; the slow
     # oracle still agrees at each family's least N
     algebra, spec = b(name, FAMILIES[name].least)
-    coeffs = char_poly_coefficients(*build_so_matrix(algebra, spec),
-                                    algebra.dim)
+    coeffs = char_poly_coefficients(*build_so_matrix(spec), algebra.dim)
     assert coeffs
     for l, poly in coeffs.items():
         assert is_invariant(algebra, poly) == (True, []), (name, l)
@@ -358,7 +356,7 @@ def test_lifted_levi_casimir_matches_the_symmetrized_c2(name):
     algebra, spec = b(name, FAMILIES[name].least)
     lifted = lift_casimir(algebra, spec, levi_quadratic_casimir(algebra))
     assert lifted.degree() == 2 * spec.k
-    diff = lifted - casimir_set(algebra, spec).symmetrized[1]
+    diff = lifted - casimir_set(spec).symmetrized[1]
     assert diff.degree() < 2 * spec.k
     for t in range(algebra.dim):
         assert not derivation(diff, ad_images(algebra, t, -1)), \
@@ -367,7 +365,7 @@ def test_lifted_levi_casimir_matches_the_symmetrized_c2(name):
 
 def test_build_so_matrix_shape():
     algebra, spec = b("Ha", 3)
-    N, upper = build_so_matrix(algebra, spec)
+    N, upper = build_so_matrix(spec)
     assert N == 3 and sorted(upper) == [(0, 1), (0, 2), (1, 2)]
     for (a, bb), entry in upper.items():
         t = algebra.index("J_%d%d" % (a + 1, bb + 1))
@@ -378,16 +376,15 @@ def test_build_so_matrix_shape():
 def test_one_by_one_block_is_trivial():
     algebra, _ = b("heisenberg", 1)
     z = PBWElement.generator(algebra, algebra.index("Z"))
-    spec = make_spec(algebra, z, {})
-    assert build_so_matrix(algebra, spec) == (1, {})
-    cs = casimir_set(algebra, spec)
+    spec = make_spec(z, {})
+    assert build_so_matrix(spec) == (1, {})
+    cs = casimir_set(spec)
     assert cs.coefficients == {} and cs.symmetrized == {} and cs.checked == {}
 
 
 @pytest.mark.parametrize("name,N", [("Ha", 3), ("Ha", 4), ("IHa", 3), ("IHa", 4)])
 def test_f_image_and_coefficients_independent(name, N):
     algebra, spec = b(name, N)
-    coeffs = char_poly_coefficients(*build_so_matrix(algebra, spec),
-                                    algebra.dim)
+    coeffs = char_poly_coefficients(*build_so_matrix(spec), algebra.dim)
     polys = [spec.f.commutative_image()] + [coeffs[l] for l in sorted(coeffs)]
     assert functionally_independent(algebra, polys)

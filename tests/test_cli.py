@@ -14,10 +14,11 @@ import liecas.virtual_copy
 from liecas.catalog import FAMILIES, build
 from liecas.cli import main
 from liecas.errors import (DegreeOverflowError, LiecasError,
-                           LimitDoesNotExistError)
+                           LimitDoesNotExistError, PreconditionError)
 from liecas.enveloping import PBWElement
 from liecas.lie_core import algebra_to_json
 from liecas.virtual_copy import emit_spec, make_spec
+from property_suites import cli_fuzz
 
 
 def run(capsys, *argv):
@@ -693,6 +694,13 @@ def test_format_without_a_value_is_a_text_usage_error(capsys):
                                  "expected one argument\n")
 
 
+def test_every_fuzzed_input_gets_one_json_document():
+    # seeded mutations of catalog dumps, specs and weights: each request
+    # answers with one document and the exit its outcome declares
+    counts = cli_fuzz(seed=34, cases=150)
+    assert sum(counts.values()) == 150
+
+
 # ---- determinism and format selection ---------------------------------------------
 
 
@@ -1111,9 +1119,9 @@ def _count_verify(monkeypatch):
     original = liecas.virtual_copy.verify
     calls = []
 
-    def counted(algebra, spec):
-        calls.append(algebra)
-        return original(algebra, spec)
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
 
     for module in (liecas.virtual_copy, liecas.contraction, liecas.cli):
         if getattr(module, "verify", None) is original:
@@ -1148,6 +1156,19 @@ def test_failing_dressing_prints_its_report(capsys, tmp_path):
         for argv in (["casimirs"], ["contract", "--weights", "{}"]):
             assert run(capsys, *argv, "--algebra", apath, "--spec", spath,
                        "--format", fmt) == (1, report)
+
+
+def test_a_failing_report_exits_with_the_precondition_status(
+        capsys, tmp_path, monkeypatch):
+    # the report answers for a PreconditionError, so its class owns the exit
+    monkeypatch.setattr(PreconditionError, "status", 7)
+    algebra, spec = build("Ha", 3)
+    apath = write_json(tmp_path / "ha3.json", algebra_to_json(algebra))
+    spath = write_json(tmp_path / "bare.json", dict(emit_spec(spec), P={}))
+    code, out = run(capsys, "verify-copy", "--algebra", apath, "--spec",
+                    spath, "--format", "json")
+    assert code == 7
+    assert json.loads(out)["passed"] is False
 
 
 def test_casimirs_off_a_rotation_block_is_not_applicable(capsys):
@@ -1232,7 +1253,7 @@ def _literal_boson(tmp_path):
     literal[ix["X_1,1"]] = PBWElement.from_terms(algebra, {
         (T, Q, F): Fraction(1), (T, G, P): Fraction(1),
         (R, G, F): Fraction(-1), (R, Q, P): Fraction(-1)})
-    spec = make_spec(algebra, good.f, literal)
+    spec = make_spec(good.f, literal)
     return ["--algebra", write_json(tmp_path / "boson.json",
                                     algebra_to_json(algebra)),
             "--spec", write_json(tmp_path / "literal.json", emit_spec(spec))]

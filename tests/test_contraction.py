@@ -88,7 +88,7 @@ def test_word_weight_sums_letters():
 def test_zero_weight_bracket_survives():
     algebra = b("heisenberg", 1)[0]
     w = ContractionWeights(algebra, {"P_1": 1, "Q_1": 1, "Z": 2})
-    prime = contract_algebra(algebra, w)
+    prime = contract_algebra(w)
     assert prime.brackets == algebra.brackets
     assert prime.names == algebra.names
 
@@ -96,7 +96,7 @@ def test_zero_weight_bracket_survives():
 def test_positive_weight_bracket_is_dropped():
     algebra = b("heisenberg", 1)[0]
     w = ContractionWeights(algebra, {"Z": -1})
-    prime = contract_algebra(algebra, w)
+    prime = contract_algebra(w)
     assert prime.brackets == {}
 
 
@@ -104,7 +104,7 @@ def test_negative_weight_has_no_limit():
     algebra = b("heisenberg", 1)[0]
     w = ContractionWeights(algebra, {"P_1": 1, "Q_1": 1, "Z": 3})
     with pytest.raises(LimitDoesNotExistError) as err:
-        contract_algebra(algebra, w)
+        contract_algebra(w)
     assert err.value.payload == {"triple": ["P_1", "Q_1", "Z"], "weight": -1}
 
 
@@ -112,7 +112,7 @@ def test_oscillator_pair_contraction_matches_catalog():
     # the weighting turns off exactly the alpha brackets
     algebra, _ = b("boson_example")
     w = ContractionWeights(algebra, {"Q_1": 1, "P_1": 1, "E": 1, "T": 1})
-    prime = contract_algebra(algebra, w)
+    prime = contract_algebra(w)
     target = boson_algebra(0)
     assert prime.names == target.names
     assert prime.brackets == target.brackets
@@ -139,7 +139,7 @@ def test_weighted_leading_part_slices_top_weight():
 def test_oscillator_pair_copy_contraction_end_to_end():
     algebra, spec = b("boson_example")
     w = ContractionWeights(algebra, {"Q_1": 1, "P_1": 1, "E": 1, "T": 1})
-    outcome = contract_copy(algebra, spec, w)
+    outcome = contract_copy(spec, w)
 
     assert outcome.M0 == 2
     assert set(outcome.Mi.values()) == {2}
@@ -155,7 +155,7 @@ def test_oscillator_pair_copy_contraction_end_to_end():
     for i in sorted(prime.levi):
         assert outcome.spec_prime.P[i].terms == target_spec.P[i].terms
 
-    displayed = build_operators(target, target_spec)
+    displayed = build_operators(target_spec)
     for i in sorted(prime.levi):
         assert outcome.operators_prime[i].terms == displayed[i].terms
 
@@ -166,7 +166,7 @@ def test_oscillator_pair_copy_contraction_end_to_end():
 def test_contracted_casimir_is_the_leading_part():
     algebra, spec = b("boson_example")
     w = ContractionWeights(algebra, {"Q_1": 1, "P_1": 1, "E": 1, "T": 1})
-    outcome = contract_copy(algebra, spec, w)
+    outcome = contract_copy(spec, w)
 
     prime = outcome.algebra_prime
     lifted = lift_casimir(algebra, spec, levi_quadratic_casimir(algebra))
@@ -183,7 +183,7 @@ def test_skew_weighting_is_reported_incompatible():
     algebra, spec = b("IHa", 3)
     w = ContractionWeights(algebra, {"T": 3})
     with pytest.raises(LimitDoesNotExistError) as err:
-        contract_copy(algebra, spec, w)
+        contract_copy(spec, w)
 
     assert err.value.payload == {
         "triple": ["G_1", "Q_1", "T"], "weight": -3, "f_top_weight": 6,
@@ -192,8 +192,8 @@ def test_skew_weighting_is_reported_incompatible():
 
     # dropping the completion terms, as the skew scaling would, breaks
     # the commutation with the radical
-    naive = make_spec(algebra, spec.f, {})
-    report = verify(algebra, naive)
+    naive = make_spec(spec.f, {})
+    report = verify(naive)
     assert not report.passed
     radical = report.residuals["radical_residuals"]
     assert radical
@@ -205,7 +205,7 @@ def test_incompatible_copy_with_a_limit_keeps_the_leading_parts():
     # contracted operator is P0 alone
     algebra, spec = b("Ha", 3)
     w = ContractionWeights(algebra, {"G_1": 1, "G_2": 1, "G_3": 1})
-    outcome = contract_copy(algebra, spec, w)
+    outcome = contract_copy(spec, w)
 
     assert outcome.M0 == 0
     assert set(outcome.Mi.values()) == {1}
@@ -219,7 +219,7 @@ def test_incompatible_copy_with_a_limit_keeps_the_leading_parts():
 
 def test_all_zero_weights_change_nothing():
     algebra, spec = b("Ha", 3)
-    outcome = contract_copy(algebra, spec, ContractionWeights(algebra, {}))
+    outcome = contract_copy(spec, ContractionWeights(algebra, {}))
     assert outcome.M0 == 0
     assert set(outcome.Mi.values()) == {0}
     assert outcome.copy_compatible
@@ -233,9 +233,9 @@ def test_all_zero_weights_change_nothing():
 def test_zero_completion_rides_along_with_f():
     algebra = so3_with_center()
     z = PBWElement.generator(algebra, algebra.index("Z"))
-    spec = make_spec(algebra, z, {})
+    spec = make_spec(z, {})
     w = ContractionWeights(algebra, {"Z": 1})
-    outcome = contract_copy(algebra, spec, w)
+    outcome = contract_copy(spec, w)
     assert outcome.M0 == 1
     assert outcome.Mi == {0: 1, 1: 1, 2: 1}
     assert not any(outcome.P0.values())
@@ -249,10 +249,10 @@ def test_zero_completion_rides_along_with_f():
 def test_contract_copy_preconditions():
     algebra = so3_with_center()
     z = PBWElement.generator(algebra, algebra.index("Z"))
-    broken = make_spec(algebra, z, {0: u_mul(z, z)})
+    broken = make_spec(z, {0: u_mul(z, z)})
     w = ContractionWeights(algebra, {"Z": 1})
     with pytest.raises(PreconditionError):
-        contract_copy(algebra, broken, w)
+        contract_copy(broken, w)
 
 
 def test_top_weight_slices_agree_with_the_case_by_case_formula():

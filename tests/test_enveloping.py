@@ -249,7 +249,7 @@ def test_symmetrize_matches_brute_force_average():
     for name in ("Ha", "IHa"):
         algebra, spec = build(name, 3)
         coefficients = char_poly_coefficients(
-            *build_so_matrix(algebra, spec), algebra.dim)
+            *build_so_matrix(spec), algebra.dim)
         for poly in coefficients.values():
             assert poly.degree() <= 6
             assert symmetrize(algebra, poly) == \
@@ -290,8 +290,7 @@ def test_symmetrize_footprint_on_iha4_c4():
     # every product of one symmetrize call goes through one memo: 11,394
     # _normal_word calls, against 18,835 with a memo per product
     algebra, spec = build("IHa", 4)
-    c4 = char_poly_coefficients(*build_so_matrix(algebra, spec),
-                                algebra.dim)[2]
+    c4 = char_poly_coefficients(*build_so_matrix(spec), algebra.dim)[2]
     calls, retained = normal_order_footprint(lambda: symmetrize(algebra, c4))
     assert calls < 14000
     assert retained < 64 * 1024

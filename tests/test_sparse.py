@@ -131,7 +131,7 @@ def test_every_stored_coefficient_is_canonical(name):
                for t in range(algebra.dim)]
     stores += [spec.f.terms] + [p.terms for p in spec.P.values()]
     try:
-        casimirs = casimir_set(algebra, spec)
+        casimirs = casimir_set(spec)
     except NotApplicableError:
         casimirs = None    # no rotation block, no char-poly
     else:

@@ -47,7 +47,7 @@ def so3_with_center():
 
 def trivial_spec(algebra):
     z = PBWElement.generator(algebra, algebra.index("Z"))
-    return make_spec(algebra, z, {})
+    return make_spec(z, {})
 
 
 # ---- make_spec -----------------------------------------------------------------
@@ -83,7 +83,7 @@ def test_make_spec_rejections():
             (z, {0: u_mul(u_mul(z, z), z)},
              "P[X_1] has top degree 3, expected 2")):
         with pytest.raises(MalformedInputError, match=re.escape(message)):
-            make_spec(algebra, f, P)
+            make_spec(f, P)
 
 
 def test_filtration_terms_below_top_degree_are_allowed():
@@ -105,7 +105,7 @@ def test_filtration_terms_below_top_degree_are_allowed():
 ], ids=lambda fid: "%s-%s" % fid)
 def test_catalog_specs_verify(fid):
     algebra, spec = build(*fid)
-    report = verify(algebra, spec)
+    report = verify(spec)
     assert report.passed, report.describe()
     assert report.f_is_radical_invariant
     assert report.factor_identity_ok
@@ -118,7 +118,7 @@ def test_report_is_one_map_per_condition():
     # radical nor with the Levi part
     algebra, spec = failing_specs()["f=G_1-boson"]
     f = spec.f
-    report = verify(algebra, spec)
+    report = verify(spec)
     assert report.names == algebra.names
     assert list(report.residuals) == [name for name, _line in CONDITIONS]
     for name in ("f_radical_residuals", "f_levi_residuals"):
@@ -138,7 +138,7 @@ def test_report_is_one_map_per_condition():
 
 def test_trivial_central_dressing_verifies():
     algebra = so3_with_center()
-    report = verify(algebra, trivial_spec(algebra))
+    report = verify(trivial_spec(algebra))
     assert report.passed
     assert report.f_is_g_invariant
 
@@ -146,7 +146,7 @@ def test_trivial_central_dressing_verifies():
 def test_dropping_a_dressing_block_fails_with_nonzero_residual():
     # IHa(3) with every P term that touches R dropped
     algebra, spec = failing_specs()["stripped-IHa3"]
-    report = verify(algebra, spec)
+    report = verify(spec)
     assert not report.passed
     radical = report.residuals["radical_residuals"]
     assert radical
@@ -162,7 +162,7 @@ def test_literal_product_order_misses_su11_closure_by_4f():
     # passes (the difference is central), but the Levi-side identities
     # miss by exactly 4f on the pair bracketing onto X_1,1
     algebra, spec = failing_specs()["literal-boson"]
-    report = verify(algebra, spec)
+    report = verify(spec)
     assert not report.passed
     residuals = report.residuals
     assert not residuals["radical_residuals"]
@@ -206,7 +206,7 @@ def test_lifted_hamilton_casimir_is_central():
 def test_su11_lift_matches_the_symmetric_arrangement():
     algebra, spec = b("boson_example")
     lifted = lift_casimir(algebra, spec, levi_quadratic_casimir(algebra))
-    ops = build_operators(algebra, spec)
+    ops = build_operators(spec)
     h, y, z = (ops[algebra.index(m)] for m in ("X_1,1", "X_-1,1", "X_1,-1"))
     direct = u_mul(h, h) - (u_mul(y, z) + u_mul(z, y)).scale(Fraction(1, 2))
     assert lifted == direct
@@ -225,9 +225,7 @@ def test_lift_preconditions():
     with pytest.raises(MalformedInputError):
         lift_casimir(algebra, spec, PBWElement.generator(other, 0))
     # a spec that does not verify cannot lift anything
-    broken = make_spec(
-        algebra, spec.f,
-        {i: PBWElement(algebra) for i in algebra.levi})
+    broken = make_spec(spec.f, {i: PBWElement(algebra) for i in algebra.levi})
     with pytest.raises(PreconditionError):
         lift_casimir(algebra, broken, levi_quadratic_casimir(algebra))
 
@@ -291,7 +289,7 @@ def test_verify_takes_two_commutator_tables(monkeypatch):
     monkeypatch.setattr(liecas.virtual_copy, "ad_images", built)
     monkeypatch.setattr(liecas.virtual_copy, "derivation", counted)
     monkeypatch.setattr(liecas.virtual_copy, "build_operators", no_operators)
-    assert verify(algebra, spec).passed
+    assert verify(spec).passed
     assert len(tables) == algebra.dim
     assert calls.count(True) == algebra.dim * (1 + len(algebra.levi)) == 396
 
@@ -305,7 +303,7 @@ def test_verify_footprint_on_qha5():
     algebra, spec = b("QHa", 5)
 
     def check():
-        assert verify(algebra, spec).passed
+        assert verify(spec).passed
 
     calls, retained = normal_order_footprint(check)
     assert calls < 3200
